@@ -354,6 +354,54 @@ pub fn compile_answer(
     })
 }
 
+/// The engine aggregate a flock filter compiles to over the
+/// extended-answer layout `(params…, head vars…)`: `rule0`'s head
+/// resolves the aggregated variable to its column.
+pub(crate) fn filter_agg_fn(
+    filter: &FilterCondition,
+    rule0: &ConjunctiveQuery,
+    n_params: usize,
+) -> Result<AggFn> {
+    let (v, make): (_, fn(usize) -> AggFn) = match filter.agg {
+        FilterAgg::Count => return Ok(AggFn::Count),
+        FilterAgg::Sum(v) => (v, AggFn::Sum),
+        FilterAgg::Min(v) => (v, AggFn::Min),
+        FilterAgg::Max(v) => (v, AggFn::Max),
+    };
+    let pos = rule0
+        .head
+        .args
+        .iter()
+        .position(|&t| t == Term::Var(v))
+        .ok_or_else(|| FlockError::FilterVarUnknown {
+            var: format!("{v}"),
+        })?;
+    Ok(make(n_params + pos))
+}
+
+/// The §5 monotonicity precondition of `SUM` filters: no negative
+/// weight reaches the aggregate. Reads the weight column's minimum off
+/// the materialized extended answer's statistics; `what` names the
+/// answer in the error.
+pub(crate) fn check_sum_weights(
+    filter: &FilterCondition,
+    rule0: &ConjunctiveQuery,
+    n_params: usize,
+    answer_rel: &qf_storage::Relation,
+    what: &str,
+) -> Result<()> {
+    if let AggFn::Sum(col) = filter_agg_fn(filter, rule0, n_params)? {
+        if let Some(min) = answer_rel.stats().column(col).min {
+            if min < qf_storage::Value::int(0) {
+                return Err(FlockError::NegativeWeight {
+                    detail: format!("{what}: minimum weight {min}"),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Wrap an answer plan with the flock's filter: group by the parameter
 /// columns, aggregate, threshold, and project the parameters — the
 /// flock's *result* (§2: "a query flock is a query about its
@@ -363,37 +411,11 @@ pub fn filter_answer(
     rule0: &ConjunctiveQuery,
     filter: &FilterCondition,
 ) -> Result<PhysicalPlan> {
-    let group: Vec<usize> = (0..answer.n_params).collect();
-    let agg = match filter.agg {
-        FilterAgg::Count => AggFn::Count,
-        FilterAgg::Sum(v) | FilterAgg::Min(v) | FilterAgg::Max(v) => {
-            let pos = rule0
-                .head
-                .args
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .ok_or_else(|| FlockError::FilterVarUnknown {
-                    var: format!("{v}"),
-                })?;
-            let col = answer.n_params + pos;
-            match filter.agg {
-                FilterAgg::Sum(_) => AggFn::Sum(col),
-                FilterAgg::Min(_) => AggFn::Min(col),
-                _ => AggFn::Max(col),
-            }
-        }
-    };
-    let agg_col = answer.n_params; // aggregate output follows group cols.
-    let plan = PhysicalPlan::aggregate(answer.plan.clone(), group.clone(), agg);
-    let plan = PhysicalPlan::select(
-        plan,
-        vec![Predicate::col_const(
-            agg_col,
-            filter.op,
-            qf_storage::Value::int(filter.threshold),
-        )],
-    );
-    Ok(PhysicalPlan::project(plan, group))
+    let params: Vec<usize> = (0..answer.n_params).collect();
+    Ok(PhysicalPlan::project(
+        filter_answer_scored(answer, rule0, filter)?,
+        params,
+    ))
 }
 
 /// [`filter_answer`] without the final parameter projection: the plan
@@ -408,28 +430,10 @@ pub fn filter_answer_scored(
     filter: &FilterCondition,
 ) -> Result<PhysicalPlan> {
     let group: Vec<usize> = (0..answer.n_params).collect();
-    let agg = match filter.agg {
-        FilterAgg::Count => AggFn::Count,
-        FilterAgg::Sum(v) | FilterAgg::Min(v) | FilterAgg::Max(v) => {
-            let pos = rule0
-                .head
-                .args
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .ok_or_else(|| FlockError::FilterVarUnknown {
-                    var: format!("{v}"),
-                })?;
-            let col = answer.n_params + pos;
-            match filter.agg {
-                FilterAgg::Sum(_) => AggFn::Sum(col),
-                FilterAgg::Min(_) => AggFn::Min(col),
-                _ => AggFn::Max(col),
-            }
-        }
-    };
-    let plan = PhysicalPlan::aggregate(answer.plan.clone(), group, agg);
+    let agg = filter_agg_fn(filter, rule0, answer.n_params)?;
+    // The aggregate output follows the group columns.
     Ok(PhysicalPlan::select(
-        plan,
+        PhysicalPlan::aggregate(answer.plan.clone(), group, agg),
         vec![Predicate::col_const(
             answer.n_params,
             filter.op,

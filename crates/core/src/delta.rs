@@ -33,8 +33,8 @@ use qf_datalog::{Atom, Comparison, ConjunctiveQuery, Term};
 use qf_engine::{AggFn, EngineError, GroupAggView, Resource};
 use qf_storage::{Database, Relation, Schema, Tuple, Value};
 
+use crate::compile::filter_agg_fn;
 use crate::error::{FlockError, Result};
-use crate::filter::FilterAgg;
 use crate::flock::QueryFlock;
 
 /// Budgets for building and maintaining one delta view. Both exist so
@@ -107,7 +107,7 @@ impl FlockDelta {
         let n_params = params.len();
         let mut layout: Vec<Term> = params.into_iter().map(Term::Param).collect();
         layout.extend(rule.head.args.iter().copied());
-        let agg = agg_fn(flock, &rule, n_params)?;
+        let agg = filter_agg_fn(flock.filter(), &rule, n_params)?;
         let view = GroupAggView::new(n_params, agg, limits.max_tuples)?;
         let preds: BTreeSet<String> = rule
             .positive_atoms()
@@ -245,30 +245,6 @@ impl FlockDelta {
     /// Number of parameter (group-key) columns in the scored output.
     pub fn n_params(&self) -> usize {
         self.n_params
-    }
-}
-
-/// The engine aggregate the flock's filter compiles to over the
-/// extended-answer layout, mirroring `filter_answer_scored`.
-fn agg_fn(flock: &QueryFlock, rule: &ConjunctiveQuery, n_params: usize) -> Result<AggFn> {
-    match flock.filter().agg {
-        FilterAgg::Count => Ok(AggFn::Count),
-        FilterAgg::Sum(v) | FilterAgg::Min(v) | FilterAgg::Max(v) => {
-            let pos = rule
-                .head
-                .args
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .ok_or_else(|| FlockError::FilterVarUnknown {
-                    var: format!("{v}"),
-                })?;
-            let col = n_params + pos;
-            Ok(match flock.filter().agg {
-                FilterAgg::Sum(_) => AggFn::Sum(col),
-                FilterAgg::Min(_) => AggFn::Min(col),
-                _ => AggFn::Max(col),
-            })
-        }
     }
 }
 

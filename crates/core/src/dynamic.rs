@@ -28,11 +28,11 @@
 
 use qf_datalog::{Atom, Term};
 use qf_engine::{
-    execute_with, AggFn, EngineError, ExecContext, Operand, PhysicalPlan, Predicate, Resource,
+    execute_with, EngineError, ExecContext, Operand, PhysicalPlan, Predicate, Resource,
 };
 use qf_storage::{Database, FastMap, FastSet, HashIndex, Relation, Schema, Symbol, Tuple, Value};
 
-use crate::compile::{atom_order, build_leaf, Binding, JoinOrderStrategy};
+use crate::compile::{atom_order, build_leaf, filter_agg_fn, Binding, JoinOrderStrategy};
 use crate::error::{FlockError, Result};
 use crate::filter::FilterAgg;
 use crate::flock::QueryFlock;
@@ -573,26 +573,7 @@ fn final_filter(
     ));
 
     let group: Vec<usize> = (0..param_cols.len()).collect();
-    let rule0 = &flock.query().rules()[0];
-    let agg = match flock.filter().agg {
-        FilterAgg::Count => AggFn::Count,
-        FilterAgg::Sum(v) | FilterAgg::Min(v) | FilterAgg::Max(v) => {
-            let pos = rule0
-                .head
-                .args
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .ok_or_else(|| FlockError::FilterVarUnknown {
-                    var: format!("{v}"),
-                })?;
-            let col = param_cols.len() + pos;
-            match flock.filter().agg {
-                FilterAgg::Sum(_) => AggFn::Sum(col),
-                FilterAgg::Min(_) => AggFn::Min(col),
-                _ => AggFn::Max(col),
-            }
-        }
-    };
+    let agg = filter_agg_fn(flock.filter(), &flock.query().rules()[0], param_cols.len())?;
     let plan = PhysicalPlan::project(
         PhysicalPlan::select(
             PhysicalPlan::aggregate(PhysicalPlan::scan(TMP), group.clone(), agg),

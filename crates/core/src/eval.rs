@@ -84,34 +84,23 @@ pub fn evaluate_direct_with(
 }
 
 /// For `SUM` filters, verify no negative weights reach the aggregate
-/// (the §5 monotonicity precondition). Cheap: checks the base answer's
-/// weight column min via one extra aggregation-free scan of the plan's
-/// output statistics.
+/// (the §5 monotonicity precondition): one extra run of the answer plan
+/// for its weight column's statistics.
 fn check_sum_weights(
     flock: &QueryFlock,
     db: &Database,
     answer: &crate::compile::CompiledRule,
     ctx: &ExecContext,
 ) -> Result<()> {
-    if let FilterAgg::Sum(v) = flock.filter().agg {
-        let rule0 = &flock.query().rules()[0];
-        let pos = rule0
-            .head
-            .args
-            .iter()
-            .position(|&t| t == Term::Var(v))
-            .ok_or_else(|| FlockError::FilterVarUnknown {
-                var: format!("{v}"),
-            })?;
-        let col = answer.n_params + pos;
+    if let FilterAgg::Sum(_) = flock.filter().agg {
         let rel = execute_with(&answer.plan, db, ctx)?;
-        if let Some(min) = rel.stats().column(col).min {
-            if min < Value::int(0) {
-                return Err(FlockError::NegativeWeight {
-                    detail: format!("minimum weight in answer is {min}"),
-                });
-            }
-        }
+        crate::compile::check_sum_weights(
+            flock.filter(),
+            &flock.query().rules()[0],
+            answer.n_params,
+            &rel,
+            "answer",
+        )?;
     }
     Ok(())
 }

@@ -7,22 +7,37 @@
 //! in the working database — exactly the operational reading of
 //! `R(P) := FILTER(P, Q, C)` (§4.1).
 //!
+//! There is one step and one loop. Every step is evaluated **scored** —
+//! `(params…, agg)` rows, the aggregate still attached — by a
+//! [`StepEvaluator`]; the loop ([`execute_plan_scored_on`]) projects
+//! the aggregate away when it commits a reduction step's output and
+//! keeps it on the final step, so the thresholded result
+//! ([`execute_plan_with`]) is a projection of the scored one
+//! ([`execute_plan_scored_with`]). The evaluator is a value: the local
+//! one ([`LocalEvaluator`]) compiles the step and runs it on the
+//! engine; `qf-server`'s shard coordinator substitutes one that
+//! scatters the step to its workers and merges their partials.
+//!
 //! Execution is instrumented: every step reports its answer size, group
 //! count, survivor count, and wall-clock time, which is what the
 //! experiments (and the paper's intuition about "smaller relations …
 //! subsequent join steps take less time") need to show.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use qf_datalog::param_isomorphism;
-use qf_engine::{execute_with, ExecContext};
+use qf_engine::{execute_with, EngineError, ExecContext, PhysicalPlan};
 use qf_storage::{Database, Relation, Schema, Symbol, Tuple};
 
-use crate::compile::{compile_answer, filter_answer, JoinOrderStrategy};
-use crate::error::Result;
-use crate::eval::as_flock_result;
-use crate::filter::FilterAgg;
-use crate::plan::QueryPlan;
+use crate::compile::{
+    check_sum_weights, compile_answer, filter_answer_scored, CompiledRule, JoinOrderStrategy,
+};
+use crate::error::{FlockError, Result};
+use crate::eval::flock_result_from_scored;
+use crate::filter::{FilterAgg, FilterCondition};
+use crate::journal::RunJournal;
+use crate::plan::{FilterStep, QueryPlan};
+use crate::shard::scored_schema;
 
 /// Instrumentation for one executed `FILTER` step.
 #[derive(Clone, Debug)]
@@ -76,6 +91,141 @@ impl PlanExecution {
     pub fn total_answer_tuples(&self) -> usize {
         self.steps.iter().map(|s| s.answer_tuples).sum()
     }
+
+    /// The thresholded view of a scored run under the plan's own filter.
+    fn from_scored(plan: &QueryPlan, run: ScoredExecution) -> PlanExecution {
+        PlanExecution {
+            result: flock_result_from_scored(&plan.flock, &run.scored, plan.flock.filter()),
+            steps: run.steps,
+        }
+    }
+}
+
+/// The outcome of a *scored* plan execution: the flock's surviving
+/// parameter assignments with their aggregate values still attached.
+#[derive(Clone, Debug)]
+pub struct ScoredExecution {
+    /// `(params…, aggregate)` rows for every assignment passing
+    /// [`ScoredExecution::baseline`]; columns are the parameter names
+    /// plus `agg`. Projecting away `agg` recovers the flock result
+    /// exactly; re-filtering by any condition the baseline
+    /// [subsumes](crate::FilterCondition::subsumes) answers that
+    /// condition exactly (see [`crate::flock_result_from_scored`]).
+    pub scored: Relation,
+    /// The condition `scored` is complete for. The flock's own filter,
+    /// except that a single-step plan inherits whatever looser
+    /// condition its evaluator was complete for (a sharded step is
+    /// merged at the vacuous threshold, so one run answers every
+    /// same-direction threshold).
+    pub baseline: FilterCondition,
+    /// Per-step instrumentation, in execution order.
+    pub steps: Vec<StepReport>,
+}
+
+/// One evaluated `FILTER` step, aggregate still attached.
+#[derive(Clone, Debug)]
+pub struct ScoredStep {
+    /// `(params…, agg)` rows, sorted and duplicate-free.
+    pub rows: Relation,
+    /// The condition `rows` are complete for: every parameter
+    /// assignment passing it is present. Must subsume the plan's
+    /// filter; the loop applies the plan's filter itself when they
+    /// differ.
+    pub complete_for: FilterCondition,
+    /// Tuples in the step's extended answer (0 when not materialized).
+    pub answer_tuples: usize,
+    /// Distinct parameter assignments seen (0 when not counted).
+    pub groups: usize,
+}
+
+/// How one `FILTER` step of a plan gets evaluated. The plan loop is
+/// generic over this so that sharded execution is the same loop — waves,
+/// symmetry reuse, commit order — with a different way of answering
+/// "what are this step's scored rows?".
+pub trait StepEvaluator: Sync {
+    /// The evaluator's error type; the loop's own failures convert into
+    /// it.
+    type Error: From<FlockError> + From<EngineError> + Send;
+
+    /// Evaluate `step` of `plan` against `working` (the base catalog
+    /// plus every earlier step's output). Runs on a worker thread
+    /// during wave-parallel execution, so it only reads `working` and
+    /// charges the shared governor.
+    fn scored(
+        &self,
+        plan: &QueryPlan,
+        step: &FilterStep,
+        working: &Database,
+        ctx: &ExecContext,
+    ) -> std::result::Result<ScoredStep, Self::Error>;
+}
+
+/// The local step evaluator: compile the step's query, run it on
+/// `qf-engine`, aggregate and threshold with the plan's own filter.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LocalEvaluator {
+    /// Join order within the step's query.
+    pub strategy: JoinOrderStrategy,
+}
+
+impl StepEvaluator for LocalEvaluator {
+    type Error = FlockError;
+
+    fn scored(
+        &self,
+        plan: &QueryPlan,
+        step: &FilterStep,
+        working: &Database,
+        ctx: &ExecContext,
+    ) -> Result<ScoredStep> {
+        let filter = plan.flock.filter();
+        let rule0 = &step.query.rules()[0];
+        let answer = compile_answer(&step.query, working, self.strategy)?;
+        // Under spill-to-disk, skip materializing the (possibly huge)
+        // extended answer: fuse the filter's group-by/aggregate directly
+        // onto the answer plan so the whole step runs as one spillable
+        // tree and only the (small) surviving assignments materialize.
+        // SUM filters still take the materialized path — the §5
+        // negative-weight check below needs the answer relation's
+        // column statistics — and the per-step answer/group
+        // instrumentation is forgone (reported as zero, like a
+        // symmetry-reused step).
+        if ctx.spill_enabled() && !matches!(filter.agg, FilterAgg::Sum(_)) {
+            let fused = filter_answer_scored(&answer, rule0, filter)?;
+            return Ok(ScoredStep {
+                rows: execute_with(&fused, working, ctx)?,
+                complete_for: *filter,
+                answer_tuples: 0,
+                groups: 0,
+            });
+        }
+        let answer_rel = execute_with(&answer.plan, working, ctx)?;
+        check_sum_weights(
+            filter,
+            rule0,
+            answer.n_params,
+            &answer_rel,
+            &format!("step `{}`", step.output),
+        )?;
+        // Group by parameters and apply the flock's condition, reusing
+        // the compiled-plan path by wrapping the materialized answer as
+        // a scan under a reserved name.
+        const TMP: &str = "__step_answer";
+        let mut tmp = working.clone();
+        tmp.insert(answer_rel.renamed(TMP));
+        let wrapped = CompiledRule {
+            plan: PhysicalPlan::scan(TMP),
+            n_params: answer.n_params,
+            n_head: answer.n_head,
+        };
+        let rows = execute_with(&filter_answer_scored(&wrapped, rule0, filter)?, &tmp, ctx)?;
+        Ok(ScoredStep {
+            rows,
+            complete_for: *filter,
+            answer_tuples: answer_rel.len(),
+            groups: count_groups(&answer_rel, answer.n_params),
+        })
+    }
 }
 
 /// Execute a validated plan against `db`.
@@ -95,6 +245,49 @@ pub fn execute_plan(
 /// and cancellation token. A tripped budget aborts the plan with the
 /// engine error; the working database is dropped, so the caller's `db`
 /// is untouched no matter where the failure lands.
+pub fn execute_plan_with(
+    plan: &QueryPlan,
+    db: &Database,
+    strategy: JoinOrderStrategy,
+    ctx: &ExecContext,
+) -> Result<PlanExecution> {
+    let run = run_plan(plan, db, &LocalEvaluator { strategy }, ctx, None)?;
+    Ok(PlanExecution::from_scored(plan, run))
+}
+
+/// [`execute_plan_with`] journaled for crash-safe resume: each step's
+/// output is durably recorded in `journal` as it commits, and steps the
+/// journal already holds are replayed from their snapshots (reported
+/// with [`StepReport::resumed`] set) instead of re-evaluated. The final
+/// step's snapshot holds its scored rows, so a resumed run returns the
+/// same thing a fresh one does. A run killed at any point — budget
+/// trip, deadline, cancellation, or `kill -9` — restarts from its last
+/// completed step and produces a bitwise-identical final result.
+pub fn execute_plan_journaled(
+    plan: &QueryPlan,
+    db: &Database,
+    strategy: JoinOrderStrategy,
+    ctx: &ExecContext,
+    journal: &mut RunJournal,
+) -> Result<PlanExecution> {
+    let run = run_plan(plan, db, &LocalEvaluator { strategy }, ctx, Some(journal))?;
+    Ok(PlanExecution::from_scored(plan, run))
+}
+
+/// [`execute_plan_with`] keeping the final step's aggregate column.
+/// This is what the server's result cache stores — one scored run at
+/// support `s` answers every request at a subsumed threshold `s' ≥ s`
+/// by re-filtering.
+pub fn execute_plan_scored_with(
+    plan: &QueryPlan,
+    db: &Database,
+    strategy: JoinOrderStrategy,
+    ctx: &ExecContext,
+) -> Result<ScoredExecution> {
+    run_plan(plan, db, &LocalEvaluator { strategy }, ctx, None)
+}
+
+/// Execute a validated plan with `evaluator` answering each step.
 ///
 /// Independent `FILTER` steps evaluate concurrently: consecutive steps
 /// whose queries reference only already-materialized relations form a
@@ -102,58 +295,48 @@ pub fn execute_plan(
 /// [`ExecContext::threads`] scoped worker threads against the immutable
 /// working database. Results are committed in plan order, so reports,
 /// symmetry reuse, and the final result are identical to sequential
-/// execution.
-pub fn execute_plan_with(
+/// execution. Reduction steps isomorphic to an earlier one under a
+/// parameter bijection are answered by renaming its output (§4.3
+/// footnote 3); the final step is always evaluated.
+pub fn execute_plan_scored_on<E: StepEvaluator>(
     plan: &QueryPlan,
     db: &Database,
-    strategy: JoinOrderStrategy,
+    evaluator: &E,
     ctx: &ExecContext,
-) -> Result<PlanExecution> {
-    execute_plan_inner(plan, db, strategy, ctx, None)
+) -> std::result::Result<ScoredExecution, E::Error> {
+    run_plan(plan, db, evaluator, ctx, None)
 }
 
-/// [`execute_plan_with`] journaled for crash-safe resume: each step's
-/// output is durably recorded in `journal` as it commits, and steps the
-/// journal already holds are replayed from their snapshots (reported
-/// with [`StepReport::resumed`] set) instead of re-evaluated. A run
-/// killed at any point — budget trip, deadline, cancellation, or
-/// `kill -9` — restarts from its last completed step and produces a
-/// bitwise-identical final result.
-pub fn execute_plan_journaled(
-    plan: &QueryPlan,
-    db: &Database,
-    strategy: JoinOrderStrategy,
-    ctx: &ExecContext,
-    journal: &mut crate::journal::RunJournal,
-) -> Result<PlanExecution> {
-    execute_plan_inner(plan, db, strategy, ctx, Some(journal))
+/// How a wave step obtains its result.
+enum Slot {
+    /// Rename an earlier wave's result (parameter symmetry).
+    Prev(Relation),
+    /// Rename the result of an in-wave representative (index into the
+    /// wave, column projection), once that representative has
+    /// committed.
+    Rep(usize, Vec<usize>),
+    /// Evaluate the step's query.
+    Eval,
 }
 
-fn execute_plan_inner(
+fn run_plan<E: StepEvaluator>(
     plan: &QueryPlan,
     db: &Database,
-    strategy: JoinOrderStrategy,
+    evaluator: &E,
     ctx: &ExecContext,
-    mut journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<PlanExecution> {
+    mut journal: Option<&mut RunJournal>,
+) -> std::result::Result<ScoredExecution, E::Error> {
+    let filter = plan.flock.filter();
+    let last = plan.steps.len() - 1;
     let mut working = db.clone();
     let mut reports = Vec::with_capacity(plan.steps.len());
-    let mut result: Option<Relation> = None;
-    // Executed reduction steps, for parameter-symmetry reuse (§4.3
-    // footnote 3: the single-parameter basket subqueries are "exactly
-    // the same" up to renaming — evaluate once, rename the result).
-    let mut executed: Vec<(&crate::plan::FilterStep, Relation)> = Vec::new();
-
-    /// How a wave step obtains its result.
-    enum Slot {
-        /// Rename an earlier wave's result (parameter symmetry).
-        Prev(Relation),
-        /// Rename the result of an in-wave representative (by index
-        /// into the wave), once that representative has evaluated.
-        Rep(usize),
-        /// Evaluate the step's query.
-        Eval,
-    }
+    // Committed reduction steps, for parameter-symmetry reuse.
+    let mut executed: Vec<(&FilterStep, Relation)> = Vec::new();
+    // The final step's scored rows and the condition they are complete
+    // for. Earlier steps prune at the plan's own filter, so only a
+    // single-step run can be complete for anything looser.
+    let mut scored: Option<Relation> = None;
+    let mut baseline = *filter;
 
     // Replay the journal's contiguous completed prefix: each snapshot
     // is loaded (hash-checked) and committed exactly as its original
@@ -166,13 +349,29 @@ fn execute_plan_inner(
         .as_ref()
         .map_or(0, |j| j.contiguous_prefix(plan.steps.len()));
     for (idx, step) in plan.steps.iter().take(resume_prefix).enumerate() {
-        let named = match journal
+        let loaded = journal
             .as_ref()
             .expect("prefix > 0 implies journal")
             .load_step(idx)
-        {
-            Ok(named) => named,
-            Err(e @ crate::error::FlockError::SnapshotCorrupt { .. }) => {
+            .and_then(|snapshot| {
+                // Reduction steps snapshot their output, the final step
+                // its scored rows (one more column).
+                let (want, got) = (
+                    step.params.len() + usize::from(idx == last),
+                    snapshot.schema().arity(),
+                );
+                if got == want {
+                    Ok(snapshot)
+                } else {
+                    Err(FlockError::SnapshotCorrupt {
+                        step: idx,
+                        detail: format!("snapshot has {got} columns, the step commits {want}"),
+                    })
+                }
+            });
+        let snapshot = match loaded {
+            Ok(snapshot) => snapshot,
+            Err(e @ FlockError::SnapshotCorrupt { .. }) => {
                 ctx.record_degradation(
                     "journal-corrupt-snapshot",
                     format!("{e}; recomputing from step {idx}"),
@@ -181,20 +380,28 @@ fn execute_plan_inner(
                 resume_prefix = idx;
                 break;
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         };
         reports.push(StepReport {
             name: step.output.clone(),
             answer_tuples: 0,
             groups: 0,
-            survivors: named.len(),
-            elapsed: std::time::Duration::ZERO,
+            survivors: snapshot.len(),
+            elapsed: Duration::ZERO,
             reused: false,
             resumed: true,
         });
-        working.insert(named.clone());
-        executed.push((step, named.clone()));
-        result = Some(named);
+        if idx == last {
+            // Journaled runs use the local evaluator, so the snapshot
+            // is complete for the flock's own filter.
+            scored = Some(Relation::from_sorted_dedup(
+                scored_schema(step),
+                snapshot.tuples().to_vec(),
+            ));
+        } else {
+            working.insert(snapshot.clone());
+            executed.push((step, snapshot));
+        }
     }
 
     let mut i = resume_prefix;
@@ -217,22 +424,21 @@ fn execute_plan_inner(
         // concurrent.
         let mut slots: Vec<Slot> = Vec::with_capacity(wave.len());
         for (w, step) in wave.iter().enumerate() {
-            if let Some(renamed) = try_symmetric_reuse(step, &executed) {
-                slots.push(Slot::Prev(renamed));
-                continue;
-            }
-            let rep = (0..w).find(|&p| {
-                matches!(slots[p], Slot::Eval)
-                    && wave[p].query.rules().len() == 1
-                    && step.query.rules().len() == 1
-                    && wave[p].params.len() == step.params.len()
-                    && param_isomorphism(&wave[p].query.rules()[0], &step.query.rules()[0])
-                        .is_some()
-            });
-            slots.push(match rep {
-                Some(p) => Slot::Rep(p),
-                None => Slot::Eval,
-            });
+            let slot = if i + w == last {
+                Slot::Eval
+            } else if let Some(renamed) = executed.iter().find_map(|(prev, rel)| {
+                symmetry_projection(prev, step).map(|proj| renamed_output(step, rel, &proj))
+            }) {
+                Slot::Prev(renamed)
+            } else {
+                (0..w)
+                    .filter(|&p| matches!(slots[p], Slot::Eval))
+                    .find_map(|p| {
+                        symmetry_projection(&wave[p], step).map(|proj| Slot::Rep(p, proj))
+                    })
+                    .unwrap_or(Slot::Eval)
+            };
+            slots.push(slot);
         }
 
         // Evaluate the representatives in parallel over the immutable
@@ -245,408 +451,171 @@ fn execute_plan_inner(
         }
         let working_ref = &working;
         let evaluated = qf_engine::par_items(&eval_idx, ctx.threads(), |&w| {
-            evaluate_step(plan, &wave[w], working_ref, strategy, ctx).map(|e| (w, e))
+            let start = Instant::now();
+            evaluator
+                .scored(plan, &wave[w], working_ref, ctx)
+                .map(|s| (w, s, start.elapsed()))
         })?;
-        let mut by_slot: Vec<Option<EvaluatedStep>> = (0..wave.len()).map(|_| None).collect();
-        for (w, e) in evaluated {
-            by_slot[w] = Some(e);
+        let mut by_slot: Vec<Option<(ScoredStep, Duration)>> =
+            (0..wave.len()).map(|_| None).collect();
+        for (w, s, elapsed) in evaluated {
+            by_slot[w] = Some((s, elapsed));
         }
 
         // Commit in plan order so reports and the working database look
-        // exactly as they would under sequential execution.
+        // exactly as they would under sequential execution. A reduction
+        // step commits its output — survivors of the plan's filter,
+        // aggregate projected away — and the final step its scored
+        // rows.
         let mut named_by_w: Vec<Option<Relation>> = vec![None; wave.len()];
         for (w, step) in wave.iter().enumerate() {
+            let idx = i + w;
             let commit = Instant::now();
-            let (named, report) = match &slots[w] {
-                Slot::Prev(renamed) => reuse_commit(step, renamed.clone(), commit),
-                Slot::Rep(p) => {
-                    let rep_named = named_by_w[*p]
-                        .clone()
-                        .unwrap_or_else(|| Relation::empty(Schema::new(&wave[*p].output, &[])));
-                    match try_symmetric_reuse(step, &[(&wave[*p], rep_named)]) {
-                        Some(renamed) => reuse_commit(step, renamed, commit),
-                        // Unreachable in practice (classification already
-                        // proved the isomorphism); evaluate as a fallback.
-                        None => {
-                            let e = evaluate_step(plan, step, &working, strategy, ctx)?;
-                            eval_commit(step, e)
-                        }
-                    }
+            let (committed, evaluated) = match &slots[w] {
+                Slot::Prev(renamed) => (renamed.clone(), None),
+                Slot::Rep(p, proj) => {
+                    let rep = named_by_w[*p]
+                        .as_ref()
+                        .expect("a representative commits before the steps renaming it");
+                    (renamed_output(step, rep, proj), None)
                 }
                 Slot::Eval => {
-                    let e =
-                        by_slot[w]
-                            .take()
-                            .ok_or_else(|| crate::error::FlockError::IllegalPlan {
-                                detail: format!(
-                                    "step `{}` was skipped by the scheduler",
-                                    step.output
-                                ),
-                            })?;
-                    eval_commit(step, e)
+                    let (s, elapsed) =
+                        by_slot[w].take().ok_or_else(|| FlockError::IllegalPlan {
+                            detail: format!("step `{}` was skipped by the scheduler", step.output),
+                        })?;
+                    let committed = if idx == last {
+                        if last == 0 {
+                            baseline = s.complete_for;
+                        }
+                        Relation::from_sorted_dedup(
+                            scored_schema(step),
+                            passing(&s, &baseline).cloned().collect(),
+                        )
+                    } else {
+                        let params: Vec<usize> = (0..step.params.len()).collect();
+                        Relation::from_sorted_dedup(
+                            step_schema(step),
+                            passing(&s, filter).map(|t| t.project(&params)).collect(),
+                        )
+                    };
+                    (committed, Some((s.answer_tuples, s.groups, elapsed)))
                 }
             };
+            let (answer_tuples, groups, elapsed) =
+                evaluated.unwrap_or_else(|| (0, 0, commit.elapsed()));
+            reports.push(StepReport {
+                name: step.output.clone(),
+                answer_tuples,
+                groups,
+                survivors: committed.len(),
+                elapsed,
+                reused: evaluated.is_none(),
+                resumed: false,
+            });
             if let Some(j) = journal.as_deref_mut() {
                 // Journaling is advisory once the run is underway: a
                 // write failure (after bounded retry inside the
                 // journal) must not kill a run that is otherwise
                 // healthy. Record the degradation — resume will start
                 // from the last durable step — and stop journaling.
-                match j.record_step(i + w, &named) {
-                    Ok(()) => {
-                        for _ in 0..j.take_io_retries() {
-                            ctx.note_io_retry();
-                        }
-                    }
-                    Err(e) => {
-                        for _ in 0..j.take_io_retries() {
-                            ctx.note_io_retry();
-                        }
-                        ctx.record_degradation(
-                            "journal-advisory",
-                            format!(
-                                "{e}; continuing without journaling (resume disabled \
-                                 past step {})",
-                                i + w
-                            ),
-                        );
-                        journal = None;
-                    }
+                let recorded = j.record_step(idx, &committed.renamed(&step.output));
+                for _ in 0..j.take_io_retries() {
+                    ctx.note_io_retry();
+                }
+                if let Err(e) = recorded {
+                    ctx.record_degradation(
+                        "journal-advisory",
+                        format!(
+                            "{e}; continuing without journaling (resume disabled \
+                             past step {idx})"
+                        ),
+                    );
+                    journal = None;
                 }
             }
-            reports.push(report);
-            working.insert(named.clone());
-            executed.push((step, named.clone()));
-            named_by_w[w] = Some(named.clone());
-            result = Some(named);
+            if idx == last {
+                scored = Some(committed);
+            } else {
+                working.insert(committed.clone());
+                executed.push((step, committed.clone()));
+                named_by_w[w] = Some(committed);
+            }
         }
         i = end;
     }
 
-    let result = result.expect("validated plans are non-empty");
-    Ok(PlanExecution {
-        result: as_flock_result(&plan.flock, &result),
-        steps: reports,
-    })
-}
-
-/// The outcome of a *scored* plan execution: the flock's surviving
-/// parameter assignments with their aggregate values still attached.
-#[derive(Clone, Debug)]
-pub struct ScoredExecution {
-    /// `(params…, aggregate)` rows for every assignment passing the
-    /// flock's filter; columns are the parameter names plus `agg`.
-    /// Projecting away `agg` recovers the flock result exactly;
-    /// re-filtering by any condition the flock's filter
-    /// [subsumes](crate::FilterCondition::subsumes) answers that
-    /// condition exactly (see [`crate::flock_result_from_scored`]).
-    pub scored: Relation,
-    /// Per-step instrumentation, in execution order.
-    pub steps: Vec<StepReport>,
-}
-
-/// [`execute_plan_with`], but the final `FILTER` step keeps the
-/// aggregate column: the plan's reductions run exactly as usual
-/// (including symmetry reuse), while the last step aggregates and
-/// thresholds *without* projecting the aggregate away. This is what the
-/// server's result cache stores — one scored run at support `s` answers
-/// every request at a subsumed threshold `s' ≥ s` by re-filtering.
-///
-/// Steps run sequentially here (the server overlaps whole requests
-/// instead of waves within one); the engine still parallelizes inside
-/// each step's plan under `ctx.threads()`.
-pub fn execute_plan_scored_with(
-    plan: &QueryPlan,
-    db: &Database,
-    strategy: JoinOrderStrategy,
-    ctx: &ExecContext,
-) -> Result<ScoredExecution> {
-    let mut working = db.clone();
-    let mut reports = Vec::with_capacity(plan.steps.len());
-    let mut executed: Vec<(&crate::plan::FilterStep, Relation)> = Vec::new();
-    let last = plan.steps.len() - 1;
-    for step in &plan.steps[..last] {
-        let (named, report) = match try_symmetric_reuse(step, &executed) {
-            Some(renamed) => reuse_commit(step, renamed, Instant::now()),
-            None => {
-                let e = evaluate_step(plan, step, &working, strategy, ctx)?;
-                eval_commit(step, e)
-            }
-        };
-        reports.push(report);
-        working.insert(named.clone());
-        executed.push((step, named));
-    }
-    let step = &plan.steps[last];
-    let e = evaluate_step_scored(plan, step, &working, strategy, ctx)?;
-    let mut columns: Vec<String> = step.params.iter().map(|p| p.to_string()).collect();
-    columns.push("agg".to_string());
-    let scored = Relation::from_sorted_dedup(
-        Schema::from_columns("scored_result", columns),
-        e.filtered.tuples().to_vec(),
-    );
-    reports.push(StepReport {
-        name: step.output.clone(),
-        answer_tuples: e.answer_tuples,
-        groups: e.groups,
-        survivors: scored.len(),
-        elapsed: e.elapsed,
-        reused: false,
-        resumed: false,
-    });
     Ok(ScoredExecution {
-        scored,
+        scored: scored.expect("validated plans are non-empty"),
+        baseline,
         steps: reports,
     })
 }
 
 /// True when every relation `step`'s query references already exists in
 /// `working` — the condition for joining the current wave.
-fn step_inputs_ready(step: &crate::plan::FilterStep, working: &Database) -> bool {
+fn step_inputs_ready(step: &FilterStep, working: &Database) -> bool {
     step.query
-        .rules()
+        .predicates()
         .iter()
-        .flat_map(|r| r.predicates())
         .all(|pred| working.contains(pred.as_str()))
 }
 
-/// The measured outcome of actually evaluating one `FILTER` step.
-struct EvaluatedStep {
-    answer_tuples: usize,
-    groups: usize,
-    filtered: Relation,
-    elapsed: std::time::Duration,
+/// The schema a reduction step's output materializes under: the step's
+/// name, columns named after its parameters.
+fn step_schema(step: &FilterStep) -> Schema {
+    Schema::from_columns(
+        step.output.clone(),
+        step.params.iter().map(|p| p.to_string()).collect(),
+    )
 }
 
-/// Evaluate one step's query against `working` and apply the flock's
-/// filter. Runs on a worker thread during wave-parallel execution, so
-/// it only reads `working` and charges the shared governor.
-fn evaluate_step(
-    plan: &QueryPlan,
-    step: &crate::plan::FilterStep,
-    working: &Database,
-    strategy: JoinOrderStrategy,
-    ctx: &ExecContext,
-) -> Result<EvaluatedStep> {
-    let start = Instant::now();
-    let answer = compile_answer(&step.query, working, strategy)?;
-    // Under spill-to-disk, skip materializing the (possibly huge)
-    // extended answer: fuse the filter's group-by/aggregate directly
-    // onto the answer plan so the whole step runs as one spillable tree
-    // and only the (small) surviving assignments materialize. SUM
-    // filters still take the materialized path — the §5 negative-weight
-    // check below needs the answer relation's column statistics — and
-    // the per-step answer/group instrumentation is forgone (reported as
-    // zero, like a symmetry-reused step).
-    if ctx.spill_enabled() && !matches!(plan.flock.filter().agg, FilterAgg::Sum(_)) {
-        let filter_plan = filter_answer(&answer, &step.query.rules()[0], plan.flock.filter())?;
-        let filtered = execute_with(&filter_plan, working, ctx)?;
-        return Ok(EvaluatedStep {
-            answer_tuples: 0,
-            groups: 0,
-            filtered,
-            elapsed: start.elapsed(),
-        });
-    }
-    let answer_rel = execute_with(&answer.plan, working, ctx)?;
-    // SUM-filter monotonicity precondition: no negative weights.
-    if let FilterAgg::Sum(v) = plan.flock.filter().agg {
-        let rule0 = &step.query.rules()[0];
-        if let Some(pos) = rule0
-            .head
-            .args
-            .iter()
-            .position(|&t| t == qf_datalog::Term::Var(v))
-        {
-            let col = answer.n_params + pos;
-            if let Some(min) = answer_rel.stats().column(col).min {
-                if min < qf_storage::Value::int(0) {
-                    return Err(crate::error::FlockError::NegativeWeight {
-                        detail: format!("step `{}`: minimum weight {min}", step.output),
-                    });
-                }
-            }
-        }
-    }
-    // Group by parameters, apply the flock's condition, keep params.
-    let filtered = filter_answer_rel(plan, step, &answer, &answer_rel, working, ctx)?;
-    let groups = count_groups(&answer_rel, answer.n_params);
-    Ok(EvaluatedStep {
-        answer_tuples: answer_rel.len(),
-        groups,
-        filtered,
-        elapsed: start.elapsed(),
-    })
+/// The rows of an evaluated step passing `condition`: all of them when
+/// that is what the evaluator was complete for, otherwise those whose
+/// aggregate (last column) it accepts.
+fn passing<'a>(
+    s: &'a ScoredStep,
+    condition: &'a FilterCondition,
+) -> impl Iterator<Item = &'a Tuple> {
+    let exact = s.complete_for == *condition;
+    let agg = s.rows.schema().arity() - 1;
+    s.rows
+        .iter()
+        .filter(move |t| exact || condition.accepts(t.get(agg)))
 }
 
-/// [`evaluate_step`] in scored mode: aggregate and threshold but keep
-/// the aggregate column (`filter_answer_scored` instead of
-/// `filter_answer`). Same spill fusing and §5 negative-weight check.
-fn evaluate_step_scored(
-    plan: &QueryPlan,
-    step: &crate::plan::FilterStep,
-    working: &Database,
-    strategy: JoinOrderStrategy,
-    ctx: &ExecContext,
-) -> Result<EvaluatedStep> {
-    let start = Instant::now();
-    let answer = compile_answer(&step.query, working, strategy)?;
-    if ctx.spill_enabled() && !matches!(plan.flock.filter().agg, FilterAgg::Sum(_)) {
-        let scored_plan = crate::compile::filter_answer_scored(
-            &answer,
-            &step.query.rules()[0],
-            plan.flock.filter(),
-        )?;
-        let filtered = execute_with(&scored_plan, working, ctx)?;
-        return Ok(EvaluatedStep {
-            answer_tuples: 0,
-            groups: 0,
-            filtered,
-            elapsed: start.elapsed(),
-        });
-    }
-    let answer_rel = execute_with(&answer.plan, working, ctx)?;
-    if let FilterAgg::Sum(v) = plan.flock.filter().agg {
-        let rule0 = &step.query.rules()[0];
-        if let Some(pos) = rule0
-            .head
-            .args
-            .iter()
-            .position(|&t| t == qf_datalog::Term::Var(v))
-        {
-            let col = answer.n_params + pos;
-            if let Some(min) = answer_rel.stats().column(col).min {
-                if min < qf_storage::Value::int(0) {
-                    return Err(crate::error::FlockError::NegativeWeight {
-                        detail: format!("step `{}`: minimum weight {min}", step.output),
-                    });
-                }
-            }
-        }
-    }
-    let mut tmp = working.clone();
-    const TMP: &str = "__step_answer";
-    tmp.insert(answer_rel.renamed(TMP));
-    let wrapped = crate::compile::CompiledRule {
-        plan: qf_engine::PhysicalPlan::scan(TMP),
-        n_params: answer.n_params,
-        n_head: answer.n_head,
-    };
-    let scored_plan = crate::compile::filter_answer_scored(
-        &wrapped,
-        &step.query.rules()[0],
-        plan.flock.filter(),
-    )?;
-    let filtered = execute_with(&scored_plan, &tmp, ctx)?;
-    let groups = count_groups(&answer_rel, answer.n_params);
-    Ok(EvaluatedStep {
-        answer_tuples: answer_rel.len(),
-        groups,
-        filtered,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// Report + named relation for a step answered by renaming.
-fn reuse_commit(
-    step: &crate::plan::FilterStep,
-    renamed: Relation,
-    start: Instant,
-) -> (Relation, StepReport) {
-    let report = StepReport {
-        name: step.output.clone(),
-        answer_tuples: 0,
-        groups: 0,
-        survivors: renamed.len(),
-        elapsed: start.elapsed(),
-        reused: true,
-        resumed: false,
-    };
-    (renamed, report)
-}
-
-/// Report + named relation for an evaluated step: materialize under the
-/// step's name with parameter column names.
-fn eval_commit(step: &crate::plan::FilterStep, e: EvaluatedStep) -> (Relation, StepReport) {
-    let named = Relation::from_sorted_dedup(
-        Schema::from_columns(
-            step.output.clone(),
-            step.params.iter().map(|p| p.to_string()).collect(),
-        ),
-        e.filtered.tuples().to_vec(),
-    );
-    let report = StepReport {
-        name: step.output.clone(),
-        answer_tuples: e.answer_tuples,
-        groups: e.groups,
-        survivors: named.len(),
-        elapsed: e.elapsed,
-        reused: false,
-        resumed: false,
-    };
-    (named, report)
-}
-
-/// If `step`'s query is isomorphic to an already-executed step's query
-/// under a parameter bijection, produce its result by renaming columns
-/// of the earlier result. Single-rule step queries only (union
-/// symmetry would need one consistent bijection across branches).
-fn try_symmetric_reuse(
-    step: &crate::plan::FilterStep,
-    executed: &[(&crate::plan::FilterStep, Relation)],
-) -> Option<Relation> {
-    if step.query.rules().len() != 1 {
+/// If `step`'s query is isomorphic to `prev`'s under a parameter
+/// bijection, the column projection that turns `prev`'s output into
+/// `step`'s: output column `i` is `prev` column `proj[i]`. Single-rule
+/// step queries only (union symmetry would need one consistent
+/// bijection across branches).
+fn symmetry_projection(prev: &FilterStep, step: &FilterStep) -> Option<Vec<usize>> {
+    if prev.query.rules().len() != 1
+        || step.query.rules().len() != 1
+        || prev.params.len() != step.params.len()
+    {
         return None;
     }
-    for (prev, rel) in executed {
-        if prev.query.rules().len() != 1 || prev.params.len() != step.params.len() {
-            continue;
-        }
-        let Some(mapping) = param_isomorphism(&prev.query.rules()[0], &step.query.rules()[0])
-        else {
-            continue;
-        };
-        // Column i of the new relation holds step.params[i]; find which
-        // previous column maps onto it.
-        let mut proj = Vec::with_capacity(step.params.len());
-        for &new_param in &step.params {
+    let mapping = param_isomorphism(&prev.query.rules()[0], &step.query.rules()[0])?;
+    step.params
+        .iter()
+        .map(|&new_param| {
             let old_param: Symbol = mapping
                 .iter()
                 .find(|(_, to)| *to == new_param)
                 .map(|(from, _)| *from)?;
-            proj.push(prev.params.iter().position(|&p| p == old_param)?);
-        }
-        let tuples: Vec<Tuple> = rel.iter().map(|t| t.project(&proj)).collect();
-        let schema = Schema::from_columns(
-            step.output.clone(),
-            step.params.iter().map(|p| p.to_string()).collect(),
-        );
-        return Some(Relation::from_tuples(schema, tuples));
-    }
-    None
+            prev.params.iter().position(|&p| p == old_param)
+        })
+        .collect()
 }
 
-/// Apply the flock's filter to an already-materialized extended answer.
-fn filter_answer_rel(
-    plan: &QueryPlan,
-    step: &crate::plan::FilterStep,
-    answer: &crate::compile::CompiledRule,
-    answer_rel: &Relation,
-    working: &Database,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    // Reuse the compiled-plan path by wrapping the materialized answer
-    // as a scan: insert it under a reserved name.
-    let mut tmp = working.clone();
-    const TMP: &str = "__step_answer";
-    tmp.insert(answer_rel.renamed(TMP));
-    let wrapped = crate::compile::CompiledRule {
-        plan: qf_engine::PhysicalPlan::scan(TMP),
-        n_params: answer.n_params,
-        n_head: answer.n_head,
-    };
-    let filter_plan = filter_answer(&wrapped, &step.query.rules()[0], plan.flock.filter())?;
-    Ok(execute_with(&filter_plan, &tmp, ctx)?)
+/// `step`'s output, produced by renaming the columns of a symmetric
+/// step's output `rel` through `proj`.
+fn renamed_output(step: &FilterStep, rel: &Relation, proj: &[usize]) -> Relation {
+    Relation::from_tuples(
+        step_schema(step),
+        rel.iter().map(|t| t.project(proj)).collect(),
+    )
 }
 
 /// Distinct parameter prefixes in the extended answer.

@@ -74,8 +74,9 @@ pub use dynamic::{
 pub use error::{FlockError, Result};
 pub use eval::{evaluate_direct, evaluate_direct_with, evaluate_naive, flock_result_from_scored};
 pub use exec::{
-    execute_plan, execute_plan_journaled, execute_plan_scored_with, execute_plan_with,
-    PlanExecution, ScoredExecution, StepReport,
+    execute_plan, execute_plan_journaled, execute_plan_scored_on, execute_plan_scored_with,
+    execute_plan_with, LocalEvaluator, PlanExecution, ScoredExecution, ScoredStep, StepEvaluator,
+    StepReport,
 };
 pub use filter::{FilterAgg, FilterCondition};
 pub use flock::QueryFlock;

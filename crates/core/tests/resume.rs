@@ -7,8 +7,9 @@
 use std::path::PathBuf;
 
 use qf_core::{
-    catalog_fingerprint, execute_plan, execute_plan_journaled, plan_fingerprint, single_param_plan,
-    ExecContext, JoinOrderStrategy, Optimizer, OptimizerConfig, QueryFlock, RunJournal, Strategy,
+    catalog_fingerprint, execute_plan, execute_plan_journaled, execute_plan_scored_with,
+    plan_fingerprint, single_param_plan, ExecContext, JoinOrderStrategy, Optimizer,
+    OptimizerConfig, QueryFlock, RunJournal, Strategy,
 };
 use qf_storage::{Database, Relation, Schema, Value};
 
@@ -65,8 +66,26 @@ fn fully_journaled_run_replays_without_reevaluation() {
     assert_eq!(first.result.tuples(), reference.result.tuples());
     assert!(first.steps.iter().all(|s| !s.resumed));
 
-    // A second run over the same journal replays every step.
+    // The final step journaled its *scored* rows: the snapshot round-trips
+    // them exactly, aggregate column included.
+    let scored = execute_plan_scored_with(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap()
+    .scored;
+    let last = plan.len() - 1;
     let mut journal = open_journal(&dir, &plan, &db);
+    assert_eq!(journal.contiguous_prefix(plan.len()), plan.len());
+    let snapshot = journal.load_step(last).unwrap();
+    assert_eq!(snapshot.name(), plan.steps[last].output);
+    assert_eq!(snapshot.schema().columns(), scored.schema().columns());
+    assert_eq!(snapshot.tuples(), scored.tuples());
+
+    // A second run over the same journal replays every step — the
+    // already-journaled final one included — to the same result.
     let second = execute_plan_journaled(
         &plan,
         &db,

@@ -41,6 +41,18 @@ pub struct CacheKey {
     pub catalog_fp: u64,
 }
 
+impl CacheKey {
+    /// Does the keyed query read relation `rel`? Matches `rel` as a
+    /// whole predicate token of the canonical text — `live` is read by
+    /// `live(V0,$1)` but not by `deliveries(V0,$1)` or `alive(V0)`.
+    pub fn reads(&self, rel: &str) -> bool {
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        self.query.match_indices(rel).any(|(at, _)| {
+            self.query[at + rel.len()..].starts_with('(') && !self.query[..at].ends_with(ident)
+        })
+    }
+}
+
 /// One cached scored evaluation.
 #[derive(Clone, Debug)]
 pub struct CachedResult {
@@ -96,27 +108,15 @@ impl<V> Lru<V> {
         self.entries.clear();
     }
 
-    /// Precise invalidation after an `append` to one relation: drop
-    /// entries the delta could change (`touches` their query) and any
-    /// entry keyed at a fingerprint other than `old_fp` (already
-    /// unreachable — reclaim the memory); re-key the survivors from
-    /// `old_fp` to `new_fp`, since a query that never reads the
-    /// appended relation evaluates identically against the new catalog.
-    fn retain_rekey(&mut self, old_fp: u64, new_fp: u64, touches: &dyn Fn(&CacheKey) -> bool) {
-        self.entries.retain_mut(|(k, _)| {
-            if k.catalog_fp != old_fp || touches(k) {
-                return false;
-            }
-            k.catalog_fp = new_fp;
-            true
-        });
-    }
-
-    /// Like [`Lru::retain_rekey`], but a touched entry gets a chance to
-    /// *maintain itself*: `maintain` mutates the value in place (e.g.
-    /// applies a delta join) and returns whether the entry is still
-    /// valid. Entries it keeps are re-keyed to `new_fp` like untouched
-    /// ones; entries at any other fingerprint are reclaimed as before.
+    /// Precise invalidation after an `append`/`retract` on one
+    /// relation. Entries keyed at a fingerprint other than `old_fp` are
+    /// already unreachable — reclaim the memory. An entry the delta
+    /// could change (`touches` its query) gets a chance to *maintain
+    /// itself*: `maintain` mutates the value in place (e.g. applies a
+    /// delta join) and returns whether the entry is still valid.
+    /// Survivors are re-keyed from `old_fp` to `new_fp`, since a query
+    /// that never reads the mutated relation evaluates identically
+    /// against the new catalog.
     fn maintain_rekey(
         &mut self,
         old_fp: u64,
@@ -193,11 +193,6 @@ impl ResultCache {
         self.lru.clear();
     }
 
-    /// Precise invalidation for an `append`: see [`Lru::retain_rekey`].
-    pub fn retain_rekey(&mut self, old_fp: u64, new_fp: u64, touches: &dyn Fn(&CacheKey) -> bool) {
-        self.lru.retain_rekey(old_fp, new_fp, touches);
-    }
-
     /// Delta-aware invalidation for an `append`/`retract`: touched
     /// entries are offered to `maintain` (which updates them in place
     /// and says whether they survive) instead of being dropped
@@ -252,11 +247,13 @@ impl PlanCache {
         self.lru.clear();
     }
 
-    /// Precise invalidation for an `append`: see [`Lru::retain_rekey`].
-    /// Plan shapes of queries reading the appended relation are dropped
-    /// too — plan choice depends on its statistics.
+    /// Precise invalidation for an `append`/`retract`: see
+    /// [`Lru::maintain_rekey`]. Plan shapes of queries reading the
+    /// mutated relation are dropped, never maintained — plan choice
+    /// depends on its statistics.
     pub fn retain_rekey(&mut self, old_fp: u64, new_fp: u64, touches: &dyn Fn(&CacheKey) -> bool) {
-        self.lru.retain_rekey(old_fp, new_fp, touches);
+        self.lru
+            .maintain_rekey(old_fp, new_fp, touches, &mut |_| false);
     }
 }
 
@@ -290,9 +287,10 @@ mod tests {
         let mut c = ResultCache::new(8);
         c.insert(key("answer :- baskets(B,I)", 1), entry(2));
         c.insert(key("answer :- dict(W)", 1), entry(2));
-        // The touched entry maintains itself (closure mutates + keeps).
+        c.insert(key("answer :- dict(W), aux(W)", 7), entry(2)); // stale fp
+                                                                 // The touched entry maintains itself (closure mutates + keeps).
         let mut maintained = 0;
-        c.maintain_rekey(1, 9, &|k| k.query.contains("baskets"), &mut |e| {
+        c.maintain_rekey(1, 9, &|k| k.reads("baskets"), &mut |e| {
             e.strategy = "delta".to_string();
             maintained += 1;
             true
@@ -305,19 +303,44 @@ mod tests {
             )
             .expect("maintained entry must survive re-keyed");
         assert_eq!(hit.strategy, "delta");
-        // Untouched entries re-key without the closure running.
+        // Untouched entries re-key (old fingerprint gone) without the
+        // closure running.
         assert!(c
             .lookup(&key("answer :- dict(W)", 9), &FilterCondition::support(2))
             .is_some());
-        // A declining closure drops the entry like retain_rekey would.
-        c.maintain_rekey(9, 11, &|k| k.query.contains("baskets"), &mut |_| false);
+        assert!(c
+            .lookup(&key("answer :- dict(W)", 1), &FilterCondition::support(2))
+            .is_none());
+        // The already-unreachable stale-fp entry was reclaimed.
+        assert_eq!(c.len(), 2);
+        // A declining closure drops the touched entry at every
+        // fingerprint and still re-keys the rest.
+        c.maintain_rekey(9, 11, &|k| k.reads("baskets"), &mut |_| false);
         assert!(c
             .lookup(
                 &key("answer :- baskets(B,I)", 11),
                 &FilterCondition::support(2),
             )
             .is_none());
+        assert!(c
+            .lookup(&key("answer :- dict(W)", 11), &FilterCondition::support(2))
+            .is_some());
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn reads_matches_whole_predicate_tokens() {
+        let k = key(
+            "answer(V0) :- deliveries(V0,$1) AND alive(V0) AND live_2(V0)",
+            1,
+        );
+        assert!(k.reads("deliveries"));
+        assert!(k.reads("alive"));
+        for unrelated in ["live", "a", "deliver", "answer(V0", "V0"] {
+            assert!(!k.reads(unrelated), "{unrelated}");
+        }
+        assert!(key("answer(V0) :- NOT live(V0,$1)", 1).reads("live"));
+        assert!(key("live(V0,$1)", 1).reads("live"));
     }
 
     #[test]
@@ -374,31 +397,6 @@ mod tests {
         assert!(c
             .lookup(&key("a", 1), &FilterCondition::support(2))
             .is_some());
-    }
-
-    #[test]
-    fn retain_rekey_drops_touched_and_rekeys_the_rest() {
-        let mut c = ResultCache::new(8);
-        c.insert(key("answer :- baskets(B,I)", 1), entry(2));
-        c.insert(key("answer :- dict(W)", 1), entry(2));
-        c.insert(key("answer :- dict(W), aux(W)", 7), entry(2)); // stale fp
-        c.retain_rekey(1, 9, &|k| k.query.contains("baskets"));
-        // The query over the appended relation is gone at both fps.
-        assert!(c
-            .lookup(
-                &key("answer :- baskets(B,I)", 9),
-                &FilterCondition::support(2)
-            )
-            .is_none());
-        // The untouched query moved from fp 1 to fp 9.
-        assert!(c
-            .lookup(&key("answer :- dict(W)", 9), &FilterCondition::support(2))
-            .is_some());
-        assert!(c
-            .lookup(&key("answer :- dict(W)", 1), &FilterCondition::support(2))
-            .is_none());
-        // The already-unreachable stale-fp entry was reclaimed.
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

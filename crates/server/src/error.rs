@@ -116,13 +116,15 @@ impl ServerError {
             "overloaded" | "timeout" | "proto" | "shard-lost" | "shutting-down"
         )
     }
+}
 
-    /// Classify an evaluation failure: deadline trips become typed
-    /// [`ServerError::Timeout`] errors, cancellation (the client went
-    /// away) [`ServerError::Cancelled`], other governor budget trips
-    /// [`ServerError::Budget`], parse-stage failures
-    /// [`ServerError::Parse`], everything else [`ServerError::Eval`].
-    pub fn from_eval(e: FlockError) -> ServerError {
+/// Classify an evaluation failure: deadline trips become typed
+/// [`ServerError::Timeout`] errors, cancellation (the client went away)
+/// [`ServerError::Cancelled`], other governor budget trips
+/// [`ServerError::Budget`], parse-stage failures [`ServerError::Parse`],
+/// everything else [`ServerError::Eval`].
+impl From<FlockError> for ServerError {
+    fn from(e: FlockError) -> ServerError {
         match &e {
             FlockError::Engine(EngineError::ResourceExhausted {
                 resource: qf_core::Resource::Time,
@@ -141,6 +143,12 @@ impl ServerError {
             }
             _ => ServerError::Eval(e.to_string()),
         }
+    }
+}
+
+impl From<EngineError> for ServerError {
+    fn from(e: EngineError) -> ServerError {
+        FlockError::Engine(e).into()
     }
 }
 

@@ -15,9 +15,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use qf_core::{
-    best_plan_with, direct_plan, execute_plan_scored_with, flock_result_from_scored,
-    vacuous_filter, CancelToken, DeltaLimits, ExecContext, ExecStats, FilterCondition, FlockDelta,
-    FlockProgram, JoinOrderStrategy, QueryFlock, QueryPlan,
+    best_plan_with, direct_plan, execute_plan_scored_on, flock_result_from_scored, vacuous_filter,
+    CancelToken, DeltaLimits, ExecContext, ExecStats, FilterCondition, FlockDelta, FlockProgram,
+    JoinOrderStrategy, LocalEvaluator, QueryFlock, QueryPlan, StepEvaluator,
 };
 use qf_storage::{
     spill::content_hash, tsv, Database, Fnv1a, Relation, StorageError, Wal, WalCounters, WalRecord,
@@ -226,6 +226,79 @@ impl RequestHandler for LocalHandler {
     }
 }
 
+/// The strategy labels one caller of [`FlockService::run_flock`]
+/// reports in response meta, by how the answer was obtained.
+pub(crate) struct Labels {
+    /// Served from the result cache.
+    pub hit: &'static str,
+    /// Evaluated with a plan shape from the plan cache.
+    pub plan_cached: &'static str,
+    /// Evaluated with a freshly searched plan.
+    pub searched: &'static str,
+    /// Evaluated with the direct (single-step) plan.
+    pub direct: &'static str,
+}
+
+pub(crate) const LOCAL_LABELS: Labels = Labels {
+    hit: "cache",
+    plan_cached: "static(plan-cache)",
+    searched: "static",
+    direct: "direct",
+};
+
+const PARTIAL_LABELS: Labels = Labels {
+    hit: "partial-cache",
+    plan_cached: "partial",
+    searched: "partial",
+    direct: "partial",
+};
+
+/// The step evaluator of everything that runs on this node's own
+/// catalog (or fragment).
+pub(crate) const LOCAL_EVALUATOR: LocalEvaluator = LocalEvaluator {
+    strategy: JoinOrderStrategy::Greedy,
+};
+
+/// Everything that differs between the callers of
+/// [`FlockService::run_flock`] — the differences travel as data.
+pub(crate) struct FlockRun<'a, E> {
+    /// The parsed request (a `partial`'s mini-flock as a view-less
+    /// program).
+    pub program: &'a FlockProgram,
+    /// The catalog view the run reads…
+    pub db: &'a Database,
+    /// …and the fingerprint its cache entries are keyed at.
+    pub fp: u64,
+    /// Who answers each `FILTER` step: this node's engine, or a scatter
+    /// over the shard fleet.
+    pub evaluator: &'a E,
+    /// Strategy labels for the response meta.
+    pub labels: &'a Labels,
+    /// `partial` semantics: run the direct plan, answer with the scored
+    /// rows (aggregate kept), attach no maintenance state.
+    pub partial: bool,
+}
+
+/// What [`FlockService::commit_record`] installed.
+pub(crate) struct Commit {
+    /// Post-mutation catalog fingerprint.
+    pub fp: u64,
+    /// Tuples in the touched relation before the mutation…
+    pub before: usize,
+    /// …and after it (both 0 for bulk mutations, which name none).
+    pub after: usize,
+}
+
+/// A successful [`FlockService::run_flock`].
+pub(crate) struct FlockOutcome {
+    /// One-line JSON report.
+    pub meta: String,
+    /// The answer as TSV.
+    pub body: String,
+    /// Whether the result cache answered (nothing was evaluated).
+    pub cache_hit: bool,
+}
+
 /// The resident service state shared by every connection and worker.
 pub struct FlockService {
     db: RwLock<Database>,
@@ -376,18 +449,19 @@ impl FlockService {
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
     ) -> Response {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        match self.eval_flock(text, support, limits, granted_threads, deadline, cancel) {
-            Ok(resp) => resp,
-            Err(e) => {
-                match &e {
-                    ServerError::Timeout { .. } => self.note_timeout(),
-                    ServerError::Cancelled => self.note_cancelled(),
-                    _ => {}
-                }
-                Response::from_error(&e)
-            }
-        }
+        let outcome = parse_program(text, support).and_then(|program| {
+            let (db, fp) = self.snapshot();
+            let run = FlockRun {
+                program: &program,
+                db: &db,
+                fp,
+                evaluator: &LOCAL_EVALUATOR,
+                labels: &LOCAL_LABELS,
+                partial: false,
+            };
+            self.run_flock(run, limits, granted_threads, deadline, cancel)
+        });
+        self.respond(outcome.map(|o| (o.meta, o.body)))
     }
 
     /// Evaluate an admitted `partial` request: one scatter-gather step
@@ -405,44 +479,34 @@ impl FlockService {
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
     ) -> Response {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        match self.eval_partial(
-            text,
-            scratch,
-            frag,
-            limits,
-            granted_threads,
-            deadline,
-            cancel,
-        ) {
-            Ok(resp) => resp,
-            Err(e) => {
-                match &e {
-                    ServerError::Timeout { .. } => self.note_timeout(),
-                    ServerError::Cancelled => self.note_cancelled(),
-                    _ => {}
-                }
-                Response::from_error(&e)
-            }
-        }
+        let outcome = self
+            .partial_view(text, scratch, frag)
+            .and_then(|(program, db, fp)| {
+                let run = FlockRun {
+                    program: &program,
+                    db: &db,
+                    fp,
+                    evaluator: &LOCAL_EVALUATOR,
+                    labels: &PARTIAL_LABELS,
+                    partial: true,
+                };
+                self.run_flock(run, limits, granted_threads, deadline, cancel)
+            });
+        self.respond(outcome.map(|o| (o.meta, o.body)))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn eval_partial(
+    /// What a `partial` runs over: the mini-flock as a view-less
+    /// program, and the fragment-plus-scratch catalog view with the
+    /// fingerprint its cache entries are keyed at.
+    fn partial_view(
         &self,
         text: &str,
         scratch: &[String],
         frag: Option<(usize, u64)>,
-        limits: &RequestLimits,
-        granted_threads: usize,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Response> {
-        let start = Instant::now();
-        let flock = QueryFlock::parse(text).map_err(|e| ServerError::Parse(e.to_string()))?;
-        let filter = *flock.filter();
-        let canonical_filter = flock.canonical_filter();
-        let effective = self.admission_limits(limits)?;
+    ) -> Result<(FlockProgram, Database, u64)> {
+        let parse = |e: qf_core::FlockError| ServerError::Parse(e.to_string());
+        let flock = QueryFlock::parse(text).map_err(parse)?;
+        let program = FlockProgram::new(Vec::new(), flock).map_err(parse)?;
         // Fragment-scoped partials evaluate against the synced replica
         // fragment (fingerprint-checked); frag-less partials keep the
         // single-copy behavior where the whole catalog IS the fragment.
@@ -462,71 +526,169 @@ impl FlockService {
             h.write(&content_hash(&rel).to_le_bytes());
             db.insert(rel);
         }
-        let key = CacheKey {
-            query: flock.canonical_query_text(),
-            agg_pos: flock.agg_head_pos(),
-            catalog_fp: h.finish(),
-        };
+        Ok((program, db, h.finish()))
+    }
 
+    /// The one flock request pipeline: admit → key → monotone cache
+    /// lookup → (miss) plan → execute → make maintainable → cache →
+    /// report. Every `flock` and `partial`, on a standalone server, a
+    /// shard worker or the coordinator, is answered here; the callers
+    /// differ only in the [`FlockRun`] they pass.
+    pub(crate) fn run_flock<E: StepEvaluator>(
+        &self,
+        run: FlockRun<'_, E>,
+        limits: &RequestLimits,
+        granted_threads: usize,
+        deadline: Option<Instant>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<FlockOutcome>
+    where
+        ServerError: From<E::Error>,
+    {
+        let start = Instant::now();
+        let flock = run.program.flock();
+        let filter = *flock.filter();
+        // Cache comparisons use the *canonical* filter (aggregate named
+        // by head position): the key's canonical query text renames
+        // head variables, so the raw variable name is meaningless across
+        // entries — `SUM(answer.W)` is a different column in
+        // `answer(B,W)` than in `answer(W,Z)`.
+        let canonical_filter = flock.canonical_filter();
+        let effective = self.admission_limits(limits)?;
+        let key = CacheKey {
+            query: run.program.canonical_query_text(),
+            agg_pos: flock.agg_head_pos(),
+            catalog_fp: run.fp,
+        };
+        // The response body for scored rows complete for `baseline`: a
+        // `partial` keeps the aggregate column, a flock projects it
+        // away; both re-filter down to the requested condition.
+        let body_of = |scored: &Relation, baseline: &FilterCondition| {
+            if !run.partial {
+                flock_result_from_scored(flock, scored, &filter)
+            } else if *baseline == canonical_filter {
+                scored.clone()
+            } else {
+                refilter_scored(scored, &filter)
+            }
+        };
+        let outcome =
+            |label: &str, answer: &Relation, stats: &ExecStats, hit, plan_cached| FlockOutcome {
+                meta: json_report(
+                    label,
+                    answer.len(),
+                    start.elapsed().as_millis(),
+                    stats,
+                    0,
+                    0,
+                    &self.cache_report(hit, plan_cached),
+                ),
+                body: render_tsv(answer),
+                cache_hit: hit,
+            };
+
+        // Monotone cache reuse: an entry whose baseline subsumes the
+        // requested filter answers it exactly by re-filtering.
         if let Some(hit) = unpoison(self.result_cache.lock()).lookup(&key, &canonical_filter) {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let scored = refilter_scored(&hit.scored, &filter);
-            let meta = json_report(
-                "partial-cache",
-                scored.len(),
-                start.elapsed().as_millis(),
+            let answer = body_of(&hit.scored, &hit.baseline);
+            return Ok(outcome(
+                run.labels.hit,
+                &answer,
                 &ExecStats::default(),
-                0,
-                0,
-                &self.cache_report(true, true),
-            );
-            return Ok(Response::Ok {
-                meta,
-                body: render_tsv(&scored),
-            });
+                true,
+                true,
+            ));
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
 
+        // Cold path: governed scored evaluation.
         let ctx = self.exec_context(&effective, granted_threads, deadline, cancel);
-        // Always the direct plan: a partial *is* one step of a plan the
-        // coordinator already searched; searching again here would only
-        // burn the budget the governor metered out.
-        let plan = direct_plan(&flock).map_err(ServerError::from_eval)?;
-        let run = execute_plan_scored_with(&plan, &db, JoinOrderStrategy::Greedy, &ctx)
-            .map_err(ServerError::from_eval)?;
+        let extended =
+            run.program
+                .materialize_views_with(run.db, JoinOrderStrategy::Greedy, &ctx)?;
+
+        // Plan: a `partial` *is* one step of a plan its coordinator
+        // already searched, so it runs direct. Otherwise the cached
+        // shape if the same query was searched before (any threshold —
+        // shapes are threshold-free), else search (full-catalog
+        // statistics, also on the coordinator), else direct.
+        let cached_plan = (!run.partial)
+            .then(|| unpoison(self.plan_cache.lock()).lookup(&key))
+            .flatten()
+            .and_then(|steps| QueryPlan::new(flock.clone(), steps).ok());
+        let plan_cached = cached_plan.is_some();
+        let (plan, strategy) = match cached_plan {
+            Some(plan) => (plan, run.labels.plan_cached),
+            None => {
+                let searched = (!run.partial && filter.is_monotone())
+                    .then(|| best_plan_with(flock, &extended, &ctx).ok())
+                    .flatten();
+                match searched {
+                    Some((plan, _)) => {
+                        unpoison(self.plan_cache.lock()).insert(key.clone(), plan.steps.clone());
+                        (plan, run.labels.searched)
+                    }
+                    None => (direct_plan(flock)?, run.labels.direct),
+                }
+            }
+        };
+
+        let scored = execute_plan_scored_on(&plan, &extended, run.evaluator, &ctx)?;
+        let baseline = FilterCondition {
+            agg: canonical_filter.agg,
+            ..scored.baseline
+        };
+        let answer = body_of(&scored.scored, &baseline);
+        // Delta-maintainable flocks (single rule, no negation, no
+        // views) get incremental-maintenance state alongside the scored
+        // rows: subsequent `append`/`retract` batches on a touched
+        // relation then update the entry in place instead of dropping
+        // it. A failed build (budget, unsupported shape) degrades to a
+        // plain entry — never an error. A `partial`'s key folds in
+        // scratch overlays, which are not catalog relations the delta
+        // path could track, so those entries are never maintained.
+        let maintainable =
+            !run.partial && run.program.views().is_empty() && FlockDelta::maintainable(flock);
+        let delta = maintainable
+            .then(|| FlockDelta::build(flock, run.db, &DeltaLimits::default()).ok())
+            .flatten()
+            .map(|d| Arc::new(Mutex::new(d)));
         unpoison(self.result_cache.lock()).insert(
             key,
             CachedResult {
-                baseline: canonical_filter,
-                scored: run.scored.clone(),
-                strategy: "partial".to_string(),
-                // Partials fold scratch overlays into their cache key;
-                // the overlays are not catalog relations the delta path
-                // could track, so these entries are never maintained.
-                delta: None,
+                baseline,
+                scored: scored.scored,
+                strategy: strategy.to_string(),
+                delta,
             },
         );
-        let meta = json_report(
-            "partial",
-            run.scored.len(),
-            start.elapsed().as_millis(),
-            &ctx.stats(),
-            0,
-            0,
-            &self.cache_report(false, false),
-        );
-        Ok(Response::Ok {
-            meta,
-            body: render_tsv(&run.scored),
-        })
+        Ok(outcome(strategy, &answer, &ctx.stats(), false, plan_cached))
+    }
+
+    /// Finish an admitted or light request: count it, and turn its
+    /// outcome into the wire response — noting deadline expiries and
+    /// client-disconnect cancellations on the way.
+    pub(crate) fn respond(&self, outcome: Result<(String, String)>) -> Response {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            Ok((meta, body)) => Response::Ok { meta, body },
+            Err(e) => {
+                match &e {
+                    ServerError::Timeout { .. } => self.note_timeout(),
+                    ServerError::Cancelled => self.note_cancelled(),
+                    _ => {}
+                }
+                Response::from_error(&e)
+            }
+        }
     }
 
     /// Build the governed execution context for an admitted request:
     /// effective budgets, fair thread grant, and the admission-stamped
     /// absolute deadline (queue wait already spent) in preference to a
-    /// relative timeout that would restart the clock. Crate-visible so
-    /// the shard coordinator governs its scatter loop identically.
-    pub(crate) fn exec_context(
+    /// relative timeout that would restart the clock.
+    fn exec_context(
         &self,
         effective: &RequestLimits,
         granted_threads: usize,
@@ -583,31 +745,6 @@ impl FlockService {
         })
     }
 
-    /// Monotone result-cache lookup at the service tier (the shard
-    /// coordinator keeps its cross-shard cache here too).
-    pub(crate) fn result_cache_lookup(
-        &self,
-        key: &CacheKey,
-        filter: &FilterCondition,
-    ) -> Option<CachedResult> {
-        unpoison(self.result_cache.lock()).lookup(key, filter)
-    }
-
-    /// Store a scored result in the service-tier cache.
-    pub(crate) fn result_cache_insert(&self, key: CacheKey, entry: CachedResult) {
-        unpoison(self.result_cache.lock()).insert(key, entry);
-    }
-
-    /// Fetch a cached plan shape.
-    pub(crate) fn plan_cache_lookup(&self, key: &CacheKey) -> Option<Vec<qf_core::FilterStep>> {
-        unpoison(self.plan_cache.lock()).lookup(key)
-    }
-
-    /// Store a searched plan shape.
-    pub(crate) fn plan_cache_insert(&self, key: &CacheKey, steps: Vec<qf_core::FilterStep>) {
-        unpoison(self.plan_cache.lock()).insert(key.clone(), steps);
-    }
-
     /// Note a deadline expiry (queue, eval, or reply stage).
     pub fn note_timeout(&self) {
         self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -634,133 +771,6 @@ impl FlockService {
         let guard = self.db.read().unwrap_or_else(|e| e.into_inner());
         let fp = guard.fingerprint();
         (guard.clone(), fp)
-    }
-
-    fn eval_flock(
-        &self,
-        text: &str,
-        support: Option<i64>,
-        limits: &RequestLimits,
-        granted_threads: usize,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Response> {
-        let start = Instant::now();
-        let program = parse_program(text, support)?;
-        let flock = program.flock().clone();
-        let filter = *flock.filter();
-        // Cache comparisons use the *canonical* filter (aggregate named
-        // by head position): the key's canonical query text renames
-        // head variables, so the raw variable name is meaningless across
-        // entries — `SUM(answer.W)` is a different column in
-        // `answer(B,W)` than in `answer(W,Z)`.
-        let canonical_filter = flock.canonical_filter();
-        let effective = self.admission_limits(limits)?;
-        let (db, fp) = self.snapshot();
-        let key = CacheKey {
-            query: program.canonical_query_text(),
-            agg_pos: flock.agg_head_pos(),
-            catalog_fp: fp,
-        };
-
-        // Monotone cache reuse: an entry whose baseline subsumes the
-        // requested filter answers it exactly by re-filtering.
-        if let Some(hit) = unpoison(self.result_cache.lock()).lookup(&key, &canonical_filter) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let result = flock_result_from_scored(&flock, &hit.scored, &filter);
-            let meta = json_report(
-                "cache",
-                result.len(),
-                start.elapsed().as_millis(),
-                &ExecStats::default(),
-                0,
-                0,
-                &self.cache_report(true, true),
-            );
-            return Ok(Response::Ok {
-                meta,
-                body: render_tsv(&result),
-            });
-        }
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-
-        // Cold path: governed scored evaluation.
-        let ctx = self.exec_context(&effective, granted_threads, deadline, cancel);
-
-        let extended = program
-            .materialize_views_with(&db, JoinOrderStrategy::Greedy, &ctx)
-            .map_err(ServerError::from_eval)?;
-
-        // Plan: cached shape if the same query was searched before
-        // (any threshold — shapes are threshold-free), else search.
-        let mut plan_cached = false;
-        let cached_steps = unpoison(self.plan_cache.lock()).lookup(&key);
-        let (plan, strategy) = match cached_steps
-            .and_then(|steps| QueryPlan::new(flock.clone(), steps).ok())
-        {
-            Some(plan) => {
-                plan_cached = true;
-                (plan, "static(plan-cache)")
-            }
-            None => {
-                let searched = if filter.is_monotone() {
-                    best_plan_with(&flock, &extended, &ctx)
-                        .ok()
-                        .map(|(plan, _)| plan)
-                } else {
-                    None
-                };
-                match searched {
-                    Some(plan) => {
-                        unpoison(self.plan_cache.lock()).insert(key.clone(), plan.steps.clone());
-                        (plan, "static")
-                    }
-                    None => (
-                        direct_plan(&flock).map_err(ServerError::from_eval)?,
-                        "direct",
-                    ),
-                }
-            }
-        };
-
-        let run = execute_plan_scored_with(&plan, &extended, JoinOrderStrategy::Greedy, &ctx)
-            .map_err(ServerError::from_eval)?;
-        let result = flock_result_from_scored(&flock, &run.scored, &filter);
-        // Delta-maintainable flocks (single rule, no negation, no
-        // views) get incremental-maintenance state alongside the scored
-        // rows: subsequent `append`/`retract` batches on a touched
-        // relation then update the entry in place instead of dropping
-        // it. A failed build (budget, unsupported shape) degrades to a
-        // plain entry — never an error.
-        let delta = if program.views().is_empty() && FlockDelta::maintainable(&flock) {
-            FlockDelta::build(&flock, &db, &DeltaLimits::default())
-                .ok()
-                .map(|d| Arc::new(Mutex::new(d)))
-        } else {
-            None
-        };
-        unpoison(self.result_cache.lock()).insert(
-            key,
-            CachedResult {
-                baseline: canonical_filter,
-                scored: run.scored,
-                strategy: strategy.to_string(),
-                delta,
-            },
-        );
-        let meta = json_report(
-            strategy,
-            result.len(),
-            start.elapsed().as_millis(),
-            &ctx.stats(),
-            0,
-            0,
-            &self.cache_report(false, plan_cached),
-        );
-        Ok(Response::Ok {
-            meta,
-            body: render_tsv(&result),
-        })
     }
 
     fn generate(&self, kind: &str, seed: u64) -> Result<(String, String)> {
@@ -818,7 +828,7 @@ impl FlockService {
         let record = WalRecord::Put {
             relations: rels.iter().map(render_tsv).collect(),
         };
-        let fp = self.commit_record(&record, None)?;
+        let fp = self.commit_record(&record, None)?.fp;
         Ok((format!("{{\"fp\":\"{fp:016x}\"}}"), note))
     }
 
@@ -955,7 +965,7 @@ impl FlockService {
         let record = WalRecord::Put {
             relations: vec![text.to_string()],
         };
-        let fp = self.commit_record(&record, None)?;
+        let fp = self.commit_record(&record, None)?.fp;
         Ok((
             format!(
                 "{{\"relation\":\"{}\",\"tuples\":{n},\"fp\":\"{fp:016x}\"}}",
@@ -975,50 +985,7 @@ impl FlockService {
         tsv: &str,
         frag: Option<(usize, u64)>,
     ) -> Response {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let outcome = match frag {
-            Some((frag, fp)) => self.frag_mutate(rel, tsv, frag, fp, false),
-            None => self.append(rel, tsv),
-        };
-        match outcome {
-            Ok((meta, body)) => Response::Ok { meta, body },
-            Err(e) => Response::from_error(&e),
-        }
-    }
-
-    fn append(&self, rel: &str, tsv_text: &str) -> Result<(String, String)> {
-        // Parse before touching the WAL so a malformed delta fails
-        // typed without a durability round trip, and cross-check the
-        // request header's relation name against the TSV's own — a
-        // mis-framed body can never mutate the wrong relation.
-        let delta = tsv::read_tsv(std::io::Cursor::new(tsv_text.as_bytes()))
-            .map_err(|e| ServerError::Parse(e.to_string()))?;
-        if delta.name() != rel {
-            return Err(ServerError::Proto(format!(
-                "append header names rel={rel} but the TSV header names {}",
-                delta.name()
-            )));
-        }
-        let before = {
-            let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-            db.get(rel).map_or(0, Relation::len)
-        };
-        let record = WalRecord::Append {
-            tsv: tsv_text.to_string(),
-        };
-        let fp = self.commit_record(&record, Some(rel))?;
-        let after = {
-            let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-            db.get(rel).map_or(0, Relation::len)
-        };
-        let added = after.saturating_sub(before);
-        Ok((
-            format!(
-                "{{\"relation\":\"{}\",\"tuples\":{after},\"added\":{added},\"fp\":\"{fp:016x}\"}}",
-                json_escape(rel)
-            ),
-            format!("appended {added} new tuple(s) to {rel} [{after} total]"),
-        ))
+        self.respond(self.mutate(rel, tsv, frag, false))
     }
 
     /// Handle an admitted `retract`: subtract a TSV delta from one
@@ -1031,48 +998,62 @@ impl FlockService {
         tsv: &str,
         frag: Option<(usize, u64)>,
     ) -> Response {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let outcome = match frag {
-            Some((frag, fp)) => self.frag_mutate(rel, tsv, frag, fp, true),
-            None => self.retract(rel, tsv),
-        };
-        match outcome {
-            Ok((meta, body)) => Response::Ok { meta, body },
-            Err(e) => Response::from_error(&e),
-        }
+        self.respond(self.mutate(rel, tsv, frag, true))
     }
 
-    fn retract(&self, rel: &str, tsv_text: &str) -> Result<(String, String)> {
-        // Same shape as `append`: parse + cross-check before the WAL
-        // sees anything.
+    /// One streaming delta (`append`, or `retract` when `retract`) on
+    /// the master catalog, or on a synced fragment when `frag` names
+    /// one.
+    fn mutate(
+        &self,
+        rel: &str,
+        tsv_text: &str,
+        frag: Option<(usize, u64)>,
+        retract: bool,
+    ) -> Result<(String, String)> {
+        if let Some((frag, fp)) = frag {
+            return self.frag_mutate(rel, tsv_text, frag, fp, retract);
+        }
+        let verb = if retract { "retract" } else { "append" };
+        // Parse before touching the WAL so a malformed delta fails
+        // typed without a durability round trip, and cross-check the
+        // request header's relation name against the TSV's own — a
+        // mis-framed body can never mutate the wrong relation.
         let delta = tsv::read_tsv(std::io::Cursor::new(tsv_text.as_bytes()))
             .map_err(|e| ServerError::Parse(e.to_string()))?;
         if delta.name() != rel {
             return Err(ServerError::Proto(format!(
-                "retract header names rel={rel} but the TSV header names {}",
+                "{verb} header names rel={rel} but the TSV header names {}",
                 delta.name()
             )));
         }
-        let before = {
-            let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-            db.get(rel).map_or(0, Relation::len)
+        let tsv = tsv_text.to_string();
+        let record = if retract {
+            WalRecord::Retract { tsv }
+        } else {
+            WalRecord::Append { tsv }
         };
-        let record = WalRecord::Retract {
-            tsv: tsv_text.to_string(),
+        let Commit { fp, before, after } = self.commit_record(&record, Some(rel))?;
+        // A union only grows the relation, a difference only shrinks it.
+        let changed = before.abs_diff(after);
+        let (key, note) = if retract {
+            (
+                "removed",
+                format!("retracted {changed} tuple(s) from {rel} [{after} remaining]"),
+            )
+        } else {
+            (
+                "added",
+                format!("appended {changed} new tuple(s) to {rel} [{after} total]"),
+            )
         };
-        let fp = self.commit_record(&record, Some(rel))?;
-        let after = {
-            let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-            db.get(rel).map_or(0, Relation::len)
-        };
-        let removed = before.saturating_sub(after);
         Ok((
             format!(
-                "{{\"relation\":\"{}\",\"tuples\":{after},\"removed\":{removed},\
+                "{{\"relation\":\"{}\",\"tuples\":{after},\"{key}\":{changed},\
                  \"fp\":\"{fp:016x}\"}}",
                 json_escape(rel)
             ),
-            format!("retracted {removed} tuple(s) from {rel} [{after} remaining]"),
+            note,
         ))
     }
 
@@ -1083,15 +1064,21 @@ impl FlockService {
     /// so a crash at any point recovers a prefix of the acknowledged
     /// mutations, never a half-applied one. Returns the post-mutation
     /// catalog fingerprint — the value clients and the shard
-    /// coordinator verify installs against. Crate-visible so the
-    /// coordinator mutates its master catalog the same way.
+    /// coordinator verify installs against — and the touched
+    /// relation's size on either side of the mutation, both read inside
+    /// the critical section so concurrent mutations of one relation
+    /// each report their own effect.
     ///
     /// `touched` narrows cache invalidation for single-relation deltas:
     /// entries carrying maintenance state update themselves in place
     /// (the delta path), other entries whose query reads that relation
     /// are dropped, and the rest are re-keyed to the new fingerprint
     /// and keep serving. `None` (bulk mutations) clears both caches.
-    pub(crate) fn commit_record(&self, record: &WalRecord, touched: Option<&str>) -> Result<u64> {
+    pub(crate) fn commit_record(
+        &self,
+        record: &WalRecord,
+        touched: Option<&str>,
+    ) -> Result<Commit> {
         let mut guard = self.db.write().unwrap_or_else(|e| e.into_inner());
         let old_fp = guard.fingerprint();
         // Pre/post images of the touched relation, for the delta join.
@@ -1110,13 +1097,18 @@ impl FlockService {
             }
         }
         let new_rel = touched.and_then(|rel| next.get(rel).ok().cloned());
+        let commit = Commit {
+            fp,
+            before: old_rel.as_ref().map_or(0, Relation::len),
+            after: new_rel.as_ref().map_or(0, Relation::len),
+        };
         let db_new = next.clone();
         *guard = next;
         drop(guard);
         match touched {
             Some(rel) => {
                 self.counters.delta_applied.fetch_add(1, Ordering::Relaxed);
-                let touches = move |k: &CacheKey| k.query.contains(rel);
+                let touches = move |k: &CacheKey| k.reads(rel);
                 let mut maintain = |entry: &mut CachedResult| {
                     self.maintain_entry(entry, rel, old_rel.as_ref(), new_rel.as_ref(), &db_new)
                 };
@@ -1135,7 +1127,7 @@ impl FlockService {
                 unpoison(self.plan_cache.lock()).clear();
             }
         }
-        Ok(fp)
+        Ok(commit)
     }
 
     /// Try to maintain one touched cache entry through its delta state:

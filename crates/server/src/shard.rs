@@ -3,8 +3,11 @@
 //!
 //! The [`Coordinator`] is a [`RequestHandler`]: it plugs into the same
 //! accept loop, framing, admission queue, and worker pool as the
-//! standalone server ([`crate::net::Server::serve_handler`]), but
-//! executes admitted flocks by **scatter-gather**:
+//! standalone server ([`crate::net::Server::serve_handler`]), and
+//! answers admitted flocks through the same request pipeline
+//! (`FlockService::run_flock`: cache lookup, plan choice, the
+//! `qf-core` plan loop, delta state, cache insert) — with one thing
+//! substituted, the **step evaluator**:
 //!
 //! 1. The master catalog lives at the coordinator. Every mutation
 //!    (`load`/`gen`) applies there first, then the catalog is
@@ -16,16 +19,20 @@
 //!    never be served.
 //! 2. A flock that passes the shardability check
 //!    ([`qf_core::shard_key_pos`]) is planned at the coordinator (plan
-//!    search sees full-catalog statistics), then each `FILTER` step is
-//!    sent **once per fragment** as a fragment-scoped `partial` — the
-//!    step as a mini-flock at a *vacuous* threshold, plus the
-//!    already-merged upstream step outputs as scratch relations.
-//!    Replicas hold bitwise-identical fragments, so any host's answer
-//!    merges exactly.
-//! 3. The coordinator merges partials algebraically (`COUNT`/`SUM` add,
-//!    `MIN`/`MAX` extremize — [`qf_core::merge_scored_partials`]),
-//!    applies the **real** threshold globally, and broadcasts the
-//!    surviving step output to the next step.
+//!    search sees full-catalog statistics), and the plan loop asks the
+//!    `ScatterEvaluator` for each `FILTER` step it evaluates (symmetric
+//!    steps are renamed, not re-scattered; independent steps scatter
+//!    concurrently). The evaluator sends the step **once per fragment**
+//!    as a fragment-scoped `partial` — the step as a mini-flock at a
+//!    *vacuous* threshold, plus the upstream step outputs it reads as
+//!    scratch relations. Replicas hold bitwise-identical fragments, so
+//!    any host's answer merges exactly.
+//! 3. It merges the partials algebraically (`COUNT`/`SUM` add,
+//!    `MIN`/`MAX` extremize — [`qf_core::merge_scored_partials`]) into
+//!    rows complete for the vacuous filter; the plan loop applies the
+//!    **real** threshold globally and commits the surviving step output
+//!    for the next step. A flock that is not shardable runs through the
+//!    same pipeline with the local evaluator (`"sharded":false`).
 //!
 //! # Failure model
 //!
@@ -71,21 +78,27 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qf_core::{
-    best_plan_with, direct_plan, evaluate_scored_partial, flock_result_from_scored,
-    merge_scored_partials, partial_flock, partition_database, replica_workers, scored_schema,
-    shard_of, shardable_program, vacuous_filter, worker_fragments, CancelToken, DeltaLimits,
-    ExecContext, FilterStep, FlockDelta, FlockProgram, JoinOrderStrategy, QueryPlan,
+    evaluate_scored_partial, merge_scored_partials, partial_flock, partition_database,
+    replica_workers, scored_schema, shard_of, shardable_program, vacuous_filter, worker_fragments,
+    CancelToken, ExecContext, FilterStep, JoinOrderStrategy, QueryPlan, ScoredStep, StepEvaluator,
 };
-use qf_storage::{tsv, Database, Relation, Schema, Tuple};
+use qf_storage::{tsv, Database, Relation, Tuple};
 
-use crate::cache::{CacheKey, CachedResult};
 use crate::client::{Client, ClientConfig};
 use crate::error::{Result, ServerError};
 use crate::pool::{Job, JobPayload};
 use crate::protocol::{Request, RequestLimits, Response};
-use crate::report::{extend_json, json_escape, json_report, json_u64};
+use crate::report::{extend_json, json_escape, json_u64};
 use crate::service::{
-    parse_program, refilter_scored, render_tsv, FlockService, RequestHandler, ServerConfig,
+    parse_program, render_tsv, FlockRun, FlockService, Labels, RequestHandler, ServerConfig,
+    LOCAL_EVALUATOR, LOCAL_LABELS,
+};
+
+const SCATTER_LABELS: Labels = Labels {
+    hit: "shard-cache",
+    plan_cached: "scatter-gather(plan-cache)",
+    searched: "scatter-gather",
+    direct: "scatter-gather(direct)",
 };
 
 /// How often the gather loop re-polls for replies when no hedge is
@@ -610,6 +623,128 @@ fn roundtrip_database(frag: &Database) -> Database {
     out
 }
 
+/// The coordinator's step evaluator: one `FILTER` step answered by the
+/// whole fleet. The step goes to every fragment as a mini-flock at the
+/// *vacuous* threshold (nothing pruned locally), with the upstream step
+/// outputs it reads shipped as scratch relations; the scored partials
+/// merge algebraically into rows holding **every** group — complete
+/// for the vacuous filter — and the plan loop applies the real
+/// threshold globally.
+struct ScatterEvaluator<'a> {
+    core: &'a Arc<ShardCore>,
+    /// The master catalog the request runs against; the fragments (and
+    /// the fingerprints workers verify) derive from it.
+    master: &'a Database,
+    master_fp: u64,
+    tally: ReqTally,
+}
+
+impl StepEvaluator for ScatterEvaluator<'_> {
+    type Error = ServerError;
+
+    fn scored(
+        &self,
+        plan: &QueryPlan,
+        step: &FilterStep,
+        working: &Database,
+        ctx: &ExecContext,
+    ) -> Result<ScoredStep> {
+        // A scatter runs no engine operator on this node: observe the
+        // request's deadline and cancellation here instead.
+        ctx.enter("scatter")?;
+        let core = self.core;
+        let n = core.slots.len();
+        let filter = plan.flock.filter();
+        let mini = partial_flock(step, filter)?;
+        let text = mini.render();
+        let reads = step.query.predicates();
+        let scratch_rels: Vec<&Relation> = plan
+            .steps
+            .iter()
+            .filter(|s| reads.iter().any(|p| p.as_str() == s.output))
+            .filter_map(|s| working.get(&s.output).ok())
+            .collect();
+        let scratch: Vec<String> = scratch_rels.iter().map(|rel| render_tsv(rel)).collect();
+        // Budget propagation: each shard gets what is *left* of the
+        // admission-stamped deadline and budgets, not a fresh clock.
+        let remaining = ctx.remaining_time();
+        let limits = RequestLimits {
+            max_rows: ctx.remaining_rows(),
+            mem_budget: ctx.remaining_bytes(),
+            timeout_ms: remaining.map(|d| (d.as_millis() as u64).max(1)),
+            threads: None,
+        };
+        let deadline = remaining.map(|d| Instant::now() + d);
+        // The fragment partition: cached across requests, keyed by the
+        // master fingerprint.
+        let (frags, fps) = core.fragments(self.master, self.master_fp);
+        let (text, scratch, tally) = (&text, &scratch, &self.tally);
+        let outcomes: Vec<FragOutcome> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|f| {
+                    let fp = fps[f];
+                    s.spawn(move || {
+                        core.fragment_partial(f, fp, text, scratch, limits, deadline, tally)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| FragOutcome::Refused {
+                        kind: "eval".to_string(),
+                        detail: "scatter thread panicked".to_string(),
+                    })
+                })
+                .collect()
+        });
+        let mut parts = Vec::with_capacity(n);
+        for (f, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                FragOutcome::Scored(rel) => parts.push(rel),
+                FragOutcome::Refused { kind, detail } => {
+                    return Err(match kind.as_str() {
+                        "timeout" => ServerError::Timeout {
+                            stage: "shard",
+                            budget_ms: limits.timeout_ms.unwrap_or(0),
+                        },
+                        "cancelled" => ServerError::Cancelled,
+                        "budget" => ServerError::Budget(format!("fragment {f}: {detail}")),
+                        _ => ServerError::Eval(format!("fragment {f} ({kind}): {detail}")),
+                    })
+                }
+                FragOutcome::AllDead(detail) => {
+                    // Last resort: the master catalog reproduces any
+                    // fragment deterministically; the partition is
+                    // cached across requests, so this costs one local
+                    // evaluation of the cached fragment, not a re-shard
+                    // of the catalog.
+                    let mut frag = frags[f].clone();
+                    for rel in &scratch_rels {
+                        frag.insert((*rel).clone());
+                    }
+                    let scored =
+                        evaluate_scored_partial(&mini, &frag, JoinOrderStrategy::Greedy, ctx)
+                            .map_err(|e| ServerError::ShardLost {
+                                shard: f,
+                                detail: format!("{detail}; local re-derivation also failed: {e}"),
+                            })?;
+                    core.counters.rescatters.fetch_add(1, Ordering::Relaxed);
+                    tally.rescatters.fetch_add(1, Ordering::Relaxed);
+                    parts.push(scored);
+                }
+            }
+        }
+        let rows = merge_scored_partials(&filter.agg, scored_schema(step), &parts)?;
+        Ok(ScoredStep {
+            groups: rows.len(),
+            rows,
+            complete_for: vacuous_filter(filter),
+            answer_tuples: 0,
+        })
+    }
+}
+
 /// The scatter-gather front end over a fleet of `qf-server` workers.
 pub struct Coordinator {
     core: Arc<ShardCore>,
@@ -932,296 +1067,9 @@ impl Coordinator {
         }
     }
 
-    /// Scatter one step across the fragments and gather the scored
-    /// partials: each fragment fails over through its replicas (hedging
-    /// included), and a fragment with no usable replica is re-derived
-    /// from the cached partition and evaluated locally.
-    #[allow(clippy::too_many_arguments)]
-    fn scatter_step(
-        &self,
-        text: &str,
-        scratch: &[String],
-        limits: RequestLimits,
-        frags: &[Database],
-        fps: &[u64],
-        scratch_rels: &[(String, Relation)],
-        mini: &qf_core::QueryFlock,
-        ctx: &ExecContext,
-        deadline: Option<Instant>,
-        tally: &ReqTally,
-    ) -> Result<Vec<Relation>> {
-        let core = &self.core;
-        let n = core.slots.len();
-        let outcomes: Vec<FragOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|f| {
-                    s.spawn(move || {
-                        core.fragment_partial(f, fps[f], text, scratch, limits, deadline, tally)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| FragOutcome::Refused {
-                        kind: "eval".to_string(),
-                        detail: "scatter thread panicked".to_string(),
-                    })
-                })
-                .collect()
-        });
-        let mut parts = Vec::with_capacity(n);
-        for (f, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                FragOutcome::Scored(rel) => parts.push(rel),
-                FragOutcome::Refused { kind, detail } => {
-                    return Err(match kind.as_str() {
-                        "timeout" => ServerError::Timeout {
-                            stage: "shard",
-                            budget_ms: limits.timeout_ms.unwrap_or(0),
-                        },
-                        "cancelled" => ServerError::Cancelled,
-                        "budget" => ServerError::Budget(format!("fragment {f}: {detail}")),
-                        _ => ServerError::Eval(format!("fragment {f} ({kind}): {detail}")),
-                    })
-                }
-                FragOutcome::AllDead(detail) => {
-                    // Last resort: the master catalog reproduces any
-                    // fragment deterministically; the partition is
-                    // cached across requests, so this costs one local
-                    // evaluation, not a re-shard of the catalog.
-                    let mut frag = frags[f].clone();
-                    for (_, rel) in scratch_rels {
-                        frag.insert(rel.clone());
-                    }
-                    let scored =
-                        evaluate_scored_partial(mini, &frag, JoinOrderStrategy::Greedy, ctx)
-                            .map_err(|e| ServerError::ShardLost {
-                                shard: f,
-                                detail: format!("{detail}; local re-derivation also failed: {e}"),
-                            })?;
-                    core.counters.rescatters.fetch_add(1, Ordering::Relaxed);
-                    tally.rescatters.fetch_add(1, Ordering::Relaxed);
-                    parts.push(scored);
-                }
-            }
-        }
-        Ok(parts)
-    }
-
-    /// The sharded flock path: plan at the coordinator, scatter each
-    /// step vacuous, merge algebraically, threshold globally.
-    fn eval_scatter(
-        &self,
-        program: &FlockProgram,
-        limits: &RequestLimits,
-        granted_threads: usize,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Response> {
-        let start = Instant::now();
-        let service = &self.core.service;
-        let flock = program.flock().clone();
-        let filter = *flock.filter();
-        let canonical_filter = flock.canonical_filter();
-        let effective = service.admission_limits(limits)?;
-        let (db, fp) = service.snapshot();
-        let key = CacheKey {
-            query: program.canonical_query_text(),
-            agg_pos: flock.agg_head_pos(),
-            catalog_fp: fp,
-        };
-        let n = self.core.slots.len();
-
-        // Coordinator-tier monotone cache: one sharded run answers
-        // every threshold its baseline subsumes, no scatter at all.
-        if let Some(hit) = service.result_cache_lookup(&key, &canonical_filter) {
-            service.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let result = flock_result_from_scored(&flock, &hit.scored, &filter);
-            let meta = extend_json(
-                &json_report(
-                    "shard-cache",
-                    result.len(),
-                    start.elapsed().as_millis(),
-                    &qf_core::ExecStats::default(),
-                    0,
-                    0,
-                    &service.cache_report(true, true),
-                ),
-                &format!(
-                    "\"sharded\":true,\"shards\":{n},\"rescatters\":0,\"failovers\":0,\
-                     \"hedges_launched\":0,\"hedges_won\":0"
-                ),
-            );
-            return Ok(Response::Ok {
-                meta,
-                body: render_tsv(&result),
-            });
-        }
-        service
-            .counters
-            .cache_misses
-            .fetch_add(1, Ordering::Relaxed);
-
-        let ctx = service.exec_context(&effective, granted_threads, deadline, cancel);
-
-        // Plan at the coordinator: the search sees full-catalog
-        // statistics, and shards execute exactly the steps it picks.
-        let mut plan_cached = false;
-        let cached_steps = service.plan_cache_lookup(&key);
-        let (plan, strategy) =
-            match cached_steps.and_then(|steps| QueryPlan::new(flock.clone(), steps).ok()) {
-                Some(plan) => {
-                    plan_cached = true;
-                    (plan, "scatter-gather(plan-cache)")
-                }
-                None => {
-                    let searched = if filter.is_monotone() {
-                        best_plan_with(&flock, &db, &ctx).ok().map(|(plan, _)| plan)
-                    } else {
-                        None
-                    };
-                    match searched {
-                        Some(plan) => {
-                            service.plan_cache_insert(&key, plan.steps.clone());
-                            (plan, "scatter-gather")
-                        }
-                        None => (
-                            direct_plan(&flock).map_err(ServerError::from_eval)?,
-                            "scatter-gather(direct)",
-                        ),
-                    }
-                }
-            };
-
-        // The fragment partition (and the fingerprints workers verify):
-        // cached across requests, keyed by the master fingerprint.
-        let (frags, fps) = self.core.fragments(&db, fp);
-
-        let budget_ms = effective.timeout_ms.unwrap_or(0);
-        let last = plan.steps.len() - 1;
-        let mut completed: Vec<(String, Relation)> = Vec::new();
-        let tally = ReqTally::default();
-        let mut final_scored: Option<Relation> = None;
-        for (i, step) in plan.steps.iter().enumerate() {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                return Err(ServerError::Cancelled);
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(ServerError::Timeout {
-                    stage: "eval",
-                    budget_ms,
-                });
-            }
-            let mini = partial_flock(step, &filter).map_err(ServerError::from_eval)?;
-            let text = mini.render();
-            let scratch_rels: Vec<(String, Relation)> = {
-                let referenced = referenced_preds(step);
-                completed
-                    .iter()
-                    .filter(|(name, _)| referenced.contains(name.as_str()))
-                    .cloned()
-                    .collect()
-            };
-            let scratch: Vec<String> = scratch_rels
-                .iter()
-                .map(|(_, rel)| render_tsv(rel))
-                .collect();
-            // Deadline propagation: each shard gets what is *left* of
-            // the admission-stamped budget, not a fresh clock.
-            let step_limits = RequestLimits {
-                max_rows: effective.max_rows,
-                mem_budget: effective.mem_budget,
-                timeout_ms: match deadline {
-                    Some(d) => Some(
-                        (d.saturating_duration_since(Instant::now()).as_millis() as u64).max(1),
-                    ),
-                    None => effective.timeout_ms,
-                },
-                threads: None,
-            };
-            let parts = self.scatter_step(
-                &text,
-                &scratch,
-                step_limits,
-                &frags,
-                &fps,
-                &scratch_rels,
-                &mini,
-                &ctx,
-                deadline,
-                &tally,
-            )?;
-            let merged = merge_scored_partials(&filter.agg, scored_schema(step), &parts)
-                .map_err(ServerError::from_eval)?;
-            if i == last {
-                final_scored = Some(merged);
-            } else {
-                // A-priori pruning between steps, on globally-correct
-                // aggregates: threshold the merged partials with the
-                // *real* filter, project the aggregate away, broadcast.
-                let survivors = refilter_scored(&merged, &filter);
-                completed.push((step.output.clone(), project_step_output(&survivors, step)));
-            }
-        }
-        let scored = final_scored.expect("plans have at least one step");
-        let result = flock_result_from_scored(&flock, &scored, &filter);
-        // Single-step runs were evaluated vacuous end to end: the
-        // scored relation holds *every* group, so cache it under the
-        // vacuous baseline — one sharded run then answers every future
-        // same-direction threshold. Multi-step runs pruned between
-        // steps at the real threshold; they answer what it subsumes.
-        let baseline = if plan.steps.len() == 1 {
-            vacuous_filter(&canonical_filter)
-        } else {
-            canonical_filter
-        };
-        // Coordinator-tier entries are delta-maintainable too: the
-        // coordinator holds the master catalog, so its `commit_record`
-        // maintains these in place on `append`/`retract` exactly like
-        // the standalone server (shardable programs never carry views,
-        // so only the flock-shape gate applies).
-        let delta = FlockDelta::maintainable(&flock)
-            .then(|| FlockDelta::build(&flock, &db, &DeltaLimits::default()).ok())
-            .flatten()
-            .map(|d| Arc::new(Mutex::new(d)));
-        service.result_cache_insert(
-            key,
-            CachedResult {
-                baseline,
-                scored,
-                strategy: strategy.to_string(),
-                delta,
-            },
-        );
-        self.core.counters.sharded.fetch_add(1, Ordering::Relaxed);
-        let meta = extend_json(
-            &json_report(
-                strategy,
-                result.len(),
-                start.elapsed().as_millis(),
-                &ctx.stats(),
-                0,
-                0,
-                &service.cache_report(false, plan_cached),
-            ),
-            &format!(
-                "\"sharded\":true,\"shards\":{n},\"rescatters\":{},\"failovers\":{},\
-                 \"hedges_launched\":{},\"hedges_won\":{}",
-                tally.rescatters.load(Ordering::Relaxed),
-                tally.failovers.load(Ordering::Relaxed),
-                tally.hedges_launched.load(Ordering::Relaxed),
-                tally.hedges_won.load(Ordering::Relaxed),
-            ),
-        );
-        Ok(Response::Ok {
-            meta,
-            body: render_tsv(&result),
-        })
-    }
-
-    /// The admitted flock path: sharded when the program qualifies,
-    /// local (against the master catalog) when it does not.
+    /// The admitted flock path: the service's one request pipeline,
+    /// with the scatter evaluator when the program qualifies and the
+    /// local one (against the master catalog) when it does not.
     fn eval_flock_request(
         &self,
         text: &str,
@@ -1231,49 +1079,59 @@ impl Coordinator {
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
     ) -> Response {
-        let service = &self.core.service;
-        let program = match parse_program(text, support) {
-            Ok(p) => p,
-            Err(e) => {
-                service.counters.requests.fetch_add(1, Ordering::Relaxed);
-                return Response::from_error(&e);
+        let core = &self.core;
+        let service = &core.service;
+        let outcome = parse_program(text, support).and_then(|program| {
+            let (db, fp) = service.snapshot();
+            let shardable =
+                !core.slots.is_empty() && shardable_program(&program, &core.replicated).is_some();
+            if !shardable {
+                core.counters
+                    .local_fallbacks
+                    .fetch_add(1, Ordering::Relaxed);
+                let run = FlockRun {
+                    program: &program,
+                    db: &db,
+                    fp,
+                    evaluator: &LOCAL_EVALUATOR,
+                    labels: &LOCAL_LABELS,
+                    partial: false,
+                };
+                let o = service.run_flock(run, limits, granted_threads, deadline, cancel)?;
+                return Ok((extend_json(&o.meta, "\"sharded\":false"), o.body));
             }
-        };
-        let shardable = !self.core.slots.is_empty()
-            && shardable_program(&program, &self.core.replicated).is_some();
-        if !shardable {
-            self.core
-                .counters
-                .local_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-            let resp = service.handle_flock_admitted(
-                text,
-                support,
-                limits,
-                granted_threads,
-                deadline,
-                cancel,
-            );
-            return match resp {
-                Response::Ok { meta, body } => Response::Ok {
-                    meta: extend_json(&meta, "\"sharded\":false"),
-                    body,
-                },
-                err => err,
+            let evaluator = ScatterEvaluator {
+                core,
+                master: &db,
+                master_fp: fp,
+                tally: ReqTally::default(),
             };
-        }
-        service.counters.requests.fetch_add(1, Ordering::Relaxed);
-        match self.eval_scatter(&program, limits, granted_threads, deadline, cancel) {
-            Ok(resp) => resp,
-            Err(e) => {
-                match &e {
-                    ServerError::Timeout { .. } => service.note_timeout(),
-                    ServerError::Cancelled => service.note_cancelled(),
-                    _ => {}
-                }
-                Response::from_error(&e)
+            let run = FlockRun {
+                program: &program,
+                db: &db,
+                fp,
+                evaluator: &evaluator,
+                labels: &SCATTER_LABELS,
+                partial: false,
+            };
+            let o = service.run_flock(run, limits, granted_threads, deadline, cancel)?;
+            if !o.cache_hit {
+                core.counters.sharded.fetch_add(1, Ordering::Relaxed);
             }
-        }
+            // A cache hit scattered nothing: its tallies are all zero.
+            let tally = &evaluator.tally;
+            let sharded = format!(
+                "\"sharded\":true,\"shards\":{},\"rescatters\":{},\"failovers\":{},\
+                 \"hedges_launched\":{},\"hedges_won\":{}",
+                core.slots.len(),
+                tally.rescatters.load(Ordering::Relaxed),
+                tally.failovers.load(Ordering::Relaxed),
+                tally.hedges_launched.load(Ordering::Relaxed),
+                tally.hedges_won.load(Ordering::Relaxed),
+            );
+            Ok((extend_json(&o.meta, &sharded), o.body))
+        });
+        service.respond(outcome)
     }
 
     /// `stats` with the fleet rolled up: the coordinator's own counters
@@ -1540,28 +1398,6 @@ impl RequestHandler for Coordinator {
             JobPayload::Retract { rel, tsv, frag } => self.mutate_and_push(rel, tsv, *frag, true),
         }
     }
-}
-
-/// Predicates a step's query mentions — used to ship exactly the
-/// upstream step outputs the shard will scan.
-fn referenced_preds(step: &FilterStep) -> BTreeSet<&str> {
-    step.query
-        .rules()
-        .iter()
-        .flat_map(|r| r.body.iter())
-        .filter_map(|l| l.atom().map(|a| a.pred.as_str()))
-        .collect()
-}
-
-/// Project the aggregate column away from a thresholded scored
-/// relation, yielding the step's output relation (named and columned
-/// like the single-node executor would).
-fn project_step_output(survivors: &Relation, step: &FilterStep) -> Relation {
-    let arity = survivors.schema().arity();
-    let cols: Vec<usize> = (0..arity.saturating_sub(1)).collect();
-    let tuples: Vec<Tuple> = survivors.iter().map(|t| t.project(&cols)).collect();
-    let columns: Vec<String> = step.params.iter().map(|p| p.to_string()).collect();
-    Relation::from_tuples(Schema::from_columns(step.output.clone(), columns), tuples)
 }
 
 #[cfg(test)]

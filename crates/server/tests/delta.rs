@@ -110,6 +110,100 @@ fn warm_query_after_append_is_delta_maintained_and_exact() {
     assert_eq!(body, cold_body(&agg_flock("COUNT", 1), &small_db(&rows)));
 }
 
+/// Concurrent appends to one relation each report their own effect: N
+/// workers released together append disjoint batches; the `added`
+/// counts sum to the tuples loaded and every ack's `tuples` is a prefix
+/// sum of them (the sizes are read inside the commit's critical
+/// section, not around it).
+#[test]
+fn concurrent_appends_report_their_own_added_counts() {
+    const WORKERS: usize = 8;
+    // A seed relation big enough that one commit (re-sort + catalog
+    // fingerprint) outlasts the others' arrival: they all queue on the
+    // catalog lock behind the first, which is the interleaving that
+    // used to make every ack report the sum.
+    const SEED: u64 = 20_000;
+    let seed: Vec<(i64, i64)> = (0..SEED as i64).map(|i| (-1 - i, 0)).collect();
+    let svc = FlockService::new(ServerConfig::default(), small_db(&seed));
+    let gate = std::sync::Barrier::new(WORKERS);
+    let mut acks: Vec<(u64, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (svc, gate) = (&svc, &gate);
+                s.spawn(move || {
+                    // Worker w appends w+1 tuples nobody else sends.
+                    let batch: Vec<(i64, i64)> = (0..=w as i64)
+                        .map(|i| (100 * (w as i64 + 1) + i, 7))
+                        .collect();
+                    let tsv = rows_tsv(&batch);
+                    gate.wait();
+                    let (meta, _) = ok_parts(svc.handle_append_admitted("r", &tsv, None));
+                    let field = |key| json_u64(&meta, key).unwrap_or_else(|| panic!("{meta}"));
+                    (field("tuples"), field("added"))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let loaded: u64 = (1..=WORKERS as u64).sum();
+    assert_eq!(acks.iter().map(|&(_, added)| added).sum::<u64>(), loaded);
+    acks.sort_unstable();
+    let mut total = SEED;
+    for (tuples, added) in acks {
+        total += added;
+        assert_eq!(tuples, total, "ack sizes must be prefix sums");
+    }
+    assert_eq!(stat(&svc, "tuples"), SEED + loaded);
+}
+
+/// A delta touches only the entries whose query reads the mutated
+/// relation as a predicate — not every entry whose text happens to
+/// contain its name. `live` is a substring of `deliveries`: appending
+/// to `live` must leave a warm flock over `deliveries` hitting, drop
+/// nothing, and keep its plan shape cached.
+#[test]
+fn append_leaves_entries_over_other_relations_alone() {
+    let mut db = Database::new();
+    let rows: Vec<Vec<Value>> = (0..12)
+        .flat_map(|b| [(b, 1), (b, 2), (b, 10 + b)])
+        .map(|(b, i)| vec![Value::int(b), Value::int(i)])
+        .collect();
+    db.insert(Relation::from_rows(
+        Schema::new("deliveries", &["b", "i"]),
+        rows,
+    ));
+    db.insert(Relation::from_rows(
+        Schema::new("live", &["a", "b"]),
+        vec![vec![Value::int(1), Value::int(1)]],
+    ));
+    let svc = FlockService::new(ServerConfig::default(), db);
+    let limits = RequestLimits::default();
+    let text = "QUERY:\nanswer(B) :- deliveries(B,$1) AND deliveries(B,$2) AND $1 < $2\n\
+                FILTER:\nCOUNT(answer.B) >= 5";
+    let (meta, warm) = ok_parts(svc.handle_flock(text, None, &limits, 1));
+    assert!(meta.contains("\"strategy\":\"static\""), "{meta}");
+
+    let tsv = "live\ta\tb\n2\t2\n";
+    ok_parts(svc.handle_append_admitted("live", tsv, None));
+    assert_eq!(stat(&svc, "delta_applied"), 1);
+    assert_eq!(stat(&svc, "delta_rebuilds"), 0, "nothing may be dropped");
+    assert_eq!(stat(&svc, "delta_maintained"), 0, "nothing was touched");
+    assert_eq!(stat(&svc, "cached_results"), 1);
+
+    // The entry was re-keyed to the new fingerprint and still hits…
+    let (meta, body) = ok_parts(svc.handle_flock(text, None, &limits, 1));
+    assert!(meta.contains("\"cache_hit\":true"), "{meta}");
+    assert_eq!(body, warm);
+    // …and a looser threshold, which must evaluate, finds the plan
+    // shape still cached.
+    let (meta, _) = ok_parts(svc.handle_flock(text, Some(2), &limits, 1));
+    assert!(meta.contains("\"cache_hit\":false"), "{meta}");
+    assert!(
+        meta.contains("\"strategy\":\"static(plan-cache)\""),
+        "{meta}"
+    );
+}
+
 /// A retract that removes a group's MAX witnesses beyond the bounded
 /// re-check set forces a rescan of that group only — counted by
 /// `recheck_tuples` — and the entry keeps serving exact answers.
