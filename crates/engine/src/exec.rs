@@ -13,22 +13,39 @@
 //! instead of exhausting the machine. `execute` is simply
 //! `execute_with` under an unbounded context.
 //!
-//! Row-at-a-time operators (select, project, join probe, anti-join
-//! probe, group-by accumulation) are partition-parallel: the input's
-//! sorted tuple slice is split into contiguous chunks processed on
-//! scoped worker threads (see [`crate::parallel`]), up to
-//! [`ExecContext::threads`] of them. Chunk outputs are reassembled in
-//! chunk order and canonicalized, so results are identical to
-//! single-thread execution.
+//! There is **one operator tree** (`Exec::eval`): each operator
+//! evaluates its children to an operator output — a resident
+//! `Relation` or sorted spill runs — runs its kernel once, and releases
+//! the inputs it consumed. Row operators (select, project, anti-join
+//! probe, union, join probe) are small emit-style kernels pushed
+//! through `Exec::drive`; the group-by fold and the join's
+//! build-index-and-probe loop ([`crate::merge`]) each exist once.
+//!
+//! The **route** an execution's rows take is decided once, in
+//! `Exec::new`, from what the context can observe:
+//!
+//! * *Parallel collect* (the default): a resident input's sorted tuple
+//!   slice is split into contiguous chunks processed on scoped worker
+//!   threads (see [`crate::parallel`]), up to [`ExecContext::threads`]
+//!   of them. Workers charge and collect per-chunk vectors; the
+//!   operator's sink absorbs them in chunk order and canonicalizes, so
+//!   results are identical to single-thread execution.
+//! * *Single producer, flush-capable sinks*: when the context carries a
+//!   spill directory **and** a memory budget some charge could trip,
+//!   rows stream through sinks that flush sorted runs under pressure,
+//!   and the two stateful operators Grace-partition inputs that are
+//!   spilled or too large (see the `spill` module).
 
-use qf_storage::{Database, FastMap, HashIndex, Relation, Schema, Tuple, Value};
+use std::sync::Arc;
+
+use qf_storage::{Database, FastMap, HashIndex, Relation, Schema, SpillDir, Tuple, Value};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Predicate;
-use crate::governor::ExecContext;
-use crate::merge;
+use crate::governor::{row_cost, ExecContext};
 use crate::parallel;
 use crate::plan::{AggFn, PhysicalPlan};
+use crate::spill::{release_rel, Grace, OpOut, Sink};
 
 /// Evaluate `plan` against `db` with no resource limits.
 pub fn execute(plan: &PhysicalPlan, db: &Database) -> Result<Relation> {
@@ -37,241 +54,325 @@ pub fn execute(plan: &PhysicalPlan, db: &Database) -> Result<Relation> {
 
 /// Evaluate `plan` against `db` under the governance of `ctx`.
 ///
-/// When `ctx` carries a spill directory ([`ExecContext::with_spill`]),
-/// execution routes through the out-of-core path ([`crate::spill`]):
-/// operators that would trip the memory budget spill to disk and
-/// continue instead of failing.
+/// When `ctx` carries a spill directory ([`ExecContext::with_spill`])
+/// and a memory budget, operators that would trip the budget spill to
+/// disk and continue instead of failing.
 pub fn execute_with(plan: &PhysicalPlan, db: &Database, ctx: &ExecContext) -> Result<Relation> {
-    if ctx.spill_enabled() {
-        // Corruption-recovery loop: a spill run whose frame checksum
-        // fails verification is deleted state we can regenerate — the
-        // inputs are still in the catalog — so recompute the pipeline
-        // (bounded) rather than failing the query over a flipped bit.
-        // Live-byte accounting from the abandoned attempt is left
-        // charged (shared counters; a sibling wave step may own some),
-        // which is conservative: the retry spills earlier, never later.
-        let mut attempts = 0u32;
-        loop {
-            match crate::spill::execute_spill(plan, db, ctx).and_then(|o| o.materialize(ctx)) {
-                Err(e) if e.is_corruption() && attempts < 2 => {
-                    attempts += 1;
-                    ctx.note_corruption_recovery();
-                    ctx.record_degradation(
-                        "spill-corruption",
-                        format!("{e}; recomputing pipeline (attempt {attempts})"),
-                    );
-                }
-                other => return other,
+    let exec = Exec::new(ctx);
+    // Corruption-recovery loop: a spill run whose frame checksum fails
+    // verification is deleted state we can regenerate — the inputs are
+    // still in the catalog — so recompute the pipeline (bounded) rather
+    // than failing the query over a flipped bit. Live-byte accounting
+    // from the abandoned attempt is left charged (shared counters; a
+    // sibling wave step may own some), which is conservative: the retry
+    // spills earlier, never later.
+    let mut attempts = 0u32;
+    loop {
+        match exec.eval(plan, db).and_then(|out| out.load(ctx)) {
+            Err(e) if e.is_corruption() && attempts < 2 => {
+                attempts += 1;
+                ctx.note_corruption_recovery();
+                ctx.record_degradation(
+                    "spill-corruption",
+                    format!("{e}; recomputing pipeline (attempt {attempts})"),
+                );
             }
-        }
-    }
-    match plan {
-        PhysicalPlan::Scan { relation } => {
-            ctx.enter("Scan")?;
-            let rel = db.get(relation)?;
-            // A scan materializes a working copy; charge it like any
-            // other operator output, before cloning.
-            ctx.charge_rows(rel.len() as u64, rel.schema().arity())?;
-            Ok(rel.clone())
-        }
-
-        PhysicalPlan::Select { input, predicates } => {
-            ctx.enter("Select")?;
-            let rel = execute_with(input, db, ctx)?;
-            check_predicates(predicates, rel.schema().arity(), "Select")?;
-            let width = rel.schema().arity();
-            let workers = parallel::workers_for(rel.len(), ctx.threads());
-            ctx.note_workers(workers);
-            let chunks =
-                parallel::par_chunks(rel.tuples(), workers, |chunk| -> Result<Vec<Tuple>> {
-                    let mut keep: Vec<Tuple> = Vec::new();
-                    for t in chunk {
-                        ctx.tick()?;
-                        if predicates.iter().all(|p| p.eval(t)) {
-                            ctx.charge_row(width)?;
-                            keep.push(t.clone());
-                        }
-                    }
-                    Ok(keep)
-                })?;
-            // Filtering contiguous chunks of a sorted set and
-            // concatenating them in chunk order preserves sortedness
-            // and dedup.
-            let tuples: Vec<Tuple> = chunks.into_iter().flatten().collect();
-            Ok(Relation::from_sorted_dedup(rel.schema().clone(), tuples))
-        }
-
-        PhysicalPlan::Project { input, cols } => {
-            ctx.enter("Project")?;
-            let rel = execute_with(input, db, ctx)?;
-            check_columns(cols, rel.schema().arity(), "Project")?;
-            let names: Vec<String> = cols
-                .iter()
-                .map(|&c| rel.schema().columns()[c].clone())
-                .collect();
-            let schema = Schema::from_columns("project", names);
-            let workers = parallel::workers_for(rel.len(), ctx.threads());
-            ctx.note_workers(workers);
-            let chunks =
-                parallel::par_chunks(rel.tuples(), workers, |chunk| -> Result<Vec<Tuple>> {
-                    let mut out: Vec<Tuple> = Vec::with_capacity(chunk.len());
-                    for t in chunk {
-                        ctx.charge_row(cols.len())?;
-                        out.push(t.project(cols));
-                    }
-                    Ok(out)
-                })?;
-            let tuples: Vec<Tuple> = chunks.into_iter().flatten().collect();
-            Ok(Relation::from_tuples(schema, tuples))
-        }
-
-        PhysicalPlan::HashJoin { left, right, keys } => {
-            ctx.enter("HashJoin")?;
-            let l = execute_with(left, db, ctx)?;
-            let r = execute_with(right, db, ctx)?;
-            check_join_keys(keys, l.schema().arity(), r.schema().arity(), "HashJoin")?;
-            // Merge fast path when the keys are the leading columns of
-            // both (sorted) inputs; otherwise hash join with the build
-            // table on the smaller side and a parallel probe.
-            merge::join_auto_with(&l, &r, keys, ctx)
-        }
-
-        PhysicalPlan::AntiJoin { left, right, keys } => {
-            ctx.enter("AntiJoin")?;
-            let l = execute_with(left, db, ctx)?;
-            let r = execute_with(right, db, ctx)?;
-            check_join_keys(keys, l.schema().arity(), r.schema().arity(), "AntiJoin")?;
-            let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
-            // The right side is the filter, so it must be the build
-            // side regardless of size.
-            let idx = HashIndex::build(&r, &rk);
-            let width = l.schema().arity();
-            let workers = parallel::workers_for(l.len(), ctx.threads());
-            ctx.note_workers(workers);
-            let chunks =
-                parallel::par_chunks(l.tuples(), workers, |chunk| -> Result<Vec<Tuple>> {
-                    let mut keep: Vec<Tuple> = Vec::new();
-                    for lt in chunk {
-                        ctx.tick()?;
-                        if !idx.contains_key(&lt.project(&lk)) {
-                            ctx.charge_row(width)?;
-                            keep.push(lt.clone());
-                        }
-                    }
-                    Ok(keep)
-                })?;
-            let tuples: Vec<Tuple> = chunks.into_iter().flatten().collect();
-            Ok(Relation::from_sorted_dedup(l.schema().clone(), tuples))
-        }
-
-        PhysicalPlan::Union { inputs } => {
-            ctx.enter("Union")?;
-            if inputs.is_empty() {
-                // A union of zero queries is the empty nullary relation.
-                return Ok(Relation::empty(Schema::new("union", &[])));
-            }
-            let first = execute_with(&inputs[0], db, ctx)?;
-            let arity = first.schema().arity();
-            let schema = first.schema().renamed("union");
-            let mut tuples: Vec<Tuple> = Vec::new();
-            for t in first.iter() {
-                ctx.charge_row(arity)?;
-                tuples.push(t.clone());
-            }
-            for input in &inputs[1..] {
-                let rel = execute_with(input, db, ctx)?;
-                if rel.schema().arity() != arity {
-                    return Err(EngineError::UnionArityMismatch {
-                        first: arity,
-                        other: rel.schema().arity(),
-                    });
-                }
-                for t in rel.iter() {
-                    ctx.charge_row(arity)?;
-                    tuples.push(t.clone());
-                }
-            }
-            Ok(Relation::from_tuples(schema, tuples))
-        }
-
-        PhysicalPlan::Aggregate { input, group, agg } => {
-            ctx.enter("Aggregate")?;
-            let rel = execute_with(input, db, ctx)?;
-            let arity = rel.schema().arity();
-            check_columns(group, arity, "Aggregate")?;
-            if let Some(c) = agg.input_column() {
-                check_columns(&[c], arity, "Aggregate")?;
-            }
-            aggregate(&rel, group, *agg, ctx)
+            other => return other,
         }
     }
 }
 
-/// Grouped aggregation. Output schema: group columns then the aggregate
-/// column (named after the function).
-///
-/// Accumulation is partition-parallel: each worker folds its chunk into
-/// a private accumulator map, and the per-worker maps are merged
-/// ([`Acc::merge`]) on the caller's thread. COUNT/SUM/MIN/MAX all admit
-/// associative merges, so the result is independent of the partitioning.
-pub(crate) fn aggregate(
-    rel: &Relation,
-    group: &[usize],
-    agg: AggFn,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    let mut names: Vec<String> = group
-        .iter()
-        .map(|&c| rel.schema().columns()[c].clone())
-        .collect();
-    names.push(agg.name().to_lowercase());
-    let schema = Schema::from_columns("aggregate", names);
-    let width = group.len() + 1;
+/// One governed execution: the context plus the route its rows take.
+pub(crate) struct Exec<'a> {
+    pub(crate) ctx: &'a ExecContext,
+    /// `Some`: a single producer pushes through flush-capable sinks and
+    /// Grace-capable states. `None`: parallel workers collect in memory.
+    pub(crate) spill: Option<Arc<SpillDir>>,
+}
 
-    // SQL/paper semantics: a *global* aggregate (empty group list) over
-    // empty input still yields one row. COUNT and SUM have identity 0
-    // (the paper's support filter compares `COUNT(answer.X) >= s`, and
-    // an unsupported candidate must see count 0, not a vanished row);
-    // MIN/MAX have no identity in a NULL-free value domain, so an empty
-    // global MIN/MAX yields the empty relation.
-    if group.is_empty() && rel.is_empty() {
-        return match agg {
-            AggFn::Count | AggFn::Sum(_) => {
-                ctx.charge_row(width)?;
-                Ok(Relation::from_tuples(
-                    schema,
-                    vec![Tuple::from([Value::int(0)])],
-                ))
-            }
-            AggFn::Min(_) | AggFn::Max(_) => Ok(Relation::empty(schema)),
-        };
+impl<'a> Exec<'a> {
+    /// The route decision: spilling needs somewhere to spill *and* a
+    /// finite memory budget that a charge could trip. A spill directory
+    /// alone never spills, so it must not cost the parallel route.
+    fn new(ctx: &'a ExecContext) -> Exec<'a> {
+        let spill = ctx.spill_dir().filter(|_| ctx.mem_would_trip(u64::MAX));
+        Exec {
+            ctx,
+            spill: spill.cloned(),
+        }
     }
 
-    let workers = parallel::workers_for(rel.len(), ctx.threads());
-    ctx.note_workers(workers);
-    let maps = parallel::par_chunks(
-        rel.tuples(),
-        workers,
-        |chunk| -> Result<FastMap<Tuple, Acc>> {
-            let mut groups: FastMap<Tuple, Acc> = FastMap::default();
-            for t in chunk {
-                ctx.tick()?;
-                let key = t.project(group);
-                if !groups.contains_key(&key) {
-                    // A new group materializes an accumulator row. (A group
-                    // spanning chunks is charged once per chunk — a
-                    // deliberate overestimate; budgets trip early, never
-                    // late.)
-                    ctx.charge_row(width)?;
-                }
-                let acc = groups.entry(key).or_insert_with(|| Acc::new(agg));
-                acc.update(t, agg)?;
-            }
-            Ok(groups)
-        },
-    )?;
+    /// The parallel-collect route, whatever `ctx` carries: for callers
+    /// that must hand back a resident `Relation` anyway.
+    pub(crate) fn collecting(ctx: &'a ExecContext) -> Exec<'a> {
+        Exec { ctx, spill: None }
+    }
 
-    let mut groups: FastMap<Tuple, Acc> = FastMap::default();
+    pub(crate) fn sink(&self, op: &'static str, width: usize) -> Sink<'a> {
+        Sink::new(self.ctx, op, width, self.spill.clone())
+    }
+
+    /// Run a row kernel over every tuple of `input`, output into `sink`.
+    /// On the parallel-collect route workers run the kernel over
+    /// contiguous chunks into private collectors and the sink absorbs
+    /// the chunks in order; otherwise this thread pushes through `sink`
+    /// itself, which may flush.
+    pub(crate) fn drive<K>(&self, input: &OpOut, sink: &mut Sink<'_>, kernel: K) -> Result<()>
+    where
+        K: Fn(&Tuple, &mut Sink<'_>) -> Result<()> + Sync,
+    {
+        let ctx = self.ctx;
+        match (&self.spill, input) {
+            (None, OpOut::Mem(rel)) => {
+                let width = sink.width();
+                let workers = parallel::workers_for(rel.len(), ctx.threads());
+                ctx.note_workers(workers);
+                let chunks =
+                    parallel::par_chunks(rel.tuples(), workers, |chunk| -> Result<Vec<Tuple>> {
+                        let mut out = Sink::new(ctx, "", width, None);
+                        for t in chunk {
+                            kernel(t, &mut out)?;
+                        }
+                        Ok(out.into_rows())
+                    })?;
+                // Contiguous chunks of a sorted set, concatenated in
+                // chunk order, preserve whatever order the kernel does.
+                chunks.into_iter().for_each(|chunk| sink.absorb(chunk));
+                Ok(())
+            }
+            _ => input.each(ctx, &mut |t| kernel(t, sink)),
+        }
+    }
+
+    /// A single-input row operator: drive `kernel` over `input` into a
+    /// fresh sink, release the consumed input, finish.
+    fn rows<K>(
+        &self,
+        op: &'static str,
+        input: OpOut,
+        schema: Schema,
+        sorted: bool,
+        kernel: K,
+    ) -> Result<OpOut>
+    where
+        K: Fn(&Tuple, &mut Sink<'_>) -> Result<()> + Sync,
+    {
+        let mut sink = self.sink(op, schema.arity());
+        self.drive(&input, &mut sink, kernel)?;
+        input.release(self.ctx);
+        sink.finish(schema, sorted)
+    }
+
+    /// The operator tree.
+    fn eval(&self, plan: &PhysicalPlan, db: &Database) -> Result<OpOut> {
+        let ctx = self.ctx;
+        match plan {
+            PhysicalPlan::Scan { relation } => {
+                ctx.enter("Scan")?;
+                let rel = db.get(relation)?;
+                // A scan materializes a working copy; charge it like any
+                // other operator output, before cloning.
+                ctx.charge_rows(rel.len() as u64, rel.schema().arity())?;
+                Ok(OpOut::Mem(rel.clone()))
+            }
+
+            PhysicalPlan::Select { input, predicates } => {
+                ctx.enter("Select")?;
+                let child = self.eval(input, db)?;
+                check_predicates(predicates, child.arity(), "Select")?;
+                let schema = child.schema().clone();
+                // Filtering a sorted set preserves sortedness and dedup.
+                self.rows("select", child, schema, true, |t, out| {
+                    ctx.tick()?;
+                    if predicates.iter().all(|p| p.eval(t)) {
+                        out.push(t.clone())?;
+                    }
+                    Ok(())
+                })
+            }
+
+            PhysicalPlan::Project { input, cols } => {
+                ctx.enter("Project")?;
+                let child = self.eval(input, db)?;
+                check_columns(cols, child.arity(), "Project")?;
+                let schema = Schema::from_columns("project", column_names(child.schema(), cols));
+                self.rows("project", child, schema, false, |t, out| {
+                    out.push(t.project(cols))
+                })
+            }
+
+            PhysicalPlan::HashJoin { left, right, keys } => {
+                ctx.enter("HashJoin")?;
+                let l = self.eval(left, db)?;
+                let r = self.eval(right, db)?;
+                check_join_keys(keys, l.arity(), r.arity(), "HashJoin")?;
+                let out = self.join(&l, &r, keys)?;
+                l.release(ctx);
+                r.release(ctx);
+                Ok(out)
+            }
+
+            PhysicalPlan::AntiJoin { left, right, keys } => {
+                ctx.enter("AntiJoin")?;
+                let l = self.eval(left, db)?;
+                let r = self.eval(right, db)?;
+                check_join_keys(keys, l.arity(), r.arity(), "AntiJoin")?;
+                let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+                // The right side is the filter, so it must be the build
+                // side regardless of size (it is typically the small
+                // side in mining plans).
+                let filter = r.load(ctx)?;
+                drop(r);
+                let idx = HashIndex::build(&filter, &rk);
+                let schema = l.schema().clone();
+                let out = self.rows("antijoin", l, schema, true, |t, out| {
+                    ctx.tick()?;
+                    if !idx.contains_key(&t.project(&lk)) {
+                        out.push(t.clone())?;
+                    }
+                    Ok(())
+                })?;
+                release_rel(ctx, &filter);
+                Ok(out)
+            }
+
+            PhysicalPlan::Union { inputs } => {
+                ctx.enter("Union")?;
+                let Some((first, rest)) = inputs.split_first() else {
+                    // A union of zero queries is the empty nullary relation.
+                    return Ok(OpOut::Mem(Relation::empty(Schema::new("union", &[]))));
+                };
+                let mut child = self.eval(first, db)?;
+                let arity = child.arity();
+                let schema = child.schema().renamed("union");
+                let mut sink = self.sink("union", arity);
+                let mut rest = rest.iter();
+                loop {
+                    self.drive(&child, &mut sink, |t, out| out.push(t.clone()))?;
+                    child.release(ctx);
+                    let Some(plan) = rest.next() else { break };
+                    child = self.eval(plan, db)?;
+                    if child.arity() != arity {
+                        return Err(EngineError::UnionArityMismatch {
+                            first: arity,
+                            other: child.arity(),
+                        });
+                    }
+                }
+                sink.finish(schema, false)
+            }
+
+            PhysicalPlan::Aggregate { input, group, agg } => {
+                ctx.enter("Aggregate")?;
+                let child = self.eval(input, db)?;
+                let arity = child.arity();
+                check_columns(group, arity, "Aggregate")?;
+                if let Some(c) = agg.input_column() {
+                    check_columns(&[c], arity, "Aggregate")?;
+                }
+                let out = self.aggregate(&child, group, *agg)?;
+                child.release(ctx);
+                Ok(out)
+            }
+        }
+    }
+
+    /// Grouped aggregation. Output schema: group columns then the
+    /// aggregate column (named after the function).
+    fn aggregate(&self, child: &OpOut, group: &[usize], agg: AggFn) -> Result<OpOut> {
+        let ctx = self.ctx;
+        let mut names = column_names(child.schema(), group);
+        names.push(agg.name().to_lowercase());
+        let schema = Schema::from_columns("aggregate", names);
+        let width = group.len() + 1;
+        let mut sink = self.sink("aggregate", width);
+        let fold = |input: &OpOut, sink: &mut Sink<'_>| -> Result<()> {
+            sink.absorb(fold_groups(ctx, input, group, agg)?);
+            Ok(())
+        };
+
+        if group.is_empty() && child.rows_hint() == 0 {
+            // SQL/paper semantics: a *global* aggregate (empty group
+            // list) over empty input still yields one row. COUNT and SUM
+            // have identity 0 (the paper's support filter compares
+            // `COUNT(answer.X) >= s`, and an unsupported candidate must
+            // see count 0, not a vanished row); MIN/MAX have no identity
+            // in a NULL-free value domain, so an empty global MIN/MAX
+            // yields the empty relation.
+            if matches!(agg, AggFn::Count | AggFn::Sum(_)) {
+                sink.push(Tuple::from([Value::int(0)]))?;
+            }
+        } else {
+            // Grace aggregation when the input is already on disk or its
+            // worst-case map (every row its own group) would trip. A
+            // global aggregate is one accumulator: nothing to split.
+            let too_big = !group.is_empty()
+                && (child.is_spilled() || ctx.mem_would_trip(child.rows_hint() * row_cost(width)));
+            match &self.spill {
+                Some(dir) if too_big => Grace {
+                    ctx,
+                    dir,
+                    inputs: &[("apart", group)],
+                    state_bytes: &|slice| {
+                        slice.iter().map(OpOut::rows_hint).sum::<u64>() * row_cost(width)
+                    },
+                    kernel: &mut |slice, sink| slice.iter().try_for_each(|part| fold(part, sink)),
+                }
+                .split(&[child], 0, &mut sink)?,
+                _ => fold(child, &mut sink)?,
+            }
+        }
+        sink.finish(schema, false)
+    }
+}
+
+/// The group-by fold: accumulate `input` into per-group state and
+/// finish each group as `group columns ++ aggregate`.
+///
+/// Over a resident input accumulation is partition-parallel: each
+/// worker folds its chunk into a private accumulator map, and the
+/// per-worker maps are merged ([`Acc::merge`]) on the caller's thread.
+/// COUNT/SUM/MIN/MAX all admit associative merges, so the result is
+/// independent of the partitioning. Spilled runs stream into one map.
+fn fold_groups(
+    ctx: &ExecContext,
+    input: &OpOut,
+    group: &[usize],
+    agg: AggFn,
+) -> Result<Vec<Tuple>> {
+    let width = group.len() + 1;
+    let fold_row = |groups: &mut FastMap<Tuple, Acc>, t: &Tuple| -> Result<()> {
+        ctx.tick()?;
+        let key = t.project(group);
+        if !groups.contains_key(&key) {
+            // A new group materializes an accumulator row. (A group
+            // spanning chunks is charged once per chunk — a deliberate
+            // overestimate; budgets trip early, never late.)
+            ctx.charge_row(width)?;
+        }
+        groups
+            .entry(key)
+            .or_insert_with(|| Acc::new(agg))
+            .update(t, agg)
+    };
+    let maps = match input {
+        OpOut::Mem(rel) => {
+            let workers = parallel::workers_for(rel.len(), ctx.threads());
+            ctx.note_workers(workers);
+            parallel::par_chunks(rel.tuples(), workers, |chunk| {
+                let mut groups = FastMap::default();
+                chunk.iter().try_for_each(|t| fold_row(&mut groups, t))?;
+                Ok::<_, EngineError>(groups)
+            })?
+        }
+        OpOut::Spilled(_) => {
+            let mut groups = FastMap::default();
+            input.each(ctx, &mut |t| fold_row(&mut groups, t))?;
+            vec![groups]
+        }
+    };
+    let mut maps = maps.into_iter();
+    let mut groups = maps.next().unwrap_or_default();
     for map in maps {
         for (key, acc) in map {
             match groups.entry(key) {
@@ -284,15 +385,19 @@ pub(crate) fn aggregate(
             }
         }
     }
-    let tuples: Vec<Tuple> = groups
+    groups
         .into_iter()
         .map(|(key, acc)| {
             let mut v = key.values().to_vec();
             v.push(acc.finish()?);
             Ok(Tuple::from(v))
         })
-        .collect::<Result<_>>()?;
-    Ok(Relation::from_tuples(schema, tuples))
+        .collect()
+}
+
+/// The names of `cols` in `schema`.
+fn column_names(schema: &Schema, cols: &[usize]) -> Vec<String> {
+    cols.iter().map(|&c| schema.columns()[c].clone()).collect()
 }
 
 /// Running aggregate state for one group.
@@ -655,6 +760,28 @@ mod tests {
         assert_eq!(one.tuples(), four.tuples());
         assert_eq!(ctx1.stats().workers, 1);
         assert!(ctx4.stats().workers > 1);
+        // Arming a spill directory with no memory budget can never
+        // spill, so it must not cost the parallel route either — for
+        // the whole plan, and for a lone row operator.
+        let armed = || {
+            ExecContext::unbounded()
+                .with_threads(4)
+                .with_spill(Arc::new(SpillDir::create_temp().unwrap()))
+        };
+        let ctx = armed();
+        let got = execute_with(&plan, &d, &ctx).unwrap();
+        assert_eq!(got.tuples(), four.tuples());
+        assert!(ctx.stats().workers > 1, "{:?}", ctx.stats());
+        assert_eq!(ctx.stats().spills, 0);
+        let select = PhysicalPlan::select(
+            PhysicalPlan::scan("big"),
+            vec![Predicate::col_const(0, CmpOp::Lt, Value::int(200))],
+        );
+        let ctx = armed();
+        let got = execute_with(&select, &d, &ctx).unwrap();
+        assert_eq!(got.tuples(), execute(&select, &d).unwrap().tuples());
+        assert!(ctx.stats().workers > 1, "{:?}", ctx.stats());
+        assert_eq!(ctx.stats().spills, 0);
     }
 
     #[test]
@@ -734,5 +861,97 @@ mod tests {
         );
         let r = execute(&p, &db()).unwrap();
         assert_eq!(r.len(), 5); // 5 baskets rows × 1 causes row
+    }
+
+    /// Deterministic data for the accounting pins: a basket relation and
+    /// the fig. 5 medical relations.
+    fn accounting_db() -> Database {
+        let rel = |name: &str, cols: &[&str], rows: Vec<(i64, i64)>| {
+            Relation::from_rows(
+                Schema::new(name, cols),
+                rows.into_iter()
+                    .map(|(a, b)| vec![Value::int(a), Value::int(b)])
+                    .collect(),
+            )
+        };
+        let mut d = Database::new();
+        d.insert(rel(
+            "baskets",
+            &["bid", "item"],
+            (0..600).map(|i| (i % 120, (i * 7) % 23)).collect(),
+        ));
+        d.insert(rel(
+            "exhibits",
+            &["p", "s"],
+            (0..300).map(|i| (i % 60, (i * 3) % 11)).collect(),
+        ));
+        d.insert(rel(
+            "treatments",
+            &["p", "m"],
+            (0..200).map(|i| (i % 60, (i * 5) % 7)).collect(),
+        ));
+        d.insert(rel(
+            "diagnoses",
+            &["p", "d"],
+            (0..90).map(|i| (i % 60, i % 9)).collect(),
+        ));
+        d.insert(rel(
+            "causes",
+            &["d", "s"],
+            (0..40).map(|i| (i % 9, (i * 2) % 11)).collect(),
+        ));
+        d
+    }
+
+    /// The server's `--max-rows` admission and the `rows`/`bytes`
+    /// response meta are `ExecStats` read after a run: pin them per plan
+    /// shape (single thread, no spill directory) so a change to how
+    /// operators charge shows up here, not on the wire.
+    #[test]
+    fn cumulative_rows_and_bytes_are_pinned_per_plan_shape() {
+        let scan = PhysicalPlan::scan;
+        // Basket pairs (fig. 1): self-join on bid, item < item, COUNT per pair.
+        let pairs = PhysicalPlan::aggregate(
+            PhysicalPlan::select(
+                PhysicalPlan::hash_join(scan("baskets"), scan("baskets"), vec![(0, 0)]),
+                vec![Predicate::col_col(1, CmpOp::Lt, 3)],
+            ),
+            vec![1, 3],
+            AggFn::Count,
+        );
+        // Fig. 5: exhibits ⋈ treatments ⋈ diagnoses on patient, NOT
+        // causes(D, S), COUNT patients per (medicine, symptom).
+        let medical = PhysicalPlan::aggregate(
+            PhysicalPlan::project(
+                PhysicalPlan::anti_join(
+                    PhysicalPlan::hash_join(
+                        PhysicalPlan::hash_join(scan("exhibits"), scan("treatments"), vec![(0, 0)]),
+                        scan("diagnoses"),
+                        vec![(0, 0)],
+                    ),
+                    scan("causes"),
+                    vec![(5, 0), (1, 1)],
+                ),
+                vec![3, 1, 0],
+            ),
+            vec![0, 1],
+            AggFn::Count,
+        );
+        // Union of two rules' answers, projected.
+        let union = PhysicalPlan::project(
+            PhysicalPlan::union(vec![scan("exhibits"), scan("diagnoses")]),
+            vec![1],
+        );
+        let d = accounting_db();
+        for (name, plan, rows, bytes) in [
+            ("pairs", pairs, 5492u64, 399_488u64),
+            ("medical", medical, 5111, 451_920),
+            ("union", union, 1130, 48_640),
+        ] {
+            let ctx = ExecContext::unbounded().with_threads(1);
+            execute_with(&plan, &d, &ctx).unwrap();
+            let stats = ctx.stats();
+            assert_eq!((stats.rows, stats.bytes), (rows, bytes), "{name}");
+        }
     }
 }

@@ -21,16 +21,19 @@
 //!   `width × size_of::<Value>() + TUPLE_OVERHEAD` bytes against two
 //!   counters: cumulative `bytes` (total materialization work, the
 //!   quantity the cost model reasons about as C_out) and `live_bytes`
-//!   (current residency). The budget checks **live** bytes; an operator
-//!   that flushes buffered tuples to a spill file calls
-//!   [`ExecContext::release_bytes`] so later work can reuse the
-//!   headroom. Without spilling nothing ever releases and the two
-//!   counters agree, preserving PR-1 semantics.
-//! * **Spilling** — when a context carries a spill directory
-//!   ([`ExecContext::with_spill`]), operators consult
-//!   [`ExecContext::mem_would_trip`] and partition state to disk
-//!   instead of failing, recording a `spill` degradation plus
-//!   bytes-spilled in [`ExecStats`].
+//!   (estimated residency). The budget checks **live** bytes. There is
+//!   one model whichever route rows take: the operator tree calls
+//!   [`ExecContext::release_bytes`] for an input once it has consumed
+//!   it, and a sink releases the buffered tuples it flushes to a spill
+//!   file, so later work can reuse the headroom. Rows an operator is
+//!   still producing are live, so an over-budget *output* trips
+//!   regardless. Cumulative `rows`/`bytes` never shrink.
+//! * **Spilling** — one [`crate::exec`] decision per execution: when
+//!   the context carries a spill directory ([`ExecContext::with_spill`])
+//!   *and* a memory budget some charge could trip, operator sinks
+//!   consult [`ExecContext::mem_would_trip`] and flush to disk instead
+//!   of failing, recording a `spill` degradation plus bytes-spilled in
+//!   [`ExecStats`].
 //! * **Time / cancellation** — checked at every operator entry and then
 //!   amortized inside loops (every [`CHECK_INTERVAL`] work units), so
 //!   even a filter that materializes nothing notices a deadline.
@@ -303,7 +306,8 @@ impl ExecContext {
 
     /// Allow operators to spill to `dir` instead of failing when a
     /// memory charge would trip the budget. Without a spill directory
-    /// the governor keeps its PR-1 behavior: trip → `ResourceExhausted`.
+    /// — or without a memory budget, when nothing can trip — a trip is
+    /// `ResourceExhausted`.
     pub fn with_spill(mut self, dir: Arc<SpillDir>) -> ExecContext {
         self.spill = Some(dir);
         self
@@ -320,14 +324,18 @@ impl ExecContext {
     }
 
     /// Would charging `extra` more live bytes trip the memory budget?
-    /// Spill-capable operators probe this before buffering another
-    /// tuple and flush to disk instead of tripping.
+    /// Flush-capable sinks probe this before buffering another tuple
+    /// and flush to disk instead of tripping; `u64::MAX` asks whether
+    /// any charge could (a budget is set and not waived).
     pub fn mem_would_trip(&self, extra: u64) -> bool {
         if self.counters.mem_waived.load(Ordering::Relaxed) {
             return false;
         }
         match self.max_bytes {
-            Some(limit) => self.counters.live_bytes.load(Ordering::Relaxed) + extra > limit,
+            Some(limit) => {
+                let live = self.counters.live_bytes.load(Ordering::Relaxed);
+                live.saturating_add(extra) > limit
+            }
             None => false,
         }
     }
@@ -340,9 +348,10 @@ impl ExecContext {
         self.counters.mem_waived.store(true, Ordering::Relaxed);
     }
 
-    /// Release `n` live bytes after their tuples have been flushed to a
-    /// spill file (or otherwise dropped). Cumulative `bytes` stays put —
-    /// it reports total materialization work, not residency.
+    /// Release `n` live bytes after their tuples have been consumed by
+    /// the next operator or flushed to a spill file. Cumulative `bytes`
+    /// stays put — it reports total materialization work, not
+    /// residency.
     pub fn release_bytes(&self, n: u64) {
         let _ = self
             .counters

@@ -11,10 +11,14 @@
 //! applies here", §4.2). This crate supplies that engine:
 //!
 //! * **Operators** ([`plan`], [`exec`]): scan, select, project (with
-//!   set-semantics dedup), hash equi-join, antijoin (for `NOT`
-//!   subgoals), union, and grouped aggregation (`COUNT`/`SUM`/`MIN`/
-//!   `MAX`) — everything a union of extended conjunctive queries with a
-//!   support filter compiles to.
+//!   set-semantics dedup), hash equi-join (sort-merge on leading keys,
+//!   [`merge`]), antijoin (for `NOT` subgoals), union, and grouped
+//!   aggregation (`COUNT`/`SUM`/`MIN`/`MAX`) — everything a union of
+//!   extended conjunctive queries with a support filter compiles to.
+//!   One operator tree interprets them, in memory or out of core: each
+//!   operator's output goes through a sink that spills sorted runs
+//!   under memory pressure, and the join and group-by states
+//!   Grace-partition (`spill`).
 //! * **Estimation** ([`mod@estimate`]): cardinality and per-column distinct
 //!   estimates under the classical uniformity/independence assumptions,
 //!   the inputs the paper's static plan search needs.

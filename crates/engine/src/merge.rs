@@ -1,28 +1,30 @@
-//! Sort-merge join.
+//! Joins: the sort-merge fast path and the one hash join.
 //!
 //! The engine's relations are stored sorted by full tuple, so a join
 //! whose keys are the **leading columns of both sides** can skip hash
 //! tables entirely and merge the two sorted runs. Mining plans hit this
 //! case constantly — `FILTER`-step outputs are keyed by their parameter
 //! columns, which are the leading columns by construction — and the
-//! merge path avoids both the build table and the output sort of large
-//! runs.
+//! merge path avoids the build table.
 //!
-//! [`merge_join`] requires the leading-column precondition
-//! ([`merge_joinable`]) and asserts the key count fits both arities;
-//! [`join_auto_with`] picks merge when the key layout permits and falls
-//! back to a smaller-side-build hash join with a parallel probe
-//! otherwise. The executor's `HashJoin` operator delegates to
-//! [`join_auto_with`], so every plan-level join gets both the merge
-//! fast path and the build-side choice.
+//! Everything else is the hash join, whose build-index-and-probe loop
+//! is written once (`Exec::join_slice`): index the smaller side,
+//! drive the other side's rows through the probe kernel into the
+//! operator's sink. The executor's `HashJoin` operator, each
+//! co-partitioned slice of an out-of-core Grace join, and the public
+//! [`join_auto_with`] (the same kernel collecting into a `Relation`)
+//! all run it; which route the probe rows take — parallel workers or a
+//! single producer through a flush-capable sink — is the
+//! `Exec`'s, not the join's.
 
 use std::cmp::Ordering;
 
 use qf_storage::{HashIndex, Relation, Schema, Tuple};
 
 use crate::error::Result;
-use crate::governor::ExecContext;
-use crate::parallel;
+use crate::exec::{check_join_keys, Exec};
+use crate::governor::{row_cost, ExecContext};
+use crate::spill::{release_rel, Grace, OpOut, Sink};
 
 /// True if `keys` are exactly the leading columns of both inputs, in
 /// order — the precondition under which sorted-run merging is correct
@@ -36,34 +38,45 @@ pub fn merge_joinable(keys: &[(usize, usize)]) -> bool {
 /// governed by `ctx`. Output is `left ++ right`, sorted and
 /// deduplicated.
 ///
-/// # Panics
-///
-/// Asserts that `n_keys` does not exceed either input's arity — the
-/// real precondition of merging sorted runs. (That the inputs are
-/// sorted on those leading columns is guaranteed by `Relation`'s
-/// sorted-by-full-tuple invariant, debug-checked here.)
+/// `n_keys` exceeding either input's arity is
+/// [`crate::EngineError::ColumnOutOfRange`]. (That the inputs are sorted
+/// on those leading columns is guaranteed by `Relation`'s
+/// sorted-by-full-tuple invariant.)
 pub fn merge_join_with(
     left: &Relation,
     right: &Relation,
     n_keys: usize,
     ctx: &ExecContext,
 ) -> Result<Relation> {
-    assert!(
-        n_keys <= left.schema().arity() && n_keys <= right.schema().arity(),
-        "merge_join: {n_keys} key columns exceed input arity ({} / {})",
+    let keys: Vec<(usize, usize)> = (0..n_keys).map(|k| (k, k)).collect();
+    check_join_keys(
+        &keys,
         left.schema().arity(),
-        right.schema().arity()
-    );
+        right.schema().arity(),
+        "MergeJoin",
+    )?;
+    let schema = concat_schema(left.schema(), right.schema());
+    let mut sink = Exec::collecting(ctx).sink("join", schema.arity());
+    merge_into(left, right, n_keys, ctx, &mut sink)?;
+    sink.finish(schema, false)?.load(ctx)
+}
+
+/// Merge two sorted relations on their leading `n_keys` columns
+/// (`n_keys` within both arities), emitting `left ++ right` rows.
+fn merge_into(
+    left: &Relation,
+    right: &Relation,
+    n_keys: usize,
+    ctx: &ExecContext,
+    sink: &mut Sink<'_>,
+) -> Result<()> {
     debug_assert!(
         left.tuples().windows(2).all(|w| w[0] <= w[1])
             && right.tuples().windows(2).all(|w| w[0] <= w[1]),
         "merge_join inputs must be sorted"
     );
-    let schema = concat_schema(left, right);
-    let width = schema.arity();
     let lt = left.tuples();
     let rt = right.tuples();
-    let mut out: Vec<Tuple> = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
     let key_cmp = |a: &Tuple, b: &Tuple| -> Ordering {
         for k in 0..n_keys {
@@ -81,12 +94,13 @@ pub fn merge_join_with(
             Ordering::Greater => j += 1,
             Ordering::Equal => {
                 // Find both runs of equal keys and emit the product.
+                // (Left-major order, but concatenated tuples within a
+                // run may interleave, so the sink still canonicalizes.)
                 let i_end = run_end(lt, i, n_keys);
                 let j_end = run_end(rt, j, n_keys);
                 for a in &lt[i..i_end] {
                     for b in &rt[j..j_end] {
-                        ctx.charge_row(width)?;
-                        out.push(a.concat(b));
+                        sink.push(a.concat(b))?;
                     }
                 }
                 i = i_end;
@@ -94,10 +108,7 @@ pub fn merge_join_with(
             }
         }
     }
-    // The merge emits in left-major sorted order, but concatenated
-    // tuples within a run may interleave; a final canonicalization pass
-    // is still cheap because runs are short. Use the sorting builder.
-    Ok(Relation::from_tuples(schema, out))
+    Ok(())
 }
 
 /// Ungoverned [`merge_join_with`] (unbounded context).
@@ -118,50 +129,22 @@ fn run_end(tuples: &[Tuple], start: usize, n_keys: usize) -> usize {
 /// key layout permits, hash otherwise. The hash path builds its table
 /// on the **smaller** input and probes the larger one with up to
 /// [`ExecContext::threads`] workers. Output is `left ++ right`, sorted
-/// and deduplicated, identical regardless of path or build side.
+/// and deduplicated, identical regardless of path or build side. Always
+/// collects in memory: the result is a `Relation` either way.
 pub fn join_auto_with(
     left: &Relation,
     right: &Relation,
     keys: &[(usize, usize)],
     ctx: &ExecContext,
 ) -> Result<Relation> {
-    if !keys.is_empty() && merge_joinable(keys) {
-        return merge_join_with(left, right, keys.len(), ctx);
-    }
-    let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
-    let schema = concat_schema(left, right);
-    let width = schema.arity();
-    // Build on the smaller side: the build table is the O(n) memory
-    // cost, the probe side only streams.
-    let build_left = left.len() < right.len();
-    let (build, probe, build_keys, probe_keys) = if build_left {
-        (left, right, &lk, &rk)
-    } else {
-        (right, left, &rk, &lk)
-    };
-    let idx = HashIndex::build(build, build_keys);
-    let workers = parallel::workers_for(probe.len(), ctx.threads());
-    ctx.note_workers(workers);
-    let chunks = parallel::par_chunks(probe.tuples(), workers, |chunk| -> Result<Vec<Tuple>> {
-        let mut out: Vec<Tuple> = Vec::new();
-        for t in chunk {
-            ctx.tick()?;
-            for &row in idx.probe(&t.project(probe_keys)) {
-                ctx.charge_row(width)?;
-                let bt = &build.tuples()[row as usize];
-                // Output columns are always left ++ right, whichever
-                // side was built.
-                out.push(if build_left {
-                    bt.concat(t)
-                } else {
-                    t.concat(bt)
-                });
-            }
-        }
-        Ok(out)
-    })?;
-    let out: Vec<Tuple> = chunks.into_iter().flatten().collect();
-    Ok(Relation::from_tuples(schema, out))
+    check_join_keys(
+        keys,
+        left.schema().arity(),
+        right.schema().arity(),
+        "HashJoin",
+    )?;
+    let (l, r) = (OpOut::Mem(left.clone()), OpOut::Mem(right.clone()));
+    Exec::collecting(ctx).join(&l, &r, keys)?.load(ctx)
 }
 
 /// Ungoverned [`join_auto_with`] (unbounded context).
@@ -169,9 +152,89 @@ pub fn join_auto(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -> 
     join_auto_with(left, right, keys, &ExecContext::unbounded())
 }
 
-fn concat_schema(l: &Relation, r: &Relation) -> Schema {
-    let mut names: Vec<String> = l.schema().columns().to_vec();
-    names.extend(r.schema().columns().iter().cloned());
+impl Exec<'_> {
+    /// The `HashJoin` operator over validated `keys`: merge fast path
+    /// for resident inputs keyed on their leading columns, Grace
+    /// partitioning when an input arrives spilled, else one
+    /// build-and-probe.
+    pub(crate) fn join(&self, l: &OpOut, r: &OpOut, keys: &[(usize, usize)]) -> Result<OpOut> {
+        let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+        let schema = concat_schema(l.schema(), r.schema());
+        let mut sink = self.sink("join", schema.arity());
+        match (&self.spill, l, r) {
+            (_, OpOut::Mem(l), OpOut::Mem(r)) if !keys.is_empty() && merge_joinable(keys) => {
+                merge_into(l, r, keys.len(), self.ctx, &mut sink)?
+            }
+            // Partitioning by an empty key cannot split a cross product.
+            (Some(dir), ..) if !keys.is_empty() && (l.is_spilled() || r.is_spilled()) => Grace {
+                ctx: self.ctx,
+                dir,
+                inputs: &[("jpart-l", &lk), ("jpart-r", &rk)],
+                // The build side: the smaller partition of the pair.
+                state_bytes: &|slice| {
+                    slice
+                        .iter()
+                        .min_by_key(|p| p.rows_hint())
+                        .map_or(0, |p| p.rows_hint() * row_cost(p.arity()))
+                },
+                kernel: &mut |slice, sink| match slice {
+                    [l, r] => self.join_slice(l, r, &lk, &rk, sink),
+                    _ => Ok(()),
+                },
+            }
+            .split(&[l, r], 0, &mut sink)?,
+            _ => self.join_slice(l, r, &lk, &rk, &mut sink)?,
+        }
+        sink.finish(schema, false)
+    }
+
+    /// The hash join's build-index-and-probe loop: hold the smaller
+    /// side resident (the build table is the O(n) memory cost, the
+    /// probe side only streams), index it by key, and drive the other
+    /// side's rows through the probe into `sink`.
+    fn join_slice(
+        &self,
+        l: &OpOut,
+        r: &OpOut,
+        lk: &[usize],
+        rk: &[usize],
+        sink: &mut Sink<'_>,
+    ) -> Result<()> {
+        let ctx = self.ctx;
+        let build_left = l.rows_hint() < r.rows_hint();
+        let (build, build_keys, probe, probe_keys) = if build_left {
+            (l, lk, r, rk)
+        } else {
+            (r, rk, l, lk)
+        };
+        let build_rel = build.load(ctx)?;
+        let idx = HashIndex::build(&build_rel, build_keys);
+        self.drive(probe, sink, |t, out| {
+            ctx.tick()?;
+            for &row in idx.probe(&t.project(probe_keys)) {
+                let bt = &build_rel.tuples()[row as usize];
+                // Output columns are always left ++ right, whichever
+                // side was built.
+                out.push(if build_left {
+                    bt.concat(t)
+                } else {
+                    t.concat(bt)
+                })?;
+            }
+            Ok(())
+        })?;
+        if build.is_spilled() {
+            // The loaded copy was charged here; a resident input is
+            // released by whoever consumed it.
+            release_rel(ctx, &build_rel);
+        }
+        Ok(())
+    }
+}
+
+fn concat_schema(l: &Schema, r: &Schema) -> Schema {
+    let mut names: Vec<String> = l.columns().to_vec();
+    names.extend(r.columns().iter().cloned());
     Schema::from_columns("join", names)
 }
 
@@ -248,11 +311,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed input arity")]
-    fn too_many_keys_panics() {
+    fn too_many_keys_is_a_typed_error() {
+        // Library code runs on server pool workers: a caller-supplied
+        // key count must not be able to panic one.
         let l = rel("l", &[(1, 1)]);
         let r = rel("r", &[(2, 2)]);
-        let _ = merge_join(&l, &r, 3);
+        assert!(matches!(
+            merge_join(&l, &r, 9).unwrap_err(),
+            crate::EngineError::ColumnOutOfRange {
+                column: 2,
+                arity: 2,
+                ..
+            }
+        ));
     }
 
     #[test]
