@@ -116,8 +116,15 @@ impl<'a> Exec<'a> {
     /// On the parallel-collect route workers run the kernel over
     /// contiguous chunks into private collectors and the sink absorbs
     /// the chunks in order; otherwise this thread pushes through `sink`
-    /// itself, which may flush.
-    pub(crate) fn drive<K>(&self, input: &OpOut, sink: &mut Sink<'_>, kernel: K) -> Result<()>
+    /// itself, which may flush. `dense` says the kernel emits a row per
+    /// input row, so collectors are sized up front.
+    pub(crate) fn drive<K>(
+        &self,
+        input: &OpOut,
+        sink: &mut Sink<'_>,
+        dense: bool,
+        kernel: K,
+    ) -> Result<()>
     where
         K: Fn(&Tuple, &mut Sink<'_>) -> Result<()> + Sync,
     {
@@ -129,7 +136,8 @@ impl<'a> Exec<'a> {
                 ctx.note_workers(workers);
                 let chunks =
                     parallel::par_chunks(rel.tuples(), workers, |chunk| -> Result<Vec<Tuple>> {
-                        let mut out = Sink::new(ctx, "", width, None);
+                        let capacity = if dense { chunk.len() } else { 0 };
+                        let mut out = Sink::collector(ctx, width, capacity);
                         for t in chunk {
                             kernel(t, &mut out)?;
                         }
@@ -144,23 +152,18 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// A single-input row operator: drive `kernel` over `input` into a
-    /// fresh sink, release the consumed input, finish.
-    fn rows<K>(
-        &self,
-        op: &'static str,
-        input: OpOut,
-        schema: Schema,
-        sorted: bool,
-        kernel: K,
-    ) -> Result<OpOut>
+    /// A filtering row operator (keeps or drops each input row, so the
+    /// output stays sorted): drive `kernel` over `input` into a fresh
+    /// sink, release the consumed input, finish.
+    fn filter<K>(&self, op: &'static str, input: OpOut, kernel: K) -> Result<OpOut>
     where
         K: Fn(&Tuple, &mut Sink<'_>) -> Result<()> + Sync,
     {
+        let schema = input.schema().clone();
         let mut sink = self.sink(op, schema.arity());
-        self.drive(&input, &mut sink, kernel)?;
+        self.drive(&input, &mut sink, false, kernel)?;
         input.release(self.ctx);
-        sink.finish(schema, sorted)
+        sink.finish(schema, true)
     }
 
     /// The operator tree.
@@ -180,9 +183,7 @@ impl<'a> Exec<'a> {
                 ctx.enter("Select")?;
                 let child = self.eval(input, db)?;
                 check_predicates(predicates, child.arity(), "Select")?;
-                let schema = child.schema().clone();
-                // Filtering a sorted set preserves sortedness and dedup.
-                self.rows("select", child, schema, true, |t, out| {
+                self.filter("select", child, |t, out| {
                     ctx.tick()?;
                     if predicates.iter().all(|p| p.eval(t)) {
                         out.push(t.clone())?;
@@ -196,9 +197,10 @@ impl<'a> Exec<'a> {
                 let child = self.eval(input, db)?;
                 check_columns(cols, child.arity(), "Project")?;
                 let schema = Schema::from_columns("project", column_names(child.schema(), cols));
-                self.rows("project", child, schema, false, |t, out| {
-                    out.push(t.project(cols))
-                })
+                let mut sink = self.sink("project", cols.len());
+                self.drive(&child, &mut sink, true, |t, out| out.push(t.project(cols)))?;
+                child.release(ctx);
+                sink.finish(schema, false)
             }
 
             PhysicalPlan::HashJoin { left, right, keys } => {
@@ -206,10 +208,7 @@ impl<'a> Exec<'a> {
                 let l = self.eval(left, db)?;
                 let r = self.eval(right, db)?;
                 check_join_keys(keys, l.arity(), r.arity(), "HashJoin")?;
-                let out = self.join(&l, &r, keys)?;
-                l.release(ctx);
-                r.release(ctx);
-                Ok(out)
+                self.join(l, r, keys)
             }
 
             PhysicalPlan::AntiJoin { left, right, keys } => {
@@ -224,8 +223,7 @@ impl<'a> Exec<'a> {
                 let filter = r.load(ctx)?;
                 drop(r);
                 let idx = HashIndex::build(&filter, &rk);
-                let schema = l.schema().clone();
-                let out = self.rows("antijoin", l, schema, true, |t, out| {
+                let out = self.filter("antijoin", l, |t, out| {
                     ctx.tick()?;
                     if !idx.contains_key(&t.project(&lk)) {
                         out.push(t.clone())?;
@@ -248,7 +246,7 @@ impl<'a> Exec<'a> {
                 let mut sink = self.sink("union", arity);
                 let mut rest = rest.iter();
                 loop {
-                    self.drive(&child, &mut sink, |t, out| out.push(t.clone()))?;
+                    self.drive(&child, &mut sink, true, |t, out| out.push(t.clone()))?;
                     child.release(ctx);
                     let Some(plan) = rest.next() else { break };
                     child = self.eval(plan, db)?;
@@ -270,16 +268,14 @@ impl<'a> Exec<'a> {
                 if let Some(c) = agg.input_column() {
                     check_columns(&[c], arity, "Aggregate")?;
                 }
-                let out = self.aggregate(&child, group, *agg)?;
-                child.release(ctx);
-                Ok(out)
+                self.aggregate(child, group, *agg)
             }
         }
     }
 
-    /// Grouped aggregation. Output schema: group columns then the
-    /// aggregate column (named after the function).
-    fn aggregate(&self, child: &OpOut, group: &[usize], agg: AggFn) -> Result<OpOut> {
+    /// Grouped aggregation, consuming `child`. Output schema: group
+    /// columns then the aggregate column (named after the function).
+    fn aggregate(&self, child: OpOut, group: &[usize], agg: AggFn) -> Result<OpOut> {
         let ctx = self.ctx;
         let mut names = column_names(child.schema(), group);
         names.push(agg.name().to_lowercase());
@@ -318,8 +314,11 @@ impl<'a> Exec<'a> {
                     },
                     kernel: &mut |slice, sink| slice.iter().try_for_each(|part| fold(part, sink)),
                 }
-                .split(&[child], 0, &mut sink)?,
-                _ => fold(child, &mut sink)?,
+                .split(vec![child], 0, &mut sink)?,
+                _ => {
+                    fold(&child, &mut sink)?;
+                    child.release(ctx);
+                }
             }
         }
         sink.finish(schema, false)

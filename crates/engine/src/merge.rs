@@ -143,8 +143,13 @@ pub fn join_auto_with(
         right.schema().arity(),
         "HashJoin",
     )?;
+    // The caller's relations: borrowed for the join, not consumed.
     let (l, r) = (OpOut::Mem(left.clone()), OpOut::Mem(right.clone()));
-    Exec::collecting(ctx).join(&l, &r, keys)?.load(ctx)
+    let schema = concat_schema(left.schema(), right.schema());
+    let exec = Exec::collecting(ctx);
+    let mut sink = exec.sink("join", schema.arity());
+    exec.join_pair(&l, &r, keys, &mut sink)?;
+    sink.finish(schema, false)?.load(ctx)
 }
 
 /// Ungoverned [`join_auto_with`] (unbounded context).
@@ -153,39 +158,59 @@ pub fn join_auto(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -> 
 }
 
 impl Exec<'_> {
-    /// The `HashJoin` operator over validated `keys`: merge fast path
-    /// for resident inputs keyed on their leading columns, Grace
-    /// partitioning when an input arrives spilled, else one
-    /// build-and-probe.
-    pub(crate) fn join(&self, l: &OpOut, r: &OpOut, keys: &[(usize, usize)]) -> Result<OpOut> {
-        let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+    /// The `HashJoin` operator over validated `keys`, consuming both
+    /// inputs: Grace partitioning when one arrives spilled, else one
+    /// in-place join of the pair.
+    pub(crate) fn join(&self, l: OpOut, r: OpOut, keys: &[(usize, usize)]) -> Result<OpOut> {
         let schema = concat_schema(l.schema(), r.schema());
         let mut sink = self.sink("join", schema.arity());
-        match (&self.spill, l, r) {
-            (_, OpOut::Mem(l), OpOut::Mem(r)) if !keys.is_empty() && merge_joinable(keys) => {
-                merge_into(l, r, keys.len(), self.ctx, &mut sink)?
-            }
+        match &self.spill {
             // Partitioning by an empty key cannot split a cross product.
-            (Some(dir), ..) if !keys.is_empty() && (l.is_spilled() || r.is_spilled()) => Grace {
-                ctx: self.ctx,
-                dir,
-                inputs: &[("jpart-l", &lk), ("jpart-r", &rk)],
-                // The build side: the smaller partition of the pair.
-                state_bytes: &|slice| {
-                    slice
-                        .iter()
-                        .min_by_key(|p| p.rows_hint())
-                        .map_or(0, |p| p.rows_hint() * row_cost(p.arity()))
-                },
-                kernel: &mut |slice, sink| match slice {
-                    [l, r] => self.join_slice(l, r, &lk, &rk, sink),
-                    _ => Ok(()),
-                },
+            Some(dir) if !keys.is_empty() && (l.is_spilled() || r.is_spilled()) => {
+                let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+                Grace {
+                    ctx: self.ctx,
+                    dir,
+                    inputs: &[("jpart-l", &lk), ("jpart-r", &rk)],
+                    // The build side: the smaller partition of the pair.
+                    state_bytes: &|slice| {
+                        slice
+                            .iter()
+                            .min_by_key(|p| p.rows_hint())
+                            .map_or(0, |p| p.rows_hint() * row_cost(p.arity()))
+                    },
+                    kernel: &mut |slice, sink| match slice {
+                        [l, r] => self.join_slice(l, r, keys, sink),
+                        _ => Ok(()),
+                    },
+                }
+                .split(vec![l, r], 0, &mut sink)?
             }
-            .split(&[l, r], 0, &mut sink)?,
-            _ => self.join_slice(l, r, &lk, &rk, &mut sink)?,
+            _ => {
+                self.join_pair(&l, &r, keys, &mut sink)?;
+                l.release(self.ctx);
+                r.release(self.ctx);
+            }
         }
         sink.finish(schema, false)
+    }
+
+    /// Join one pair of inputs into `sink`: the merge fast path when
+    /// both are resident and keyed on their leading columns, else the
+    /// hash join.
+    fn join_pair(
+        &self,
+        l: &OpOut,
+        r: &OpOut,
+        keys: &[(usize, usize)],
+        sink: &mut Sink<'_>,
+    ) -> Result<()> {
+        match (l, r) {
+            (OpOut::Mem(l), OpOut::Mem(r)) if !keys.is_empty() && merge_joinable(keys) => {
+                merge_into(l, r, keys.len(), self.ctx, sink)
+            }
+            _ => self.join_slice(l, r, keys, sink),
+        }
     }
 
     /// The hash join's build-index-and-probe loop: hold the smaller
@@ -196,11 +221,11 @@ impl Exec<'_> {
         &self,
         l: &OpOut,
         r: &OpOut,
-        lk: &[usize],
-        rk: &[usize],
+        keys: &[(usize, usize)],
         sink: &mut Sink<'_>,
     ) -> Result<()> {
         let ctx = self.ctx;
+        let (lk, rk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
         let build_left = l.rows_hint() < r.rows_hint();
         let (build, build_keys, probe, probe_keys) = if build_left {
             (l, lk, r, rk)
@@ -208,10 +233,10 @@ impl Exec<'_> {
             (r, rk, l, lk)
         };
         let build_rel = build.load(ctx)?;
-        let idx = HashIndex::build(&build_rel, build_keys);
-        self.drive(probe, sink, |t, out| {
+        let idx = HashIndex::build(&build_rel, &build_keys);
+        self.drive(probe, sink, false, |t, out| {
             ctx.tick()?;
-            for &row in idx.probe(&t.project(probe_keys)) {
+            for &row in idx.probe(&t.project(&probe_keys)) {
                 let bt = &build_rel.tuples()[row as usize];
                 // Output columns are always left ++ right, whichever
                 // side was built.

@@ -161,7 +161,10 @@ impl OpOut {
         f: &mut dyn FnMut(&Tuple) -> Result<()>,
     ) -> Result<()> {
         match self {
-            OpOut::Mem(r) => r.iter().try_for_each(f),
+            OpOut::Mem(r) => r.iter().try_for_each(|t| {
+                ctx.tick()?;
+                f(t)
+            }),
             OpOut::Spilled(s) => s.runs.each_merged(ctx, f),
         }
     }
@@ -186,10 +189,10 @@ impl OpOut {
         }
     }
 
-    /// Release the live bytes of a fully consumed input. (Spilled runs
-    /// hold no live bytes; their files go when the value drops.)
-    pub(crate) fn release(&self, ctx: &ExecContext) {
-        if let OpOut::Mem(r) = self {
+    /// Release the live bytes of a fully consumed input and drop it.
+    /// (Spilled runs hold no live bytes; dropping removes their files.)
+    pub(crate) fn release(self, ctx: &ExecContext) {
+        if let OpOut::Mem(r) = &self {
             release_rel(ctx, r);
         }
     }
@@ -213,6 +216,7 @@ pub(crate) struct Sink<'a> {
 }
 
 impl<'a> Sink<'a> {
+    /// An operator's output sink; flush-capable when given a `dir`.
     pub(crate) fn new(
         ctx: &'a ExecContext,
         op: &'static str,
@@ -230,6 +234,17 @@ impl<'a> Sink<'a> {
             width,
             buf: Vec::new(),
             runs,
+        }
+    }
+
+    /// A parallel worker's private collector: charges and buffers, never
+    /// flushes; its rows go to the operator's sink via [`Sink::absorb`].
+    pub(crate) fn collector(ctx: &'a ExecContext, width: usize, capacity: usize) -> Sink<'a> {
+        Sink {
+            ctx,
+            width,
+            buf: Vec::with_capacity(capacity),
+            runs: None,
         }
     }
 
@@ -489,42 +504,45 @@ pub(crate) struct Grace<'a> {
 }
 
 impl Grace<'_> {
-    /// Partition `sources` (one per input, consumed in lockstep) with
-    /// `salt` and process each slice.
+    /// Partition `sources` (one per input) with `salt` and process each
+    /// slice. A source is done with once it is on disk: its live bytes
+    /// are released (or its files removed) before any slice runs, so the
+    /// slices get the headroom.
     pub(crate) fn split(
         &mut self,
-        sources: &[&OpOut],
+        sources: Vec<OpOut>,
         salt: u64,
         sink: &mut Sink<'_>,
     ) -> Result<()> {
         let mut parts = Vec::with_capacity(sources.len());
-        for (src, (tag, keys)) in sources.iter().zip(self.inputs) {
-            parts.push(partition(self.ctx, self.dir, tag, keys, salt, src)?.into_iter());
+        for (src, (tag, keys)) in sources.into_iter().zip(self.inputs) {
+            parts.push(partition(self.ctx, self.dir, tag, keys, salt, &src)?.into_iter());
+            src.release(self.ctx);
         }
         for _ in 0..N_PARTS {
             let slice: Vec<OpOut> = parts.iter_mut().filter_map(Iterator::next).collect();
-            self.slice(&slice, salt + 1, sink)?;
+            self.slice(slice, salt + 1, sink)?;
         }
         Ok(())
     }
 
     /// Run the kernel on one slice, repartitioning first (fresh salt)
     /// while its state would trip the budget.
-    fn slice(&mut self, slice: &[OpOut], depth: u64, sink: &mut Sink<'_>) -> Result<()> {
+    fn slice(&mut self, slice: Vec<OpOut>, depth: u64, sink: &mut Sink<'_>) -> Result<()> {
         // An empty partition joins to nothing and groups to nothing.
         if slice.iter().any(|p| p.rows_hint() == 0) {
             return Ok(());
         }
-        let bytes = (self.state_bytes)(slice);
+        let bytes = (self.state_bytes)(&slice);
         if self.ctx.mem_would_trip(bytes) {
             // Free the output sink's buffer first — the state deserves
             // the headroom, and the flush may make recursion unnecessary.
             sink.flush()?;
         }
         if depth < MAX_DEPTH && self.ctx.mem_would_trip(bytes) {
-            return self.split(&slice.iter().collect::<Vec<_>>(), depth, sink);
+            return self.split(slice, depth, sink);
         }
-        (self.kernel)(slice, sink)
+        (self.kernel)(&slice, sink)
     }
 }
 

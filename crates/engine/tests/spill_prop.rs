@@ -9,7 +9,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use qf_engine::{
-    env_mem_budget, execute, execute_with, AggFn, CmpOp, ExecContext, PhysicalPlan, Predicate,
+    env_mem_budget, execute, execute_with, row_cost, AggFn, CmpOp, ExecContext, PhysicalPlan,
+    Predicate,
 };
 use qf_storage::{Database, Relation, Schema, SpillDir, Value};
 
@@ -133,5 +134,37 @@ fn every_shape_spills_on_a_large_input() {
         let spilled = check_governed(&shape_plan(shape), &db, budget)
             .unwrap_or_else(|e| panic!("shape {shape}: {e:?}"));
         assert!(spilled > 0, "shape {shape} never spilled");
+    }
+}
+
+/// A resident Grace input is done with once it is partitioned to disk:
+/// its bytes are released before any slice runs. 20k distinct rows
+/// under a budget only 2 KB above the scan itself — a group map of one
+/// row per group cannot fit beside the scan, so the aggregate must
+/// partition the scan, let go of it, and fold the slices in the room
+/// that frees. (Holding the scan through the slices fails outright at
+/// this headroom, and at 20 KB degenerates into hundreds of tiny runs.)
+#[test]
+fn grace_releases_a_resident_input_once_partitioned() {
+    let rows: Vec<(i64, i64)> = (0..20_000).map(|i| (i, i % 7)).collect();
+    let db = db2(&rows, &[]);
+    let plan = PhysicalPlan::aggregate(
+        PhysicalPlan::aggregate(PhysicalPlan::scan("l"), vec![0, 1], AggFn::Count),
+        vec![],
+        AggFn::Count,
+    );
+    let expected = execute(&plan, &db).unwrap();
+    for headroom in [2u64 << 10, 20 << 10] {
+        let ctx = ExecContext::unbounded()
+            .with_mem_budget(rows.len() as u64 * row_cost(2) + headroom)
+            .with_threads(1)
+            .with_spill(Arc::new(SpillDir::create_temp().unwrap()));
+        let got =
+            execute_with(&plan, &db, &ctx).unwrap_or_else(|e| panic!("headroom {headroom}: {e}"));
+        assert_eq!(got.tuples(), expected.tuples());
+        let stats = ctx.stats();
+        assert!(stats.spilled_bytes > 0, "{stats:?}");
+        assert!(stats.spills <= 16, "headroom {headroom}: {stats:?}");
+        assert_eq!(stats.spill_files_live, 0, "{stats:?}");
     }
 }
