@@ -21,7 +21,7 @@ use qf_engine::{
     order_greedy, order_optimal_dp, AggFn, CmpOp, JoinGraph, JoinNode, Operand, PhysicalPlan,
     Predicate,
 };
-use qf_storage::{Database, Symbol};
+use qf_storage::Database;
 
 use crate::error::{FlockError, Result};
 use crate::filter::{FilterAgg, FilterCondition};
@@ -71,6 +71,23 @@ impl Binding {
 
     pub(crate) fn binds_all(&self, terms: &[Term]) -> bool {
         terms.iter().all(|&t| self.col_of(t).is_some())
+    }
+
+    /// Bind `leaf`'s open terms to its columns, which start at column
+    /// `offset` of the running intermediate.
+    pub(crate) fn bind_leaf(&mut self, leaf: &Leaf, offset: usize) {
+        for (col, term) in leaf.terms.iter().enumerate() {
+            if let Some(t) = term {
+                self.bind(*t, offset + col);
+            }
+        }
+    }
+
+    /// Equi-join keys `(bound column, leaf column)`: one per leaf column
+    /// whose term the running intermediate already binds.
+    pub(crate) fn join_keys(&self, leaf: &Leaf) -> Vec<(usize, usize)> {
+        let key = |(col, term): (usize, &Option<Term>)| Some((self.col_of((*term)?)?, col));
+        leaf.terms.iter().enumerate().filter_map(key).collect()
     }
 }
 
@@ -171,70 +188,49 @@ pub(crate) fn atom_order(
     }
 }
 
-/// Compile one rule into a plan producing its distinct
-/// `(params…, head vars…)` tuples. Parameters are sorted by name; head
-/// variables follow in head-argument order.
-pub fn compile_rule(
+/// The body walk of one rule: positive subgoals joined in `strategy`
+/// order, negations and comparisons applied as soon as their terms are
+/// bound — **no projection**. Leaves select but never project and a
+/// join concatenates its inputs, so the output rows are 1-1 with the
+/// rule's derivations (one base tuple per positive subgoal); the
+/// returned [`Binding`] says which column holds each open term.
+pub(crate) fn compile_body(
     rule: &ConjunctiveQuery,
     db: &Database,
     strategy: JoinOrderStrategy,
-) -> Result<CompiledRule> {
+) -> Result<(PhysicalPlan, Binding)> {
     let positive: Vec<&Atom> = rule.positive_atoms().collect();
-    if positive.is_empty() {
+    let order = atom_order(&positive, db, strategy);
+    let Some((&first, rest)) = order.split_first() else {
         return Err(FlockError::IllegalPlan {
             detail: format!("rule `{rule}` has no positive subgoals to scan"),
         });
-    }
-    let order = atom_order(&positive, db, strategy);
+    };
 
     // Pending work: negations and comparisons applied once bound.
     let mut pending_neg: Vec<&Atom> = rule.negated_atoms().collect();
     let mut pending_cmp: Vec<_> = rule.comparisons().collect();
 
+    let leaf = build_leaf(positive[first]);
     let mut binding = Binding::default();
-    let mut current: Option<PhysicalPlan> = None;
-    let mut width = 0usize;
-
-    for &ai in &order {
-        let atom = positive[ai];
-        let leaf = build_leaf(atom);
-        match current.take() {
-            None => {
-                for (col, term) in leaf.terms.iter().enumerate() {
-                    if let Some(t) = term {
-                        binding.bind(*t, col);
-                    }
-                }
-                width = atom.arity();
-                current = Some(leaf.plan);
-            }
-            Some(cur) => {
-                // Join keys: terms bound on both sides.
-                let mut keys = Vec::new();
-                for (col, term) in leaf.terms.iter().enumerate() {
-                    if let Some(t) = term {
-                        if let Some(lc) = binding.col_of(*t) {
-                            keys.push((lc, col));
-                        }
-                    }
-                }
-                let joined = PhysicalPlan::hash_join(cur, leaf.plan, keys);
-                for (col, term) in leaf.terms.iter().enumerate() {
-                    if let Some(t) = term {
-                        binding.bind(*t, width + col);
-                    }
-                }
-                width += atom.arity();
-                current = Some(joined);
-            }
-        }
+    binding.bind_leaf(&leaf, 0);
+    let mut width = positive[first].arity();
+    let mut plan = apply_pending(leaf.plan, &binding, &mut pending_neg, &mut pending_cmp);
+    for &ai in rest {
+        let leaf = build_leaf(positive[ai]);
+        // Join keys: terms bound on both sides.
+        let keys = binding.join_keys(&leaf);
+        binding.bind_leaf(&leaf, width);
+        width += positive[ai].arity();
         // Apply everything now bound.
-        let plan = current.take().unwrap();
-        let plan = apply_pending(plan, &binding, &mut pending_neg, &mut pending_cmp);
-        current = Some(plan);
+        plan = apply_pending(
+            PhysicalPlan::hash_join(plan, leaf.plan, keys),
+            &binding,
+            &mut pending_neg,
+            &mut pending_cmp,
+        );
     }
 
-    let mut plan = current.expect("at least one positive atom");
     if !pending_neg.is_empty() || !pending_cmp.is_empty() {
         // Safety guarantees full binding; reaching here means the rule
         // was not safety-checked.
@@ -244,29 +240,44 @@ pub fn compile_rule(
             ),
         });
     }
+    Ok((plan, binding))
+}
 
+/// The extended-answer columns of a body-walk row: parameters sorted by
+/// name, then the head's terms in head order.
+pub(crate) fn answer_columns(rule: &ConjunctiveQuery, binding: &Binding) -> Result<Vec<usize>> {
+    let unbound = |what: String| FlockError::UnsafeQuery {
+        violation: format!("{what} is not bound by a positive subgoal"),
+    };
+    let params = rule.params().into_iter().map(|p| {
+        binding
+            .col_of(Term::Param(p))
+            .ok_or_else(|| unbound(format!("parameter ${p}")))
+    });
+    let head = rule.head.args.iter().map(|&t| {
+        binding
+            .col_of(t)
+            .ok_or_else(|| unbound(format!("head term {t}")))
+    });
+    params.chain(head).collect()
+}
+
+/// Compile one rule into a plan producing its distinct
+/// `(params…, head vars…)` tuples. Parameters are sorted by name; head
+/// variables follow in head-argument order.
+pub fn compile_rule(
+    rule: &ConjunctiveQuery,
+    db: &Database,
+    strategy: JoinOrderStrategy,
+) -> Result<CompiledRule> {
+    let (body, binding) = compile_body(rule, db, strategy)?;
     // Final projection: parameters sorted by name, then head vars.
-    let params: Vec<Symbol> = rule.params().into_iter().collect();
-    let mut cols = Vec::with_capacity(params.len() + rule.head.arity());
-    for &p in &params {
-        cols.push(
-            binding
-                .col_of(Term::Param(p))
-                .ok_or_else(|| FlockError::UnsafeQuery {
-                    violation: format!("parameter ${p} is not bound by a positive subgoal"),
-                })?,
-        );
-    }
-    for &t in &rule.head.args {
-        cols.push(binding.col_of(t).ok_or_else(|| FlockError::UnsafeQuery {
-            violation: format!("head term {t} is not bound by a positive subgoal"),
-        })?);
-    }
-    plan = PhysicalPlan::project(plan, cols);
+    let cols = answer_columns(rule, &binding)?;
+    let n_head = rule.head.arity();
     Ok(CompiledRule {
-        plan,
-        n_params: params.len(),
-        n_head: rule.head.arity(),
+        n_params: cols.len() - n_head,
+        n_head,
+        plan: PhysicalPlan::project(body, cols),
     })
 }
 
@@ -311,12 +322,7 @@ fn apply_pending(
             .collect();
         if binding.binds_all(&open) {
             let leaf = build_leaf(atom);
-            let mut keys = Vec::new();
-            for (col, term) in leaf.terms.iter().enumerate() {
-                if let Some(t) = term {
-                    keys.push((binding.col_of(*t).unwrap(), col));
-                }
-            }
+            let keys = binding.join_keys(&leaf);
             plan = PhysicalPlan::anti_join(plan, leaf.plan, keys);
             pending_neg.swap_remove(i);
         } else {

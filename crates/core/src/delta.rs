@@ -18,6 +18,23 @@
 //! `J(R_new) − J(R_old)` as a bag of derivations; insertions are
 //! applied first so multiplicities never go transiently negative.
 //!
+//! There is **one join engine**. Every such join — the full body that
+//! seeds a view and each telescoped term — is "the rule body with
+//! positive occurrence *i* reading source *Sᵢ*": the sources go into a
+//! scratch catalog under the reserved names `__delta_0`, `__delta_1`, …
+//! ([`Relation::renamed`] shares tuples and memoized statistics), the
+//! renamed body is compiled by [`compile_body`] — the same leaf →
+//! hash-join → selection walk every cold evaluation uses, *without* its
+//! final projection — and run by [`qf_engine::execute_with`]. The
+//! engine has set semantics, so the derivation counts are taken from
+//! that un-projected relation: its rows are 1-1 with the choices of one
+//! base tuple per subgoal, whereas the projected (deduplicated) answer
+//! has forgotten how many derivations each tuple has.
+//!
+//! A view is **seeded lazily**: [`FlockDelta::new`] evaluates nothing,
+//! and the first [`apply`](FlockDelta::apply) that touches the view
+//! seeds it from the post-batch catalog instead of joining deltas.
+//!
 //! The maintained view is *unfiltered* (the engine's vacuous baseline):
 //! its [`scored_relation`](FlockDelta::scored_relation) therefore
 //! answers any same-direction threshold by re-filtering, exactly like a
@@ -27,32 +44,29 @@
 //! [`apply`](FlockDelta::apply) means the view must be discarded (the
 //! caller recomputes), never served.
 
-use std::collections::BTreeSet;
+use qf_datalog::{ConjunctiveQuery, Literal};
+use qf_engine::{execute_with, AggFn, EngineError, ExecContext, GroupAggView};
+use qf_storage::{Database, Relation, Schema, Symbol, Tuple};
 
-use qf_datalog::{Atom, Comparison, ConjunctiveQuery, Term};
-use qf_engine::{AggFn, EngineError, GroupAggView, Resource};
-use qf_storage::{Database, Relation, Schema, Tuple, Value};
-
-use crate::compile::filter_agg_fn;
+use crate::compile::{answer_columns, compile_body, filter_agg_fn, JoinOrderStrategy};
 use crate::error::{FlockError, Result};
 use crate::flock::QueryFlock;
 
-/// Budgets for building and maintaining one delta view. Both exist so
-/// a pathological flock (huge unfiltered answer, explosive delta join)
+/// The budget for seeding and maintaining one delta view, so that a
+/// pathological flock (huge unfiltered answer, explosive delta join)
 /// degrades to "not maintained" instead of stalling ingest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaLimits {
-    /// Cap on live distinct extended-answer tuples kept in the view.
+    /// Cap on live distinct extended-answer tuples kept in the view,
+    /// and on the derivations any one operator of a delta plan may emit
+    /// (the plan's row budget is sized from it and the inputs).
     pub max_tuples: usize,
-    /// Cap on tuple visits per build or per applied batch.
-    pub max_work: u64,
 }
 
 impl Default for DeltaLimits {
     fn default() -> Self {
         DeltaLimits {
             max_tuples: 1 << 18,
-            max_work: 1 << 24,
         }
     }
 }
@@ -67,16 +81,17 @@ pub struct DeltaApply {
 /// Incrementally-maintained scored state for one cached flock.
 #[derive(Clone, Debug)]
 pub struct FlockDelta {
-    rule: ConjunctiveQuery,
+    /// The flock's rule with its `i`-th positive subgoal renamed to the
+    /// scratch relation `__delta_i`, so each occurrence of a relation
+    /// can read a different source.
+    body: ConjunctiveQuery,
+    /// The base relation each positive subgoal reads, in body order
+    /// (maintenance triggers).
+    preds: Vec<&'static str>,
     n_params: usize,
-    /// Output row layout: parameters sorted by name, then the head's
-    /// argument terms in head order — the extended-answer column order
-    /// the compiled plan produces.
-    layout: Vec<Term>,
-    /// Base relations the rule reads (maintenance triggers).
-    preds: BTreeSet<String>,
     agg: AggFn,
-    view: GroupAggView,
+    /// `None` until the first touching batch seeds it.
+    view: Option<GroupAggView>,
 }
 
 impl FlockDelta {
@@ -86,67 +101,62 @@ impl FlockDelta {
     /// *create* derivations, which the counting scheme does not model),
     /// and at least one parameter (parameterless flocks hit the
     /// engine's empty-input aggregate special case instead of grouped
-    /// aggregation). Comparisons are fine: they are evaluated during
-    /// delta enumeration.
+    /// aggregation). Comparisons are fine: they are selections of the
+    /// delta plan.
     pub fn maintainable(flock: &QueryFlock) -> bool {
-        match flock.single_rule() {
-            Some(rule) => rule.negated_atoms().next().is_none() && !rule.params().is_empty(),
-            None => false,
-        }
+        Self::gate(flock).is_some()
     }
 
-    /// Build the view from scratch over `db` by enumerating every
-    /// valuation of the rule body. This is the one full evaluation the
-    /// view ever pays; afterwards only deltas are joined.
-    pub fn build(flock: &QueryFlock, db: &Database, limits: &DeltaLimits) -> Result<FlockDelta> {
-        if !Self::maintainable(flock) {
+    /// The rule of a maintainable flock.
+    fn gate(flock: &QueryFlock) -> Option<&ConjunctiveQuery> {
+        flock
+            .single_rule()
+            .filter(|rule| rule.negated_atoms().next().is_none() && !rule.params().is_empty())
+    }
+
+    /// Maintenance state for `flock`, **unseeded**: the gate and the
+    /// output layout are decided here and nothing is evaluated. The
+    /// first [`apply`](FlockDelta::apply) that touches it pays the one
+    /// full evaluation.
+    pub fn new(flock: &QueryFlock) -> Result<FlockDelta> {
+        let Some(rule) = Self::gate(flock) else {
             return Err(delta_gate("flock is not delta-maintainable"));
-        }
-        let rule = flock.single_rule().expect("gate checked").clone();
-        let params: Vec<_> = rule.params().into_iter().collect();
-        let n_params = params.len();
-        let mut layout: Vec<Term> = params.into_iter().map(Term::Param).collect();
-        layout.extend(rule.head.args.iter().copied());
-        let agg = filter_agg_fn(flock.filter(), &rule, n_params)?;
-        let view = GroupAggView::new(n_params, agg, limits.max_tuples)?;
-        let preds: BTreeSet<String> = rule
-            .positive_atoms()
-            .map(|a| a.pred.as_str().to_string())
-            .collect();
-        let mut this = FlockDelta {
-            rule,
-            n_params,
-            layout,
-            preds,
-            agg,
-            view,
         };
-        let atoms: Vec<&Atom> = this.rule.positive_atoms().collect();
-        let sources: Vec<&[Tuple]> = atoms
-            .iter()
-            .map(|a| relation_tuples(db, a.pred.as_str()))
-            .collect();
-        let ctx = EnumCtx::new(&atoms, &sources, &this.rule, &this.layout, limits.max_work)?;
-        let mut work = 0u64;
-        let mut env = Vec::new();
-        let agg = this.agg;
-        let view = &mut this.view;
-        enumerate(&ctx, 0, &mut env, &mut work, &mut |row| {
-            check_weight(agg, &row)?;
-            view.insert(&row)?;
-            Ok(())
-        })?;
+        let n_params = rule.params().len();
+        let agg = filter_agg_fn(flock.filter(), rule, n_params)?;
+        let mut body = rule.clone();
+        let mut preds = Vec::new();
+        for literal in &mut body.body {
+            if let Literal::Pos(atom) = literal {
+                let scratch = Symbol::intern(&format!("__delta_{}", preds.len()));
+                preds.push(std::mem::replace(&mut atom.pred, scratch).as_str());
+            }
+        }
+        Ok(FlockDelta {
+            body,
+            preds,
+            n_params,
+            agg,
+            view: None,
+        })
+    }
+
+    /// [`new`](FlockDelta::new) seeded from `db` right away.
+    pub fn build(flock: &QueryFlock, db: &Database, limits: &DeltaLimits) -> Result<FlockDelta> {
+        let mut this = FlockDelta::new(flock)?;
+        this.seed(db, limits)?;
         Ok(this)
     }
 
     /// Does an update to `rel` affect this view?
     pub fn touches(&self, rel: &str) -> bool {
-        self.preds.contains(rel)
+        self.preds.contains(&rel)
     }
 
     /// Maintain the view across one batch that changed `rel` from
     /// `old` to `new`. `db` is the post-batch catalog (every relation
-    /// other than `rel` is read from it unchanged).
+    /// other than `rel` is read from it unchanged). An unseeded view is
+    /// seeded from `db` instead — the state the deltas would lead to.
     ///
     /// On `Err` the view is in an undefined intermediate state and
     /// MUST be discarded — the caller falls back to recomputation.
@@ -161,53 +171,35 @@ impl FlockDelta {
         if !self.touches(rel) {
             return Ok(DeltaApply::default());
         }
-        let (added, removed) = diff_sorted(old.tuples(), new.tuples());
-        if added.is_empty() && removed.is_empty() {
+        let agg = self.agg;
+        let Some(view) = self.view.as_mut() else {
+            self.seed(db, limits)?;
             return Ok(DeltaApply::default());
-        }
-        let atoms: Vec<&Atom> = self.rule.positive_atoms().collect();
-        let occs: Vec<usize> = atoms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.pred.as_str() == rel)
-            .map(|(i, _)| i)
-            .collect();
-        let mut work = 0u64;
+        };
+        let (added, removed) = diff_sorted(old.tuples(), new.tuples());
+        // Every occurrence reading the post-batch catalog: the part of
+        // each telescoped term at and before its Δ occurrence.
+        let current = sources(&self.body, &self.preds, db);
         // Insertions first: a derivation both telescopes mention (one
         // with an added tuple, one with a removed tuple) must gain its
         // multiplicity before losing it.
-        for delta in [&added, &removed] {
-            let inserting = std::ptr::eq(delta, &added);
+        for (delta, inserting) in [(added, true), (removed, false)] {
             if delta.is_empty() {
                 continue;
             }
-            for (k, &occ) in occs.iter().enumerate() {
-                let sources: Vec<&[Tuple]> = atoms
+            let delta = Relation::from_sorted_dedup(new.schema().clone(), delta);
+            for occ in (0..current.len()).filter(|&occ| self.preds[occ] == rel) {
+                // Earlier occurrences read the new state, later ones
+                // the old — the telescoping sum.
+                let term = current
                     .iter()
                     .enumerate()
-                    .map(|(j, a)| {
-                        if j == occ {
-                            delta.as_slice()
-                        } else if a.pred.as_str() == rel {
-                            // Earlier occurrences read the new state,
-                            // later ones the old — the telescoping sum.
-                            let before = occs[..k].contains(&j);
-                            if before {
-                                new.tuples()
-                            } else {
-                                old.tuples()
-                            }
-                        } else {
-                            relation_tuples(db, a.pred.as_str())
-                        }
-                    })
-                    .collect();
-                let ctx =
-                    EnumCtx::new(&atoms, &sources, &self.rule, &self.layout, limits.max_work)?;
-                let mut env = Vec::new();
-                let agg = self.agg;
-                let view = &mut self.view;
-                enumerate(&ctx, 0, &mut env, &mut work, &mut |row| {
+                    .map(|(j, cur)| match j.cmp(&occ) {
+                        std::cmp::Ordering::Equal => delta.clone(),
+                        std::cmp::Ordering::Greater if self.preds[j] == rel => old.clone(),
+                        _ => cur.clone(),
+                    });
+                derivations(&self.body, term.collect(), limits, |row| {
                     if inserting {
                         check_weight(agg, &row)?;
                         view.insert(&row)?;
@@ -219,33 +211,105 @@ impl FlockDelta {
             }
         }
         Ok(DeltaApply {
-            recheck_tuples: self.view.take_recheck_tuples(),
+            recheck_tuples: view.take_recheck_tuples(),
         })
+    }
+
+    /// The one full evaluation the view ever pays: every derivation of
+    /// the rule body over `db`; afterwards only deltas are joined.
+    fn seed(&mut self, db: &Database, limits: &DeltaLimits) -> Result<()> {
+        let mut view = GroupAggView::new(self.n_params, self.agg, limits.max_tuples)?;
+        let all = sources(&self.body, &self.preds, db);
+        derivations(&self.body, all, limits, |row| {
+            check_weight(self.agg, &row)?;
+            Ok(view.insert(&row)?)
+        })?;
+        self.view = Some(view);
+        Ok(())
     }
 
     /// The full unfiltered scored relation the view currently holds —
     /// bitwise what `execute_plan_scored_with` under a
     /// [vacuous](crate::vacuous_filter) baseline would recompute.
     pub fn scored_relation(&self, param_names: &[String]) -> Result<Relation> {
+        let view = self
+            .view
+            .as_ref()
+            .ok_or_else(|| delta_gate("view read before a batch seeded it"))?;
         let mut columns: Vec<String> = param_names.to_vec();
         columns.push("agg".to_string());
         // Rows come out keyed by distinct group prefixes in BTreeMap
         // order, so they are already sorted and deduplicated.
         Ok(Relation::from_sorted_dedup(
             Schema::from_columns("scored_result", columns),
-            self.view.scored()?,
+            view.scored()?,
         ))
     }
 
-    /// Live distinct extended-answer tuples held (memory accounting).
+    /// Live distinct extended-answer tuples held (memory accounting);
+    /// 0 while unseeded.
     pub fn live_tuples(&self) -> usize {
-        self.view.live_tuples()
+        self.view.as_ref().map_or(0, GroupAggView::live_tuples)
     }
 
     /// Number of parameter (group-key) columns in the scored output.
     pub fn n_params(&self) -> usize {
         self.n_params
     }
+}
+
+/// The one evaluator: the rule body with its `i`-th positive subgoal
+/// reading `sources[i]`, compiled onto the operator tree and run under
+/// a governor; `each` receives one extended-answer row per derivation.
+///
+/// The plan's row budget is sized from the inputs: every source is
+/// scanned and at most re-selected once (`2 ×` its rows), and each
+/// operator above the leaves — one join per further subgoal, one
+/// selection per comparison, `body.len() − 1` in a negation-free body —
+/// may emit up to `max_tuples` derivations. An explosive join therefore
+/// fails typed ([`EngineError::ResourceExhausted`]), like the view's
+/// own cap. The mutation path holds no thread grant: one thread.
+fn derivations(
+    body: &ConjunctiveQuery,
+    sources: Vec<Relation>,
+    limits: &DeltaLimits,
+    mut each: impl FnMut(Tuple) -> Result<()>,
+) -> Result<()> {
+    let mut scratch = Database::new();
+    let mut scanned = 0u64;
+    for (atom, source) in body.positive_atoms().zip(&sources) {
+        scanned += source.len() as u64;
+        scratch.insert(source.renamed(atom.pred.as_str()));
+    }
+    let (plan, binding) = compile_body(body, &scratch, JoinOrderStrategy::Greedy)?;
+    let cols = answer_columns(body, &binding)?;
+    let above_leaves = body.body.len().saturating_sub(1) as u64;
+    let budget =
+        (2 * scanned).saturating_add(above_leaves.saturating_mul(limits.max_tuples as u64));
+    let ctx = ExecContext::unbounded()
+        .with_threads(1)
+        .with_max_rows(budget);
+    execute_with(&plan, &scratch, &ctx)?
+        .iter()
+        .try_for_each(|row| each(row.project(&cols)))
+}
+
+/// What each positive subgoal reads in `db`, in body order. An absent
+/// relation reads as empty at the subgoal's arity (the catalog may
+/// simply not have loaded a subgoal's data yet).
+fn sources(body: &ConjunctiveQuery, preds: &[&str], db: &Database) -> Vec<Relation> {
+    let absent = |pred: &str, arity: usize| {
+        let columns = (0..arity).map(|c| format!("c{c}")).collect();
+        Relation::empty(Schema::from_columns(pred, columns))
+    };
+    body.positive_atoms()
+        .zip(preds)
+        .map(|(atom, pred)| {
+            db.get(pred)
+                .cloned()
+                .unwrap_or_else(|_| absent(pred, atom.arity()))
+        })
+        .collect()
 }
 
 /// Reject a negative weight entering a maintained SUM: a cold
@@ -268,15 +332,6 @@ fn delta_gate(detail: &str) -> FlockError {
     FlockError::Engine(EngineError::DeltaInvariant {
         detail: detail.to_string(),
     })
-}
-
-/// A relation's tuples, with absent relations read as empty (the
-/// catalog may simply not have loaded a subgoal's data yet).
-fn relation_tuples<'a>(db: &'a Database, name: &str) -> &'a [Tuple] {
-    match db.get(name) {
-        Ok(rel) => rel.tuples(),
-        Err(_) => &[],
-    }
 }
 
 /// Set-difference both ways over sorted, deduplicated tuple slices:
@@ -305,119 +360,6 @@ fn diff_sorted(old: &[Tuple], new: &[Tuple]) -> (Vec<Tuple>, Vec<Tuple>) {
     (added, removed)
 }
 
-/// Immutable context for one nested-loop enumeration of the rule body.
-struct EnumCtx<'a> {
-    atoms: &'a [&'a Atom],
-    sources: &'a [&'a [Tuple]],
-    /// Comparisons checkable once atoms `0..=level` are bound, indexed
-    /// by level — each comparison is tested exactly once, as early as
-    /// its terms allow.
-    cmp_at: Vec<Vec<&'a Comparison>>,
-    layout: &'a [Term],
-    max_work: u64,
-}
-
-impl<'a> EnumCtx<'a> {
-    fn new(
-        atoms: &'a [&'a Atom],
-        sources: &'a [&'a [Tuple]],
-        rule: &'a ConjunctiveQuery,
-        layout: &'a [Term],
-        max_work: u64,
-    ) -> Result<EnumCtx<'a>> {
-        let mut cmp_at: Vec<Vec<&Comparison>> = vec![Vec::new(); atoms.len()];
-        for c in rule.comparisons() {
-            let level = c
-                .terms()
-                .map(|t| {
-                    atoms
-                        .iter()
-                        .position(|a| a.args.contains(&t))
-                        .ok_or_else(|| {
-                            delta_gate(&format!("comparison term {t} bound by no positive atom"))
-                        })
-                })
-                .try_fold(0usize, |acc, l| l.map(|l| acc.max(l)))?;
-            cmp_at[level].push(c);
-        }
-        Ok(EnumCtx {
-            atoms,
-            sources,
-            cmp_at,
-            layout,
-            max_work,
-        })
-    }
-}
-
-/// A binding environment: term → value, scoped by truncation.
-type Env = Vec<(Term, Value)>;
-
-fn lookup(env: &Env, term: Term) -> Option<Value> {
-    if let Term::Const(v) = term {
-        return Some(v);
-    }
-    env.iter().find(|(t, _)| *t == term).map(|&(_, v)| v)
-}
-
-/// Recursive nested-loop join over the body atoms in written order,
-/// feeding each complete valuation's extended-answer row to `sink`.
-fn enumerate(
-    ctx: &EnumCtx<'_>,
-    level: usize,
-    env: &mut Env,
-    work: &mut u64,
-    sink: &mut dyn FnMut(Tuple) -> Result<()>,
-) -> Result<()> {
-    if level == ctx.atoms.len() {
-        let mut row = Vec::with_capacity(ctx.layout.len());
-        for &t in ctx.layout {
-            row.push(
-                lookup(env, t).ok_or_else(|| {
-                    delta_gate(&format!("output term {t} unbound by the rule body"))
-                })?,
-            );
-        }
-        return sink(Tuple::from(row));
-    }
-    let atom = ctx.atoms[level];
-    let source = ctx.sources[level];
-    'tuples: for tuple in source {
-        *work += 1;
-        if *work > ctx.max_work {
-            return Err(FlockError::Engine(EngineError::ResourceExhausted {
-                resource: Resource::Rows,
-                limit: ctx.max_work,
-                observed: *work,
-            }));
-        }
-        let mark = env.len();
-        for (i, &arg) in atom.args.iter().enumerate() {
-            let v = tuple.get(i);
-            match lookup(env, arg) {
-                Some(bound) if bound == v => {}
-                Some(_) => {
-                    env.truncate(mark);
-                    continue 'tuples;
-                }
-                None => env.push((arg, v)),
-            }
-        }
-        let holds =
-            ctx.cmp_at[level]
-                .iter()
-                .all(|c| match (lookup(env, c.lhs), lookup(env, c.rhs)) {
-                    (Some(a), Some(b)) => c.op.eval(a.cmp(&b)),
-                    _ => false,
-                });
-        if holds {
-            enumerate(ctx, level + 1, env, work, sink)?;
-        }
-        env.truncate(mark);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,6 +369,7 @@ mod tests {
     use crate::program::FlockProgram;
     use crate::shard::vacuous_filter;
     use qf_engine::ExecContext;
+    use qf_storage::Value;
 
     fn parse(text: &str) -> QueryFlock {
         FlockProgram::parse(text).unwrap().flock().clone()
@@ -590,10 +533,7 @@ mod tests {
     fn work_budget_is_a_typed_resource_error() {
         let flock = parse(FREQ);
         let db = baskets(&[(1, 10), (1, 20), (2, 10), (3, 10), (3, 30)]);
-        let tight = DeltaLimits {
-            max_tuples: 1 << 18,
-            max_work: 2,
-        };
+        let tight = DeltaLimits { max_tuples: 2 };
         let err = FlockDelta::build(&flock, &db, &tight).unwrap_err();
         assert!(
             matches!(
@@ -602,5 +542,47 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn explosive_delta_join_trips_the_plan_row_budget() {
+        // 40 x 40 pairs share basket 1: 1600 derivations at the join,
+        // far over 2 x 40 scanned rows + 2 operators x 8 — the plan's
+        // input-sized budget trips inside the engine, before the view's
+        // own cap is ever consulted.
+        let flock = parse(
+            "QUERY:\nanswer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2\nFILTER:\nCOUNT(answer.B) >= 1",
+        );
+        let rows: Vec<(i64, i64)> = (0..40).map(|i| (1, i)).collect();
+        let err =
+            FlockDelta::build(&flock, &baskets(&rows), &DeltaLimits { max_tuples: 8 }).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlockError::Engine(EngineError::ResourceExhausted { limit: 176, .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn new_evaluates_nothing_and_the_first_touch_seeds() {
+        let flock = parse(FREQ);
+        let mut delta = FlockDelta::new(&flock).unwrap();
+        assert_eq!(delta.live_tuples(), 0);
+        assert!(delta.scored_relation(&flock.param_names()).is_err());
+        // A batch on an unrelated relation leaves it unseeded.
+        let db = baskets(&[(1, 10), (1, 20), (2, 10)]);
+        let rel = db.get("baskets").unwrap();
+        let limits = DeltaLimits::default();
+        delta.apply("other", rel, rel, &db, &limits).unwrap();
+        assert_eq!(delta.live_tuples(), 0);
+        // The first touching batch seeds from the post-batch catalog,
+        // whatever the pre-image was.
+        let empty = Relation::empty(rel.schema().clone());
+        delta.apply("baskets", &empty, rel, &db, &limits).unwrap();
+        assert_eq!(delta.live_tuples(), 3);
+        let scored = delta.scored_relation(&flock.param_names()).unwrap();
+        assert_eq!(scored.tuples(), cold_scored(&flock, &db).tuples());
     }
 }

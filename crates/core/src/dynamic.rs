@@ -190,30 +190,13 @@ pub fn evaluate_dynamic_with(
 
         current = Some(match current.take() {
             None => {
-                for (col, term) in leaf.terms.iter().enumerate() {
-                    if let Some(t) = term {
-                        binding.bind(*t, col);
-                    }
-                }
+                binding.bind_leaf(&leaf, 0);
                 leaf_rel
             }
             Some(cur) => {
-                let mut keys = Vec::new();
-                let width = cur.schema().arity();
-                for (col, term) in leaf.terms.iter().enumerate() {
-                    if let Some(t) = term {
-                        if let Some(lc) = binding.col_of(*t) {
-                            keys.push((lc, col));
-                        }
-                    }
-                }
-                let joined = join_materialized(&cur, &leaf_rel, &keys, ctx)?;
-                for (col, term) in leaf.terms.iter().enumerate() {
-                    if let Some(t) = term {
-                        binding.bind(*t, width + col);
-                    }
-                }
-                joined
+                let keys = binding.join_keys(&leaf);
+                binding.bind_leaf(&leaf, cur.schema().arity());
+                join_materialized(&cur, &leaf_rel, &keys, ctx)?
             }
         });
 
@@ -474,14 +457,7 @@ fn apply_pending_materialized<'a>(
         if binding.binds_all(&open) {
             let leaf = build_leaf(atom);
             let leaf_rel = execute_with(&leaf.plan, db, ctx)?;
-            let mut lk = Vec::new();
-            let mut rk = Vec::new();
-            for (col, term) in leaf.terms.iter().enumerate() {
-                if let Some(t) = term {
-                    lk.push(binding.col_of(*t).unwrap());
-                    rk.push(col);
-                }
-            }
+            let (lk, rk): (Vec<usize>, Vec<usize>) = binding.join_keys(&leaf).into_iter().unzip();
             let idx = HashIndex::build(&leaf_rel, &rk);
             let tuples: Vec<Tuple> = cur
                 .iter()

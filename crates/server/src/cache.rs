@@ -67,12 +67,14 @@ pub struct CachedResult {
     pub scored: Relation,
     /// Strategy label of the original run (for response meta).
     pub strategy: String,
-    /// Incremental-maintenance state ([`qf_core::FlockDelta`]) when the
-    /// flock is delta-maintainable: the full counted answer multiset,
-    /// updated in place on `append`/`retract` instead of dropping the
-    /// entry. Shared behind a mutex because [`CachedResult`] is cloned
-    /// out of the cache on hit while the mutation path updates the
-    /// cached copy. `None` for non-maintainable flocks.
+    /// Incremental-maintenance handle ([`qf_core::FlockDelta`]), present
+    /// exactly when the flock is delta-maintainable. It starts
+    /// **unseeded** (free to create, nothing evaluated); the first
+    /// `append`/`retract` touching the entry seeds the full counted
+    /// answer multiset from the post-batch catalog, and later batches
+    /// update it in place instead of dropping the entry. Shared behind
+    /// a mutex because [`CachedResult`] is cloned out of the cache on
+    /// hit while the mutation path updates the cached copy.
     pub delta: Option<Arc<Mutex<FlockDelta>>>,
 }
 
@@ -91,15 +93,22 @@ impl<V> Lru<V> {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<&V> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
+    /// The first entry under `key` that `wanted` accepts (a key may
+    /// hold several — see [`ResultCache`]), moved to the front.
+    fn get(&mut self, key: &CacheKey, wanted: impl Fn(&V) -> bool) -> Option<&V> {
+        let pos = self
+            .entries
+            .iter()
+            .position(|(k, v)| k == key && wanted(v))?;
         let hit = self.entries.remove(pos);
         self.entries.insert(0, hit);
         Some(&self.entries[0].1)
     }
 
-    fn insert(&mut self, key: CacheKey, value: V) {
-        self.entries.retain(|(k, _)| *k != key);
+    /// Store `value` at the front, replacing the entries under `key`
+    /// that `replaced` accepts.
+    fn insert(&mut self, key: CacheKey, value: V, replaced: impl Fn(&V) -> bool) {
+        self.entries.retain(|(k, v)| !(*k == key && replaced(v)));
         self.entries.insert(0, (key, value));
         self.entries.truncate(self.cap);
     }
@@ -141,7 +150,11 @@ impl<V> Lru<V> {
     }
 }
 
-/// LRU cache of scored flock results with monotone reuse.
+/// LRU cache of scored flock results with monotone reuse. A
+/// [`CacheKey`] names the aggregate's head position but not its kind,
+/// so one key holds one entry **per aggregate** (`SUM(answer.W)` and
+/// `MIN(answer.W)` over one body live side by side); the baseline's
+/// aggregate tells them apart.
 pub struct ResultCache {
     lru: Lru<CachedResult>,
 }
@@ -157,35 +170,26 @@ impl ResultCache {
     /// be the request flock's *canonical* filter (see
     /// [`CachedResult::baseline`]). Refreshes LRU order on hit.
     pub fn lookup(&mut self, key: &CacheKey, filter: &FilterCondition) -> Option<CachedResult> {
-        let entry = self.lru.get(key)?;
-        if entry.baseline.subsumes(filter) {
-            Some(entry.clone())
-        } else {
-            None
-        }
+        self.lru
+            .get(key, |entry| entry.baseline.subsumes(filter))
+            .cloned()
     }
 
-    /// Store a scored result. When an entry already exists under the
-    /// key, keep whichever baseline **subsumes** the other: a run at a
-    /// loose threshold answers every tighter one, so replacing it with
-    /// a tight-threshold run would silently narrow cache coverage (the
-    /// old bug: "most recent baseline wins"). The survivor still moves
-    /// to the front — coverage and recency are separate concerns.
+    /// Store a scored result. When an entry for the same aggregate
+    /// already exists under the key, keep whichever baseline
+    /// **subsumes** the other: a run at a loose threshold answers every
+    /// tighter one, so replacing it with a tight-threshold run would
+    /// silently narrow cache coverage (the old bug: "most recent
+    /// baseline wins"). The survivor still moves to the front —
+    /// coverage and recency are separate concerns.
     pub fn insert(&mut self, key: CacheKey, entry: CachedResult) {
-        let keep = match self.lru.get(&key) {
-            Some(old) if old.baseline.subsumes(&entry.baseline) => {
-                let mut kept = old.clone();
-                // The maintenance state is baseline-independent (it
-                // tracks the full unfiltered multiset), so a surviving
-                // loose entry adopts the fresher run's delta handle.
-                if kept.delta.is_none() {
-                    kept.delta = entry.delta;
-                }
-                kept
-            }
+        let agg = entry.baseline.agg;
+        let same_agg = |old: &CachedResult| old.baseline.agg == agg;
+        let keep = match self.lru.get(&key, same_agg) {
+            Some(old) if old.baseline.subsumes(&entry.baseline) => old.clone(),
             _ => entry,
         };
-        self.lru.insert(key, keep);
+        self.lru.insert(key, keep, same_agg);
     }
 
     /// Drop everything (catalog mutation).
@@ -233,12 +237,12 @@ impl PlanCache {
 
     /// Fetch the cached steps for a key, refreshing LRU order.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<Vec<qf_core::FilterStep>> {
-        self.lru.get(key).cloned()
+        self.lru.get(key, |_| true).cloned()
     }
 
     /// Store a searched plan shape.
     pub fn insert(&mut self, key: CacheKey, steps: Vec<qf_core::FilterStep>) {
-        self.lru.insert(key, steps);
+        self.lru.insert(key, steps, |_| true);
     }
 
     /// Drop everything (catalog mutation — plan choice depends on
@@ -417,5 +421,39 @@ mod tests {
         assert!(c
             .lookup(&key("a", 1), &FilterCondition::support(9))
             .is_some());
+    }
+
+    #[test]
+    fn sum_and_min_over_one_body_do_not_evict_each_other() {
+        // `SUM(answer.W)` and `MIN(answer.W)` share canonical text and
+        // head position — one key — and differ only in the baseline's
+        // aggregate.
+        let w = qf_storage::Symbol::intern("V1");
+        let over = |agg, threshold| CachedResult {
+            baseline: FilterCondition {
+                agg,
+                threshold,
+                ..FilterCondition::support(0)
+            },
+            ..entry(0)
+        };
+        let (sum, min) = (qf_core::FilterAgg::Sum(w), qf_core::FilterAgg::Min(w));
+        let mut c = ResultCache::new(4);
+        c.insert(key("q", 1), over(sum, 20));
+        c.insert(key("q", 1), over(min, 3));
+        assert_eq!(c.len(), 2, "the MIN insert must not evict the SUM entry");
+        for (agg, threshold) in [(sum, 20), (min, 3), (sum, 25)] {
+            let hit = c
+                .lookup(&key("q", 1), &over(agg, threshold).baseline)
+                .expect("both aggregates are served");
+            assert_eq!(hit.baseline.agg, agg);
+        }
+        // Within one aggregate the subsumption rule still holds: a
+        // looser SUM replaces the tighter one and leaves MIN alone.
+        c.insert(key("q", 1), over(sum, 10));
+        assert_eq!(c.len(), 2);
+        let hit = c.lookup(&key("q", 1), &over(sum, 12).baseline).unwrap();
+        assert_eq!(hit.baseline.threshold, 10);
+        assert!(c.lookup(&key("q", 1), &over(min, 3).baseline).is_some());
     }
 }

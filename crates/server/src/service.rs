@@ -120,11 +120,13 @@ pub struct Counters {
     /// `append`/`retract` batches applied through the delta
     /// cache-maintenance path (each batch counts once).
     pub delta_applied: AtomicU64,
-    /// Cached results incrementally maintained in place by a delta
-    /// batch instead of being dropped.
+    /// Cached results kept in place by a delta batch instead of being
+    /// dropped: a delta join applied, or — on an entry's first touch —
+    /// its view seeded from the post-batch catalog.
     pub delta_maintained: AtomicU64,
     /// Cached results a delta batch dropped for recompute — no
-    /// maintenance state, or maintenance failed/overflowed its budget.
+    /// maintenance state, or the seed/apply failed or overflowed its
+    /// budget.
     pub delta_rebuilds: AtomicU64,
     /// Tuples rescanned by the bounded MIN/MAX re-check during delta
     /// maintenance (see [`qf_engine::RECHECK_BOUND`]).
@@ -641,17 +643,15 @@ impl FlockService {
         };
         let answer = body_of(&scored.scored, &baseline);
         // Delta-maintainable flocks (single rule, no negation, no
-        // views) get incremental-maintenance state alongside the scored
-        // rows: subsequent `append`/`retract` batches on a touched
-        // relation then update the entry in place instead of dropping
-        // it. A failed build (budget, unsupported shape) degrades to a
-        // plain entry — never an error. A `partial`'s key folds in
-        // scratch overlays, which are not catalog relations the delta
-        // path could track, so those entries are never maintained.
-        let maintainable =
-            !run.partial && run.program.views().is_empty() && FlockDelta::maintainable(flock);
-        let delta = maintainable
-            .then(|| FlockDelta::build(flock, run.db, &DeltaLimits::default()).ok())
+        // views) get an *unseeded* incremental-maintenance handle
+        // alongside the scored rows — nothing is evaluated on the
+        // request path. The first `append`/`retract` batch on a touched
+        // relation seeds it and later ones update the entry in place
+        // instead of dropping it. A `partial`'s key folds in scratch
+        // overlays, which are not catalog relations the delta path
+        // could track, so those entries are never maintained.
+        let delta = (!run.partial && run.program.views().is_empty())
+            .then(|| FlockDelta::new(flock).ok())
             .flatten()
             .map(|d| Arc::new(Mutex::new(d)));
         unpoison(self.result_cache.lock()).insert(
@@ -1131,10 +1131,11 @@ impl FlockService {
     }
 
     /// Try to maintain one touched cache entry through its delta state:
-    /// evaluate the delta join for the relation's pre/post images,
-    /// refresh the entry's scored rows from the maintained multiset,
-    /// and widen its baseline to vacuous (the maintained rows are the
-    /// *full* unfiltered answer, so the entry now serves every
+    /// evaluate the delta join for the relation's pre/post images — or,
+    /// on the entry's first touch, seed its view from the post-batch
+    /// catalog — refresh the entry's scored rows from the maintained
+    /// multiset, and widen its baseline to vacuous (the maintained rows
+    /// are the *full* unfiltered answer, so the entry now serves every
     /// threshold). Returns whether the entry survives; on any failure
     /// the view is untrustworthy and the entry is dropped for a cold
     /// recompute.
@@ -1186,9 +1187,9 @@ impl FlockService {
                 true
             }
             Err(_) => {
-                // A failed apply leaves the view undefined: drop the
-                // entry; the next request recomputes cold (and rebuilds
-                // fresh maintenance state).
+                // A failed apply (or seed) leaves the view undefined:
+                // drop the entry; the next request recomputes cold (and
+                // attaches a fresh unseeded handle).
                 self.counters.delta_rebuilds.fetch_add(1, Ordering::Relaxed);
                 false
             }

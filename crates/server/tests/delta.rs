@@ -218,6 +218,12 @@ fn minmax_retract_triggers_bounded_recheck_not_cache_wipe() {
     let text = agg_flock("MAX", 4);
 
     ok_parts(svc.handle_flock(&text, None, &limits, 1));
+    // A priming batch on the ballast group seeds the entry's view (the
+    // first touch evaluates the body; only later batches join deltas,
+    // and only a delta can trigger a re-check).
+    ok_parts(svc.handle_append_admitted("r", &rows_tsv(&[(6, 2)]), None));
+    initial.push((6, 2));
+    assert_eq!(stat(&svc, "delta_maintained"), 1, "seeded in place");
 
     // Remove the 9 largest witnesses of group 1 in one batch: the
     // re-check set (top 8) drains while incomplete, so the view must
@@ -226,7 +232,7 @@ fn minmax_retract_triggers_bounded_recheck_not_cache_wipe() {
     let resp = svc.handle_retract_admitted("r", &rows_tsv(&gone), None);
     let (meta, _) = ok_parts(resp);
     assert!(meta.contains("\"removed\":9"), "{meta}");
-    assert_eq!(stat(&svc, "delta_maintained"), 1, "entry must survive");
+    assert_eq!(stat(&svc, "delta_maintained"), 2, "entry must survive");
     assert_eq!(stat(&svc, "delta_rebuilds"), 0, "no cache wipe allowed");
     assert!(
         stat(&svc, "recheck_tuples") > 0,
@@ -243,6 +249,38 @@ fn minmax_retract_triggers_bounded_recheck_not_cache_wipe() {
     let (meta, body) = ok_parts(svc.handle_flock(&text, Some(2), &limits, 1));
     assert!(meta.contains("\"cache_hit\":true"), "{meta}");
     assert_eq!(body, cold_body(&agg_flock("MAX", 2), &small_db(&rows)));
+}
+
+/// The fallback: a cached flock whose unfiltered answer is too large to
+/// seed (one basket of 520 items is 270 400 derivations of the pair
+/// body, over the 2¹⁸-tuple budget). Nothing is built on the miss; the
+/// first `append` tries to seed, fails typed inside the engine's row
+/// budget, and drops the entry — the mutation itself succeeds, and the
+/// next query recomputes cold and exact.
+#[test]
+fn seed_over_budget_drops_the_entry_for_a_cold_recompute() {
+    let mut rows: Vec<(i64, i64)> = (0..520).map(|i| (1, i)).collect();
+    rows.extend([(2, 0), (2, 1)]);
+    let svc = FlockService::new(ServerConfig::default(), small_db(&rows));
+    let limits = RequestLimits::default();
+    let text = "QUERY:\nanswer(B) :- r(B,$1) AND r(B,$2)\nFILTER:\nCOUNT(answer.B) >= 2";
+
+    let (meta, body) = ok_parts(svc.handle_flock(text, None, &limits, 2));
+    assert!(meta.contains("\"cache_hit\":false"), "{meta}");
+    assert_eq!(body, cold_body(text, &small_db(&rows)));
+    let (meta, _) = ok_parts(svc.handle_flock(text, None, &limits, 2));
+    assert!(meta.contains("\"cache_hit\":true"), "cached: {meta}");
+
+    let (meta, _) = ok_parts(svc.handle_append_admitted("r", &rows_tsv(&[(3, 0)]), None));
+    assert!(meta.contains("\"added\":1"), "{meta}");
+    assert_eq!(stat(&svc, "delta_rebuilds"), 1, "the seed must fail typed");
+    assert_eq!(stat(&svc, "delta_maintained"), 0);
+    assert_eq!(stat(&svc, "cached_results"), 0, "entry dropped");
+
+    rows.push((3, 0));
+    let (meta, body) = ok_parts(svc.handle_flock(text, None, &limits, 2));
+    assert!(meta.contains("\"cache_hit\":false"), "{meta}");
+    assert_eq!(body, cold_body(text, &small_db(&rows)));
 }
 
 /// One interleaving step: apply the batch to the mirror rows under set
