@@ -156,36 +156,4 @@ mod tests {
         // The scaling table always reports both thread columns.
         assert_eq!(tables[1].rows.len(), 2);
     }
-
-    /// On a genuinely multi-core host, the partition-parallel engine
-    /// must beat its own single-thread run by ≥1.5× on the direct
-    /// (join-heavy) evaluation of a low-threshold pair flock. Skipped
-    /// where the hardware cannot run two workers at once — `QF_THREADS`
-    /// cannot conjure cores.
-    #[test]
-    fn multicore_parallel_speedup() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 2 {
-            return;
-        }
-        let db = crate::workloads::words_db(Scale::Small);
-        let flock = pair_flock(5);
-        let plan = qf_core::direct_plan(&flock).unwrap();
-        let threads = cores.min(4);
-        let one_ctx = ExecContext::unbounded().with_threads(1);
-        let (one_result, one_t) = crate::timing::time_median(3, || {
-            execute_plan_with(&plan, &db, JoinOrderStrategy::Greedy, &one_ctx).unwrap()
-        });
-        let many_ctx = ExecContext::unbounded().with_threads(threads);
-        let (many_result, many_t) = crate::timing::time_median(3, || {
-            execute_plan_with(&plan, &db, JoinOrderStrategy::Greedy, &many_ctx).unwrap()
-        });
-        assert_eq!(one_result.result.tuples(), many_result.result.tuples());
-        let s = crate::timing::speedup(one_t, many_t);
-        assert!(
-            s >= 1.5,
-            "expected >=1.5x parallel speedup on {threads} of {cores} cores, got {s:.2}x \
-             ({one_t:?} -> {many_t:?})"
-        );
-    }
 }

@@ -1089,17 +1089,20 @@ mod tests {
 
         s.execute_line("gen baskets").unwrap();
         s.execute_line(flock_cmd()).unwrap();
-        let out = s.execute_line("run direct").unwrap();
-        assert!(out.contains("worker(s) (threads=4)"), "{out}");
+        for run in ["run direct", "run"] {
+            s.execute_line("limits threads=4").unwrap();
+            let out = s.execute_line(run).unwrap();
+            assert!(out.contains("worker(s) (threads=4)"), "{run}: {out}");
 
-        // Thread count does not change results (skip the strategy,
-        // count, and governed-stats lines — timings and worker counts
-        // legitimately differ).
-        let four: Vec<String> = out.lines().skip(3).map(String::from).collect();
-        s.execute_line("limits threads=1").unwrap();
-        let out = s.execute_line("run direct").unwrap();
-        let one: Vec<String> = out.lines().skip(3).map(String::from).collect();
-        assert_eq!(one, four);
+            // Thread count does not change results (skip the strategy,
+            // count, and governed-stats lines — timings and worker counts
+            // legitimately differ).
+            let four: Vec<String> = out.lines().skip(3).map(String::from).collect();
+            s.execute_line("limits threads=1").unwrap();
+            let out = s.execute_line(run).unwrap();
+            let one: Vec<String> = out.lines().skip(3).map(String::from).collect();
+            assert_eq!(one, four, "{run}");
+        }
     }
 
     #[test]
@@ -1107,12 +1110,14 @@ mod tests {
         let mut s = Session::new();
         s.execute_line("gen baskets").unwrap();
         s.execute_line(flock_cmd()).unwrap();
-        s.execute_line("limits max-rows=10").unwrap();
-        let err = s.execute_line("run direct").unwrap_err();
-        assert!(err.contains("resource budget exceeded"), "{err}");
-        // The session survives: clear limits and the run succeeds.
-        s.execute_line("limits none").unwrap();
-        assert!(s.execute_line("run direct").is_ok());
+        for run in ["run direct", "run"] {
+            s.execute_line("limits max-rows=10").unwrap();
+            let err = s.execute_line(run).unwrap_err();
+            assert!(err.contains("resource budget exceeded"), "{run}: {err}");
+            // The session survives: clear limits and the run succeeds.
+            s.execute_line("limits none").unwrap();
+            assert!(s.execute_line(run).is_ok(), "{run}");
+        }
     }
 
     #[test]
@@ -1121,9 +1126,11 @@ mod tests {
         s.execute_line("gen baskets").unwrap();
         s.execute_line(flock_cmd()).unwrap();
         s.execute_line("limits max-rows=10m").unwrap();
-        let out = s.execute_line("run direct").unwrap();
-        assert!(out.contains("governed:"), "{out}");
-        assert!(out.contains("rows"), "{out}");
+        for run in ["run direct", "run"] {
+            let out = s.execute_line(run).unwrap();
+            assert!(out.contains("governed:"), "{run}: {out}");
+            assert!(out.contains("rows"), "{run}: {out}");
+        }
     }
 
     #[test]
@@ -1333,6 +1340,36 @@ mod tests {
         let second = s.execute_line("run static").unwrap();
         assert!(!second.contains("\"resumed_steps\":0,"), "{second}");
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// The default strategy can use the budget it is given: before the
+    /// §4.4 walk released what it had consumed, `run` and `run dynamic`
+    /// died at 8 MB on a fixture whose largest stage result is ≈ 4 MB.
+    #[test]
+    fn every_strategy_fits_the_same_spill_budget() {
+        let spill = std::env::temp_dir().join(format!("qfsh-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spill);
+        std::fs::create_dir_all(&spill).unwrap();
+
+        let mut s = Session::new();
+        s.execute_line("gen baskets").unwrap();
+        s.execute_line(flock_cmd()).unwrap();
+        s.execute_line(&format!("spill {}", spill.display()))
+            .unwrap();
+        s.execute_line("limits mem-budget=8m").unwrap();
+        let results = |out: String| -> Vec<String> {
+            let shown = |l: &&str| l.starts_with("  ") || l.ends_with("result(s)");
+            out.lines().filter(shown).map(String::from).collect()
+        };
+        let direct = results(s.execute_line("run direct").unwrap());
+        assert_eq!(direct[0], "469 result(s)");
+        for run in ["run", "run dynamic", "run static"] {
+            let out = s.execute_line(run).unwrap_or_else(|e| panic!("{run}: {e}"));
+            assert_eq!(results(out), direct, "{run}");
+        }
+        drop(s);
+        assert_eq!(std::fs::read_dir(&spill).unwrap().count(), 0);
+        std::fs::remove_dir_all(&spill).ok();
     }
 
     #[test]

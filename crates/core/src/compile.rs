@@ -188,6 +188,114 @@ pub(crate) fn atom_order(
     }
 }
 
+/// The body walk of one rule, one positive subgoal at a time: which
+/// column of the running intermediate holds each open term, how wide
+/// it is, and which negations and comparisons still wait for their
+/// terms. [`compile_body`] folds it over the whole atom order into one
+/// plan; §4.4 dynamic evaluation ([`crate::dynamic`]) runs each step's
+/// plan before taking the next.
+pub(crate) struct BodyWalk<'r> {
+    rule: &'r ConjunctiveQuery,
+    binding: Binding,
+    width: usize,
+    pending_neg: Vec<&'r Atom>,
+    pending_cmp: Vec<&'r qf_datalog::Comparison>,
+}
+
+impl<'r> BodyWalk<'r> {
+    pub(crate) fn new(rule: &'r ConjunctiveQuery) -> BodyWalk<'r> {
+        BodyWalk {
+            rule,
+            binding: Binding::default(),
+            width: 0,
+            pending_neg: rule.negated_atoms().collect(),
+            pending_cmp: rule.comparisons().collect(),
+        }
+    }
+
+    pub(crate) fn binding(&self) -> &Binding {
+        &self.binding
+    }
+
+    /// Start the walk at `atom`: its leaf, then everything now bound.
+    pub(crate) fn start(&mut self, atom: &Atom) -> PhysicalPlan {
+        let (leaf, _) = self.leaf(atom);
+        self.apply_pending(leaf)
+    }
+
+    /// Join `atom` onto `plan` — whose columns are the walk so far — on
+    /// the terms bound on both sides, then apply everything now bound.
+    pub(crate) fn join(&mut self, plan: PhysicalPlan, atom: &Atom) -> PhysicalPlan {
+        let (leaf, keys) = self.leaf(atom);
+        self.apply_pending(PhysicalPlan::hash_join(plan, leaf, keys))
+    }
+
+    /// End the walk: every negation and comparison must have been
+    /// applied.
+    pub(crate) fn finish(self) -> Result<Binding> {
+        if !self.pending_neg.is_empty() || !self.pending_cmp.is_empty() {
+            // Safety guarantees full binding; reaching here means the rule
+            // was not safety-checked.
+            return Err(FlockError::UnsafeQuery {
+                violation: format!(
+                    "rule `{}` has unbound negated/arithmetic subgoals after all joins",
+                    self.rule
+                ),
+            });
+        }
+        Ok(self.binding)
+    }
+
+    /// `atom`'s leaf plan and its join keys against the walk so far;
+    /// binds the leaf's columns at the running width.
+    fn leaf(&mut self, atom: &Atom) -> (PhysicalPlan, Vec<(usize, usize)>) {
+        let leaf = build_leaf(atom);
+        let keys = self.binding.join_keys(&leaf);
+        self.binding.bind_leaf(&leaf, self.width);
+        self.width += atom.arity();
+        (leaf.plan, keys)
+    }
+
+    /// Apply all pending negations and comparisons whose terms are bound.
+    fn apply_pending(&mut self, mut plan: PhysicalPlan) -> PhysicalPlan {
+        let binding = &self.binding;
+        // Comparisons first (cheap selections shrink antijoin inputs).
+        let mut i = 0;
+        while i < self.pending_cmp.len() {
+            let c = self.pending_cmp[i];
+            let operand = |t: Term| match t {
+                Term::Const(v) => Some(Operand::Const(v)),
+                open => binding.col_of(open).map(Operand::Col),
+            };
+            if let (Some(lhs), Some(rhs)) = (operand(c.lhs), operand(c.rhs)) {
+                plan = PhysicalPlan::select(plan, vec![Predicate { lhs, op: c.op, rhs }]);
+                self.pending_cmp.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        let mut i = 0;
+        while i < self.pending_neg.len() {
+            let atom = self.pending_neg[i];
+            let open: Vec<Term> = atom
+                .args
+                .iter()
+                .copied()
+                .filter(|t| !t.is_const())
+                .collect();
+            if binding.binds_all(&open) {
+                let leaf = build_leaf(atom);
+                let keys = binding.join_keys(&leaf);
+                plan = PhysicalPlan::anti_join(plan, leaf.plan, keys);
+                self.pending_neg.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        plan
+    }
+}
+
 /// The body walk of one rule: positive subgoals joined in `strategy`
 /// order, negations and comparisons applied as soon as their terms are
 /// bound — **no projection**. Leaves select but never project and a
@@ -206,41 +314,12 @@ pub(crate) fn compile_body(
             detail: format!("rule `{rule}` has no positive subgoals to scan"),
         });
     };
-
-    // Pending work: negations and comparisons applied once bound.
-    let mut pending_neg: Vec<&Atom> = rule.negated_atoms().collect();
-    let mut pending_cmp: Vec<_> = rule.comparisons().collect();
-
-    let leaf = build_leaf(positive[first]);
-    let mut binding = Binding::default();
-    binding.bind_leaf(&leaf, 0);
-    let mut width = positive[first].arity();
-    let mut plan = apply_pending(leaf.plan, &binding, &mut pending_neg, &mut pending_cmp);
+    let mut walk = BodyWalk::new(rule);
+    let mut plan = walk.start(positive[first]);
     for &ai in rest {
-        let leaf = build_leaf(positive[ai]);
-        // Join keys: terms bound on both sides.
-        let keys = binding.join_keys(&leaf);
-        binding.bind_leaf(&leaf, width);
-        width += positive[ai].arity();
-        // Apply everything now bound.
-        plan = apply_pending(
-            PhysicalPlan::hash_join(plan, leaf.plan, keys),
-            &binding,
-            &mut pending_neg,
-            &mut pending_cmp,
-        );
+        plan = walk.join(plan, positive[ai]);
     }
-
-    if !pending_neg.is_empty() || !pending_cmp.is_empty() {
-        // Safety guarantees full binding; reaching here means the rule
-        // was not safety-checked.
-        return Err(FlockError::UnsafeQuery {
-            violation: format!(
-                "rule `{rule}` has unbound negated/arithmetic subgoals after all joins"
-            ),
-        });
-    }
-    Ok((plan, binding))
+    Ok((plan, walk.finish()?))
 }
 
 /// The extended-answer columns of a body-walk row: parameters sorted by
@@ -279,57 +358,6 @@ pub fn compile_rule(
         n_head,
         plan: PhysicalPlan::project(body, cols),
     })
-}
-
-/// Apply all pending negations and comparisons whose terms are bound.
-fn apply_pending(
-    mut plan: PhysicalPlan,
-    binding: &Binding,
-    pending_neg: &mut Vec<&Atom>,
-    pending_cmp: &mut Vec<&qf_datalog::Comparison>,
-) -> PhysicalPlan {
-    // Comparisons first (cheap selections shrink antijoin inputs).
-    let mut i = 0;
-    while i < pending_cmp.len() {
-        let c = pending_cmp[i];
-        let terms: Vec<Term> = c.terms().collect();
-        if binding.binds_all(&terms) {
-            let to_operand = |t: Term| match t {
-                Term::Const(v) => Operand::Const(v),
-                open => Operand::Col(binding.col_of(open).unwrap()),
-            };
-            plan = PhysicalPlan::select(
-                plan,
-                vec![Predicate {
-                    lhs: to_operand(c.lhs),
-                    op: c.op,
-                    rhs: to_operand(c.rhs),
-                }],
-            );
-            pending_cmp.swap_remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    let mut i = 0;
-    while i < pending_neg.len() {
-        let atom = pending_neg[i];
-        let open: Vec<Term> = atom
-            .args
-            .iter()
-            .copied()
-            .filter(|t| !t.is_const())
-            .collect();
-        if binding.binds_all(&open) {
-            let leaf = build_leaf(atom);
-            let keys = binding.join_keys(&leaf);
-            plan = PhysicalPlan::anti_join(plan, leaf.plan, keys);
-            pending_neg.swap_remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    plan
 }
 
 /// Compile a whole (possibly union) flock query into a plan producing
@@ -570,5 +598,121 @@ mod tests {
         let plan = filter_answer(&compiled, &rule, &FilterCondition::support(3)).unwrap();
         let rel = execute(&plan, &db).unwrap();
         assert!(rel.is_empty());
+    }
+
+    /// `compile_rule`'s plans, text for text, as they were before the
+    /// body walk became the [`BodyWalk`] stepper (the server compiles
+    /// one on every cache miss): the basket pair, the fig. 5 medical
+    /// rule (negation), and a constant beside a repeated variable.
+    #[test]
+    fn body_walk_emits_the_plans_it_always_did() {
+        let mut db = basket_db();
+        let rows = |r: &[(i64, &str)]| -> Vec<Vec<Value>> {
+            r.iter()
+                .map(|&(p, v)| vec![Value::int(p), Value::str(v)])
+                .collect()
+        };
+        db.insert(Relation::from_rows(
+            Schema::new("diagnoses", &["p", "d"]),
+            rows(&[(1, "flu"), (2, "flu"), (3, "cold")]),
+        ));
+        db.insert(Relation::from_rows(
+            Schema::new("exhibits", &["p", "s"]),
+            rows(&[(1, "fever"), (2, "rash"), (2, "fever"), (3, "cough")]),
+        ));
+        db.insert(Relation::from_rows(
+            Schema::new("treatments", &["p", "m"]),
+            rows(&[(1, "zorix"), (2, "zorix")]),
+        ));
+        db.insert(Relation::from_rows(
+            Schema::new("causes", &["d", "s"]),
+            vec![vec![Value::str("flu"), Value::str("fever")]],
+        ));
+        db.insert(Relation::from_rows(
+            Schema::new("arc", &["s", "t"]),
+            vec![
+                vec![Value::int(1), Value::int(1)],
+                vec![Value::int(1), Value::int(2)],
+            ],
+        ));
+        let pair = "\
+Project [1, 3, 0]
+  Select [#1 < #3]
+    HashJoin [(0, 0)]
+      Scan baskets
+      Scan baskets
+";
+        let medical_as_written = "\
+Project [3, 1, 0]
+  AntiJoin [(5, 0), (1, 1)]
+    HashJoin [(0, 0)]
+      HashJoin [(0, 0)]
+        Scan exhibits
+        Scan treatments
+      Scan diagnoses
+    Scan causes
+";
+        let medical_ordered = "\
+Project [1, 5, 0]
+  AntiJoin [(3, 0), (5, 1)]
+    HashJoin [(0, 0)]
+      HashJoin [(0, 0)]
+        Scan treatments
+        Scan diagnoses
+      Scan exhibits
+    Scan causes
+";
+        let mixed_as_written = "\
+Project [1, 0]
+  HashJoin [(0, 0)]
+    HashJoin [(0, 0), (0, 1)]
+      Select [#1 != beer]
+        Scan baskets
+      Select [#0 = #1]
+        Scan arc
+    Select [#1 = beer]
+      Scan baskets
+";
+        let mixed_greedy = "\
+Project [3, 0]
+  HashJoin [(0, 0)]
+    Select [#3 != beer]
+      HashJoin [(0, 0)]
+        Select [#0 = #1]
+          Scan arc
+        Scan baskets
+    Select [#1 = beer]
+      Scan baskets
+";
+        use JoinOrderStrategy::{AsWritten, Greedy, OptimalDp};
+        for (rule, plans) in [
+            (
+                "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
+                [(AsWritten, pair), (Greedy, pair), (OptimalDp, pair)],
+            ),
+            (
+                "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND diagnoses(P,D) \
+                 AND NOT causes(D,$s)",
+                [
+                    (AsWritten, medical_as_written),
+                    (Greedy, medical_ordered),
+                    (OptimalDp, medical_ordered),
+                ],
+            ),
+            (
+                "answer(B) :- baskets(B,$1) AND arc(B,B) AND baskets(B,beer) AND $1 != beer",
+                [
+                    (AsWritten, mixed_as_written),
+                    (Greedy, mixed_greedy),
+                    (OptimalDp, mixed_as_written),
+                ],
+            ),
+        ] {
+            let rule = parse_rule(rule).unwrap();
+            for (strategy, plan) in plans {
+                let compiled = compile_rule(&rule, &db, strategy).unwrap();
+                assert_eq!(compiled.plan.explain(), plan, "{rule} under {strategy:?}");
+            }
+        }
     }
 }

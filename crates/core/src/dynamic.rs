@@ -7,9 +7,12 @@
 //! 1. chooses a join order for the rule's positive subgoals up front
 //!    (the paper: "our idea is independent of how the join order is
 //!    actually chosen");
-//! 2. materializes the join pipeline one subgoal at a time, applying
-//!    negations and comparisons as soon as they are bound;
-//! 3. after each materialization, if the intermediate binds one or more
+//! 2. runs the body walk one subgoal at a time: each stage is **one
+//!    engine plan** built by [`BodyWalk`] — the same stepper
+//!    [`crate::compile::compile_body`] folds into a static plan — that
+//!    joins the subgoal onto the previous stage's result and applies
+//!    every negation and comparison bound by then;
+//! 3. after each stage, if the intermediate binds one or more
 //!    parameters **and** every head variable, considers a `FILTER`:
 //!    * **first sighting** of that parameter set — filter when the
 //!      observed tuples-per-assignment ratio is *low* compared with the
@@ -25,14 +28,34 @@
 //! Each decision is recorded in a [`DynamicDecision`] so experiments can
 //! show *why* the dynamic strategy matched (or beat) the best static
 //! plan without knowing the data regime in advance.
+//!
+//! This module decides; it has no operators of its own. Every stage,
+//! count, prune and the final filter is a [`PhysicalPlan`] run by
+//! [`qf_engine::execute_with`] against a scratch catalog — the database
+//! plus the current intermediate under a reserved name
+//! ([`Relation::renamed`] shares the tuples) — so all of it is governed,
+//! parallel and spill-capable like any static plan.
+//!
+//! **What is resident.** The walk inspects each stage's *result*, so
+//! that relation is loaded; between stages it is accounted like a
+//! catalog relation (the walk releases the bytes `execute_with` charged
+//! for it; the `Scan` that reads it back charges them again and the
+//! consuming operator releases them). A memory budget therefore bounds
+//! resident bytes, and with a spill directory everything *inside* a
+//! stage goes out of core — the join before its selection, a prune's
+//! pair set — exactly as far as a static plan's step outputs do, but not
+//! past a stage result that does not itself fit.
 
-use qf_datalog::{Atom, Term};
+use qf_datalog::{Atom, ConjunctiveQuery, Term};
 use qf_engine::{
-    execute_with, EngineError, ExecContext, Operand, PhysicalPlan, Predicate, Resource,
+    execute_with, row_cost, AggFn, CmpOp, EngineError, ExecContext, PhysicalPlan, Predicate,
+    Resource,
 };
-use qf_storage::{Database, FastMap, FastSet, HashIndex, Relation, Schema, Symbol, Tuple, Value};
+use qf_storage::{Database, FastMap, Relation, Symbol, Value};
 
-use crate::compile::{atom_order, build_leaf, filter_agg_fn, Binding, JoinOrderStrategy};
+use crate::compile::{
+    answer_columns, atom_order, filter_answer, Binding, BodyWalk, CompiledRule, JoinOrderStrategy,
+};
 use crate::error::{FlockError, Result};
 use crate::filter::FilterAgg;
 use crate::flock::QueryFlock;
@@ -134,9 +157,9 @@ pub fn evaluate_dynamic(
     evaluate_dynamic_with(flock, db, config, &ExecContext::unbounded())
 }
 
-/// [`evaluate_dynamic`] under an execution governor. The join pipeline
-/// and the mandatory final filter run with `ctx`'s budgets — exceeding
-/// them is a hard error. Each *voluntary* FILTER probe runs under a
+/// [`evaluate_dynamic`] under an execution governor. The stages and the
+/// mandatory final filter run with `ctx`'s budgets — exceeding them is
+/// a hard error. Each *voluntary* FILTER probe runs under a
 /// [`ExecContext::subcontext`] sized to the parent's remaining budget;
 /// if the probe blows it, the candidate filter is skipped (recorded as
 /// a [`DecisionReason::BudgetExhausted`] decision and a degradation in
@@ -153,130 +176,130 @@ pub fn evaluate_dynamic_with(
             detail: "dynamic evaluation is defined for single-rule flocks".to_string(),
         });
     };
-    let rule = rule.clone();
-    let threshold = flock.filter().threshold;
-    // Intermediate pruning keeps assignments whose partial support
-    // reaches the threshold — an upper-bound argument that is only
-    // sound for monotone COUNT filters (≥/>). Anything else gets the
-    // mandatory final filter only.
-    let count_filter =
-        matches!(flock.filter().agg, FilterAgg::Count) && flock.filter().is_monotone();
-
     let positive: Vec<&Atom> = rule.positive_atoms().collect();
-    if positive.is_empty() {
+    let order = atom_order(&positive, db, config.strategy);
+    let Some((&first, rest)) = order.split_first() else {
         return Err(FlockError::IllegalPlan {
             detail: "rule has no positive subgoals".to_string(),
         });
+    };
+
+    let mut walk = BodyWalk::new(rule);
+    let mut stages = Stages {
+        flock,
+        rule,
+        config,
+        ctx,
+        scratch: db.clone(),
+        decisions: Vec::new(),
+        total_tuples: 0,
+        seen_ratio: FastMap::default(),
+    };
+    let plan = walk.start(positive[first]);
+    let mut cur = stages.stage(&plan, positive[first], walk.binding())?;
+    for &ai in rest {
+        let plan = walk.join(PhysicalPlan::scan(CUR), positive[ai]);
+        cur = stages.stage(&plan, positive[ai], walk.binding())?;
     }
-    let order = atom_order(&positive, db, config.strategy);
+    stages.finish(&cur, &walk.finish()?)
+}
 
-    let params: Vec<Symbol> = rule.params().into_iter().collect();
-    let head_terms: Vec<Term> = rule.head.args.clone();
+/// Reserved scratch-catalog names: the current intermediate, and the
+/// surviving assignments of a prune in flight.
+const CUR: &str = "__dyn_cur";
+const KEEP: &str = "__dyn_keep";
 
-    let mut pending_neg: Vec<&Atom> = rule.negated_atoms().collect();
-    let mut pending_cmp: Vec<_> = rule.comparisons().collect();
+/// The state the decisions accumulate across stages.
+struct Stages<'a> {
+    flock: &'a QueryFlock,
+    rule: &'a ConjunctiveQuery,
+    config: &'a DynamicConfig,
+    ctx: &'a ExecContext,
+    /// The catalog plus the current intermediate under [`CUR`].
+    scratch: Database,
+    decisions: Vec<DynamicDecision>,
+    total_tuples: usize,
+    /// Last observed ratio per parameter set.
+    seen_ratio: FastMap<Vec<Symbol>, f64>,
+}
 
-    let mut binding = Binding::default();
-    let mut current: Option<Relation> = None;
-    let mut decisions = Vec::new();
-    let mut total_tuples = 0usize;
-    // Last observed ratio per parameter set.
-    let mut seen_ratio: FastMap<Vec<Symbol>, f64> = FastMap::default();
+impl Stages<'_> {
+    /// Run one plan against the scratch catalog. The result's bytes are
+    /// released as soon as it is handed back: the walk holds it like a
+    /// catalog relation, charged again by whichever `Scan` reads it.
+    fn run(&self, plan: &PhysicalPlan, ctx: &ExecContext) -> qf_engine::Result<Relation> {
+        let out = execute_with(plan, &self.scratch, ctx)?;
+        ctx.release_bytes(out.len() as u64 * row_cost(out.schema().arity()));
+        Ok(out)
+    }
 
-    for &ai in &order {
-        let atom = positive[ai];
-        let leaf = build_leaf(atom);
-        let leaf_rel = execute_with(&leaf.plan, db, ctx)?;
+    fn set_current(&mut self, cur: &Relation) {
+        self.scratch.insert(cur.renamed(CUR));
+    }
 
-        current = Some(match current.take() {
-            None => {
-                binding.bind_leaf(&leaf, 0);
-                leaf_rel
+    /// Distinct assignments of the columns `param_cols` in the current
+    /// intermediate.
+    fn assignments(&self, param_cols: &[usize]) -> qf_engine::Result<usize> {
+        let plan = PhysicalPlan::project(PhysicalPlan::scan(CUR), param_cols.to_vec());
+        Ok(self.run(&plan, self.ctx)?.len())
+    }
+
+    /// One stage: run `plan` (the walk joined onto `atom`), then the
+    /// decision point. Returns the new current intermediate — the
+    /// stage's result, or what a voluntary FILTER left of it.
+    fn stage(&mut self, plan: &PhysicalPlan, atom: &Atom, binding: &Binding) -> Result<Relation> {
+        let cur = self.run(plan, self.ctx)?;
+        self.set_current(&cur);
+        self.total_tuples += cur.len();
+
+        let (bound, param_cols): (Vec<Symbol>, Vec<usize>) = self
+            .rule
+            .params()
+            .into_iter()
+            .filter_map(|p| Some((p, binding.col_of(Term::Param(p))?)))
+            .unzip();
+        let head_cols: Option<Vec<usize>> = self
+            .rule
+            .head
+            .args
+            .iter()
+            .map(|&t| binding.col_of(t))
+            .collect();
+        let filter = self.flock.filter();
+        // Intermediate pruning keeps assignments whose partial support
+        // reaches the threshold — an upper-bound argument that is only
+        // sound for monotone COUNT filters (≥/>). Anything else gets the
+        // mandatory final filter only.
+        let count_filter = matches!(filter.agg, FilterAgg::Count) && filter.is_monotone();
+        let filterable = match head_cols {
+            _ if bound.is_empty() => Err(DecisionReason::NoParams),
+            None => Err(DecisionReason::HeadUnbound),
+            Some(_) if !count_filter => Err(DecisionReason::NonCountFilter),
+            Some(cols) => Ok(cols),
+        };
+        let label = atom.to_string();
+        let head_cols = match filterable {
+            Ok(cols) => cols,
+            Err(reason) => {
+                let skip = DynamicDecision::new(label, &bound, (cur.len(), 0, 0.0), reason, None);
+                self.decisions.push(skip);
+                return Ok(cur);
             }
-            Some(cur) => {
-                let keys = binding.join_keys(&leaf);
-                binding.bind_leaf(&leaf, cur.schema().arity());
-                join_materialized(&cur, &leaf_rel, &keys, ctx)?
-            }
-        });
-
-        // Apply any now-bound comparisons and negations.
-        let cur = current.take().unwrap();
-        let cur =
-            apply_pending_materialized(cur, &binding, db, &mut pending_neg, &mut pending_cmp, ctx)?;
-        total_tuples += cur.len();
-
-        // Decision point.
-        let bound_params: Vec<Symbol> = params
-            .iter()
-            .copied()
-            .filter(|&p| binding.col_of(Term::Param(p)).is_some())
-            .collect();
-        let head_bound = head_terms.iter().all(|&t| binding.col_of(t).is_some());
-
-        let decision_label = atom.to_string();
-        if bound_params.is_empty() {
-            decisions.push(decision_skip(
-                &decision_label,
-                &[],
-                &cur,
-                DecisionReason::NoParams,
-            ));
-            current = Some(cur);
-            continue;
-        }
-        if !head_bound {
-            decisions.push(decision_skip(
-                &decision_label,
-                &bound_params,
-                &cur,
-                DecisionReason::HeadUnbound,
-            ));
-            current = Some(cur);
-            continue;
-        }
-        if !count_filter {
-            decisions.push(decision_skip(
-                &decision_label,
-                &bound_params,
-                &cur,
-                DecisionReason::NonCountFilter,
-            ));
-            current = Some(cur);
-            continue;
-        }
-
-        let param_cols: Vec<usize> = bound_params
-            .iter()
-            .map(|&p| binding.col_of(Term::Param(p)).unwrap())
-            .collect();
-        let head_cols: Vec<usize> = head_terms
-            .iter()
-            .map(|&t| binding.col_of(t).unwrap())
-            .collect();
-        let assignments = distinct_projection(&cur, &param_cols);
-        let ratio = if assignments == 0 {
-            0.0
-        } else {
-            cur.len() as f64 / assignments as f64
         };
 
-        let (should_filter, reason) = match seen_ratio.get(&bound_params) {
-            None => {
-                if ratio < config.first_sight_factor * threshold as f64 {
-                    (true, DecisionReason::FirstSightLow)
-                } else {
-                    (false, DecisionReason::FirstSightHigh)
-                }
+        let assignments = self.assignments(&param_cols)?;
+        let ratio = per_assignment(cur.len(), assignments);
+        let (should_filter, mut reason) = match self.seen_ratio.get(&bound) {
+            None if ratio < self.config.first_sight_factor * filter.threshold as f64 => {
+                (true, DecisionReason::FirstSightLow)
             }
-            Some(&prev) => {
-                if ratio < config.improvement_factor * prev {
-                    (true, DecisionReason::ImprovedRatio)
-                } else {
-                    (false, DecisionReason::NoImprovement)
-                }
+            None => (false, DecisionReason::FirstSightHigh),
+            Some(&prev) if ratio < self.config.improvement_factor * prev => {
+                (true, DecisionReason::ImprovedRatio)
             }
+            Some(_) => (false, DecisionReason::NoImprovement),
         };
+        let observed = (cur.len(), assignments, ratio);
 
         if should_filter {
             // The probe is voluntary side-work: give it its own budget
@@ -284,291 +307,189 @@ pub fn evaluate_dynamic_with(
             // degrades to "skip this filter" instead of failing the
             // whole evaluation. Deadline/cancellation still propagate
             // as hard errors — time is global, rows/memory are not.
-            let probe = ctx.subcontext(ctx.remaining_rows(), ctx.remaining_bytes());
-            match prune_by_support(&cur, &param_cols, &head_cols, threshold, &probe) {
+            let probe = self
+                .ctx
+                .subcontext(self.ctx.remaining_rows(), self.ctx.remaining_bytes());
+            match self.prune(&cur, &param_cols, &head_cols, &probe) {
                 Ok((pruned, survivors)) => {
-                    total_tuples += pruned.len();
-                    let new_assignments = survivors;
-                    let new_ratio = if new_assignments == 0 {
-                        0.0
-                    } else {
-                        pruned.len() as f64 / new_assignments as f64
-                    };
-                    seen_ratio.insert(bound_params.clone(), new_ratio);
-                    decisions.push(DynamicDecision {
-                        after_subgoal: decision_label,
-                        param_set: bound_params.iter().map(|p| p.to_string()).collect(),
-                        tuples: cur.len(),
-                        assignments,
-                        ratio,
-                        filtered: true,
-                        reason,
-                        survivors: Some(survivors),
-                    });
-                    current = Some(pruned);
+                    self.set_current(&pruned);
+                    self.total_tuples += pruned.len();
+                    self.seen_ratio
+                        .insert(bound.clone(), per_assignment(pruned.len(), survivors));
+                    let filtered =
+                        DynamicDecision::new(label, &bound, observed, reason, Some(survivors));
+                    self.decisions.push(filtered);
+                    return Ok(pruned);
                 }
                 Err(EngineError::ResourceExhausted {
                     resource: Resource::Rows | Resource::Memory,
                     ..
                 }) => {
-                    ctx.record_degradation(
+                    self.ctx.record_degradation(
                         "dynamic-filter",
                         format!(
-                            "skipped voluntary FILTER after `{decision_label}`: \
+                            "skipped voluntary FILTER after `{label}`: \
                              probe budget exhausted (pruning power lost, result unaffected)"
                         ),
                     );
-                    seen_ratio.insert(bound_params.clone(), ratio);
-                    decisions.push(DynamicDecision {
-                        after_subgoal: decision_label,
-                        param_set: bound_params.iter().map(|p| p.to_string()).collect(),
-                        tuples: cur.len(),
-                        assignments,
-                        ratio,
-                        filtered: false,
-                        reason: DecisionReason::BudgetExhausted,
-                        survivors: None,
-                    });
-                    current = Some(cur);
+                    reason = DecisionReason::BudgetExhausted;
                 }
                 Err(e) => return Err(e.into()),
             }
-        } else {
-            seen_ratio.insert(bound_params.clone(), ratio);
-            decisions.push(DynamicDecision {
-                after_subgoal: decision_label,
-                param_set: bound_params.iter().map(|p| p.to_string()).collect(),
-                tuples: cur.len(),
-                assignments,
-                ratio,
-                filtered: false,
-                reason,
-                survivors: None,
-            });
-            current = Some(cur);
+        }
+        self.seen_ratio.insert(bound.clone(), ratio);
+        self.decisions
+            .push(DynamicDecision::new(label, &bound, observed, reason, None));
+        Ok(cur)
+    }
+
+    /// A voluntary FILTER on the current intermediate: keep only tuples
+    /// whose parameter assignment has at least `threshold` distinct
+    /// head-tuple combinations. Returns the pruned relation and the
+    /// number of surviving assignments. Runs under `probe`, so
+    /// exhaustion degrades instead of failing.
+    fn prune(
+        &mut self,
+        cur: &Relation,
+        param_cols: &[usize],
+        head_cols: &[usize],
+        probe: &ExecContext,
+    ) -> qf_engine::Result<(Relation, usize)> {
+        // Distinct (params, head) pairs → count per params → threshold.
+        let n = param_cols.len();
+        let pairs = [param_cols, head_cols].concat();
+        let threshold = Value::int(self.flock.filter().threshold);
+        let survivors = PhysicalPlan::project(
+            PhysicalPlan::select(
+                PhysicalPlan::aggregate(
+                    PhysicalPlan::project(PhysicalPlan::scan(CUR), pairs),
+                    (0..n).collect(),
+                    AggFn::Count,
+                ),
+                vec![Predicate::col_const(n, CmpOp::Ge, threshold)],
+            ),
+            (0..n).collect(),
+        );
+        let survivors = self.run(&survivors, probe)?;
+        self.scratch.insert(survivors.renamed(KEEP));
+        // Semi-join: the current tuples whose assignment survived.
+        let keys = param_cols.iter().copied().zip(0..).collect();
+        let pruned = PhysicalPlan::project(
+            PhysicalPlan::hash_join(PhysicalPlan::scan(CUR), PhysicalPlan::scan(KEEP), keys),
+            (0..cur.schema().arity()).collect(),
+        );
+        Ok((self.run(&pruned, probe)?, survivors.len()))
+    }
+
+    /// The mandatory root filter, honouring the flock's aggregate.
+    fn finish(mut self, cur: &Relation, binding: &Binding) -> Result<DynamicReport> {
+        let cols = answer_columns(self.rule, binding)?;
+        let params = self.rule.params();
+        let assignments = self.assignments(&cols[..params.len()])?;
+        let answer = CompiledRule {
+            plan: PhysicalPlan::project(PhysicalPlan::scan(CUR), cols),
+            n_params: params.len(),
+            n_head: self.rule.head.arity(),
+        };
+        let plan = filter_answer(&answer, self.rule, self.flock.filter())?;
+        let result = crate::eval::as_flock_result(self.flock, &self.run(&plan, self.ctx)?);
+        let params: Vec<Symbol> = params.into_iter().collect();
+        self.decisions.push(DynamicDecision::new(
+            "final".to_string(),
+            &params,
+            (cur.len(), assignments, 0.0),
+            DecisionReason::FinalMandatory,
+            Some(result.len()),
+        ));
+        Ok(DynamicReport {
+            result,
+            decisions: self.decisions,
+            total_tuples: self.total_tuples,
+        })
+    }
+}
+
+/// `tuples / assignments` (0 when empty).
+fn per_assignment(tuples: usize, assignments: usize) -> f64 {
+    if assignments == 0 {
+        0.0
+    } else {
+        tuples as f64 / assignments as f64
+    }
+}
+
+impl DynamicDecision {
+    /// A decision after `after_subgoal` on parameter set `params`;
+    /// `observed` is `(tuples, assignments, ratio)`, and a filter was
+    /// applied exactly when `survivors` is known.
+    fn new(
+        after_subgoal: String,
+        params: &[Symbol],
+        (tuples, assignments, ratio): (usize, usize, f64),
+        reason: DecisionReason,
+        survivors: Option<usize>,
+    ) -> DynamicDecision {
+        DynamicDecision {
+            after_subgoal,
+            param_set: params.iter().map(|p| p.to_string()).collect(),
+            tuples,
+            assignments,
+            ratio,
+            filtered: survivors.is_some(),
+            reason,
+            survivors,
         }
     }
-
-    let cur = current.expect("at least one subgoal");
-    debug_assert!(pending_neg.is_empty() && pending_cmp.is_empty());
-
-    // Mandatory final filter (the flock's own condition).
-    let param_cols: Vec<usize> = params
-        .iter()
-        .map(|&p| binding.col_of(Term::Param(p)).unwrap())
-        .collect();
-    let head_cols: Vec<usize> = head_terms
-        .iter()
-        .map(|&t| binding.col_of(t).unwrap())
-        .collect();
-    let result = final_filter(flock, &cur, &param_cols, &head_cols, ctx)?;
-    decisions.push(DynamicDecision {
-        after_subgoal: "final".to_string(),
-        param_set: params.iter().map(|p| p.to_string()).collect(),
-        tuples: cur.len(),
-        assignments: distinct_projection(&cur, &param_cols),
-        ratio: 0.0,
-        filtered: true,
-        reason: DecisionReason::FinalMandatory,
-        survivors: Some(result.len()),
-    });
-
-    Ok(DynamicReport {
-        result,
-        decisions,
-        total_tuples,
-    })
-}
-
-fn decision_skip(
-    label: &str,
-    params: &[Symbol],
-    cur: &Relation,
-    reason: DecisionReason,
-) -> DynamicDecision {
-    DynamicDecision {
-        after_subgoal: label.to_string(),
-        param_set: params.iter().map(|p| p.to_string()).collect(),
-        tuples: cur.len(),
-        assignments: 0,
-        ratio: 0.0,
-        filtered: false,
-        reason,
-        survivors: None,
-    }
-}
-
-/// Join of two materialized relations (output: left ++ right),
-/// governed: every output tuple is charged to `ctx` *before* it is
-/// materialized, so a budgeted evaluation cannot blow up here.
-/// Delegates to [`qf_engine::join_auto_with`], which picks the sorted
-/// merge on leading-key layouts and otherwise builds the hash table on
-/// the smaller side with a parallel probe.
-fn join_materialized(
-    left: &Relation,
-    right: &Relation,
-    keys: &[(usize, usize)],
-    ctx: &ExecContext,
-) -> qf_engine::Result<Relation> {
-    ctx.enter("DynJoin")?;
-    Ok(qf_engine::join_auto_with(left, right, keys, ctx)?.renamed("dyn_join"))
-}
-
-/// Apply bound comparisons (selection) and negations (antijoin) to a
-/// materialized intermediate.
-fn apply_pending_materialized<'a>(
-    mut cur: Relation,
-    binding: &Binding,
-    db: &Database,
-    pending_neg: &mut Vec<&'a Atom>,
-    pending_cmp: &mut Vec<&'a qf_datalog::Comparison>,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    let mut i = 0;
-    while i < pending_cmp.len() {
-        let c = pending_cmp[i];
-        let terms: Vec<Term> = c.terms().collect();
-        if binding.binds_all(&terms) {
-            let to_operand = |t: Term| match t {
-                Term::Const(v) => Operand::Const(v),
-                open => Operand::Col(binding.col_of(open).unwrap()),
-            };
-            let pred = Predicate {
-                lhs: to_operand(c.lhs),
-                op: c.op,
-                rhs: to_operand(c.rhs),
-            };
-            let tuples: Vec<Tuple> = cur.iter().filter(|t| pred.eval(t)).cloned().collect();
-            cur = Relation::from_sorted_dedup(cur.schema().clone(), tuples);
-            pending_cmp.swap_remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    let mut i = 0;
-    while i < pending_neg.len() {
-        let atom = pending_neg[i];
-        let open: Vec<Term> = atom
-            .args
-            .iter()
-            .copied()
-            .filter(|t| !t.is_const())
-            .collect();
-        if binding.binds_all(&open) {
-            let leaf = build_leaf(atom);
-            let leaf_rel = execute_with(&leaf.plan, db, ctx)?;
-            let (lk, rk): (Vec<usize>, Vec<usize>) = binding.join_keys(&leaf).into_iter().unzip();
-            let idx = HashIndex::build(&leaf_rel, &rk);
-            let tuples: Vec<Tuple> = cur
-                .iter()
-                .filter(|t| !idx.contains_key(&t.project(&lk)))
-                .cloned()
-                .collect();
-            cur = Relation::from_sorted_dedup(cur.schema().clone(), tuples);
-            pending_neg.swap_remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(cur)
-}
-
-/// Count distinct projections of `rel` onto `cols`.
-fn distinct_projection(rel: &Relation, cols: &[usize]) -> usize {
-    let mut seen: FastSet<Tuple> = FastSet::default();
-    for t in rel.iter() {
-        seen.insert(t.project(cols));
-    }
-    seen.len()
-}
-
-/// Keep only tuples whose parameter assignment has at least `threshold`
-/// distinct head-tuple combinations. Returns the pruned relation and
-/// the number of surviving assignments. Governed: the pair set and the
-/// pruned output are charged against `ctx` (callers run this under a
-/// probe subcontext so exhaustion degrades instead of failing).
-fn prune_by_support(
-    cur: &Relation,
-    param_cols: &[usize],
-    head_cols: &[usize],
-    threshold: i64,
-    ctx: &ExecContext,
-) -> qf_engine::Result<(Relation, usize)> {
-    ctx.enter("DynPrune")?;
-    // Distinct (params, head) pairs → count per params.
-    let mut proj: Vec<usize> = param_cols.to_vec();
-    proj.extend_from_slice(head_cols);
-    let mut pairs: FastSet<Tuple> = FastSet::default();
-    for t in cur.iter() {
-        ctx.charge_row(proj.len())?;
-        pairs.insert(t.project(&proj));
-    }
-    let key_len = param_cols.len();
-    let mut counts: FastMap<Tuple, i64> = FastMap::default();
-    for p in &pairs {
-        ctx.tick()?;
-        let key = p.project(&(0..key_len).collect::<Vec<_>>());
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    let survivors: FastSet<Tuple> = counts
-        .into_iter()
-        .filter(|(_, c)| *c >= threshold)
-        .map(|(k, _)| k)
-        .collect();
-    let width = cur.schema().arity();
-    let mut tuples: Vec<Tuple> = Vec::new();
-    for t in cur.iter() {
-        ctx.tick()?;
-        if survivors.contains(&t.project(param_cols)) {
-            ctx.charge_row(width)?;
-            tuples.push(t.clone());
-        }
-    }
-    let n = survivors.len();
-    Ok((Relation::from_sorted_dedup(cur.schema().clone(), tuples), n))
-}
-
-/// The mandatory root filter, honouring the flock's aggregate.
-fn final_filter(
-    flock: &QueryFlock,
-    cur: &Relation,
-    param_cols: &[usize],
-    head_cols: &[usize],
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    // Project to distinct (params, head), then aggregate by params.
-    let mut proj: Vec<usize> = param_cols.to_vec();
-    proj.extend_from_slice(head_cols);
-    let mut tmp = Database::new();
-    const TMP: &str = "__dyn_answer";
-    let projected: Vec<Tuple> = cur.iter().map(|t| t.project(&proj)).collect();
-    let names: Vec<String> = (0..proj.len()).map(|i| format!("c{i}")).collect();
-    tmp.insert(Relation::from_tuples(
-        Schema::from_columns(TMP, names),
-        projected,
-    ));
-
-    let group: Vec<usize> = (0..param_cols.len()).collect();
-    let agg = filter_agg_fn(flock.filter(), &flock.query().rules()[0], param_cols.len())?;
-    let plan = PhysicalPlan::project(
-        PhysicalPlan::select(
-            PhysicalPlan::aggregate(PhysicalPlan::scan(TMP), group.clone(), agg),
-            vec![Predicate::col_const(
-                group.len(),
-                flock.filter().op,
-                Value::int(flock.filter().threshold),
-            )],
-        ),
-        group,
-    );
-    let rel = execute_with(&plan, &tmp, ctx)?;
-    Ok(crate::eval::as_flock_result(flock, &rel))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::evaluate_direct;
+    use qf_storage::Schema;
+    use DecisionReason::*;
+
+    /// One decision as `(after_subgoal, param_set, tuples, assignments,
+    /// filtered, reason, survivors)`.
+    type Row<'a> = (
+        &'a str,
+        &'a [&'a str],
+        usize,
+        usize,
+        bool,
+        DecisionReason,
+        Option<usize>,
+    );
+
+    /// The whole trace must equal the literals recorded at the commit
+    /// before §4.4 moved onto the operator tree.
+    fn assert_trace(report: &DynamicReport, total_tuples: usize, expected: &[Row<'_>]) {
+        assert_eq!(report.total_tuples, total_tuples);
+        assert_eq!(report.decisions.len(), expected.len(), "{report:?}");
+        for (d, &(after, params, tuples, assignments, filtered, reason, survivors)) in
+            report.decisions.iter().zip(expected)
+        {
+            let got = (
+                d.after_subgoal.as_str(),
+                d.param_set.iter().map(String::as_str).collect::<Vec<_>>(),
+                d.tuples,
+                d.assignments,
+                d.filtered,
+                d.reason,
+                d.survivors,
+            );
+            let want = (
+                after,
+                params.to_vec(),
+                tuples,
+                assignments,
+                filtered,
+                reason,
+                survivors,
+            );
+            assert_eq!(got, want);
+        }
+    }
 
     /// Skewed basket data: hot pair in every basket, singleton noise.
     fn basket_db() -> Database {
@@ -611,6 +532,22 @@ mod tests {
         }
     }
 
+    /// Between stages an intermediate is accounted like a catalog
+    /// relation: when the walk returns, nothing is still charged.
+    #[test]
+    fn walk_releases_everything_it_was_charged() {
+        let db = basket_db();
+        for threads in [1, 4] {
+            let budget = 1 << 40;
+            let ctx = ExecContext::unbounded()
+                .with_threads(threads)
+                .with_mem_budget(budget);
+            evaluate_dynamic_with(&basket_flock(20), &db, &DynamicConfig::default(), &ctx).unwrap();
+            assert_eq!(ctx.remaining_bytes(), Some(budget), "threads {threads}");
+            assert!(ctx.stats().bytes > 0);
+        }
+    }
+
     #[test]
     fn skewed_data_triggers_early_filter() {
         let db = basket_db();
@@ -634,6 +571,71 @@ mod tests {
             report.decisions.last().unwrap().reason,
             DecisionReason::FinalMandatory
         );
+        assert_trace(
+            &report,
+            840,
+            &[
+                (
+                    "baskets(B,$1)",
+                    &["1"],
+                    280,
+                    202,
+                    true,
+                    FirstSightLow,
+                    Some(2),
+                ),
+                (
+                    "baskets(B,$2)",
+                    &["1", "2"],
+                    440,
+                    401,
+                    true,
+                    FirstSightLow,
+                    Some(1),
+                ),
+                ("final", &["1", "2"], 40, 1, true, FinalMandatory, Some(1)),
+            ],
+        );
+    }
+
+    /// Every row budget either fails typed or answers exactly. A probe
+    /// costs rows of its own, so on the realistic flock whatever budget
+    /// cannot afford it cannot afford the unpruned rest either; the eager
+    /// configuration (filter at every sighting, threshold 1: everything
+    /// survives) makes probes that cost more than finishing without
+    /// them, and there a blown probe must degrade — recorded both ways —
+    /// instead of failing.
+    #[test]
+    fn blown_probe_degrades_and_every_budget_is_typed_or_exact() {
+        let db = basket_db();
+        let eager = DynamicConfig {
+            first_sight_factor: 1e9,
+            ..DynamicConfig::default()
+        };
+        let mut degraded = 0;
+        for (threshold, config) in [(20, DynamicConfig::default()), (1, eager)] {
+            let flock = basket_flock(threshold);
+            let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
+            for max_rows in (0..12_000).step_by(40) {
+                let ctx = ExecContext::unbounded().with_max_rows(max_rows);
+                match evaluate_dynamic_with(&flock, &db, &config, &ctx) {
+                    Ok(report) => {
+                        assert_eq!(report.result.tuples(), direct.tuples(), "{max_rows}");
+                        let skipped = report.decisions.iter().filter(|d| {
+                            assert_eq!(d.filtered, d.survivors.is_some());
+                            d.reason == BudgetExhausted
+                        });
+                        let recorded = ctx.stats().degradations;
+                        assert!(recorded.iter().all(|d| d.stage == "dynamic-filter"));
+                        assert_eq!(skipped.count(), recorded.len(), "{max_rows}");
+                        degraded += recorded.len();
+                    }
+                    Err(FlockError::Engine(EngineError::ResourceExhausted { .. })) => {}
+                    Err(e) => panic!("budget {max_rows}: untyped failure {e}"),
+                }
+            }
+        }
+        assert!(degraded > 0, "no budget in the sweep blew only a probe");
     }
 
     #[test]
@@ -658,6 +660,23 @@ mod tests {
             .iter()
             .find(|d| d.reason == DecisionReason::FirstSightHigh);
         assert!(first.is_some(), "decisions: {:?}", report.decisions);
+        assert_trace(
+            &report,
+            300,
+            &[
+                ("baskets(B,$1)", &["1"], 120, 4, false, FirstSightHigh, None),
+                (
+                    "baskets(B,$2)",
+                    &["1", "2"],
+                    180,
+                    6,
+                    false,
+                    FirstSightHigh,
+                    None,
+                ),
+                ("final", &["1", "2"], 180, 6, true, FinalMandatory, Some(6)),
+            ],
+        );
         // Results still correct.
         let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         assert_eq!(report.result.tuples(), direct.tuples());
@@ -705,6 +724,24 @@ mod tests {
         let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         assert_eq!(report.result.tuples(), direct.tuples());
         assert_eq!(report.result.len(), 1);
+        assert_trace(
+            &report,
+            11,
+            &[
+                ("exhibits(P,$s)", &["s"], 5, 2, false, FirstSightHigh, None),
+                ("diagnoses(P,D)", &["s"], 3, 1, false, NoImprovement, None),
+                (
+                    "treatments(P,$m)",
+                    &["m", "s"],
+                    3,
+                    1,
+                    false,
+                    FirstSightHigh,
+                    None,
+                ),
+                ("final", &["m", "s"], 3, 1, true, FinalMandatory, Some(1)),
+            ],
+        );
     }
 
     #[test]
@@ -757,6 +794,15 @@ mod tests {
             })
             .expect("second sighting of {$1} must use the improvement rule");
         assert_eq!(repeat.param_set, vec!["1".to_string()]);
+        assert_trace(
+            &report,
+            925,
+            &[
+                ("baskets(B,$1)", &["1"], 100, 4, false, FirstSightHigh, None),
+                ("stock($1,Q)", &["1"], 825, 4, false, NoImprovement, None),
+                ("final", &["1"], 825, 4, true, FinalMandatory, Some(4)),
+            ],
+        );
         // And the answer is still right.
         let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         assert_eq!(report.result.tuples(), direct.tuples());

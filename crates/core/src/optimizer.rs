@@ -113,24 +113,13 @@ impl Optimizer {
         db: &Database,
         ctx: &ExecContext,
     ) -> Result<Evaluation> {
-        let strategy = match self.config.strategy {
-            Strategy::Auto => {
-                let dynamic_applicable = flock.query().is_single()
-                    && matches!(flock.filter().agg, FilterAgg::Count)
-                    && flock.filter().is_monotone();
-                if dynamic_applicable {
-                    Strategy::Dynamic
-                } else if flock.filter().is_monotone() {
-                    Strategy::BestStatic
-                } else {
-                    // Non-monotone filters admit no sound pruning.
-                    Strategy::Direct
-                }
-            }
-            s => s,
-        };
-        let evaluation = match strategy {
-            Strategy::Direct => {
+        // `Auto`: dynamic where its decisions are defined (single rule,
+        // monotone `COUNT`), cost-based static search for any other
+        // monotone filter; non-monotone filters admit no sound pruning.
+        let monotone = flock.filter().is_monotone();
+        let counts = flock.query().is_single() && matches!(flock.filter().agg, FilterAgg::Count);
+        let evaluation = match (self.config.strategy, monotone && counts, monotone) {
+            (Strategy::Direct, ..) | (Strategy::Auto, false, false) => {
                 let (result, resumed) = self.single_shot(flock, db, ctx, "direct", || {
                     evaluate_direct_with(flock, db, self.config.join_order, ctx)
                 })?;
@@ -147,7 +136,7 @@ impl Optimizer {
                     resumed_steps: resumed,
                 }
             }
-            Strategy::BestStatic => {
+            (Strategy::BestStatic, ..) | (Strategy::Auto, false, true) => {
                 let (plan, cost) = best_plan_with(flock, db, ctx)?;
                 let reductions = plan.len() - 1;
                 let label = if reductions == 0 {
@@ -183,7 +172,7 @@ impl Optimizer {
                     resumed_steps: resumed,
                 }
             }
-            Strategy::Dynamic => {
+            (Strategy::Dynamic, ..) | (Strategy::Auto, true, _) => {
                 let mut voluntary = 0usize;
                 let (result, resumed) = self.single_shot(flock, db, ctx, "dynamic", || {
                     let report = evaluate_dynamic_with(flock, db, &self.config.dynamic, ctx)?;
@@ -209,7 +198,6 @@ impl Optimizer {
                     resumed_steps: resumed,
                 }
             }
-            Strategy::Auto => unreachable!("resolved above"),
         };
         Ok(Evaluation {
             stats: ctx.stats(),

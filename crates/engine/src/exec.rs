@@ -370,6 +370,7 @@ fn fold_groups(
             vec![groups]
         }
     };
+    let charged: usize = maps.iter().map(FastMap::len).sum();
     let mut maps = maps.into_iter();
     let mut groups = maps.next().unwrap_or_default();
     for map in maps {
@@ -384,6 +385,8 @@ fn fold_groups(
             }
         }
     }
+    // Merged: a group that spanned chunks is resident once.
+    ctx.release_bytes((charged - groups.len()) as u64 * row_cost(width));
     groups
         .into_iter()
         .map(|(key, acc)| {
@@ -951,6 +954,18 @@ mod tests {
             execute_with(&plan, &d, &ctx).unwrap();
             let stats = ctx.stats();
             assert_eq!((stats.rows, stats.bytes), (rows, bytes), "{name}");
+            // Live bytes are residency, not work: whatever an operator
+            // consumed, deduplicated or merged away is released, so
+            // only the result is still charged when the plan returns.
+            for threads in [1, 4] {
+                let budget = 1 << 40;
+                let ctx = ExecContext::unbounded()
+                    .with_threads(threads)
+                    .with_mem_budget(budget);
+                let out = execute_with(&plan, &d, &ctx).unwrap();
+                let resident = out.len() as u64 * row_cost(out.schema().arity());
+                assert_eq!(ctx.remaining_bytes(), Some(budget - resident), "{name}");
+            }
         }
     }
 }

@@ -347,7 +347,15 @@ impl<'a> Sink<'a> {
         match self.runs {
             Some(runs) if !runs.files.is_empty() => Ok(OpOut::Spilled(SpilledRel { schema, runs })),
             _ if sorted => Ok(OpOut::Mem(Relation::from_sorted_dedup(schema, self.buf))),
-            _ => Ok(OpOut::Mem(Relation::from_tuples(schema, self.buf))),
+            _ => {
+                let charged = self.buf.len();
+                let rel = Relation::from_tuples(schema, self.buf);
+                // Every pushed tuple was charged, duplicates included;
+                // only the distinct rows stay resident.
+                let duplicates = (charged - rel.len()) as u64;
+                self.ctx.release_bytes(duplicates * row_cost(self.width));
+                Ok(OpOut::Mem(rel))
+            }
         }
     }
 }

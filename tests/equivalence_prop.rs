@@ -2,13 +2,16 @@
 //! computes the same flock — the central soundness claim of the paper's
 //! optimization framework (legal plans are *equivalent* to the flock).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use query_flocks::core::{
-    enumerate_plans, evaluate_direct, evaluate_dynamic, evaluate_naive, execute_plan,
-    DynamicConfig, JoinOrderStrategy, QueryFlock,
+    enumerate_plans, evaluate_direct, evaluate_dynamic, evaluate_dynamic_with, evaluate_naive,
+    execute_plan, DynamicConfig, JoinOrderStrategy, QueryFlock,
 };
-use query_flocks::storage::{Database, Relation, Schema, Value};
+use query_flocks::engine::{row_cost, ExecContext};
+use query_flocks::storage::{Database, Relation, Schema, SpillDir, Value};
 
 /// A random baskets relation over a small domain.
 fn baskets_strategy() -> impl Strategy<Value = Vec<(i64, u8)>> {
@@ -46,6 +49,52 @@ fn basket_db(rows: &[(i64, u8)]) -> Database {
     db
 }
 
+/// Dynamic evaluation ≡ `naive` on every route: unbounded at the
+/// default thread count, at threads 1 and 4, and out of core — a spill
+/// directory plus a memory budget just above what must be resident at
+/// once (the catalog's scans and the largest stage result, which the
+/// walk loads to inspect), so everything inside a stage spills instead.
+/// Every subgoal of these flocks has arity 2, so stage `i` is `2(i+1)`
+/// columns wide.
+fn assert_dynamic_routes(
+    flock: &QueryFlock,
+    db: &Database,
+    naive: &Relation,
+) -> Result<(), TestCaseError> {
+    let config = DynamicConfig::default();
+    let unbounded = evaluate_dynamic(flock, db, &config).unwrap();
+    prop_assert_eq!(unbounded.result.tuples(), naive.tuples());
+    for threads in [1, 4] {
+        let ctx = ExecContext::unbounded().with_threads(threads);
+        let report = evaluate_dynamic_with(flock, db, &config, &ctx).unwrap();
+        prop_assert_eq!(
+            report.result.tuples(),
+            naive.tuples(),
+            "threads {}",
+            threads
+        );
+    }
+
+    let stages = unbounded.decisions.split_last().map_or(&[][..], |(_, s)| s);
+    let largest = stages
+        .iter()
+        .enumerate()
+        .map(|(i, d)| d.tuples as u64 * row_cost(2 * (i + 1)))
+        .max()
+        .unwrap_or(0);
+    let catalog: u64 = db
+        .iter()
+        .map(|r| r.len() as u64 * row_cost(r.schema().arity()))
+        .sum();
+    let ctx = ExecContext::unbounded()
+        .with_spill(Arc::new(SpillDir::create_temp().unwrap()))
+        .with_mem_budget(catalog + largest + 4 * row_cost(2 * stages.len()));
+    let report = evaluate_dynamic_with(flock, db, &config, &ctx).unwrap();
+    prop_assert_eq!(report.result.tuples(), naive.tuples(), "spill-enabled");
+    prop_assert_eq!(ctx.stats().spill_files_live, 0);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -71,8 +120,7 @@ proptest! {
             let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples());
         }
-        let dynamic = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
-        prop_assert_eq!(dynamic.result.tuples(), naive.tuples());
+        assert_dynamic_routes(&flock, &db, &naive)?;
     }
 
     /// Medical flock (negation!): naive ≡ direct ≡ plans ≡ dynamic.
@@ -111,8 +159,7 @@ proptest! {
             let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples(), "plan: {}", plan);
         }
-        let dynamic = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
-        prop_assert_eq!(dynamic.result.tuples(), naive.tuples());
+        assert_dynamic_routes(&flock, &db, &naive)?;
     }
 
     /// Weighted SUM flock with non-negative weights: naive ≡ direct ≡
@@ -160,8 +207,7 @@ proptest! {
         let naive = evaluate_naive(&flock, &db).unwrap();
         let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         prop_assert_eq!(direct.tuples(), naive.tuples());
-        let dynamic = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
-        prop_assert_eq!(dynamic.result.tuples(), naive.tuples());
+        assert_dynamic_routes(&flock, &db, &naive)?;
     }
 
     /// Dynamic evaluation is insensitive to its tuning knobs (they move
