@@ -11,7 +11,7 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Run `f` `n` times, returning the last value and the **median**
 /// duration (robust to scheduler noise without the cost of full
-/// criterion sampling).
+/// statistical sampling).
 pub fn time_median<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     assert!(n >= 1);
     let mut durations = Vec::with_capacity(n);

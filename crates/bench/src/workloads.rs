@@ -1,7 +1,7 @@
 //! Shared workload constructors, scaled per [`Scale`].
 //!
-//! Criterion benches and the `reproduce` experiments draw from the same
-//! constructors so their numbers describe the same data.
+//! Every `reproduce` experiment draws from these constructors, so
+//! experiments that share a workload describe the same data.
 
 use qf_datagen::{baskets, graph, medical, web, words};
 use qf_storage::Database;
@@ -31,9 +31,9 @@ pub fn words_db(scale: Scale) -> Database {
     db
 }
 
-/// Quest-style basket database plus ground truth.
-pub fn basket_data(scale: Scale) -> baskets::BasketData {
-    let config = match scale {
+/// The basket generator's configuration at `scale`.
+fn basket_config(scale: Scale) -> baskets::BasketConfig {
+    match scale {
         Scale::Small => baskets::BasketConfig {
             n_baskets: 300,
             avg_basket_size: 8,
@@ -48,35 +48,17 @@ pub fn basket_data(scale: Scale) -> baskets::BasketData {
             n_patterns: 30,
             ..baskets::BasketConfig::default()
         },
-    };
-    baskets::generate(&config)
+    }
 }
 
-/// Basket database (relation only).
-pub fn basket_db(scale: Scale) -> Database {
-    let mut db = Database::new();
-    db.insert(basket_data(scale).baskets);
-    db
+/// Quest-style basket database plus ground truth.
+pub fn basket_data(scale: Scale) -> baskets::BasketData {
+    baskets::generate(&basket_config(scale))
 }
 
 /// Basket database plus `importance` weights (Fig. 10).
 pub fn weighted_basket_db(scale: Scale) -> Database {
-    let config = match scale {
-        Scale::Small => baskets::BasketConfig {
-            n_baskets: 300,
-            avg_basket_size: 8,
-            n_items: 200,
-            n_patterns: 10,
-            ..baskets::BasketConfig::default()
-        },
-        Scale::Full => baskets::BasketConfig {
-            n_baskets: 4000,
-            avg_basket_size: 10,
-            n_items: 1000,
-            n_patterns: 30,
-            ..baskets::BasketConfig::default()
-        },
-    };
+    let config = basket_config(scale);
     let data = baskets::generate(&config);
     let mut db = Database::new();
     db.insert(data.baskets);
@@ -159,7 +141,7 @@ mod tests {
     #[test]
     fn all_small_workloads_build() {
         assert!(words_db(Scale::Small).get("baskets").unwrap().len() > 1000);
-        assert!(basket_db(Scale::Small).get("baskets").unwrap().len() > 500);
+        assert!(basket_data(Scale::Small).baskets.len() > 500);
         assert!(weighted_basket_db(Scale::Small).contains("importance"));
         assert!(medical_data(Scale::Small, 0.3).db.contains("causes"));
         assert!(web_data(Scale::Small).db.contains("link"));

@@ -102,12 +102,6 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// The parallel-collect route, whatever `ctx` carries: for callers
-    /// that must hand back a resident `Relation` anyway.
-    pub(crate) fn collecting(ctx: &'a ExecContext) -> Exec<'a> {
-        Exec { ctx, spill: None }
-    }
-
     pub(crate) fn sink(&self, op: &'static str, width: usize) -> Sink<'a> {
         Sink::new(self.ctx, op, width, self.spill.clone())
     }

@@ -76,7 +76,6 @@ pub use governor::{
     env_mem_budget, row_cost, CancelToken, Degradation, ExecContext, ExecStats, Resource,
 };
 pub use joinorder::{order_greedy, order_optimal_dp, JoinGraph, JoinNode};
-pub use merge::{join_auto, join_auto_with, merge_join, merge_join_with, merge_joinable};
 pub use parallel::{default_threads, par_chunks, par_items, workers_for};
 pub use partial::{merge_partials, MergeOp};
 pub use plan::{AggFn, PhysicalPlan};

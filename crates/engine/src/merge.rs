@@ -10,19 +10,17 @@
 //! Everything else is the hash join, whose build-index-and-probe loop
 //! is written once (`Exec::join_slice`): index the smaller side,
 //! drive the other side's rows through the probe kernel into the
-//! operator's sink. The executor's `HashJoin` operator, each
-//! co-partitioned slice of an out-of-core Grace join, and the public
-//! [`join_auto_with`] (the same kernel collecting into a `Relation`)
-//! all run it; which route the probe rows take — parallel workers or a
-//! single producer through a flush-capable sink — is the
-//! `Exec`'s, not the join's.
+//! operator's sink. The executor's `HashJoin` operator and each
+//! co-partitioned slice of an out-of-core Grace join run it; which
+//! route the probe rows take — parallel workers or a single producer
+//! through a flush-capable sink — is the `Exec`'s, not the join's.
 
 use std::cmp::Ordering;
 
 use qf_storage::{HashIndex, Relation, Schema, Tuple};
 
 use crate::error::Result;
-use crate::exec::{check_join_keys, Exec};
+use crate::exec::Exec;
 use crate::governor::{row_cost, ExecContext};
 use crate::spill::{release_rel, Grace, OpOut, Sink};
 
@@ -30,35 +28,8 @@ use crate::spill::{release_rel, Grace, OpOut, Sink};
 /// order — the precondition under which sorted-run merging is correct
 /// (relations are sorted by full tuple, so they are sorted by any
 /// leading-column prefix).
-pub fn merge_joinable(keys: &[(usize, usize)]) -> bool {
+fn merge_joinable(keys: &[(usize, usize)]) -> bool {
     keys.iter().enumerate().all(|(i, &(l, r))| l == i && r == i)
-}
-
-/// Sort-merge join on the leading `n_keys` columns of both inputs,
-/// governed by `ctx`. Output is `left ++ right`, sorted and
-/// deduplicated.
-///
-/// `n_keys` exceeding either input's arity is
-/// [`crate::EngineError::ColumnOutOfRange`]. (That the inputs are sorted
-/// on those leading columns is guaranteed by `Relation`'s
-/// sorted-by-full-tuple invariant.)
-pub fn merge_join_with(
-    left: &Relation,
-    right: &Relation,
-    n_keys: usize,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    let keys: Vec<(usize, usize)> = (0..n_keys).map(|k| (k, k)).collect();
-    check_join_keys(
-        &keys,
-        left.schema().arity(),
-        right.schema().arity(),
-        "MergeJoin",
-    )?;
-    let schema = concat_schema(left.schema(), right.schema());
-    let mut sink = Exec::collecting(ctx).sink("join", schema.arity());
-    merge_into(left, right, n_keys, ctx, &mut sink)?;
-    sink.finish(schema, false)?.load(ctx)
 }
 
 /// Merge two sorted relations on their leading `n_keys` columns
@@ -111,11 +82,6 @@ fn merge_into(
     Ok(())
 }
 
-/// Ungoverned [`merge_join_with`] (unbounded context).
-pub fn merge_join(left: &Relation, right: &Relation, n_keys: usize) -> Result<Relation> {
-    merge_join_with(left, right, n_keys, &ExecContext::unbounded())
-}
-
 /// End of the run of tuples sharing `t[start]`'s leading `n_keys` values.
 fn run_end(tuples: &[Tuple], start: usize, n_keys: usize) -> usize {
     let mut end = start + 1;
@@ -123,38 +89,6 @@ fn run_end(tuples: &[Tuple], start: usize, n_keys: usize) -> usize {
         end += 1;
     }
     end
-}
-
-/// Join two materialized relations under `ctx`, choosing merge when the
-/// key layout permits, hash otherwise. The hash path builds its table
-/// on the **smaller** input and probes the larger one with up to
-/// [`ExecContext::threads`] workers. Output is `left ++ right`, sorted
-/// and deduplicated, identical regardless of path or build side. Always
-/// collects in memory: the result is a `Relation` either way.
-pub fn join_auto_with(
-    left: &Relation,
-    right: &Relation,
-    keys: &[(usize, usize)],
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    check_join_keys(
-        keys,
-        left.schema().arity(),
-        right.schema().arity(),
-        "HashJoin",
-    )?;
-    // The caller's relations: borrowed for the join, not consumed.
-    let (l, r) = (OpOut::Mem(left.clone()), OpOut::Mem(right.clone()));
-    let schema = concat_schema(left.schema(), right.schema());
-    let exec = Exec::collecting(ctx);
-    let mut sink = exec.sink("join", schema.arity());
-    exec.join_pair(&l, &r, keys, &mut sink)?;
-    sink.finish(schema, false)?.load(ctx)
-}
-
-/// Ungoverned [`join_auto_with`] (unbounded context).
-pub fn join_auto(left: &Relation, right: &Relation, keys: &[(usize, usize)]) -> Result<Relation> {
-    join_auto_with(left, right, keys, &ExecContext::unbounded())
 }
 
 impl Exec<'_> {
@@ -266,6 +200,8 @@ fn concat_schema(l: &Schema, r: &Schema) -> Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PhysicalPlan;
+    use proptest::prelude::*;
     use qf_storage::Value;
 
     fn rel(name: &str, rows: &[(i64, i64)]) -> Relation {
@@ -277,13 +213,72 @@ mod tests {
         )
     }
 
+    /// Which kernel joins the pair: the sort-merge path (keys must be
+    /// leading), the hash join, or `join_pair`'s own choice.
+    #[derive(Clone, Copy)]
+    enum Route {
+        Merge,
+        Hash,
+        Auto,
+    }
+
+    /// Collect `l ⋈ r` on `keys` through `route` under `ctx`.
+    fn join_with(
+        l: &Relation,
+        r: &Relation,
+        keys: &[(usize, usize)],
+        route: Route,
+        ctx: &ExecContext,
+    ) -> Result<Relation> {
+        let schema = concat_schema(l.schema(), r.schema());
+        let exec = Exec { ctx, spill: None };
+        let mut sink = exec.sink("join", schema.arity());
+        let (lo, ro) = (OpOut::Mem(l.clone()), OpOut::Mem(r.clone()));
+        match route {
+            Route::Merge => merge_into(l, r, keys.len(), ctx, &mut sink)?,
+            Route::Hash => exec.join_slice(&lo, &ro, keys, &mut sink)?,
+            Route::Auto => exec.join_pair(&lo, &ro, keys, &mut sink)?,
+        }
+        sink.finish(schema, false)?.load(ctx)
+    }
+
+    fn join(l: &Relation, r: &Relation, keys: &[(usize, usize)], route: Route) -> Result<Relation> {
+        join_with(l, r, keys, route, &ExecContext::unbounded())
+    }
+
+    /// The executor's `HashJoin` operator over scans of `l` and `r`.
+    fn execute_join(l: &Relation, r: &Relation, keys: Vec<(usize, usize)>) -> Result<Relation> {
+        let mut db = qf_storage::Database::new();
+        db.insert(l.clone());
+        db.insert(r.clone());
+        let (ls, rs) = (PhysicalPlan::scan(l.name()), PhysicalPlan::scan(r.name()));
+        crate::execute(&PhysicalPlan::hash_join(ls, rs, keys), &db)
+    }
+
+    /// Merge ≡ hash ≡ `join_pair`'s choice ≡ the executor ≡ a
+    /// nested-loop reference on the leading key, for one input pair.
+    fn assert_merge_agrees(l: &Relation, r: &Relation) {
+        let mut want: Vec<Tuple> = Vec::new();
+        for a in l.iter() {
+            for b in r.iter().filter(|b| a.get(0) == b.get(0)) {
+                want.push(a.concat(b));
+            }
+        }
+        want.sort_unstable();
+        want.dedup();
+        for route in [Route::Merge, Route::Hash, Route::Auto] {
+            assert_eq!(join(l, r, &[(0, 0)], route).unwrap().tuples(), want);
+        }
+        assert_eq!(execute_join(l, r, vec![(0, 0)]).unwrap().tuples(), want);
+    }
+
     #[test]
     fn merge_equals_hash_on_leading_keys() {
         let l = rel("l", &[(1, 10), (1, 11), (2, 20), (3, 30)]);
         let r = rel("r", &[(1, 100), (2, 200), (2, 201), (4, 400)]);
-        let merged = merge_join(&l, &r, 1).unwrap();
-        let hashed = join_auto(&l, &r, &[(0, 1)]).unwrap(); // not merge-joinable layout
-                                                            // Compare against hash join on the same (leading) keys.
+        let merged = join(&l, &r, &[(0, 0)], Route::Merge).unwrap();
+        join(&l, &r, &[(0, 1)], Route::Auto).unwrap(); // not merge-joinable layout
+                                                       // Compare against hash join on the same (leading) keys.
         let hashed_same = {
             let (lk, rk) = (vec![0], vec![0]);
             let idx = HashIndex::build(&r, &rk);
@@ -297,14 +292,13 @@ mod tests {
         };
         assert_eq!(merged.tuples(), hashed_same.tuples());
         assert_eq!(merged.len(), 2 + 2); // key 1: 2×1, key 2: 1×2
-        let _ = hashed;
     }
 
     #[test]
     fn composite_leading_keys() {
         let l = rel("l", &[(1, 10), (1, 11), (2, 10)]);
         let r = rel("r", &[(1, 10), (1, 11), (2, 11)]);
-        let merged = merge_join(&l, &r, 2).unwrap();
+        let merged = join(&l, &r, &[(0, 0), (1, 1)], Route::Merge).unwrap();
         assert_eq!(merged.len(), 2); // (1,10) and (1,11) match exactly.
         for t in merged.iter() {
             assert_eq!(t.get(0), t.get(2));
@@ -316,7 +310,7 @@ mod tests {
     fn zero_key_merge_is_cross_product_via_auto() {
         let l = rel("l", &[(1, 1), (2, 2)]);
         let r = rel("r", &[(3, 3)]);
-        let j = join_auto(&l, &r, &[]).unwrap();
+        let j = join(&l, &r, &[], Route::Auto).unwrap();
         assert_eq!(j.len(), 2);
     }
 
@@ -332,17 +326,18 @@ mod tests {
     fn disjoint_keys_empty_result() {
         let l = rel("l", &[(1, 1)]);
         let r = rel("r", &[(2, 2)]);
-        assert!(merge_join(&l, &r, 1).unwrap().is_empty());
+        assert!(join(&l, &r, &[(0, 0)], Route::Merge).unwrap().is_empty());
     }
 
     #[test]
     fn too_many_keys_is_a_typed_error() {
         // Library code runs on server pool workers: a caller-supplied
-        // key count must not be able to panic one.
+        // key count must not be able to panic one. Nine leading keys
+        // would take the merge path if they fit.
         let l = rel("l", &[(1, 1)]);
         let r = rel("r", &[(2, 2)]);
         assert!(matches!(
-            merge_join(&l, &r, 9).unwrap_err(),
+            execute_join(&l, &r, (0..9).map(|k| (k, k)).collect()).unwrap_err(),
             crate::EngineError::ColumnOutOfRange {
                 column: 2,
                 arity: 2,
@@ -357,8 +352,8 @@ mod tests {
         // non-merge-joinable key (0, 1) forces the hash path.
         let small = rel("s", &[(1, 2), (3, 4)]);
         let big = rel("b", &(0..50).map(|i| (i % 5, i % 3)).collect::<Vec<_>>());
-        let a = join_auto(&small, &big, &[(0, 1)]).unwrap();
-        let b = join_auto(&big, &small, &[(1, 0)]).unwrap();
+        let a = join(&small, &big, &[(0, 1)], Route::Auto).unwrap();
+        let b = join(&big, &small, &[(1, 0)], Route::Auto).unwrap();
         // a's columns are small ++ big, b's are big ++ small; compare
         // cardinalities (same match set, transposed columns).
         assert_eq!(a.len(), b.len());
@@ -372,11 +367,20 @@ mod tests {
             let l_rows: Vec<(i64, i64)> =
                 (0..30).map(|i| ((i * seed) % 7, (i + seed) % 5)).collect();
             let r_rows: Vec<(i64, i64)> = (0..25).map(|i| ((i + seed) % 7, (i * 3) % 4)).collect();
-            let l = rel("l", &l_rows);
-            let r = rel("r", &r_rows);
-            let merged = merge_join(&l, &r, 1).unwrap();
-            let auto = join_auto(&l, &r, &[(0, 0)]).unwrap();
-            assert_eq!(merged.tuples(), auto.tuples(), "seed {seed}");
+            assert_merge_agrees(&rel("l", &l_rows), &rel("r", &r_rows));
+        }
+    }
+
+    fn rows2() -> impl Strategy<Value = Vec<(i64, i64)>> {
+        prop::collection::vec((0i64..8, 0i64..8), 0..60)
+    }
+
+    proptest! {
+        /// On random inputs too: every route agrees with the
+        /// nested-loop reference.
+        #[test]
+        fn merge_join_agrees_with_hash(l in rows2(), r in rows2()) {
+            assert_merge_agrees(&rel("l", &l), &rel("r", &r));
         }
     }
 
@@ -385,11 +389,11 @@ mod tests {
         let l = rel("l", &[(1, 10), (2, 20)]);
         let r = rel("r", &[(1, 11), (2, 21)]);
         let ctx = ExecContext::unbounded();
-        let out = merge_join_with(&l, &r, 1, &ctx).unwrap();
+        let out = join_with(&l, &r, &[(0, 0)], Route::Merge, &ctx).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(ctx.stats().rows, 2);
         // A 1-row budget trips mid-merge.
         let tight = ExecContext::unbounded().with_max_rows(1);
-        assert!(merge_join_with(&l, &r, 1, &tight).is_err());
+        assert!(join_with(&l, &r, &[(0, 0)], Route::Merge, &tight).is_err());
     }
 }

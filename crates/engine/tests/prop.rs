@@ -164,34 +164,6 @@ proptest! {
         prop_assert_eq!(got.tuples(), want.as_slice());
     }
 
-    /// On leading-key layouts the executor routes HashJoin through the
-    /// merge fast path; both it and a direct `merge_join` must agree
-    /// with a brute-force nested-loop reference.
-    #[test]
-    fn merge_join_agrees_with_hash(l in rows2(), r in rows2()) {
-        let db = db2(&l, &r);
-        let l_rel = db.get("l").unwrap();
-        let r_rel = db.get("r").unwrap();
-        let mut want = Vec::new();
-        for a in l_rel.iter() {
-            for b in r_rel.iter() {
-                if a.get(0) == b.get(0) {
-                    want.push(a.concat(b));
-                }
-            }
-        }
-        let want = dedup_sorted(want);
-        let merged = qf_engine::merge_join(l_rel, r_rel, 1).unwrap();
-        prop_assert_eq!(merged.tuples(), want.as_slice());
-        let hash_plan = PhysicalPlan::hash_join(
-            PhysicalPlan::scan("l"),
-            PhysicalPlan::scan("r"),
-            vec![(0, 0)],
-        );
-        let hashed = execute(&hash_plan, &db).unwrap();
-        prop_assert_eq!(merged.tuples(), hashed.tuples());
-    }
-
     /// Parallel and single-thread execution produce identical relations
     /// on a plan exercising join, select, project, and aggregate.
     #[test]

@@ -27,7 +27,8 @@ use std::time::Duration;
 use crate::error::{Result, ServerError};
 use crate::frame::{is_corruption, read_frame, write_frame};
 use crate::protocol::{Request, RequestLimits, Response};
-use crate::transport::{splitmix64, Transport};
+use crate::transport::Transport;
+use qf_storage::splitmix64;
 
 /// Client-side robustness knobs.
 #[derive(Clone, Debug)]

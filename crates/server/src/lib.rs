@@ -47,4 +47,4 @@ pub use protocol::{Request, RequestLimits, Response};
 pub use report::{json_escape, json_report, CacheReport};
 pub use service::{Counters, FlockService, LocalHandler, RequestHandler, ServerConfig};
 pub use shard::{Coordinator, ShardConfig, ShardConnector, ShardCounters, WorkerState};
-pub use transport::{ChaosNet, NetChaos, NetFault, NetOp, Transport};
+pub use transport::{ChaosNet, NetChaos, Transport};

@@ -935,11 +935,9 @@ impl Coordinator {
         }
         let (_, old_fp) = service.snapshot();
         let resp = local(None);
-        if resp.is_ok() {
-            if self.push_delta(rel, tsv, retract, old_fp).is_err() {
-                if let Err(e) = self.push_catalog() {
-                    return Response::from_error(&e);
-                }
+        if resp.is_ok() && self.push_delta(rel, tsv, retract, old_fp).is_err() {
+            if let Err(e) = self.push_catalog() {
+                return Response::from_error(&e);
             }
         }
         resp

@@ -17,10 +17,10 @@ use std::time::Duration;
 use qf_core::{evaluate_direct, JoinOrderStrategy, QueryFlock};
 use qf_server::service::render_tsv;
 use qf_server::{
-    Client, ClientConfig, NetChaos, NetFault, NetOp, Request, RequestLimits, Response, Server,
-    ServerConfig, ServerError, Transport,
+    Client, ClientConfig, NetChaos, Request, RequestLimits, Response, Server, ServerConfig,
+    ServerError, Transport,
 };
-use qf_storage::{Database, Relation, Schema, Value};
+use qf_storage::{Database, Fault, OpClass, Relation, Schema, Value};
 
 fn demo_db(rows: usize) -> Database {
     let tuples: Vec<Vec<Value>> = (0..rows as i64)
@@ -161,7 +161,7 @@ fn pinned_reset_forces_one_reconnect_and_converges() {
     let server = Server::serve(ServerConfig::default(), demo_db(16), "127.0.0.1:0").unwrap();
     let addr = server.addr().to_string();
 
-    let chaos = NetChaos::quiet().with_fault(NetOp::Write, 1, NetFault::Reset);
+    let chaos = NetChaos::quiet().with_fault(OpClass::Write, 1, Fault::Reset);
     let mut client = chaos_client(&addr, &chaos, 7);
     let resp = client
         .flock(&flock_text(1), None, RequestLimits::default())
@@ -170,7 +170,7 @@ fn pinned_reset_forces_one_reconnect_and_converges() {
     let stats = client.session_stats();
     assert!(stats.retries >= 1, "no retry recorded: {stats:?}");
     assert!(stats.reconnects >= 1, "no reconnect recorded: {stats:?}");
-    assert_eq!(chaos.injection_log(), vec![(NetOp::Write, NetFault::Reset)]);
+    assert_eq!(chaos.injection_log(), vec![(OpClass::Write, Fault::Reset)]);
     server.shutdown();
     server.join();
 }
@@ -184,7 +184,7 @@ fn mutations_are_not_retried_after_ambiguous_failures() {
 
     // The reset fires on the 2nd write op — mid-request, after bytes
     // may have reached the server: ambiguous.
-    let chaos = NetChaos::quiet().with_fault(NetOp::Write, 2, NetFault::Reset);
+    let chaos = NetChaos::quiet().with_fault(OpClass::Write, 2, Fault::Reset);
     let mut client = chaos_client(&addr, &chaos, 7);
     let err = client.load("r\ta\n1\n").unwrap_err();
     assert_eq!(err.kind(), "io", "{err}");
@@ -195,7 +195,7 @@ fn mutations_are_not_retried_after_ambiguous_failures() {
     );
 
     // The same failure on an idempotent request IS retried through.
-    let chaos = NetChaos::quiet().with_fault(NetOp::Write, 2, NetFault::Reset);
+    let chaos = NetChaos::quiet().with_fault(OpClass::Write, 2, Fault::Reset);
     let mut client = chaos_client(&addr, &chaos, 7);
     assert!(client.ping().unwrap().is_ok());
     assert!(client.session_stats().retries >= 1);
@@ -212,7 +212,7 @@ fn request_bit_flip_certifies_non_execution_and_retries_through() {
     let addr = server.addr().to_string();
 
     // Flip a bit in the 3rd write op: the payload chunk of frame #1.
-    let chaos = NetChaos::quiet().with_fault(NetOp::Write, 3, NetFault::BitFlip);
+    let chaos = NetChaos::quiet().with_fault(OpClass::Write, 3, Fault::BitFlip);
     let mut client = chaos_client(&addr, &chaos, 7);
     let resp = client.load("r\ta\n1\n2\n").unwrap();
     assert!(resp.is_ok(), "{resp:?}");

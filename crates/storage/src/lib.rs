@@ -67,5 +67,8 @@ pub use stats::ColumnStats;
 pub use symbol::Symbol;
 pub use tuple::Tuple;
 pub use value::Value;
-pub use vfs::{real_fs, ChaosConfig, ChaosFs, Fault, OpClass, RealFs, Vfs, VfsFile};
+pub use vfs::{
+    real_fs, splitmix64, ChaosFs, ChaosStream, Fault, FaultSchedule, OpClass, RealFs, Sever, Vfs,
+    VfsFile,
+};
 pub use wal::{acquire_pid_lock, process_alive, Wal, WalCounters, WalOptions, WalRecord, WalStats};
