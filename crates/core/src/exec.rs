@@ -519,11 +519,7 @@ fn run_plan<E: StepEvaluator>(
                 // journal) must not kill a run that is otherwise
                 // healthy. Record the degradation — resume will start
                 // from the last durable step — and stop journaling.
-                let recorded = j.record_step(idx, &committed.renamed(&step.output));
-                for _ in 0..j.take_io_retries() {
-                    ctx.note_io_retry();
-                }
-                if let Err(e) = recorded {
+                if let Err(e) = j.record_step(idx, &committed.renamed(&step.output), ctx) {
                     ctx.record_degradation(
                         "journal-advisory",
                         format!(

@@ -80,7 +80,7 @@ pub use exec::{
 };
 pub use filter::{FilterAgg, FilterCondition};
 pub use flock::QueryFlock;
-pub use journal::{catalog_fingerprint, fingerprint_text, plan_fingerprint, RunJournal};
+pub use journal::{fingerprint_text, plan_fingerprint, RunJournal};
 pub use optimizer::{Evaluation, Optimizer, OptimizerConfig, Strategy};
 pub use plan::{FilterStep, QueryPlan};
 pub use plangen::{

@@ -146,11 +146,11 @@ impl Optimizer {
                 };
                 let run = match &self.config.journal_dir {
                     Some(dir) => {
-                        let mut journal = crate::journal::RunJournal::open_on(
+                        let mut journal = crate::journal::RunJournal::open(
                             self.journal_vfs(),
                             dir,
                             crate::journal::plan_fingerprint(&plan),
-                            crate::journal::catalog_fingerprint(db),
+                            db.fingerprint(),
                         )?;
                         crate::exec::execute_plan_journaled(
                             &plan,
@@ -231,12 +231,8 @@ impl Optimizer {
             return Ok((eval()?, 0));
         };
         let plan_fp = crate::journal::fingerprint_text(&format!("{tag}\n{}", flock.render()));
-        let mut journal = crate::journal::RunJournal::open_on(
-            self.journal_vfs(),
-            dir,
-            plan_fp,
-            crate::journal::catalog_fingerprint(db),
-        )?;
+        let mut journal =
+            crate::journal::RunJournal::open(self.journal_vfs(), dir, plan_fp, db.fingerprint())?;
         if journal.contiguous_prefix(1) == 1 {
             match journal.load_step(0) {
                 Ok(rel) => return Ok((rel, 1)),
@@ -250,21 +246,11 @@ impl Optimizer {
             }
         }
         let result = eval()?;
-        match journal.record_step(0, &result) {
-            Ok(()) => {
-                for _ in 0..journal.take_io_retries() {
-                    ctx.note_io_retry();
-                }
-            }
-            Err(e) => {
-                for _ in 0..journal.take_io_retries() {
-                    ctx.note_io_retry();
-                }
-                ctx.record_degradation(
-                    "journal-advisory",
-                    format!("{e}; continuing without journaling (resume disabled)"),
-                );
-            }
+        if let Err(e) = journal.record_step(0, &result, ctx) {
+            ctx.record_degradation(
+                "journal-advisory",
+                format!("{e}; continuing without journaling (resume disabled)"),
+            );
         }
         Ok((result, 0))
     }

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use qf_core::{
-    catalog_fingerprint, execute_plan_journaled, plan_fingerprint, single_param_plan, ExecContext,
-    JoinOrderStrategy, QueryFlock, RunJournal,
+    execute_plan_journaled, plan_fingerprint, single_param_plan, ExecContext, JoinOrderStrategy,
+    QueryFlock, RunJournal,
 };
 use qf_storage::{ChaosFs, Database, Fault, OpClass, Relation, Schema, SpillDir, Value, Vfs};
 
@@ -72,16 +72,11 @@ fn run_on(
     let db = basket_db();
     let plan = single_param_plan(&pairs_flock(), &db).unwrap();
     let ctx = ctx_on(vfs.clone(), spill_parent);
-    let result = RunJournal::open_on(
-        vfs,
-        journal_dir,
-        plan_fingerprint(&plan),
-        catalog_fingerprint(&db),
-    )
-    .and_then(|mut journal| {
-        execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal)
-    })
-    .map(|run| run.result);
+    let result = RunJournal::open(vfs, journal_dir, plan_fingerprint(&plan), db.fingerprint())
+        .and_then(|mut journal| {
+            execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal)
+        })
+        .map(|run| run.result);
     let stats = ctx.stats();
     (result, stats)
 }
@@ -167,15 +162,15 @@ fn fsync_failure_during_journal_is_advisory() {
     };
 
     // Quiet chaos (no random faults) with one pinned fsync failure.
-    // Journal fsyncs go: meta (#1), then per step: snapshot (#2), log
-    // append (#3), … — failing #3 hits the first log append.
+    // Journal fsyncs go: header append (#1), then per step: snapshot
+    // (#2), step append (#3), … — failing #3 hits the first step append.
     let chaos = Arc::new(ChaosFs::quiet().with_fault(OpClass::Fsync, 3, Fault::FsyncFail));
     let journal_dir = base.join("run");
-    let mut journal = RunJournal::open_on(
+    let mut journal = RunJournal::open(
         chaos.clone(),
         &journal_dir,
         plan_fingerprint(&plan),
-        catalog_fingerprint(&db),
+        db.fingerprint(),
     )
     .unwrap();
     let ctx = ExecContext::unbounded();
@@ -218,9 +213,10 @@ fn corrupt_snapshot_truncates_prefix_and_recomputes() {
 
     let open = |db: &Database| {
         RunJournal::open(
+            qf_storage::real_fs(),
             &journal_dir,
             plan_fingerprint(&plan),
-            catalog_fingerprint(db),
+            db.fingerprint(),
         )
         .unwrap()
     };
@@ -271,9 +267,10 @@ fn every_byte_flip_in_a_snapshot_is_detected_on_replay() {
 
     let ctx = ExecContext::unbounded();
     let mut journal = RunJournal::open(
+        qf_storage::real_fs(),
         &journal_dir,
         plan_fingerprint(&plan),
-        catalog_fingerprint(&db),
+        db.fingerprint(),
     )
     .unwrap();
     let reference =
@@ -292,9 +289,10 @@ fn every_byte_flip_in_a_snapshot_is_detected_on_replay() {
         std::fs::write(&victim, &bytes).unwrap();
         let ctx = ExecContext::unbounded();
         let mut journal = RunJournal::open(
+            qf_storage::real_fs(),
             &journal_dir,
             plan_fingerprint(&plan),
-            catalog_fingerprint(&db),
+            db.fingerprint(),
         )
         .unwrap();
         let run = execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal)

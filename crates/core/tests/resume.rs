@@ -7,11 +7,11 @@
 use std::path::PathBuf;
 
 use qf_core::{
-    catalog_fingerprint, execute_plan, execute_plan_journaled, execute_plan_scored_with,
-    plan_fingerprint, single_param_plan, ExecContext, JoinOrderStrategy, Optimizer,
-    OptimizerConfig, QueryFlock, RunJournal, Strategy,
+    execute_plan, execute_plan_journaled, execute_plan_scored_with, plan_fingerprint,
+    single_param_plan, ExecContext, JoinOrderStrategy, Optimizer, OptimizerConfig, QueryFlock,
+    RunJournal, Strategy,
 };
-use qf_storage::{Database, Relation, Schema, Value};
+use qf_storage::{real_fs, Database, Relation, Schema, Value};
 
 fn basket_db() -> Database {
     let mut db = Database::new();
@@ -43,7 +43,7 @@ fn run_dir(tag: &str) -> PathBuf {
 }
 
 fn open_journal(dir: &std::path::Path, plan: &qf_core::QueryPlan, db: &Database) -> RunJournal {
-    RunJournal::open(dir, plan_fingerprint(plan), catalog_fingerprint(db)).unwrap()
+    RunJournal::open(real_fs(), dir, plan_fingerprint(plan), db.fingerprint()).unwrap()
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn partial_journal_resumes_remaining_steps() {
         .unwrap();
         let mut journal = open_journal(&dir, &plan, &db);
         journal
-            .record_step(0, &scratch.load_step(0).unwrap())
+            .record_step(0, &scratch.load_step(0).unwrap(), &ExecContext::unbounded())
             .unwrap();
     }
     let mut journal = open_journal(&dir, &plan, &db);
@@ -169,6 +169,69 @@ fn optimizer_journal_resumes_dynamic_and_static() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A run directory in the earlier text format — `journal.meta` plus a
+/// tab-separated `journal.log` naming valid snapshots — is not resumed:
+/// its log fails the first frame check, so the journal opens empty,
+/// clears the old files, and the run equals a fresh one.
+#[test]
+fn text_format_journal_is_recomputed_not_resumed() {
+    let db = basket_db();
+    let plan = single_param_plan(&pairs_flock(), &db).unwrap();
+    let fresh_dir = run_dir("text-fresh");
+    let fresh = execute_plan_journaled(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+        &mut open_journal(&fresh_dir, &plan, &db),
+    )
+    .unwrap();
+
+    let dir = run_dir("text-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("journal.meta"),
+        format!(
+            "qf-journal v1\nplan {:016x}\ncatalog {:016x}\n",
+            plan_fingerprint(&plan),
+            db.fingerprint()
+        ),
+    )
+    .unwrap();
+    let mut text_log = String::new();
+    for idx in 0..plan.len() {
+        let name = format!("step-{idx}.qfr");
+        std::fs::copy(fresh_dir.join(&name), dir.join(&name)).unwrap();
+        let snapshot = qf_storage::spill::read_relation(&dir.join(&name)).unwrap();
+        text_log.push_str(&format!(
+            "step\t{idx}\t{:016x}\t{}\n",
+            qf_storage::spill::content_hash(&snapshot),
+            snapshot.name()
+        ));
+    }
+    std::fs::write(dir.join("journal.log"), text_log).unwrap();
+
+    let mut journal = open_journal(&dir, &plan, &db);
+    assert_eq!(journal.contiguous_prefix(plan.len()), 0);
+    assert!(!dir.join("journal.meta").exists());
+    let run = execute_plan_journaled(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+        &mut journal,
+    )
+    .unwrap();
+    assert!(run.steps.iter().all(|s| !s.resumed), "{:?}", run.steps);
+    assert_eq!(run.result.tuples(), fresh.result.tuples());
+    assert_eq!(
+        run.result.schema().columns(),
+        fresh.result.schema().columns()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&fresh_dir).unwrap();
 }
 
 #[test]

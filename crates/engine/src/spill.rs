@@ -36,7 +36,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use qf_storage::{
-    FastHasher, Relation, Schema, SpillDir, SpillFile, SpillReader, SpillWriter, Tuple,
+    with_retries, FastHasher, Relation, Schema, SpillDir, SpillFile, SpillReader, SpillWriter,
+    Tuple,
 };
 
 use crate::error::{EngineError, Result};
@@ -44,17 +45,6 @@ use crate::governor::{row_cost, ExecContext};
 
 /// Fan-out of one Grace partitioning pass.
 const N_PARTS: usize = 8;
-
-/// Transient I/O errors absorbed per spill-file write before giving up
-/// (whole-file granularity: a partially written run is discarded and
-/// rewritten from the still-buffered tuples).
-const MAX_IO_RETRIES: u32 = 3;
-
-/// Exponential-ish backoff before transient-error retry `attempt`
-/// (1-based).
-fn retry_backoff(attempt: u32) {
-    std::thread::sleep(std::time::Duration::from_millis(1 << attempt.min(4)));
-}
 
 /// Maximum recursive repartitioning depth. A slice that stays too big
 /// at this depth (all-identical keys) is processed in memory and may
@@ -303,24 +293,21 @@ impl<'a> Sink<'a> {
         // write costs nothing but the discarded partial file. Transient
         // errors get bounded retries with backoff; ENOSPC degrades to
         // memory-only (below); anything else is a hard, typed error.
-        let mut attempt = 0u32;
-        let file = loop {
-            let path = runs.dir.alloc(runs.op);
-            match write_run(&runs.dir, path.clone(), *width, buf) {
-                Ok(file) => break file,
-                Err(e) => {
+        let written = with_retries(
+            || ctx.note_io_retry(),
+            || {
+                let path = runs.dir.alloc(runs.op);
+                let written = write_run(&runs.dir, path.clone(), *width, buf);
+                if written.is_err() {
                     let _ = runs.dir.remove(&path);
-                    if e.is_transient() && attempt < MAX_IO_RETRIES {
-                        attempt += 1;
-                        ctx.note_io_retry();
-                        retry_backoff(attempt);
-                    } else if e.is_disk_full() {
-                        return absorb_enospc(ctx, *width, buf, runs);
-                    } else {
-                        return Err(e.into());
-                    }
                 }
-            }
+                written
+            },
+        );
+        let file = match written {
+            Ok(file) => file,
+            Err(e) if e.is_disk_full() => return absorb_enospc(ctx, *width, buf, runs),
+            Err(e) => return Err(e.into()),
         };
         if runs.files.is_empty() {
             ctx.record_degradation(
@@ -442,19 +429,10 @@ fn partition(
     // `execute_with` is the recovery of last resort).
     let mut writers: Vec<SpillWriter> = Vec::with_capacity(N_PARTS);
     for _ in 0..N_PARTS {
-        let mut attempt = 0u32;
-        let w = loop {
-            match dir.writer(tag, src.arity()) {
-                Ok(w) => break w,
-                Err(e) if e.is_transient() && attempt < MAX_IO_RETRIES => {
-                    attempt += 1;
-                    ctx.note_io_retry();
-                    retry_backoff(attempt);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        writers.push(w);
+        writers.push(with_retries(
+            || ctx.note_io_retry(),
+            || dir.writer(tag, src.arity()),
+        )?);
     }
     let mut failed: Option<EngineError> = src
         .each(ctx, &mut |t| {

@@ -71,4 +71,6 @@ pub use vfs::{
     real_fs, splitmix64, ChaosFs, ChaosStream, Fault, FaultSchedule, OpClass, RealFs, Sever, Vfs,
     VfsFile,
 };
-pub use wal::{acquire_pid_lock, process_alive, Wal, WalCounters, WalOptions, WalRecord, WalStats};
+pub use wal::{
+    with_retries, DirLock, RecordLog, Wal, WalCounters, WalOptions, WalRecord, WalStats,
+};

@@ -1,4 +1,4 @@
-//! Durable catalog write-ahead log.
+//! Durable catalog write-ahead log, on the workspace's one record log.
 //!
 //! The server catalog ([`Database`]) lives behind a lock in memory; this
 //! module makes it the durable thing. Every catalog mutation — a bulk
@@ -7,16 +7,20 @@
 //! acknowledged, and a restarted process replays the log over the last
 //! snapshot to recover exactly the acknowledged state.
 //!
+//! ## One log, two clients
+//!
+//! The log machinery is [`RecordLog`]: record framing, append + fsync +
+//! **read-back verification**, repair of a failed append, torn-tail
+//! replay, the PID lock and the orphaned-`*.tmp` sweep. It has two
+//! clients: [`Wal`] (this catalog log) and the run journal in
+//! `qf-core`, which records completed `FILTER` steps. A torn write or a
+//! flipped bit *lies* — the writer sees success — so after every fsync
+//! the log reads the bytes back and compares before acknowledging. An
+//! append is therefore either durable exactly as written, or it fails
+//! typed and the log is restored to its trusted prefix.
+//!
 //! All I/O goes through the [`Vfs`] seam, so [`crate::vfs::ChaosFs`]
-//! fault-injects every path deterministically. The crash-consistency
-//! discipline mirrors the run journal in `qf-core` (temp + fsync +
-//! rename publishes, PID lock with dead-owner reclaim, bounded transient
-//! retry, contiguous-prefix replay) with one addition the catalog
-//! demands: **read-back verification**. A torn write or a flipped bit
-//! *lies* — the writer sees success — so after every fsync the WAL reads
-//! the bytes back and compares before acknowledging. A mutation is
-//! therefore either durable exactly as written, or it fails typed and
-//! the log is restored to its trusted prefix.
+//! fault-injects every path deterministically.
 //!
 //! ## On-disk layout (one directory per catalog)
 //!
@@ -33,15 +37,16 @@
 //! ## Record format
 //!
 //! ```text
-//! [u32 payload_len][u64 seq][u64 post_fp][payload][u64 fnv1a]
+//! [u32 payload_len][u64 seq][u64 fp][payload][u64 fnv1a]
 //! ```
 //!
 //! all little-endian; the checksum covers everything before it. `seq`
-//! is globally monotone (replay enforces contiguity), `post_fp` is the
-//! catalog fingerprint *after* applying the record — recovery verifies
-//! the replayed [`Database::fingerprint`] against it record by record,
-//! so a replay that diverges from the original application is caught
-//! immediately rather than served as wrong data.
+//! is monotone across the log's life (replay enforces contiguity). The
+//! meaning of `fp` and the payload belong to the client: for the WAL,
+//! `fp` is the catalog fingerprint *after* applying the record —
+//! recovery verifies the replayed [`Database::fingerprint`] against it
+//! record by record, so a replay that diverges from the original
+//! application is caught immediately rather than served as wrong data.
 //!
 //! ## Recovery policy
 //!
@@ -66,7 +71,7 @@
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::catalog::Database;
@@ -82,11 +87,11 @@ const META_FILE: &str = "wal.meta";
 const META_FORMAT: &str = "QFWAL v1";
 const MANIFEST_FORMAT: &str = "QFWAL-SNAP v1";
 
-/// Transient I/O errors absorbed per WAL operation before giving up.
+/// Transient I/O errors absorbed per durable operation before giving up.
 const MAX_IO_RETRIES: u32 = 3;
 
 /// Fixed bytes around a record payload: 4 (length) + 8 (seq) + 8
-/// (post-fingerprint) before it, 8 (checksum) after.
+/// (fingerprint) before it, 8 (checksum) after.
 const RECORD_OVERHEAD: usize = 28;
 
 /// Bytes of a record before the payload (length + seq + fingerprint).
@@ -96,6 +101,263 @@ const RECORD_HEADER: usize = 20;
 const TAG_PUT: u8 = 0x01;
 const TAG_APPEND: u8 = 0x02;
 const TAG_RETRACT: u8 = 0x03;
+
+/// A directory held under a PID lock file. [`DirLock::acquire`]
+/// creates the directory, takes the lock and sweeps orphaned `*.tmp`
+/// files; dropping the owning handle releases the lock.
+#[derive(Debug)]
+pub struct DirLock {
+    vfs: Arc<dyn Vfs>,
+    dir: PathBuf,
+    /// The lock file this handle owns; `None` for a same-process
+    /// re-open while another live handle owns it. Such a handle may
+    /// read the directory but never writes it.
+    owned: Option<PathBuf>,
+}
+
+impl Drop for DirLock {
+    fn drop(&mut self) {
+        if let Some(lock) = &self.owned {
+            let mut held = held_locks();
+            held.retain(|p| p != lock);
+            let _ = self.vfs.remove_file(lock);
+        }
+    }
+}
+
+impl DirLock {
+    /// Create `dir`, take its PID lock file `lock_name` (a dead owner's
+    /// lock is reclaimed, a same-process re-open is reentrant and
+    /// read-only, a live foreign owner is a hard error), and sweep
+    /// orphaned `*.tmp` files — the leftovers of a crash between a temp
+    /// write and its rename.
+    pub fn acquire(vfs: Arc<dyn Vfs>, dir: &Path, lock_name: &str) -> Result<DirLock> {
+        retried(|| vfs.create_dir_all(dir).map_err(StorageError::from))?;
+        let owned = retried(|| acquire_pid_lock(&*vfs, &dir.join(lock_name)))?;
+        if owned.is_some() {
+            for p in vfs.read_dir(dir).unwrap_or_default() {
+                if p.extension().is_some_and(|e| e == "tmp") {
+                    let _ = vfs.remove_file(&p);
+                }
+            }
+        }
+        Ok(DirLock {
+            vfs,
+            dir: dir.to_path_buf(),
+            owned,
+        })
+    }
+
+    /// The filesystem backend the directory lives on.
+    pub fn vfs(&self) -> &dyn Vfs {
+        &*self.vfs
+    }
+
+    /// The locked directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+}
+
+/// One framed, checksummed, read-back-verified record log in a
+/// PID-locked directory. See the [module docs](self) for the format.
+///
+/// [`RecordLog::open`] replays the live log file and hands its trusted
+/// prefix to the client; [`RecordLog::append`] makes one more record
+/// durable. Dropping the log releases its [`DirLock`].
+#[derive(Debug)]
+pub struct RecordLog {
+    lock: DirLock,
+    /// The live log file.
+    path: PathBuf,
+    /// Sequence number of the last trusted record.
+    last_seq: u64,
+    /// In-memory copy of the trusted (acknowledged) log bytes; the
+    /// repair path republishes exactly these after a failed append.
+    log_buf: Vec<u8>,
+    /// A failed append may have left unacknowledged bytes on disk; the
+    /// next attempt must republish the trusted prefix first.
+    dirty: bool,
+    /// Repair failed: the on-disk log can no longer be trusted to match
+    /// `log_buf`. Every further append fails typed until restart.
+    poisoned: bool,
+}
+
+impl RecordLog {
+    /// Make `name` in `lock`'s directory the live log and replay it.
+    /// Records must continue contiguously from `start_seq`; `accept`
+    /// sees each checksummed record's `(seq, fp, payload)` in order and
+    /// returns `Ok(false)` to end the trusted prefix *before* that
+    /// record (an undecodable payload), or an error to abort. Whatever
+    /// follows the trusted prefix — a torn or corrupt tail — is
+    /// truncated away durably (by the lock owner only). Returns the log
+    /// and the number of records accepted.
+    pub fn open(
+        lock: DirLock,
+        name: &str,
+        start_seq: u64,
+        mut accept: impl FnMut(u64, u64, &[u8]) -> Result<bool>,
+    ) -> Result<(RecordLog, u64)> {
+        let mut log = RecordLog {
+            path: lock.dir.join(name),
+            lock,
+            last_seq: start_seq,
+            log_buf: Vec::new(),
+            dirty: false,
+            poisoned: false,
+        };
+        if !log.lock.vfs.exists(&log.path) {
+            return Ok((log, 0));
+        }
+        let bytes = retried(|| read_file_bytes(log.vfs(), &log.path))?;
+        let mut trusted_len = 0;
+        let mut accepted = 0;
+        for (seq, fp, payload) in scan_log(&bytes, start_seq).records {
+            if !accept(seq, fp, payload)? {
+                break;
+            }
+            trusted_len += RECORD_OVERHEAD + payload.len();
+            log.last_seq = seq;
+            accepted += 1;
+        }
+        log.log_buf = bytes[..trusted_len].to_vec();
+        if trusted_len < bytes.len() && log.lock.owned.is_some() {
+            // Torn tail (crash mid-append): republish the trusted
+            // prefix so the file and `log_buf` agree again.
+            publish_verified(log.vfs(), &log.path, &log.log_buf)?;
+        }
+        Ok((log, accepted))
+    }
+
+    /// Durably append one record: append it to the log, fsync, then
+    /// read the log back and verify the bytes before acknowledging — a
+    /// write that *lied* (torn stream, flipped bit) is caught here, the
+    /// trusted prefix is republished, and the append fails typed.
+    /// Transient errors are retried (each retry reported to
+    /// `on_retry`).
+    ///
+    /// On success the record is durable: a process killed any time
+    /// after this returns replays it. On failure the log is restored to
+    /// its pre-call state (or poisoned if even that failed, failing all
+    /// further appends).
+    pub fn append(&mut self, fp: u64, payload: &[u8], on_retry: impl FnMut()) -> Result<()> {
+        self.writable()?;
+        let seq = self.last_seq + 1;
+        let rec = encode_record(seq, fp, payload);
+        let result = with_retries(on_retry, || {
+            let attempt = self.try_append(&rec);
+            self.dirty |= attempt.is_err();
+            attempt
+        });
+        if let Err(e) = result {
+            // Final failure: restore the trusted prefix so the log
+            // never carries unacknowledged bytes.
+            match publish_verified(self.vfs(), &self.path, &self.log_buf) {
+                Ok(()) => self.dirty = false,
+                Err(_) => self.poisoned = true,
+            }
+            return Err(e);
+        }
+        self.log_buf.extend_from_slice(&rec);
+        self.last_seq = seq;
+        self.dirty = false;
+        Ok(())
+    }
+
+    /// One append attempt: repair if a previous attempt left junk,
+    /// append + fsync, then read back and byte-compare.
+    fn try_append(&mut self, rec: &[u8]) -> Result<()> {
+        if self.dirty {
+            publish_verified(self.vfs(), &self.path, &self.log_buf)?;
+            self.dirty = false;
+        }
+        let mut f = self.vfs().append(&self.path)?;
+        f.write_all(rec)?;
+        f.flush()?;
+        f.sync_all()?;
+        drop(f);
+        let on_disk = read_file_bytes(self.vfs(), &self.path)?;
+        let expected_len = self.log_buf.len() + rec.len();
+        if on_disk.len() != expected_len
+            || on_disk[..self.log_buf.len()] != self.log_buf[..]
+            || on_disk[self.log_buf.len()..] != rec[..]
+        {
+            return Err(corruption(
+                &self.path,
+                "read-back after append does not match the written bytes",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Switch to a fresh, empty live log `name` (the old one is now
+    /// covered by a snapshot); sequence numbers continue.
+    fn restart(&mut self, name: &str) {
+        self.path = self.lock.dir.join(name);
+        self.log_buf.clear();
+        self.dirty = false;
+    }
+
+    /// May this handle write? Not after a failed repair (poisoned), and
+    /// never on a handle that does not own the directory's lock.
+    fn writable(&self) -> Result<()> {
+        if self.poisoned {
+            return Err(poisoned_err(&self.path));
+        }
+        if self.lock.owned.is_none() {
+            return Err(StorageError::Io {
+                kind: ErrorKind::PermissionDenied,
+                detail: format!(
+                    "{} is locked by another handle in this process; this handle is read-only",
+                    self.lock.dir.display()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Publish `rel` at `path` in the locked directory through a temp
+    /// file that is written, fsynced and **read back** — decoded and
+    /// compared by name and content hash — before the rename that makes
+    /// it visible. Transient errors are retried (each reported to
+    /// `on_retry`); on failure the temp file is removed.
+    pub fn publish_relation(
+        &self,
+        path: &Path,
+        rel: &Relation,
+        on_retry: impl FnMut(),
+    ) -> Result<()> {
+        self.writable()?;
+        let tmp = tmp_path(path);
+        let vfs = self.vfs();
+        let result = with_retries(on_retry, || {
+            write_relation_on(vfs, &tmp, rel)?;
+            let back = read_relation_on(vfs, &tmp)?;
+            if back.name() != rel.name() || content_hash(&back) != content_hash(rel) {
+                return Err(corruption(
+                    &tmp,
+                    "read-back after snapshot write does not match the relation",
+                ));
+            }
+            vfs.rename(&tmp, path)?;
+            Ok(())
+        });
+        if result.is_err() {
+            let _ = vfs.remove_file(&tmp);
+        }
+        result
+    }
+
+    /// The filesystem backend this log writes through.
+    pub fn vfs(&self) -> &dyn Vfs {
+        self.lock.vfs()
+    }
+
+    /// The locked directory.
+    pub fn dir(&self) -> &Path {
+        self.lock.dir()
+    }
+}
 
 /// Options for [`Wal::open`].
 #[derive(Debug, Clone, Copy)]
@@ -192,33 +454,11 @@ impl WalCounters {
 /// See the [module docs](self) for the format and guarantees.
 #[derive(Debug)]
 pub struct Wal {
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
+    log: RecordLog,
     opts: WalOptions,
     /// Live snapshot generation (0 = no snapshot yet).
     generation: u64,
-    /// Sequence number of the last durable record.
-    last_seq: u64,
-    /// In-memory copy of the trusted (acknowledged) log bytes; the
-    /// repair path republishes exactly these after a failed append.
-    log_buf: Vec<u8>,
-    /// A failed append may have left unacknowledged bytes on disk; the
-    /// next attempt must republish the trusted prefix first.
-    dirty: bool,
-    /// Repair failed: the on-disk log can no longer be trusted to match
-    /// `log_buf`. Every further mutation fails typed until restart.
-    poisoned: bool,
-    /// The lock file this instance owns (absent on reentrant opens).
-    lock: Option<PathBuf>,
     counters: Arc<WalCounters>,
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        if let Some(lock) = &self.lock {
-            let _ = self.vfs.remove_file(lock);
-        }
-    }
 }
 
 impl Wal {
@@ -229,11 +469,10 @@ impl Wal {
     /// torn tail. Returns the WAL handle and the recovered catalog.
     pub fn open(vfs: Arc<dyn Vfs>, dir: &Path, opts: WalOptions) -> Result<(Wal, Database)> {
         let start = Instant::now();
-        with_retries(|| vfs.create_dir_all(dir).map_err(StorageError::from))?;
-        let lock = with_retries(|| acquire_pid_lock(&*vfs, &dir.join(LOCK_FILE)))?;
+        let lock = DirLock::acquire(Arc::clone(&vfs), dir, LOCK_FILE)?;
         let meta_path = dir.join(META_FILE);
         let generation = if vfs.exists(&meta_path) {
-            let text = with_retries(|| vfs.read_to_string(&meta_path).map_err(StorageError::from))?;
+            let text = retried(|| vfs.read_to_string(&meta_path).map_err(StorageError::from))?;
             parse_meta(&text).ok_or_else(|| corruption(&meta_path, "unparsable wal.meta"))?
         } else {
             // No meta means generation 0 — legal only if no snapshot was
@@ -250,12 +489,12 @@ impl Wal {
             }
             0
         };
-        sweep(&*vfs, dir, generation);
+        sweep_generations(&*vfs, dir, |g| g != generation);
         let mut db = Database::new();
         let mut last_seq = 0u64;
         if generation > 0 {
             let manifest_path = dir.join(format!("snap-{generation}.manifest"));
-            let text = with_retries(|| {
+            let text = retried(|| {
                 vfs.read_to_string(&manifest_path)
                     .map_err(StorageError::from)
             })
@@ -264,7 +503,7 @@ impl Wal {
                 .ok_or_else(|| corruption(&manifest_path, "unparsable snapshot manifest"))?;
             for (idx, hash, name) in &manifest.relations {
                 let path = dir.join(format!("snap-{generation}-{idx}.qfr"));
-                let rel = with_retries(|| read_relation_on(&*vfs, &path))
+                let rel = retried(|| read_relation_on(&*vfs, &path))
                     .map_err(|e| missing_as_corruption(&path, e))?;
                 if rel.name() != name {
                     return Err(corruption(
@@ -296,40 +535,31 @@ impl Wal {
             }
             last_seq = manifest.seq;
         }
-        let log_path = dir.join(format!("log-{generation}.wal"));
-        let mut log_buf = Vec::new();
-        let mut recovered = 0u64;
-        if vfs.exists(&log_path) {
-            let bytes = with_retries(|| read_file_bytes(&*vfs, &log_path))?;
-            let scan = scan_log(&bytes, last_seq);
-            for (seq, post_fp, record) in &scan.records {
-                Wal::apply(&mut db, record)?;
+        let log_name = format!("log-{generation}.wal");
+        let (log, recovered) =
+            RecordLog::open(lock, &log_name, last_seq, |seq, post_fp, payload| {
+                let Some(record) = decode_payload(payload) else {
+                    return Ok(false);
+                };
+                Wal::apply(&mut db, &record)?;
                 let got = db.fingerprint();
-                if got != *post_fp {
+                if got != post_fp {
                     return Err(StorageError::Corruption {
-                        path: log_path.display().to_string(),
-                        frame: *seq,
+                        path: dir.join(&log_name).display().to_string(),
+                        frame: seq,
                         detail: format!(
                             "replayed catalog fingerprint {got:016x} does not match the \
-                             fingerprint {post_fp:016x} stamped at commit"
+                         fingerprint {post_fp:016x} stamped at commit"
                         ),
                     });
                 }
-                last_seq = *seq;
-            }
-            recovered = scan.records.len() as u64;
-            log_buf = bytes[..scan.trusted_len].to_vec();
-            if scan.trusted_len < bytes.len() {
-                // Torn tail (crash mid-append): republish the trusted
-                // prefix so the file and `log_buf` agree again.
-                publish_verified(&*vfs, &log_path, &log_buf)?;
-            }
-        }
+                Ok(true)
+            })?;
         let counters = Arc::new(WalCounters::default());
         counters.wal_records.store(recovered, Ordering::Relaxed);
         counters
             .wal_bytes
-            .store(log_buf.len() as u64, Ordering::Relaxed);
+            .store(log.log_buf.len() as u64, Ordering::Relaxed);
         counters
             .recovered_records
             .store(recovered, Ordering::Relaxed);
@@ -338,15 +568,9 @@ impl Wal {
             .store(start.elapsed().as_millis() as u64, Ordering::Relaxed);
         Ok((
             Wal {
-                vfs,
-                dir: dir.to_path_buf(),
+                log,
                 opts,
                 generation,
-                last_seq,
-                log_buf,
-                dirty: false,
-                poisoned: false,
-                lock,
                 counters,
             },
             db,
@@ -360,12 +584,12 @@ impl Wal {
 
     /// The data directory this WAL lives in.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.log.dir()
     }
 
     /// Sequence number of the last durable record.
     pub fn last_seq(&self) -> u64 {
-        self.last_seq
+        self.log.last_seq
     }
 
     /// A failed commit could not be rolled back (the log repair itself
@@ -376,7 +600,7 @@ impl Wal {
     /// next open resolves the ambiguity (the record is either there in
     /// full or truncated away).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.log.poisoned
     }
 
     /// Apply one record to a catalog. This is the **only** mutation
@@ -402,80 +626,21 @@ impl Wal {
         Ok(())
     }
 
-    /// Durably commit one record: append it to the log, fsync, then
-    /// read the log back and verify the bytes before acknowledging —
-    /// a write that *lied* (torn stream, flipped bit) is caught here,
-    /// the trusted prefix is republished, and the commit fails typed.
-    /// `post_fp` is the catalog fingerprint after applying `record`;
-    /// recovery re-derives and checks it.
+    /// Durably commit one record through [`RecordLog::append`] (append,
+    /// fsync, read-back verify; the trusted prefix is restored on
+    /// failure). `post_fp` is the catalog fingerprint after applying
+    /// `record`; recovery re-derives and checks it.
     ///
     /// On success the record is durable: a process killed any time
     /// after this returns recovers a catalog containing it. On failure
     /// the log is restored to its pre-call state (or the WAL is
     /// poisoned if even that failed, failing all further mutations).
     pub fn commit(&mut self, record: &WalRecord, post_fp: u64) -> Result<()> {
-        if self.poisoned {
-            return Err(poisoned_err(&self.dir));
-        }
-        let seq = self.last_seq + 1;
-        let rec = encode_record(seq, post_fp, &encode_payload(record));
-        let log_path = self.log_path();
-        let mut attempt = 0u32;
-        loop {
-            let result = self.try_append(&log_path, &rec);
-            match result {
-                Ok(()) => {
-                    self.log_buf.extend_from_slice(&rec);
-                    self.last_seq = seq;
-                    self.dirty = false;
-                    self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .wal_bytes
-                        .store(self.log_buf.len() as u64, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(e) => {
-                    self.dirty = true;
-                    if e.is_transient() && attempt < MAX_IO_RETRIES {
-                        attempt += 1;
-                        std::thread::sleep(std::time::Duration::from_millis(1 << attempt.min(4)));
-                        continue;
-                    }
-                    // Final failure: restore the trusted prefix so the
-                    // log never carries unacknowledged bytes.
-                    match publish_verified(&*self.vfs, &log_path, &self.log_buf) {
-                        Ok(()) => self.dirty = false,
-                        Err(_) => self.poisoned = true,
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// One append attempt: repair if a previous attempt left junk,
-    /// append + fsync, then read back and byte-compare.
-    fn try_append(&mut self, log_path: &Path, rec: &[u8]) -> Result<()> {
-        if self.dirty {
-            publish_verified(&*self.vfs, log_path, &self.log_buf)?;
-            self.dirty = false;
-        }
-        let mut f = self.vfs.append(log_path)?;
-        f.write_all(rec)?;
-        f.flush()?;
-        f.sync_all()?;
-        drop(f);
-        let on_disk = read_file_bytes(&*self.vfs, log_path)?;
-        let expected_len = self.log_buf.len() + rec.len();
-        if on_disk.len() != expected_len
-            || on_disk[..self.log_buf.len()] != self.log_buf[..]
-            || on_disk[self.log_buf.len()..] != rec[..]
-        {
-            return Err(corruption(
-                log_path,
-                "read-back after append does not match the written bytes",
-            ));
-        }
+        self.log.append(post_fp, &encode_payload(record), || {})?;
+        self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .wal_bytes
+            .store(self.log.log_buf.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -484,7 +649,7 @@ impl Wal {
     /// compaction ran. A failed compaction is typed but non-fatal: the
     /// old generation stays authoritative and the log keeps growing.
     pub fn maybe_compact(&mut self, db: &Database) -> Result<bool> {
-        if self.poisoned || (self.log_buf.len() as u64) < self.opts.compact_threshold {
+        if self.log.poisoned || (self.log.log_buf.len() as u64) < self.opts.compact_threshold {
             return Ok(false);
         }
         self.compact(db)?;
@@ -497,58 +662,46 @@ impl Wal {
     /// crash or lying write anywhere in here leaves the old generation
     /// fully intact.
     pub fn compact(&mut self, db: &Database) -> Result<()> {
-        if self.poisoned {
-            return Err(poisoned_err(&self.dir));
-        }
+        self.log.writable()?;
         let next = self.generation + 1;
         let mut manifest = format!(
             "{MANIFEST_FORMAT}\ncatalog {:016x}\nseq {}\n",
             db.fingerprint(),
-            self.last_seq
+            self.log.last_seq
         );
         for (idx, rel) in db.iter().enumerate() {
-            let path = self.dir.join(format!("snap-{next}-{idx}.qfr"));
-            with_retries(|| {
-                write_relation_on(&*self.vfs, &path, rel)?;
-                let back = read_relation_on(&*self.vfs, &path)?;
-                if back.name() != rel.name() || content_hash(&back) != content_hash(rel) {
-                    return Err(corruption(
-                        &path,
-                        "read-back after snapshot write does not match the relation",
-                    ));
-                }
-                Ok(())
-            })?;
+            let path = self.dir().join(format!("snap-{next}-{idx}.qfr"));
+            self.log.publish_relation(&path, rel, || {})?;
             manifest.push_str(&format!(
                 "rel {idx} {:016x} {}\n",
                 content_hash(rel),
                 rel.name()
             ));
         }
-        let manifest_path = self.dir.join(format!("snap-{next}.manifest"));
-        publish_verified(&*self.vfs, &manifest_path, manifest.as_bytes())?;
+        let vfs = self.log.vfs();
+        let manifest_path = self.dir().join(format!("snap-{next}.manifest"));
+        publish_verified(vfs, &manifest_path, manifest.as_bytes())?;
         // The commit point: after this rename the new generation is
         // authoritative and the old one is garbage.
         let meta = format!("{META_FORMAT}\ngen {next}\n");
-        publish_verified(&*self.vfs, &self.dir.join(META_FILE), meta.as_bytes())?;
+        publish_verified(vfs, &self.dir().join(META_FILE), meta.as_bytes())?;
         let old = self.generation;
         self.generation = next;
-        self.log_buf.clear();
-        self.dirty = false;
+        self.log.restart(&format!("log-{next}.wal"));
         self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
         self.counters.compactions.fetch_add(1, Ordering::Relaxed);
         self.counters.wal_records.store(0, Ordering::Relaxed);
         self.counters.wal_bytes.store(0, Ordering::Relaxed);
         // Old-generation files are unreferenced now; best-effort removal
         // (open sweeps whatever survives a crash here).
-        sweep_generation(&*self.vfs, &self.dir, old);
+        sweep_generations(self.log.vfs(), self.log.dir(), |g| g == old);
         Ok(())
     }
 
     /// Strictly verify the live log: every byte must parse, checksum,
-    /// and chain — any damage (even a torn tail that recovery would
-    /// tolerate) is a typed [`StorageError::Corruption`]. Returns the
-    /// number of records verified.
+    /// chain and decode — any damage (even a torn tail that recovery
+    /// would tolerate) is a typed [`StorageError::Corruption`]. Returns
+    /// the number of records verified.
     pub fn verify_log(vfs: &dyn Vfs, dir: &Path, start_seq: u64) -> Result<u64> {
         let log_path = dir.join(format!("log-{}.wal", read_generation(vfs, dir)?));
         if !vfs.exists(&log_path) {
@@ -556,20 +709,25 @@ impl Wal {
         }
         let bytes = read_file_bytes(vfs, &log_path)?;
         let scan = scan_log(&bytes, start_seq);
-        if scan.trusted_len < bytes.len() {
+        let decoded = scan
+            .records
+            .iter()
+            .take_while(|(_, _, payload)| decode_payload(payload).is_some())
+            .count();
+        if decoded < scan.records.len() || scan.trusted_len < bytes.len() {
+            let detail = if decoded < scan.records.len() {
+                "undecodable record payload".to_string()
+            } else {
+                scan.issue
+                    .unwrap_or_else(|| "trailing bytes after final record".to_string())
+            };
             return Err(StorageError::Corruption {
                 path: log_path.display().to_string(),
-                frame: scan.records.len() as u64,
-                detail: scan
-                    .issue
-                    .unwrap_or_else(|| "trailing bytes after final record".to_string()),
+                frame: decoded as u64,
+                detail,
             });
         }
-        Ok(scan.records.len() as u64)
-    }
-
-    fn log_path(&self) -> PathBuf {
-        self.dir.join(format!("log-{}.wal", self.generation))
+        Ok(decoded as u64)
     }
 }
 
@@ -630,18 +788,28 @@ fn apply_retract(db: &mut Database, delta: Relation) -> Result<()> {
     Ok(())
 }
 
+/// Lock files owned by live [`DirLock`]s of this process. A lock file
+/// naming this process but missing here is a leftover whose removal
+/// failed, not a live owner.
+fn held_locks() -> MutexGuard<'static, Vec<PathBuf>> {
+    static HELD: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+    HELD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Take a PID lock at `path`. Returns the lock path when this call
-/// created (and therefore owns) the lock; `None` when the lock is
-/// already held by *this* process (reentrant — the earlier owner keeps
-/// responsibility for removal). A lock held by a dead process (or with
-/// torn content) is reclaimed; one held by a live foreign process is a
-/// hard error. Shared by the catalog WAL and the run journal.
-pub fn acquire_pid_lock(vfs: &dyn Vfs, path: &Path) -> Result<Option<PathBuf>> {
+/// created (and therefore owns) the lock; `None` when a live handle of
+/// *this* process owns it (reentrant — the earlier owner keeps
+/// responsibility for removal). A lock held by a dead process, with
+/// torn content, or left behind by this process with no live owner is
+/// reclaimed; one held by a live foreign process is a hard error.
+fn acquire_pid_lock(vfs: &dyn Vfs, path: &Path) -> Result<Option<PathBuf>> {
+    let mut held = held_locks();
     for _ in 0..2 {
         match vfs.create_new(path) {
             Ok(mut f) => {
                 let _ = f.write_all(std::process::id().to_string().as_bytes());
                 let _ = f.flush();
+                held.push(path.to_path_buf());
                 return Ok(Some(path.to_path_buf()));
             }
             Err(e) if e.kind() == ErrorKind::AlreadyExists => {
@@ -649,9 +817,10 @@ pub fn acquire_pid_lock(vfs: &dyn Vfs, path: &Path) -> Result<Option<PathBuf>> {
                     .read_to_string(path)
                     .ok()
                     .and_then(|s| s.trim().parse::<u32>().ok());
+                let ours = holder == Some(std::process::id());
                 match holder {
-                    Some(pid) if pid == std::process::id() => return Ok(None),
-                    Some(pid) if process_alive(pid) => {
+                    Some(_) if ours && held.iter().any(|p| p == path) => return Ok(None),
+                    Some(pid) if !ours && process_alive(pid) => {
                         return Err(StorageError::Io {
                             kind: ErrorKind::AlreadyExists,
                             detail: format!(
@@ -660,7 +829,7 @@ pub fn acquire_pid_lock(vfs: &dyn Vfs, path: &Path) -> Result<Option<PathBuf>> {
                             ),
                         });
                     }
-                    // Dead owner or torn lock content: reclaim.
+                    // Dead or missing owner, or torn content: reclaim.
                     _ => {
                         vfs.remove_file(path)?;
                     }
@@ -680,30 +849,38 @@ pub fn acquire_pid_lock(vfs: &dyn Vfs, path: &Path) -> Result<Option<PathBuf>> {
 
 /// Is a process with this PID alive? Used for dead-owner lock reclaim.
 #[cfg(unix)]
-pub fn process_alive(pid: u32) -> bool {
+fn process_alive(pid: u32) -> bool {
     Path::new(&format!("/proc/{pid}")).exists()
 }
 
 /// Is a process with this PID alive? On platforms with no cheap
 /// liveness probe this answers `true`: never steal a foreign lock.
 #[cfg(not(unix))]
-pub fn process_alive(_pid: u32) -> bool {
+fn process_alive(_pid: u32) -> bool {
     true
 }
 
 /// Run `f`, absorbing up to [`MAX_IO_RETRIES`] transient I/O errors
-/// with exponential backoff.
-fn with_retries<T>(mut f: impl FnMut() -> Result<T>) -> Result<T> {
+/// with exponential backoff; `on_retry` is called once per absorbed
+/// error (callers count them in their stats). The workspace's one
+/// retry loop: every durable write and the spill path go through it.
+pub fn with_retries<T>(mut on_retry: impl FnMut(), mut f: impl FnMut() -> Result<T>) -> Result<T> {
     let mut attempt = 0u32;
     loop {
         match f() {
             Err(e) if e.is_transient() && attempt < MAX_IO_RETRIES => {
                 attempt += 1;
+                on_retry();
                 std::thread::sleep(std::time::Duration::from_millis(1 << attempt.min(4)));
             }
             other => return other,
         }
     }
+}
+
+/// [`with_retries`] for callers that do not count retries.
+fn retried<T>(f: impl FnMut() -> Result<T>) -> Result<T> {
+    with_retries(|| {}, f)
 }
 
 /// A file the live generation *names* but that cannot be found is
@@ -718,21 +895,21 @@ fn missing_as_corruption(path: &Path, e: StorageError) -> StorageError {
     }
 }
 
+fn poisoned_err(log: &Path) -> StorageError {
+    StorageError::Io {
+        kind: ErrorKind::Other,
+        detail: format!(
+            "log {} is poisoned after a failed log repair; restart to recover",
+            log.display()
+        ),
+    }
+}
+
 fn corruption(path: &Path, detail: &str) -> StorageError {
     StorageError::Corruption {
         path: path.display().to_string(),
         frame: 0,
         detail: detail.to_string(),
-    }
-}
-
-fn poisoned_err(dir: &Path) -> StorageError {
-    StorageError::Io {
-        kind: ErrorKind::Other,
-        detail: format!(
-            "wal in {} is poisoned after a failed log repair; restart to recover",
-            dir.display()
-        ),
     }
 }
 
@@ -750,7 +927,7 @@ fn read_file_bytes(vfs: &dyn Vfs, path: &Path) -> Result<Vec<u8>> {
 /// bytes with bad ones.
 fn publish_verified(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<()> {
     let tmp = tmp_path(path);
-    let result = with_retries(|| {
+    let result = retried(|| {
         let mut f = vfs.create(&tmp)?;
         f.write_all(bytes)?;
         f.flush()?;
@@ -841,10 +1018,11 @@ fn find_snapshot_file(vfs: &dyn Vfs, dir: &Path) -> Option<PathBuf> {
     })
 }
 
-/// Best-effort removal of orphaned temp files and files from any
-/// generation other than `keep` (leftovers of a crashed compaction or
-/// of the generation it replaced).
-fn sweep(vfs: &dyn Vfs, dir: &Path, keep: u64) {
+/// Best-effort removal of the WAL-managed files whose generation
+/// `doomed` selects: on open, every generation but the live one
+/// (leftovers of a crashed compaction or of the generation it
+/// replaced); after a compaction, the generation it replaced.
+fn sweep_generations(vfs: &dyn Vfs, dir: &Path, doomed: impl Fn(u64) -> bool) {
     let Ok(entries) = vfs.read_dir(dir) else {
         return;
     };
@@ -852,28 +1030,7 @@ fn sweep(vfs: &dyn Vfs, dir: &Path, keep: u64) {
         let Some(name) = p.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if name.ends_with(".tmp") {
-            let _ = vfs.remove_file(&p);
-            continue;
-        }
-        if let Some(g) = file_generation(name) {
-            if g != keep {
-                let _ = vfs.remove_file(&p);
-            }
-        }
-    }
-}
-
-/// Best-effort removal of one generation's files.
-fn sweep_generation(vfs: &dyn Vfs, dir: &Path, generation: u64) {
-    let Ok(entries) = vfs.read_dir(dir) else {
-        return;
-    };
-    for p in entries {
-        let Some(name) = p.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if file_generation(name) == Some(generation) {
+        if file_generation(name).is_some_and(&doomed) {
             let _ = vfs.remove_file(&p);
         }
     }
@@ -896,12 +1053,12 @@ fn file_generation(name: &str) -> Option<u64> {
     None
 }
 
-/// Frame one record: `[u32 len][u64 seq][u64 post_fp][payload][u64 fnv]`.
-fn encode_record(seq: u64, post_fp: u64, payload: &[u8]) -> Vec<u8> {
+/// Frame one record: `[u32 len][u64 seq][u64 fp][payload][u64 fnv]`.
+fn encode_record(seq: u64, fp: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&post_fp.to_le_bytes());
+    out.extend_from_slice(&fp.to_le_bytes());
     out.extend_from_slice(payload);
     let mut h = Fnv1a::new();
     h.write(&out);
@@ -973,19 +1130,20 @@ fn decode_payload(bytes: &[u8]) -> Option<WalRecord> {
     Some(record)
 }
 
-/// Result of a tolerant log scan: the records of the trusted prefix,
-/// how many bytes it spans, and why the scan stopped early (if it did).
-struct LogScan {
-    records: Vec<(u64, u64, WalRecord)>,
+/// Result of a tolerant log scan: the `(seq, fp, payload)` records of
+/// the checksummed prefix, how many bytes it spans, and why the scan
+/// stopped early (if it did).
+struct LogScan<'a> {
+    records: Vec<(u64, u64, &'a [u8])>,
     trusted_len: usize,
     issue: Option<String>,
 }
 
-/// Scan a log tolerantly: any violation — a truncated frame, a
-/// checksum mismatch, a sequence discontinuity, an undecodable payload
-/// — ends the trusted prefix there. Sequence numbers must continue
-/// from `start_seq` (the snapshot's coverage) contiguously.
-fn scan_log(bytes: &[u8], start_seq: u64) -> LogScan {
+/// Scan a log tolerantly: any framing violation — a truncated frame, a
+/// checksum mismatch, a sequence discontinuity — ends the trusted
+/// prefix there. Sequence numbers must continue from `start_seq`
+/// contiguously. Payloads are returned raw; decoding is the client's.
+fn scan_log(bytes: &[u8], start_seq: u64) -> LogScan<'_> {
     let mut records = Vec::new();
     let mut off = 0usize;
     let mut seq = start_seq;
@@ -998,7 +1156,7 @@ fn scan_log(bytes: &[u8], start_seq: u64) -> LogScan {
                 issue: None,
             };
         }
-        let stop = |records: Vec<(u64, u64, WalRecord)>, issue: &str| LogScan {
+        let stop = |records, issue: &str| LogScan {
             records,
             trusted_len: off,
             issue: Some(issue.to_string()),
@@ -1021,11 +1179,8 @@ fn scan_log(bytes: &[u8], start_seq: u64) -> LogScan {
         if rec_seq != seq + 1 {
             return stop(records, "sequence discontinuity");
         }
-        let post_fp = u64::from_le_bytes(bytes[off + 12..off + 20].try_into().unwrap());
-        let Some(record) = decode_payload(&bytes[off + RECORD_HEADER..body_end]) else {
-            return stop(records, "undecodable record payload");
-        };
-        records.push((rec_seq, post_fp, record));
+        let fp = u64::from_le_bytes(bytes[off + 12..off + 20].try_into().unwrap());
+        records.push((rec_seq, fp, &bytes[off + RECORD_HEADER..body_end]));
         seq = rec_seq;
         off = body_end + 8;
     }
@@ -1253,7 +1408,7 @@ mod tests {
             },
         )
         .unwrap();
-        let log = wal.log_path();
+        let log = wal.log.path.clone();
         drop(wal);
         // Simulate a crash mid-append: half a record's worth of junk.
         let mut bytes = std::fs::read(&log).unwrap();
@@ -1308,24 +1463,51 @@ mod tests {
     #[test]
     fn pid_lock_blocks_reclaims_and_reenters() {
         let dir = tmp("lock");
-        std::fs::create_dir_all(&dir).unwrap();
-        let fs = real_fs();
         let path = dir.join(LOCK_FILE);
+        let acquire = || DirLock::acquire(real_fs(), &dir, LOCK_FILE);
         // Fresh acquire owns the lock.
-        let owned = acquire_pid_lock(&*fs, &path).unwrap();
-        assert_eq!(owned, Some(path.clone()));
-        // Same process re-enters without owning.
-        assert_eq!(acquire_pid_lock(&*fs, &path).unwrap(), None);
+        let owner = acquire().unwrap();
+        assert_eq!(owner.owned, Some(path.clone()));
+        // Same process re-enters without owning while the owner lives.
+        assert_eq!(acquire().unwrap().owned, None);
+        assert!(path.exists());
+        drop(owner);
+        assert!(!path.exists());
         // A live foreign holder is a hard error (PID 1 is always alive).
         std::fs::write(&path, "1").unwrap();
-        let err = acquire_pid_lock(&*fs, &path).unwrap_err();
+        let err = acquire().unwrap_err();
         assert!(
             err.to_string().contains("locked by running process"),
             "{err}"
         );
-        // A dead holder is reclaimed.
-        std::fs::write(&path, "999999999").unwrap();
-        assert_eq!(acquire_pid_lock(&*fs, &path).unwrap(), Some(path.clone()));
+        // A dead holder is reclaimed, and so is this process's own
+        // leftover (a lock whose removal failed) once no handle owns it.
+        for holder in ["999999999".to_string(), std::process::id().to_string()] {
+            std::fs::write(&path, holder).unwrap();
+            assert_eq!(acquire().unwrap().owned, Some(path.clone()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reentrant_open_is_read_only() {
+        let dir = tmp("reentrant");
+        let (mut wal, mut db) = Wal::open(real_fs(), &dir, WalOptions::default()).unwrap();
+        let put = |rows| WalRecord::Put {
+            relations: vec![tsv("r", rows)],
+        };
+        commit(&mut wal, &mut db, put(&[(1, "a")])).unwrap();
+        let (mut second, seen) = Wal::open(real_fs(), &dir, WalOptions::default()).unwrap();
+        assert_eq!(seen.fingerprint(), db.fingerprint());
+        let err = commit(&mut second, &mut seen.clone(), put(&[(2, "b")])).unwrap_err();
+        assert!(err.to_string().contains("read-only"), "{err}");
+        assert!(second.compact(&seen).is_err());
+        drop(second);
+        // The owner's log is untouched and keeps committing.
+        let fp = commit(&mut wal, &mut db, put(&[(3, "c")])).unwrap();
+        drop(wal);
+        let (_, recovered) = Wal::open(real_fs(), &dir, WalOptions::default()).unwrap();
+        assert_eq!(recovered.fingerprint(), fp);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1491,7 +1673,7 @@ mod tests {
             db = next;
             acked.push(fp);
         }
-        let log = wal.log_path();
+        let log = wal.log.path.clone();
         drop(wal);
         let pristine = std::fs::read(&log).unwrap();
         for bit_byte in 0..pristine.len() {
@@ -1512,6 +1694,71 @@ mod tests {
             drop(w);
             std::fs::write(&log, &pristine).unwrap();
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The on-disk bytes of a fixed commit/compact/reopen script are
+    /// pinned: any change to framing, payload encoding, manifests, meta
+    /// or snapshots fails here. Each entry is (file name, length,
+    /// FNV-1a of the contents).
+    #[test]
+    fn wal_bytes_are_pinned() {
+        let dir = tmp("pinned");
+        let opts = WalOptions {
+            compact_threshold: 200,
+        };
+        let (mut wal, mut db) = Wal::open(real_fs(), &dir, opts).unwrap();
+        let script = [
+            WalRecord::Put {
+                relations: vec![tsv("r", &[(1, "a"), (2, "b")]), tsv("s", &[(7, "z")])],
+            },
+            WalRecord::Append {
+                tsv: tsv("r", &[(3, "c")]),
+            },
+            WalRecord::Retract {
+                tsv: tsv("r", &[(1, "a")]),
+            },
+            // The log exceeds the threshold after this commit: it compacts.
+            WalRecord::Append {
+                tsv: tsv("s", &[(8, "y")]),
+            },
+            WalRecord::Retract {
+                tsv: tsv("s", &[(7, "z")]),
+            },
+        ];
+        for record in script {
+            commit(&mut wal, &mut db, record).unwrap();
+            wal.maybe_compact(&db).unwrap();
+        }
+        assert_eq!(wal.counters().stats().compactions, 1);
+        drop(wal);
+        let (wal, recovered) = Wal::open(real_fs(), &dir, opts).unwrap();
+        drop(wal);
+        let mut files: Vec<(String, usize, u64)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                let mut h = Fnv1a::new();
+                h.write(&bytes);
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, bytes.len(), h.finish())
+            })
+            .collect();
+        files.sort();
+        let got: Vec<(&str, usize, u64)> =
+            files.iter().map(|(n, l, h)| (n.as_str(), *l, *h)).collect();
+        assert_eq!(
+            got,
+            vec![
+                ("log-1.wal", 47, 0xbc4b_a162_db87_ec0f),
+                ("snap-1-0.qfr", 44, 0x7cd0_d97b_ed37_cc87),
+                ("snap-1-1.qfr", 44, 0x20ba_0839_9ef5_d672),
+                ("snap-1.manifest", 95, 0xb0ff_7f1e_5b08_3acd),
+                ("wal.meta", 15, 0x997e_c590_da29_1de6),
+            ]
+        );
+        assert_eq!(recovered.fingerprint(), 0x5bf4_b869_4690_92fb);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
