@@ -15,8 +15,8 @@
 //! is an order-of-magnitude win that grows with threshold skew.
 
 use qf_core::{
-    default_threads, evaluate_direct, execute_plan, execute_plan_with, single_param_plan,
-    ExecContext, JoinOrderStrategy, QueryFlock,
+    default_threads, evaluate_direct, execute_plan_with, single_param_plan, ExecContext,
+    JoinOrderStrategy, QueryFlock,
 };
 
 use crate::table::{fmt_duration, Table};
@@ -69,7 +69,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         });
         let plan = single_param_plan(&flock, &db).unwrap();
         let (rewritten, rewritten_t) = time_median(reps, || {
-            execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap()
+            execute_plan_with(
+                &plan,
+                &db,
+                JoinOrderStrategy::Greedy,
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
         });
         assert_eq!(
             direct_result.tuples(),

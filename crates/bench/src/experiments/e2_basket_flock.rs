@@ -9,7 +9,10 @@
 //! *is* a query flock, and the flock machinery reproduces the classic
 //! algorithm's output tuple for tuple.
 
-use qf_core::{evaluate_direct, execute_plan, single_param_plan, JoinOrderStrategy, QueryFlock};
+use qf_core::{
+    evaluate_direct, execute_plan_with, single_param_plan, ExecContext, JoinOrderStrategy,
+    QueryFlock,
+};
 use qf_mine::mine_apriori;
 use qf_storage::Value;
 
@@ -61,7 +64,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         });
         let plan = single_param_plan(&flock, &db).unwrap();
         let (planned, plan_t) = time_median(3, || {
-            execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap()
+            execute_plan_with(
+                &plan,
+                &db,
+                JoinOrderStrategy::Greedy,
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
         });
         let (classic, classic_t) = time_median(3, || mine_apriori(&txns, threshold as u64, 2));
 

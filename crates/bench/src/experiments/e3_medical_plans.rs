@@ -14,7 +14,9 @@
 
 use std::collections::BTreeSet;
 
-use qf_core::{direct_plan, execute_plan, param_set_plan, JoinOrderStrategy, QueryFlock};
+use qf_core::{
+    direct_plan, execute_plan_with, param_set_plan, ExecContext, JoinOrderStrategy, QueryFlock,
+};
 use qf_datalog::safe_subqueries;
 use qf_storage::Symbol;
 
@@ -89,7 +91,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut results = Vec::new();
         for plan in [&p_direct, &p_s, &p_m, &p_both] {
             let (run, t) = time_median(3, || {
-                execute_plan(plan, db, JoinOrderStrategy::Greedy).unwrap()
+                execute_plan_with(
+                    plan,
+                    db,
+                    JoinOrderStrategy::Greedy,
+                    &ExecContext::unbounded(),
+                )
+                .unwrap()
             });
             times.push(t);
             results.push(run.result);

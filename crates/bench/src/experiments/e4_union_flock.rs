@@ -10,7 +10,9 @@
 
 use std::collections::BTreeSet;
 
-use qf_core::{evaluate_direct, execute_plan, param_set_plan, JoinOrderStrategy, QueryFlock};
+use qf_core::{
+    evaluate_direct, execute_plan_with, param_set_plan, ExecContext, JoinOrderStrategy, QueryFlock,
+};
 use qf_storage::{Symbol, Value};
 
 use crate::table::{fmt_duration, Table};
@@ -73,7 +75,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         });
         let plan = param_set_plan(&flock, db, &[p1.clone(), p2.clone()]).unwrap();
         let (planned, plan_t) = time_median(3, || {
-            execute_plan(&plan, db, JoinOrderStrategy::Greedy).unwrap()
+            execute_plan_with(
+                &plan,
+                db,
+                JoinOrderStrategy::Greedy,
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
         });
         assert_eq!(direct.tuples(), planned.result.tuples());
 

@@ -8,7 +8,9 @@
 //! *grows with n*, which is why no exponential plan space can contain
 //! all the good plans.
 
-use qf_core::{chain_plan, evaluate_direct, execute_plan, JoinOrderStrategy, QueryFlock};
+use qf_core::{
+    chain_plan, evaluate_direct, execute_plan_with, ExecContext, JoinOrderStrategy, QueryFlock,
+};
 
 use crate::table::{fmt_duration, Table};
 use crate::timing::{speedup, time_median};
@@ -60,7 +62,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         });
         let plan = chain_plan(&flock).unwrap();
         let (chained, chain_t) = time_median(3, || {
-            execute_plan(&plan, &db, JoinOrderStrategy::AsWritten).unwrap()
+            execute_plan_with(
+                &plan,
+                &db,
+                JoinOrderStrategy::AsWritten,
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
         });
         assert_eq!(direct.tuples(), chained.result.tuples(), "n={n}");
         table.row(vec![

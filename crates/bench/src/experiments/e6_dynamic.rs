@@ -12,7 +12,8 @@
 use std::collections::BTreeSet;
 
 use qf_core::{
-    direct_plan, evaluate_dynamic, execute_plan, param_set_plan, DynamicConfig, JoinOrderStrategy,
+    direct_plan, evaluate_dynamic_with, execute_plan_with, param_set_plan, DynamicConfig,
+    ExecContext, JoinOrderStrategy,
 };
 use qf_storage::Symbol;
 
@@ -76,7 +77,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ];
         for plan in &plans {
             let (run, t) = time_median(3, || {
-                execute_plan(plan, db, JoinOrderStrategy::Greedy).unwrap()
+                execute_plan_with(
+                    plan,
+                    db,
+                    JoinOrderStrategy::Greedy,
+                    &ExecContext::unbounded(),
+                )
+                .unwrap()
             });
             static_times.push(t);
             match &reference {
@@ -88,7 +95,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let best_static = *static_times.iter().min().unwrap();
 
         let (report, dynamic_t) = time_median(3, || {
-            evaluate_dynamic(&flock, db, &DynamicConfig::default()).unwrap()
+            evaluate_dynamic_with(
+                &flock,
+                db,
+                &DynamicConfig::default(),
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
         });
         assert_eq!(
             reference.as_ref().unwrap().tuples(),

@@ -8,7 +8,8 @@
 //! *reject* pruning when monotonicity breaks (negative weights).
 
 use qf_core::{
-    evaluate_direct, execute_plan, single_param_plan, FlockError, JoinOrderStrategy, QueryFlock,
+    evaluate_direct, execute_plan_with, single_param_plan, ExecContext, FlockError,
+    JoinOrderStrategy, QueryFlock,
 };
 use qf_storage::{Relation, Schema, Value};
 
@@ -58,7 +59,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         });
         let plan = single_param_plan(&flock, &db).unwrap();
         let (planned, plan_t) = time_median(3, || {
-            execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap()
+            execute_plan_with(
+                &plan,
+                &db,
+                JoinOrderStrategy::Greedy,
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
         });
         assert_eq!(direct.tuples(), planned.result.tuples());
         table.row(vec![

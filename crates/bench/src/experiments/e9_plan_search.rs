@@ -11,8 +11,8 @@
 //!    legal plan (if the spread is small, none of §4 matters).
 
 use qf_core::{
-    best_plan, enumerate_plans, estimate_plan_cost, evaluate_dynamic, execute_plan,
-    single_param_plan, DynamicConfig, JoinOrderStrategy,
+    best_plan_with, enumerate_plans, estimate_plan_cost, evaluate_dynamic_with, execute_plan_with,
+    single_param_plan, DynamicConfig, ExecContext, JoinOrderStrategy,
 };
 
 use crate::experiments::e3_medical_plans::medical_flock;
@@ -47,7 +47,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         };
         let est = estimate_plan_cost(plan, db, JoinOrderStrategy::Greedy).unwrap();
         let (run, t) = time_median(3, || {
-            execute_plan(plan, db, JoinOrderStrategy::Greedy).unwrap()
+            execute_plan_with(
+                plan,
+                db,
+                JoinOrderStrategy::Greedy,
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
         });
         measured.push((label, est, run.total_answer_tuples(), t));
     }
@@ -80,11 +86,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
         &["strategy", "search time", "chosen plan", "execution time"],
     );
     let ((chosen, _cost), search_t) = {
-        let (r, t) = time(|| best_plan(&flock, db).unwrap());
+        let (r, t) = time(|| best_plan_with(&flock, db, &ExecContext::unbounded()).unwrap());
         (r, t)
     };
     let (_, exec_t) = time_median(3, || {
-        execute_plan(&chosen, db, JoinOrderStrategy::Greedy).unwrap()
+        execute_plan_with(
+            &chosen,
+            db,
+            JoinOrderStrategy::Greedy,
+            &ExecContext::unbounded(),
+        )
+        .unwrap()
     });
     strategies.row(vec![
         "exhaustive + cost model".to_string(),
@@ -99,7 +111,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
     let (heuristic, heuristic_search_t) = time(|| single_param_plan(&flock, db).unwrap());
     let (_, heuristic_exec_t) = time_median(3, || {
-        execute_plan(&heuristic, db, JoinOrderStrategy::Greedy).unwrap()
+        execute_plan_with(
+            &heuristic,
+            db,
+            JoinOrderStrategy::Greedy,
+            &ExecContext::unbounded(),
+        )
+        .unwrap()
     });
     strategies.row(vec![
         "fig. 5 heuristic (singletons)".to_string(),
@@ -109,7 +127,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
     ]);
 
     let (report, dynamic_t) = time_median(3, || {
-        evaluate_dynamic(&flock, db, &DynamicConfig::default()).unwrap()
+        evaluate_dynamic_with(
+            &flock,
+            db,
+            &DynamicConfig::default(),
+            &ExecContext::unbounded(),
+        )
+        .unwrap()
     });
     strategies.row(vec![
         "dynamic (§4.4)".to_string(),

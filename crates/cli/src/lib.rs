@@ -22,12 +22,13 @@
 use std::fmt::Write as _;
 
 use qf_core::{
-    best_plan, evaluate_dynamic, to_sql, DynamicConfig, ExecContext, FlockProgram,
+    best_plan_with, evaluate_dynamic_with, to_sql, DynamicConfig, ExecContext, FlockProgram,
     JoinOrderStrategy, Optimizer, QueryFlock, Strategy,
 };
 use qf_storage::{tsv, Database, Relation};
 
-/// Resource limits applied to every governed evaluation (`run`).
+/// Resource limits applied to every governed evaluation (`run`,
+/// `plan`, `explain`).
 /// Settable from the command line (`--timeout`, `--max-rows`,
 /// `--mem-budget`, `--threads`) or the `limits` shell command.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,7 +100,7 @@ pub struct Session {
     pub db: Database,
     /// The current flock program, if one was defined.
     pub program: Option<FlockProgram>,
-    /// Resource limits applied to `run`.
+    /// Resource limits applied to `run`, `plan` and `explain`.
     pub limits: Limits,
     /// Spill directory for out-of-core execution: when set, a governed
     /// `run` that would trip its memory budget spills intermediate
@@ -435,9 +436,9 @@ impl Session {
         }
     }
 
-    /// Build the execution context for a `run`: the configured limits,
-    /// the `QF_MEM_BUDGET` environment fallback for the memory budget,
-    /// and the spill directory when one is set.
+    /// Build the execution context for a `run`, `plan` or `explain`:
+    /// the configured limits, the `QF_MEM_BUDGET` environment fallback
+    /// for the memory budget, and the spill directory when one is set.
     fn run_context(&self) -> Result<ExecContext, String> {
         let mut ctx = self.limits.context();
         if self.limits.mem_budget.is_none() {
@@ -480,7 +481,7 @@ impl Session {
         }
         let start = std::time::Instant::now();
         let evaluation = program
-            .evaluate_governed(&self.db, &optimizer, &ctx)
+            .evaluate_with(&self.db, &optimizer, &ctx)
             .map_err(|e| e.to_string())?;
         let elapsed = start.elapsed();
         if self.report_json {
@@ -534,13 +535,21 @@ impl Session {
         Ok(out)
     }
 
-    fn plan(&self) -> Result<String, String> {
+    /// The session's flock, the catalog with the program's views
+    /// materialized under the session's limits, and the context that
+    /// charged them.
+    fn governed_flock(&self) -> Result<(&QueryFlock, Database, ExecContext), String> {
         let program = self.current_program()?;
+        let ctx = self.run_context()?;
         let working = program
-            .materialize_views(&self.db, JoinOrderStrategy::Greedy)
+            .materialize_views_with(&self.db, JoinOrderStrategy::Greedy, &ctx)
             .map_err(|e| e.to_string())?;
-        let flock = program.flock();
-        let (plan, cost) = best_plan(flock, &working).map_err(|e| e.to_string())?;
+        Ok((program.flock(), working, ctx))
+    }
+
+    fn plan(&self) -> Result<String, String> {
+        let (flock, working, ctx) = self.governed_flock()?;
+        let (plan, cost) = best_plan_with(flock, &working, &ctx).map_err(|e| e.to_string())?;
         let report = qf_core::estimate_plan_report(&plan, &working, JoinOrderStrategy::Greedy)
             .map_err(|e| e.to_string())?;
         Ok(format!(
@@ -555,28 +564,30 @@ impl Session {
     }
 
     fn explain(&self) -> Result<String, String> {
-        let program = self.current_program()?;
-        let working = program
-            .materialize_views(&self.db, JoinOrderStrategy::Greedy)
-            .map_err(|e| e.to_string())?;
-        let flock = program.flock();
+        let (flock, working, ctx) = self.governed_flock()?;
         let compiled = qf_core::compile_answer(flock.query(), &working, JoinOrderStrategy::Greedy)
             .map_err(|e| e.to_string())?;
         let mut out = compiled.plan.explain();
         if let Ok(est) = qf_engine::estimate(&compiled.plan, &working) {
             let _ = write!(out, "-- estimated answer tuples: {:.0}", est.rows);
         }
-        // For single-rule COUNT flocks, also show the dynamic trace.
+        // For single-rule flocks (where §4.4 is defined), also show the
+        // dynamic trace, or why the walk failed under the session limits.
         if flock.query().is_single() {
-            if let Ok(report) = evaluate_dynamic(flock, &working, &DynamicConfig::default()) {
-                let _ = write!(out, "\n-- dynamic decisions:");
-                for d in &report.decisions {
-                    let _ = write!(
-                        out,
-                        "\n--   after {}: {}",
-                        d.after_subgoal,
-                        if d.filtered { "FILTER" } else { "skip" }
-                    );
+            let _ = write!(out, "\n-- dynamic decisions:");
+            match evaluate_dynamic_with(flock, &working, &DynamicConfig::default(), &ctx) {
+                Ok(report) => {
+                    for d in &report.decisions {
+                        let _ = write!(
+                            out,
+                            "\n--   after {}: {}",
+                            d.after_subgoal,
+                            if d.filtered { "FILTER" } else { "skip" }
+                        );
+                    }
+                }
+                Err(e) => {
+                    let _ = write!(out, " {e}");
                 }
             }
         }
@@ -1022,6 +1033,22 @@ mod tests {
         assert!(s.execute_line("plan").unwrap().contains("FILTER"));
         assert!(s.execute_line("sql").unwrap().contains("GROUP BY"));
         assert!(s.execute_line("explain").unwrap().contains("Scan baskets"));
+    }
+
+    /// `explain` runs the §4.4 walk under the session's limits, and
+    /// says why when they stop it.
+    #[test]
+    fn explain_honours_session_limits() {
+        let mut s = Session::new();
+        s.execute_line("gen baskets").unwrap();
+        s.execute_line(flock_cmd()).unwrap();
+        s.execute_line("limits max-rows=1k").unwrap();
+        let out = s.execute_line("explain").unwrap();
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("-- dynamic decisions:"))
+            .unwrap_or_else(|| panic!("{out}"));
+        assert!(line.contains("resource budget exceeded"), "{out}");
     }
 
     #[test]

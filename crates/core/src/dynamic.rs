@@ -29,6 +29,11 @@
 //! show *why* the dynamic strategy matched (or beat) the best static
 //! plan without knowing the data regime in advance.
 //!
+//! The walk is a step evaluator (`DynamicEvaluator`) answering the one
+//! step of the flock's direct plan, so it runs inside the one plan loop
+//! ([`crate::exec::execute_plan_scored_on`]) and is journaled, resumed
+//! and governed like every other strategy.
+//!
 //! This module decides; it has no operators of its own. Every stage,
 //! count, prune and the final filter is a [`PhysicalPlan`] run by
 //! [`qf_engine::execute_with`] against a scratch catalog — the database
@@ -46,6 +51,8 @@
 //! pair set — exactly as far as a static plan's step outputs do, but not
 //! past a stage result that does not itself fit.
 
+use std::sync::{Mutex, PoisonError};
+
 use qf_datalog::{Atom, ConjunctiveQuery, Term};
 use qf_engine::{
     execute_with, row_cost, AggFn, CmpOp, EngineError, ExecContext, PhysicalPlan, Predicate,
@@ -54,11 +61,16 @@ use qf_engine::{
 use qf_storage::{Database, FastMap, Relation, Symbol, Value};
 
 use crate::compile::{
-    answer_columns, atom_order, filter_answer, Binding, BodyWalk, CompiledRule, JoinOrderStrategy,
+    answer_columns, atom_order, check_sum_weights, filter_answer_scored, Binding, BodyWalk,
+    CompiledRule, JoinOrderStrategy,
 };
 use crate::error::{FlockError, Result};
-use crate::filter::FilterAgg;
+use crate::eval::flock_result_from_scored;
+use crate::exec::{execute_plan_scored_on, ScoredStep, StepEvaluator};
+use crate::filter::{FilterAgg, FilterCondition};
 use crate::flock::QueryFlock;
+use crate::plan::{FilterStep, QueryPlan};
+use crate::plangen::direct_plan;
 
 /// Tuning knobs for the §4.4 decision procedure.
 #[derive(Clone, Copy, Debug)]
@@ -144,64 +156,116 @@ pub struct DynamicReport {
     pub total_tuples: usize,
 }
 
-/// Evaluate a **single-rule** flock with dynamic filter selection.
-///
-/// Union flocks are rejected: sound pruning across a union needs the
-/// union-of-subqueries construction (§3.4), which is a static-plan
-/// notion; use [`crate::plangen`] for those.
-pub fn evaluate_dynamic(
-    flock: &QueryFlock,
-    db: &Database,
-    config: &DynamicConfig,
-) -> Result<DynamicReport> {
-    evaluate_dynamic_with(flock, db, config, &ExecContext::unbounded())
-}
-
-/// [`evaluate_dynamic`] under an execution governor. The stages and the
-/// mandatory final filter run with `ctx`'s budgets — exceeding them is
-/// a hard error. Each *voluntary* FILTER probe runs under a
+/// Evaluate a **single-rule** flock with dynamic filter selection: the
+/// flock's direct plan, its one step answered by the §4.4 walk, with
+/// the walk's decisions reported. The stages and the mandatory final
+/// filter run with `ctx`'s budgets — exceeding them is a hard error.
+/// Each *voluntary* FILTER probe runs under a
 /// [`ExecContext::subcontext`] sized to the parent's remaining budget;
 /// if the probe blows it, the candidate filter is skipped (recorded as
 /// a [`DecisionReason::BudgetExhausted`] decision and a degradation in
 /// the governor's stats) and evaluation continues unpruned — a-priori
 /// pruning stays sound, only pruning power is lost.
+///
+/// Union flocks are rejected: sound pruning across a union needs the
+/// union-of-subqueries construction (§3.4), which is a static-plan
+/// notion; use [`crate::plangen`] for those.
 pub fn evaluate_dynamic_with(
     flock: &QueryFlock,
     db: &Database,
     config: &DynamicConfig,
     ctx: &ExecContext,
 ) -> Result<DynamicReport> {
-    let Some(rule) = flock.single_rule() else {
-        return Err(FlockError::IllegalPlan {
-            detail: "dynamic evaluation is defined for single-rule flocks".to_string(),
-        });
-    };
-    let positive: Vec<&Atom> = rule.positive_atoms().collect();
-    let order = atom_order(&positive, db, config.strategy);
-    let Some((&first, rest)) = order.split_first() else {
-        return Err(FlockError::IllegalPlan {
-            detail: "rule has no positive subgoals".to_string(),
-        });
-    };
+    let evaluator = DynamicEvaluator::new(*config);
+    let run = execute_plan_scored_on(&direct_plan(flock)?, db, &evaluator, ctx, None)?;
+    let (decisions, total_tuples) = evaluator.into_trace();
+    Ok(DynamicReport {
+        result: flock_result_from_scored(flock, &run.scored, flock.filter()),
+        decisions,
+        total_tuples,
+    })
+}
 
-    let mut walk = BodyWalk::new(rule);
-    let mut stages = Stages {
-        flock,
-        rule,
-        config,
-        ctx,
-        scratch: db.clone(),
-        decisions: Vec::new(),
-        total_tuples: 0,
-        seen_ratio: FastMap::default(),
-    };
-    let plan = walk.start(positive[first]);
-    let mut cur = stages.stage(&plan, positive[first], walk.binding())?;
-    for &ai in rest {
-        let plan = walk.join(PhysicalPlan::scan(CUR), positive[ai]);
-        cur = stages.stage(&plan, positive[ai], walk.binding())?;
+/// The §4.4 walk as a [`StepEvaluator`]: it answers a step by walking
+/// the step's (single) rule under the plan's filter, and records the
+/// decisions it made on the way.
+pub(crate) struct DynamicEvaluator {
+    config: DynamicConfig,
+    /// Decisions of every step walked so far, and the tuples their
+    /// intermediates held.
+    trace: Mutex<(Vec<DynamicDecision>, usize)>,
+}
+
+impl DynamicEvaluator {
+    pub(crate) fn new(config: DynamicConfig) -> DynamicEvaluator {
+        DynamicEvaluator {
+            config,
+            trace: Mutex::new((Vec::new(), 0)),
+        }
     }
-    stages.finish(&cur, &walk.finish()?)
+
+    /// The decisions recorded, in order, and the total tuples
+    /// materialized across intermediates.
+    pub(crate) fn into_trace(self) -> (Vec<DynamicDecision>, usize) {
+        // A step appends its whole trace under one lock, so a poisoned
+        // lock still holds a consistent trace.
+        self.trace
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl StepEvaluator for DynamicEvaluator {
+    type Error = FlockError;
+
+    fn scored(
+        &self,
+        plan: &QueryPlan,
+        step: &FilterStep,
+        working: &Database,
+        ctx: &ExecContext,
+    ) -> Result<ScoredStep> {
+        let [rule] = step.query.rules() else {
+            return Err(FlockError::IllegalPlan {
+                detail: "dynamic evaluation is defined for single-rule flocks".to_string(),
+            });
+        };
+        let positive: Vec<&Atom> = rule.positive_atoms().collect();
+        let order = atom_order(&positive, working, self.config.strategy);
+        let Some((&first, rest)) = order.split_first() else {
+            return Err(FlockError::IllegalPlan {
+                detail: "rule has no positive subgoals".to_string(),
+            });
+        };
+
+        let mut walk = BodyWalk::new(rule);
+        let mut stages = Stages {
+            filter: plan.flock.filter(),
+            rule,
+            config: &self.config,
+            ctx,
+            scratch: working.clone(),
+            decisions: Vec::new(),
+            total_tuples: 0,
+            seen_ratio: FastMap::default(),
+        };
+        let plan = walk.start(positive[first]);
+        let mut cur = stages.stage(&plan, positive[first], walk.binding())?;
+        for &ai in rest {
+            let plan = walk.join(PhysicalPlan::scan(CUR), positive[ai]);
+            cur = stages.stage(&plan, positive[ai], walk.binding())?;
+        }
+        let (rows, groups) = stages.finish(&cur, &walk.finish()?)?;
+        let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        trace.0.append(&mut stages.decisions);
+        trace.1 += stages.total_tuples;
+        Ok(ScoredStep {
+            rows,
+            complete_for: *stages.filter,
+            answer_tuples: 0,
+            groups,
+        })
+    }
 }
 
 /// Reserved scratch-catalog names: the current intermediate, and the
@@ -211,7 +275,7 @@ const KEEP: &str = "__dyn_keep";
 
 /// The state the decisions accumulate across stages.
 struct Stages<'a> {
-    flock: &'a QueryFlock,
+    filter: &'a FilterCondition,
     rule: &'a ConjunctiveQuery,
     config: &'a DynamicConfig,
     ctx: &'a ExecContext,
@@ -265,7 +329,7 @@ impl Stages<'_> {
             .iter()
             .map(|&t| binding.col_of(t))
             .collect();
-        let filter = self.flock.filter();
+        let filter = self.filter;
         // Intermediate pruning keeps assignments whose partial support
         // reaches the threshold — an upper-bound argument that is only
         // sound for monotone COUNT filters (≥/>). Anything else gets the
@@ -358,7 +422,7 @@ impl Stages<'_> {
         // Distinct (params, head) pairs → count per params → threshold.
         let n = param_cols.len();
         let pairs = [param_cols, head_cols].concat();
-        let threshold = Value::int(self.flock.filter().threshold);
+        let threshold = Value::int(self.filter.threshold);
         let survivors = PhysicalPlan::project(
             PhysicalPlan::select(
                 PhysicalPlan::aggregate(
@@ -381,31 +445,34 @@ impl Stages<'_> {
         Ok((self.run(&pruned, probe)?, survivors.len()))
     }
 
-    /// The mandatory root filter, honouring the flock's aggregate.
-    fn finish(mut self, cur: &Relation, binding: &Binding) -> Result<DynamicReport> {
+    /// The mandatory root filter, honouring the flock's aggregate:
+    /// the scored `(params…, agg)` rows passing it, and the number of
+    /// assignments it was applied to.
+    fn finish(&mut self, cur: &Relation, binding: &Binding) -> Result<(Relation, usize)> {
         let cols = answer_columns(self.rule, binding)?;
-        let params = self.rule.params();
+        let params: Vec<Symbol> = self.rule.params().into_iter().collect();
         let assignments = self.assignments(&cols[..params.len()])?;
         let answer = CompiledRule {
             plan: PhysicalPlan::project(PhysicalPlan::scan(CUR), cols),
             n_params: params.len(),
             n_head: self.rule.head.arity(),
         };
-        let plan = filter_answer(&answer, self.rule, self.flock.filter())?;
-        let result = crate::eval::as_flock_result(self.flock, &self.run(&plan, self.ctx)?);
-        let params: Vec<Symbol> = params.into_iter().collect();
+        if let FilterAgg::Sum(_) = self.filter.agg {
+            // The §5 precondition every route enforces: no negative
+            // weight may reach a SUM filter.
+            let answer_rel = self.run(&answer.plan, self.ctx)?;
+            check_sum_weights(self.filter, self.rule, params.len(), &answer_rel, "answer")?;
+        }
+        let plan = filter_answer_scored(&answer, self.rule, self.filter)?;
+        let rows = self.run(&plan, self.ctx)?;
         self.decisions.push(DynamicDecision::new(
             "final".to_string(),
             &params,
             (cur.len(), assignments, 0.0),
             DecisionReason::FinalMandatory,
-            Some(result.len()),
+            Some(rows.len()),
         ));
-        Ok(DynamicReport {
-            result,
-            decisions: self.decisions,
-            total_tuples: self.total_tuples,
-        })
+        Ok((rows, assignments))
     }
 }
 
@@ -448,6 +515,10 @@ mod tests {
     use crate::eval::evaluate_direct;
     use qf_storage::Schema;
     use DecisionReason::*;
+
+    fn dynamic(flock: &QueryFlock, db: &Database, config: &DynamicConfig) -> Result<DynamicReport> {
+        evaluate_dynamic_with(flock, db, config, &ExecContext::unbounded())
+    }
 
     /// One decision as `(after_subgoal, param_set, tuples, assignments,
     /// filtered, reason, survivors)`.
@@ -522,7 +593,7 @@ mod tests {
         let db = basket_db();
         for threshold in [2, 20, 40] {
             let flock = basket_flock(threshold);
-            let report = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
+            let report = dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
             let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
             assert_eq!(
                 report.result.tuples(),
@@ -553,7 +624,7 @@ mod tests {
         let db = basket_db();
         // Items average 40*7/282 ≈ 1 tuple per item value, far below
         // threshold 20 → the first decision must filter.
-        let report = evaluate_dynamic(&basket_flock(20), &db, &DynamicConfig::default()).unwrap();
+        let report = dynamic(&basket_flock(20), &db, &DynamicConfig::default()).unwrap();
         let first_filterable = report
             .decisions
             .iter()
@@ -654,7 +725,7 @@ mod tests {
             rows,
         ));
         let flock = basket_flock(3);
-        let report = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
+        let report = dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
         let first = report
             .decisions
             .iter()
@@ -720,7 +791,7 @@ mod tests {
             2,
         )
         .unwrap();
-        let report = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
+        let report = dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
         let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         assert_eq!(report.result.tuples(), direct.tuples());
         assert_eq!(report.result.len(), 1);
@@ -782,7 +853,7 @@ mod tests {
             strategy: JoinOrderStrategy::AsWritten,
             ..DynamicConfig::default()
         };
-        let report = evaluate_dynamic(&flock, &db, &config).unwrap();
+        let report = dynamic(&flock, &db, &config).unwrap();
         let repeat = report
             .decisions
             .iter()
@@ -819,7 +890,7 @@ mod tests {
         .unwrap();
         let db = Database::new();
         assert!(matches!(
-            evaluate_dynamic(&flock, &db, &DynamicConfig::default()),
+            dynamic(&flock, &db, &DynamicConfig::default()),
             Err(FlockError::IllegalPlan { .. })
         ));
     }
@@ -840,7 +911,7 @@ mod tests {
              FILTER: SUM(answer.W) >= 40",
         )
         .unwrap();
-        let report = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
+        let report = dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
         assert!(report
             .decisions
             .iter()

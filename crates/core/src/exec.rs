@@ -91,14 +91,6 @@ impl PlanExecution {
     pub fn total_answer_tuples(&self) -> usize {
         self.steps.iter().map(|s| s.answer_tuples).sum()
     }
-
-    /// The thresholded view of a scored run under the plan's own filter.
-    fn from_scored(plan: &QueryPlan, run: ScoredExecution) -> PlanExecution {
-        PlanExecution {
-            result: flock_result_from_scored(&plan.flock, &run.scored, plan.flock.filter()),
-            steps: run.steps,
-        }
-    }
 }
 
 /// The outcome of a *scored* plan execution: the flock's surviving
@@ -228,22 +220,12 @@ impl StepEvaluator for LocalEvaluator {
     }
 }
 
-/// Execute a validated plan against `db`.
-///
-/// `db` is not mutated; step outputs live in a working copy (relation
-/// clones are reference-count bumps, so the copy is cheap).
-pub fn execute_plan(
-    plan: &QueryPlan,
-    db: &Database,
-    strategy: JoinOrderStrategy,
-) -> Result<PlanExecution> {
-    execute_plan_with(plan, db, strategy, &ExecContext::unbounded())
-}
-
-/// [`execute_plan`] under an execution governor: every step's answer
-/// evaluation and filter application run with `ctx`'s budgets, deadline
-/// and cancellation token. A tripped budget aborts the plan with the
-/// engine error; the working database is dropped, so the caller's `db`
+/// Execute a validated plan against `db` under an execution governor:
+/// every step's answer evaluation and filter application run with
+/// `ctx`'s budgets, deadline and cancellation token. A tripped budget
+/// aborts the plan with the engine error. `db` is not mutated; step
+/// outputs live in a working copy (relation clones are reference-count
+/// bumps, so the copy is cheap) that is dropped, so the caller's `db`
 /// is untouched no matter where the failure lands.
 pub fn execute_plan_with(
     plan: &QueryPlan,
@@ -252,26 +234,10 @@ pub fn execute_plan_with(
     ctx: &ExecContext,
 ) -> Result<PlanExecution> {
     let run = run_plan(plan, db, &LocalEvaluator { strategy }, ctx, None)?;
-    Ok(PlanExecution::from_scored(plan, run))
-}
-
-/// [`execute_plan_with`] journaled for crash-safe resume: each step's
-/// output is durably recorded in `journal` as it commits, and steps the
-/// journal already holds are replayed from their snapshots (reported
-/// with [`StepReport::resumed`] set) instead of re-evaluated. The final
-/// step's snapshot holds its scored rows, so a resumed run returns the
-/// same thing a fresh one does. A run killed at any point — budget
-/// trip, deadline, cancellation, or `kill -9` — restarts from its last
-/// completed step and produces a bitwise-identical final result.
-pub fn execute_plan_journaled(
-    plan: &QueryPlan,
-    db: &Database,
-    strategy: JoinOrderStrategy,
-    ctx: &ExecContext,
-    journal: &mut RunJournal,
-) -> Result<PlanExecution> {
-    let run = run_plan(plan, db, &LocalEvaluator { strategy }, ctx, Some(journal))?;
-    Ok(PlanExecution::from_scored(plan, run))
+    Ok(PlanExecution {
+        result: flock_result_from_scored(&plan.flock, &run.scored, plan.flock.filter()),
+        steps: run.steps,
+    })
 }
 
 /// [`execute_plan_with`] keeping the final step's aggregate column.
@@ -298,13 +264,24 @@ pub fn execute_plan_scored_with(
 /// execution. Reduction steps isomorphic to an earlier one under a
 /// parameter bijection are answered by renaming its output (§4.3
 /// footnote 3); the final step is always evaluated.
-pub fn execute_plan_scored_on<E: StepEvaluator>(
+///
+/// With a `journal` the run is crash-safe: each step's output is
+/// durably recorded as it commits, and steps the journal already holds
+/// are replayed from their snapshots (reported with
+/// [`StepReport::resumed`] set) instead of re-evaluated. The final
+/// step's snapshot holds its scored rows, complete for the flock's own
+/// filter whichever evaluator produced them, so a resumed run returns
+/// what a fresh one does. A run killed at any point — budget trip,
+/// deadline, cancellation, or `kill -9` — restarts from its last
+/// completed step and produces a bitwise-identical final result.
+pub fn execute_plan_scored_on<E: StepEvaluator + ?Sized>(
     plan: &QueryPlan,
     db: &Database,
     evaluator: &E,
     ctx: &ExecContext,
+    journal: Option<&mut RunJournal>,
 ) -> std::result::Result<ScoredExecution, E::Error> {
-    run_plan(plan, db, evaluator, ctx, None)
+    run_plan(plan, db, evaluator, ctx, journal)
 }
 
 /// How a wave step obtains its result.
@@ -319,7 +296,7 @@ enum Slot {
     Eval,
 }
 
-fn run_plan<E: StepEvaluator>(
+fn run_plan<E: StepEvaluator + ?Sized>(
     plan: &QueryPlan,
     db: &Database,
     evaluator: &E,
@@ -334,7 +311,10 @@ fn run_plan<E: StepEvaluator>(
     let mut executed: Vec<(&FilterStep, Relation)> = Vec::new();
     // The final step's scored rows and the condition they are complete
     // for. Earlier steps prune at the plan's own filter, so only a
-    // single-step run can be complete for anything looser.
+    // single-step run can be complete for anything looser — and only
+    // an unjournaled one: a journaled final snapshot always holds the
+    // rows complete for the flock's own filter, whichever evaluator
+    // produced them, so every resume reads one condition back.
     let mut scored: Option<Relation> = None;
     let mut baseline = *filter;
 
@@ -355,18 +335,23 @@ fn run_plan<E: StepEvaluator>(
             .load_step(idx)
             .and_then(|snapshot| {
                 // Reduction steps snapshot their output, the final step
-                // its scored rows (one more column).
+                // its scored rows (one more column), every one of which
+                // passes the flock's own filter.
                 let (want, got) = (
                     step.params.len() + usize::from(idx == last),
                     snapshot.schema().arity(),
                 );
-                if got == want {
-                    Ok(snapshot)
+                let corrupt = |detail| FlockError::SnapshotCorrupt { step: idx, detail };
+                if got != want {
+                    Err(corrupt(format!(
+                        "snapshot has {got} columns, the step commits {want}"
+                    )))
+                } else if idx == last && snapshot.iter().any(|t| !filter.accepts(t.get(got - 1))) {
+                    Err(corrupt(format!(
+                        "final snapshot holds rows failing `{filter}`"
+                    )))
                 } else {
-                    Err(FlockError::SnapshotCorrupt {
-                        step: idx,
-                        detail: format!("snapshot has {got} columns, the step commits {want}"),
-                    })
+                    Ok(snapshot)
                 }
             });
         let snapshot = match loaded {
@@ -392,8 +377,6 @@ fn run_plan<E: StepEvaluator>(
             resumed: true,
         });
         if idx == last {
-            // Journaled runs use the local evaluator, so the snapshot
-            // is complete for the flock's own filter.
             scored = Some(Relation::from_sorted_dedup(
                 scored_schema(step),
                 snapshot.tuples().to_vec(),
@@ -485,7 +468,7 @@ fn run_plan<E: StepEvaluator>(
                             detail: format!("step `{}` was skipped by the scheduler", step.output),
                         })?;
                     let committed = if idx == last {
-                        if last == 0 {
+                        if last == 0 && journal.is_none() {
                             baseline = s.complete_for;
                         }
                         Relation::from_sorted_dedup(
@@ -686,6 +669,16 @@ mod tests {
         .unwrap()
     }
 
+    fn execute(plan: &QueryPlan, db: &Database) -> PlanExecution {
+        execute_plan_with(
+            plan,
+            db,
+            JoinOrderStrategy::Greedy,
+            &ExecContext::unbounded(),
+        )
+        .unwrap()
+    }
+
     fn fig5_plan(threshold: i64) -> QueryPlan {
         let flock = medical_flock(threshold);
         let ok_s = FilterStep::new("okS", parse_query("answer(P) :- exhibits(P,$s)").unwrap());
@@ -699,7 +692,7 @@ mod tests {
         let db = medical_db();
         for threshold in [1, 2, 3, 4] {
             let plan = fig5_plan(threshold);
-            let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+            let run = execute(&plan, &db);
             let direct = crate::eval::evaluate_direct(
                 &medical_flock(threshold),
                 &db,
@@ -717,7 +710,7 @@ mod tests {
     #[test]
     fn expected_side_effect_found() {
         let db = medical_db();
-        let run = execute_plan(&fig5_plan(2), &db, JoinOrderStrategy::Greedy).unwrap();
+        let run = execute(&fig5_plan(2), &db);
         assert_eq!(run.result.len(), 1);
         let t = &run.result.tuples()[0];
         // Columns sorted by param name: $m, $s.
@@ -728,7 +721,7 @@ mod tests {
     #[test]
     fn prefilters_prune_candidates() {
         let db = medical_db();
-        let run = execute_plan(&fig5_plan(2), &db, JoinOrderStrategy::Greedy).unwrap();
+        let run = execute(&fig5_plan(2), &db);
         assert_eq!(run.steps.len(), 3);
         let ok_s = &run.steps[0];
         // Symptoms: headache(3), fever(2), twitch(1) → twitch eliminated.
@@ -746,7 +739,7 @@ mod tests {
         let db = medical_db();
         let flock = medical_flock(2);
         let plan = direct_plan(&flock).unwrap();
-        let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+        let run = execute(&plan, &db);
         let direct = crate::eval::evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         assert_eq!(run.result.tuples(), direct.tuples());
         assert_eq!(run.steps.len(), 1);
@@ -773,7 +766,7 @@ mod tests {
         )
         .unwrap();
         let plan = crate::plangen::single_param_plan(&flock, &db).unwrap();
-        let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+        let run = execute(&plan, &db);
         assert!(!run.steps[0].reused);
         assert!(
             run.steps[1].reused,
@@ -789,7 +782,7 @@ mod tests {
     #[test]
     fn asymmetric_steps_not_reused() {
         let db = medical_db();
-        let run = execute_plan(&fig5_plan(2), &db, JoinOrderStrategy::Greedy).unwrap();
+        let run = execute(&fig5_plan(2), &db);
         // okS (exhibits) and okM (treatments) are structurally different.
         assert!(run.steps.iter().all(|s| !s.reused), "{:?}", run.steps);
     }
@@ -797,7 +790,7 @@ mod tests {
     #[test]
     fn working_database_is_not_leaked() {
         let db = medical_db();
-        execute_plan(&fig5_plan(2), &db, JoinOrderStrategy::Greedy).unwrap();
+        execute(&fig5_plan(2), &db);
         assert!(!db.contains("okS"));
         assert!(!db.contains("okM"));
         assert!(!db.contains("ok"));
@@ -823,7 +816,7 @@ mod tests {
             assert!(baseline.subsumes(&request));
             let reused =
                 crate::eval::flock_result_from_scored(&medical_flock(t), &run.scored, &request);
-            let cold = execute_plan(&fig5_plan(t), &db, JoinOrderStrategy::Greedy).unwrap();
+            let cold = execute(&fig5_plan(t), &db);
             assert_eq!(reused.tuples(), cold.result.tuples(), "threshold {t}");
             assert_eq!(reused.schema().columns(), cold.result.schema().columns());
         }
@@ -834,7 +827,7 @@ mod tests {
     #[test]
     fn result_columns_named_after_params() {
         let db = medical_db();
-        let run = execute_plan(&fig5_plan(2), &db, JoinOrderStrategy::Greedy).unwrap();
+        let run = execute(&fig5_plan(2), &db);
         assert_eq!(
             run.result.schema().columns(),
             &["m".to_string(), "s".to_string()]

@@ -68,15 +68,13 @@ pub use compile::{
 };
 pub use delta::{DeltaApply, DeltaLimits, FlockDelta};
 pub use dynamic::{
-    evaluate_dynamic, evaluate_dynamic_with, DecisionReason, DynamicConfig, DynamicDecision,
-    DynamicReport,
+    evaluate_dynamic_with, DecisionReason, DynamicConfig, DynamicDecision, DynamicReport,
 };
 pub use error::{FlockError, Result};
 pub use eval::{evaluate_direct, evaluate_direct_with, evaluate_naive, flock_result_from_scored};
 pub use exec::{
-    execute_plan, execute_plan_journaled, execute_plan_scored_on, execute_plan_scored_with,
-    execute_plan_with, LocalEvaluator, PlanExecution, ScoredExecution, ScoredStep, StepEvaluator,
-    StepReport,
+    execute_plan_scored_on, execute_plan_scored_with, execute_plan_with, LocalEvaluator,
+    PlanExecution, ScoredExecution, ScoredStep, StepEvaluator, StepReport,
 };
 pub use filter::{FilterAgg, FilterCondition};
 pub use flock::QueryFlock;
@@ -84,7 +82,7 @@ pub use journal::{fingerprint_text, plan_fingerprint, RunJournal};
 pub use optimizer::{Evaluation, Optimizer, OptimizerConfig, Strategy};
 pub use plan::{FilterStep, QueryPlan};
 pub use plangen::{
-    best_plan, best_plan_with, chain_plan, direct_plan, enumerate_plans, estimate_plan_cost,
+    best_plan_with, chain_plan, direct_plan, enumerate_plans, estimate_plan_cost,
     estimate_plan_report, param_set_plan, single_param_plan, PlanCostReport, StepEstimate,
 };
 pub use program::FlockProgram;

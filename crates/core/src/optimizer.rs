@@ -7,18 +7,31 @@
 //! strategy — static cost-based plan search (§4.2–4.3), dynamic filter
 //! selection (§4.4), or plain direct evaluation — runs it, and reports
 //! what it did.
+//!
+//! Every strategy is a plan plus the evaluator of its steps, run by the
+//! one plan loop ([`crate::exec::execute_plan_scored_on`]):
+//!
+//! * direct — the one-step [`direct_plan`] (Fig. 1), local evaluator;
+//! * best-static — the cheapest plan [`best_plan_with`] finds, local
+//!   evaluator;
+//! * dynamic — the direct plan, its step answered by the §4.4 walk.
+//!
+//! So a journaled run of any strategy is the loop's journal: direct and
+//! dynamic runs of one flock share a plan fingerprint and resume each
+//! other's run directory.
 
 use qf_engine::{ExecContext, ExecStats};
-use qf_storage::{Database, Relation};
+use qf_storage::{real_fs, Database, Relation};
 
 use crate::compile::JoinOrderStrategy;
-use crate::dynamic::{evaluate_dynamic_with, DynamicConfig};
-use crate::error::Result;
-use crate::eval::evaluate_direct_with;
-use crate::exec::execute_plan_with;
+use crate::dynamic::{DecisionReason, DynamicConfig, DynamicEvaluator};
+use crate::error::{FlockError, Result};
+use crate::eval::flock_result_from_scored;
+use crate::exec::{execute_plan_scored_on, LocalEvaluator, StepEvaluator};
 use crate::filter::FilterAgg;
 use crate::flock::QueryFlock;
-use crate::plangen::best_plan_with;
+use crate::journal::{plan_fingerprint, RunJournal};
+use crate::plangen::{best_plan_with, direct_plan};
 
 /// Which evaluation machinery to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -98,15 +111,15 @@ impl Optimizer {
         }
     }
 
-    /// Evaluate `flock` against `db` under the configured strategy.
-    pub fn evaluate(&self, flock: &QueryFlock, db: &Database) -> Result<Evaluation> {
-        self.evaluate_with(flock, db, &ExecContext::unbounded())
-    }
-
-    /// [`Optimizer::evaluate`] under an execution governor: every
-    /// strategy honours `ctx`'s budgets, deadline and cancellation
-    /// token, and the returned [`Evaluation::stats`] carries the
-    /// accounting (including graceful degradations).
+    /// Evaluate `flock` against `db` under the configured strategy and
+    /// an execution governor: every strategy honours `ctx`'s budgets,
+    /// deadline and cancellation token, and the returned
+    /// [`Evaluation::stats`] carries the accounting (including graceful
+    /// degradations).
+    ///
+    /// The strategy resolves once to a plan and the evaluator of its
+    /// steps, and the one plan loop runs it — so every strategy
+    /// journals, resumes and recovers from a damaged snapshot alike.
     pub fn evaluate_with(
         &self,
         flock: &QueryFlock,
@@ -118,141 +131,66 @@ impl Optimizer {
         // monotone filter; non-monotone filters admit no sound pruning.
         let monotone = flock.filter().is_monotone();
         let counts = flock.query().is_single() && matches!(flock.filter().agg, FilterAgg::Count);
-        let evaluation = match (self.config.strategy, monotone && counts, monotone) {
-            (Strategy::Direct, ..) | (Strategy::Auto, false, false) => {
-                let (result, resumed) = self.single_shot(flock, db, ctx, "direct", || {
-                    evaluate_direct_with(flock, db, self.config.join_order, ctx)
-                })?;
-                Evaluation {
-                    result,
-                    strategy_used: if resumed > 0 {
-                        "direct (resumed)".to_string()
-                    } else {
-                        "direct".to_string()
-                    },
-                    estimated_cost: None,
-                    filters_applied: 0,
-                    stats: ExecStats::default(),
-                    resumed_steps: resumed,
-                }
-            }
-            (Strategy::BestStatic, ..) | (Strategy::Auto, false, true) => {
+        let route = match (self.config.strategy, monotone && counts, monotone) {
+            (Strategy::Direct, ..) | (Strategy::Auto, false, false) => Strategy::Direct,
+            (Strategy::BestStatic, ..) | (Strategy::Auto, false, true) => Strategy::BestStatic,
+            (Strategy::Dynamic, ..) | (Strategy::Auto, true, _) => Strategy::Dynamic,
+        };
+        let (plan, cost) = match route {
+            Strategy::BestStatic => {
                 let (plan, cost) = best_plan_with(flock, db, ctx)?;
-                let reductions = plan.len() - 1;
-                let label = if reductions == 0 {
-                    "best-static: direct".to_string()
-                } else {
-                    format!("best-static: {}", plan.reduction_names().join("+"))
-                };
-                let run = match &self.config.journal_dir {
-                    Some(dir) => {
-                        let mut journal = crate::journal::RunJournal::open(
-                            self.journal_vfs(),
-                            dir,
-                            crate::journal::plan_fingerprint(&plan),
-                            db.fingerprint(),
-                        )?;
-                        crate::exec::execute_plan_journaled(
-                            &plan,
-                            db,
-                            self.config.join_order,
-                            ctx,
-                            &mut journal,
-                        )?
-                    }
-                    None => execute_plan_with(&plan, db, self.config.join_order, ctx)?,
-                };
-                let resumed = run.steps.iter().filter(|s| s.resumed).count();
-                Evaluation {
-                    result: run.result,
-                    strategy_used: label,
-                    estimated_cost: Some(cost),
-                    filters_applied: reductions,
-                    stats: ExecStats::default(),
-                    resumed_steps: resumed,
-                }
+                (plan, Some(cost))
             }
-            (Strategy::Dynamic, ..) | (Strategy::Auto, true, _) => {
-                let mut voluntary = 0usize;
-                let (result, resumed) = self.single_shot(flock, db, ctx, "dynamic", || {
-                    let report = evaluate_dynamic_with(flock, db, &self.config.dynamic, ctx)?;
-                    voluntary = report
-                        .decisions
-                        .iter()
-                        .filter(|d| {
-                            d.filtered && d.reason != crate::dynamic::DecisionReason::FinalMandatory
-                        })
-                        .count();
-                    Ok(report.result)
-                })?;
-                Evaluation {
-                    result,
-                    strategy_used: if resumed > 0 {
-                        "dynamic (resumed)".to_string()
-                    } else {
-                        format!("dynamic ({voluntary} voluntary filters)")
-                    },
-                    estimated_cost: None,
-                    filters_applied: voluntary,
-                    stats: ExecStats::default(),
-                    resumed_steps: resumed,
-                }
+            _ => (direct_plan(flock)?, None),
+        };
+        let local = LocalEvaluator {
+            strategy: self.config.join_order,
+        };
+        let dynamic = DynamicEvaluator::new(self.config.dynamic);
+        let evaluator: &dyn StepEvaluator<Error = FlockError> = match route {
+            Strategy::Dynamic => &dynamic,
+            _ => &local,
+        };
+        let mut journal = match &self.config.journal_dir {
+            Some(dir) => Some(RunJournal::open(
+                self.config.journal_vfs.clone().unwrap_or_else(real_fs),
+                dir,
+                plan_fingerprint(&plan),
+                db.fingerprint(),
+            )?),
+            None => None,
+        };
+        let run = execute_plan_scored_on(&plan, db, evaluator, ctx, journal.as_mut())?;
+        let resumed = run.steps.iter().filter(|s| s.resumed).count();
+        let (strategy_used, filters_applied) = match route {
+            Strategy::Dynamic if resumed > 0 => ("dynamic (resumed)".to_string(), 0),
+            Strategy::Dynamic => {
+                let (decisions, _) = dynamic.into_trace();
+                let voluntary = decisions
+                    .iter()
+                    .filter(|d| d.filtered && d.reason != DecisionReason::FinalMandatory)
+                    .count();
+                (
+                    format!("dynamic ({voluntary} voluntary filters)"),
+                    voluntary,
+                )
             }
+            Strategy::BestStatic if plan.len() > 1 => {
+                let reductions = plan.reduction_names().join("+");
+                (format!("best-static: {reductions}"), plan.len() - 1)
+            }
+            Strategy::BestStatic => ("best-static: direct".to_string(), 0),
+            _ if resumed > 0 => ("direct (resumed)".to_string(), 0),
+            _ => ("direct".to_string(), 0),
         };
         Ok(Evaluation {
+            result: flock_result_from_scored(flock, &run.scored, flock.filter()),
+            strategy_used,
+            estimated_cost: cost,
+            filters_applied,
             stats: ctx.stats(),
-            ..evaluation
+            resumed_steps: resumed,
         })
-    }
-
-    /// Run a single-shot strategy (direct / dynamic) under the optional
-    /// journal. These strategies have no intermediate `FILTER` steps,
-    /// so the journal holds the final result as one step: a completed
-    /// journal replays it without recomputation, and an interrupted run
-    /// simply starts over (there is nothing partial to save).
-    /// The filesystem backend journals should use (configured injector
-    /// or the real filesystem).
-    fn journal_vfs(&self) -> std::sync::Arc<dyn qf_storage::Vfs> {
-        self.config
-            .journal_vfs
-            .clone()
-            .unwrap_or_else(qf_storage::real_fs)
-    }
-
-    fn single_shot(
-        &self,
-        flock: &QueryFlock,
-        db: &Database,
-        ctx: &ExecContext,
-        tag: &str,
-        eval: impl FnOnce() -> Result<Relation>,
-    ) -> Result<(Relation, usize)> {
-        let Some(dir) = &self.config.journal_dir else {
-            return Ok((eval()?, 0));
-        };
-        let plan_fp = crate::journal::fingerprint_text(&format!("{tag}\n{}", flock.render()));
-        let mut journal =
-            crate::journal::RunJournal::open(self.journal_vfs(), dir, plan_fp, db.fingerprint())?;
-        if journal.contiguous_prefix(1) == 1 {
-            match journal.load_step(0) {
-                Ok(rel) => return Ok((rel, 1)),
-                Err(e @ crate::error::FlockError::SnapshotCorrupt { .. }) => {
-                    // Same policy as the plan executor: a damaged
-                    // snapshot costs the resume, never the run.
-                    ctx.record_degradation("journal-corrupt-snapshot", format!("{e}; recomputing"));
-                    ctx.note_corruption_recovery();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let result = eval()?;
-        if let Err(e) = journal.record_step(0, &result, ctx) {
-            ctx.record_degradation(
-                "journal-advisory",
-                format!("{e}; continuing without journaling (resume disabled)"),
-            );
-        }
-        Ok((result, 0))
     }
 }
 
@@ -289,10 +227,12 @@ mod tests {
         let db = db();
         let flock = flock();
         let reference = Optimizer::with_strategy(Strategy::Direct)
-            .evaluate(&flock, &db)
+            .evaluate_with(&flock, &db, &ExecContext::unbounded())
             .unwrap();
         for s in [Strategy::BestStatic, Strategy::Dynamic, Strategy::Auto] {
-            let e = Optimizer::with_strategy(s).evaluate(&flock, &db).unwrap();
+            let e = Optimizer::with_strategy(s)
+                .evaluate_with(&flock, &db, &ExecContext::unbounded())
+                .unwrap();
             assert_eq!(e.result.tuples(), reference.result.tuples(), "{s:?}");
         }
         assert_eq!(reference.result.len(), 1);
@@ -300,7 +240,9 @@ mod tests {
 
     #[test]
     fn auto_picks_dynamic_for_single_rule_count() {
-        let e = Optimizer::new().evaluate(&flock(), &db()).unwrap();
+        let e = Optimizer::new()
+            .evaluate_with(&flock(), &db(), &ExecContext::unbounded())
+            .unwrap();
         assert!(
             e.strategy_used.starts_with("dynamic"),
             "{}",
@@ -322,7 +264,9 @@ mod tests {
              FILTER: COUNT(answer(*)) >= 20",
         )
         .unwrap();
-        let e = Optimizer::new().evaluate(&flock, &db).unwrap();
+        let e = Optimizer::new()
+            .evaluate_with(&flock, &db, &ExecContext::unbounded())
+            .unwrap();
         assert!(
             e.strategy_used.starts_with("best-static"),
             "{}",
@@ -338,15 +282,51 @@ mod tests {
              FILTER: COUNT(answer.B) < 5",
         )
         .unwrap();
-        let e = Optimizer::new().evaluate(&flock, &db()).unwrap();
+        let e = Optimizer::new()
+            .evaluate_with(&flock, &db(), &ExecContext::unbounded())
+            .unwrap();
         assert_eq!(e.strategy_used, "direct");
         assert_eq!(e.filters_applied, 0);
+    }
+
+    /// §5: a negative weight under a SUM filter breaks monotonicity,
+    /// and every strategy refuses it the same way.
+    #[test]
+    fn every_strategy_refuses_a_negative_sum_weight() {
+        let mut db = Database::new();
+        db.insert(Relation::from_rows(
+            Schema::new("sales", &["b", "item", "w"]),
+            vec![
+                vec![Value::int(1), Value::str("a"), Value::int(4)],
+                vec![Value::int(2), Value::str("a"), Value::int(-3)],
+                vec![Value::int(3), Value::str("b"), Value::int(5)],
+            ],
+        ));
+        let flock = QueryFlock::parse(
+            "QUERY: answer(B,W) :- sales(B,$1,W)
+             FILTER: SUM(answer.W) >= 1",
+        )
+        .unwrap();
+        for s in [
+            Strategy::Direct,
+            Strategy::BestStatic,
+            Strategy::Dynamic,
+            Strategy::Auto,
+        ] {
+            let err = Optimizer::with_strategy(s)
+                .evaluate_with(&flock, &db, &ExecContext::unbounded())
+                .unwrap_err();
+            assert!(
+                matches!(err, crate::FlockError::NegativeWeight { .. }),
+                "{s:?}: {err}"
+            );
+        }
     }
 
     #[test]
     fn best_static_reports_cost_and_filters() {
         let e = Optimizer::with_strategy(Strategy::BestStatic)
-            .evaluate(&flock(), &db())
+            .evaluate_with(&flock(), &db(), &ExecContext::unbounded())
             .unwrap();
         assert!(e.estimated_cost.unwrap() > 0.0);
     }

@@ -13,7 +13,7 @@
 //!   prefixes of the body, each consuming the previous step's output —
 //!   the construction that makes the plan space super-exponential
 //!   (Ex. 4.3).
-//! * [`enumerate_plans`] / [`best_plan`] — the §4.3 "exponential
+//! * [`enumerate_plans`] / [`best_plan_with`] — the §4.3 "exponential
 //!   search": enumerate plans over subsets of parameter sets, cost each
 //!   with the [`estimate_plan_cost`] model, keep the cheapest.
 
@@ -324,12 +324,7 @@ pub fn estimate_plan_report(
 }
 
 /// Enumerate plans and return the one with the lowest estimated cost,
-/// with that cost.
-pub fn best_plan(flock: &QueryFlock, db: &Database) -> Result<(QueryPlan, f64)> {
-    best_plan_with(flock, db, &qf_engine::ExecContext::unbounded())
-}
-
-/// [`best_plan`] under an execution governor, with **graceful
+/// with that cost, under an execution governor, with **graceful
 /// degradation**: the §4.3 plan search is exponential in the number of
 /// candidate reductions, so when `ctx`'s deadline expires (or its
 /// cancel token trips) mid-search, the search is abandoned and the §4
@@ -373,7 +368,8 @@ pub fn best_plan_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_plan;
+    use crate::exec::execute_plan_with;
+    use qf_engine::ExecContext;
     use qf_storage::{Relation, Schema, Value};
 
     fn basket_db(skew: bool) -> Database {
@@ -418,7 +414,13 @@ mod tests {
         let db = basket_db(true);
         let plan = single_param_plan(&basket_flock(20), &db).unwrap();
         assert_eq!(plan.len(), 3); // ok_1, ok_2, final
-        let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+        let run = execute_plan_with(
+            &plan,
+            &db,
+            JoinOrderStrategy::Greedy,
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
         assert_eq!(run.result.len(), 1); // (hot1, hot2)
                                          // The reductions eliminated the rare items.
         assert!(run.steps[0].elimination_rate() > 0.9);
@@ -430,7 +432,13 @@ mod tests {
         let flock = basket_flock(10);
         let direct = crate::eval::evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         for plan in enumerate_plans(&flock, &db).unwrap() {
-            let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+            let run = execute_plan_with(
+                &plan,
+                &db,
+                JoinOrderStrategy::Greedy,
+                &ExecContext::unbounded(),
+            )
+            .unwrap();
             assert_eq!(
                 run.result.tuples(),
                 direct.tuples(),
@@ -452,7 +460,8 @@ mod tests {
     #[test]
     fn best_plan_prefers_pruning_on_skewed_data() {
         let db = basket_db(true);
-        let (best, best_cost) = best_plan(&basket_flock(20), &db).unwrap();
+        let (best, best_cost) =
+            best_plan_with(&basket_flock(20), &db, &ExecContext::unbounded()).unwrap();
         let direct_cost = estimate_plan_cost(
             &direct_plan(&basket_flock(20)).unwrap(),
             &db,
@@ -483,7 +492,13 @@ mod tests {
             rows.push(vec![Value::int(s), Value::int(t)]);
         }
         db.insert(Relation::from_rows(Schema::new("arc", &["s", "t"]), rows));
-        let run = execute_plan(&plan, &db, JoinOrderStrategy::AsWritten).unwrap();
+        let run = execute_plan_with(
+            &plan,
+            &db,
+            JoinOrderStrategy::AsWritten,
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
         let direct =
             crate::eval::evaluate_direct(&flock, &db, JoinOrderStrategy::AsWritten).unwrap();
         assert_eq!(run.result.tuples(), direct.tuples());

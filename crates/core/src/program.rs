@@ -144,18 +144,10 @@ impl FlockProgram {
         crate::journal::fingerprint_text(&self.canonical_text())
     }
 
-    /// Materialize every view into a copy of `db`, in dependency order.
-    pub fn materialize_views(
-        &self,
-        db: &Database,
-        strategy: JoinOrderStrategy,
-    ) -> Result<Database> {
-        self.materialize_views_with(db, strategy, &qf_engine::ExecContext::unbounded())
-    }
-
-    /// [`FlockProgram::materialize_views`] under an execution governor:
-    /// view evaluation charges `ctx` like any other plan execution, so
-    /// a runaway view blows the budget instead of memory.
+    /// Materialize every view into a copy of `db`, in dependency order,
+    /// under an execution governor: view evaluation charges `ctx` like
+    /// any other plan execution, so a runaway view blows the budget
+    /// instead of memory.
     pub fn materialize_views_with(
         &self,
         db: &Database,
@@ -199,25 +191,10 @@ impl FlockProgram {
         Ok(working)
     }
 
-    /// Evaluate the program: materialize views, then the flock, via the
-    /// [`crate::Optimizer`] with default (auto) strategy.
-    pub fn evaluate(&self, db: &Database) -> Result<crate::optimizer::Evaluation> {
-        self.evaluate_with(db, &crate::optimizer::Optimizer::new())
-    }
-
-    /// Evaluate under a specific optimizer configuration.
+    /// Evaluate the program: materialize views, then the flock, via
+    /// `optimizer`. View materialization and flock evaluation share
+    /// `ctx`'s budgets, deadline and cancellation token.
     pub fn evaluate_with(
-        &self,
-        db: &Database,
-        optimizer: &crate::optimizer::Optimizer,
-    ) -> Result<crate::optimizer::Evaluation> {
-        self.evaluate_governed(db, optimizer, &qf_engine::ExecContext::unbounded())
-    }
-
-    /// Evaluate under an optimizer configuration *and* an execution
-    /// governor: view materialization and flock evaluation share the
-    /// same budgets, deadline and cancellation token.
-    pub fn evaluate_governed(
         &self,
         db: &Database,
         optimizer: &crate::optimizer::Optimizer,
@@ -322,6 +299,8 @@ pub fn multi_disease_side_effects(threshold: i64) -> Result<FlockProgram> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Optimizer;
+    use qf_engine::ExecContext;
     use qf_storage::Value;
 
     /// Patients with SEVERAL diseases — the exact case Ex. 2.2 says the
@@ -370,7 +349,9 @@ mod tests {
     fn multi_disease_case_handled_by_view() {
         let program = multi_disease_side_effects(20).unwrap();
         let db = multi_disease_db();
-        let evaluation = program.evaluate(&db).unwrap();
+        let evaluation = program
+            .evaluate_with(&db, &Optimizer::new(), &ExecContext::unbounded())
+            .unwrap();
         // Only (zorix, ache) is unexplained; (zorix, fever) is explained
         // by the patients' SECOND disease, which the single-disease
         // flock of Fig. 3 would wrongly report.
@@ -435,7 +416,9 @@ mod tests {
             rows.push(vec![Value::int(s), Value::int(t)]);
         }
         db.insert(Relation::from_rows(Schema::new("arc", &["s", "t"]), rows));
-        let evaluation = program.evaluate(&db).unwrap();
+        let evaluation = program
+            .evaluate_with(&db, &Optimizer::new(), &ExecContext::unbounded())
+            .unwrap();
         assert_eq!(evaluation.result.len(), 1);
         assert_eq!(evaluation.result.tuples()[0].get(0), Value::int(0));
     }
@@ -481,11 +464,13 @@ mod tests {
             ],
         ));
         let extended = program
-            .materialize_views(&db, JoinOrderStrategy::Greedy)
+            .materialize_views_with(&db, JoinOrderStrategy::Greedy, &ExecContext::unbounded())
             .unwrap();
         // connected = {(0,1),(1,0),(2,0),(0,2)}.
         assert_eq!(extended.get("connected").unwrap().len(), 4);
-        let evaluation = program.evaluate(&db).unwrap();
+        let evaluation = program
+            .evaluate_with(&db, &Optimizer::new(), &ExecContext::unbounded())
+            .unwrap();
         assert_eq!(evaluation.result.len(), 1); // $1 = 0 reaches 1 and 2.
     }
 
@@ -498,7 +483,9 @@ mod tests {
         )
         .unwrap();
         let db = multi_disease_db();
-        let err = program.evaluate(&db).unwrap_err();
+        let err = program
+            .evaluate_with(&db, &Optimizer::new(), &ExecContext::unbounded())
+            .unwrap_err();
         assert!(matches!(err, FlockError::IllegalPlan { .. }), "{err}");
     }
 

@@ -13,8 +13,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use qf_core::{
-    execute_plan_journaled, plan_fingerprint, single_param_plan, ExecContext, JoinOrderStrategy,
-    QueryFlock, RunJournal,
+    execute_plan_scored_on, flock_result_from_scored, plan_fingerprint, single_param_plan,
+    ExecContext, JoinOrderStrategy, LocalEvaluator, PlanExecution, QueryFlock, QueryPlan,
+    RunJournal,
 };
 use qf_storage::{ChaosFs, Database, Fault, OpClass, Relation, Schema, SpillDir, Value, Vfs};
 
@@ -50,6 +51,21 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// The plan loop, journaled, with the local evaluator; its scored
+/// result thresholded back to the flock result.
+fn journaled(
+    plan: &QueryPlan,
+    db: &Database,
+    ctx: &ExecContext,
+    journal: &mut RunJournal,
+) -> qf_core::Result<PlanExecution> {
+    let run = execute_plan_scored_on(plan, db, &LocalEvaluator::default(), ctx, Some(journal))?;
+    Ok(PlanExecution {
+        result: flock_result_from_scored(&plan.flock, &run.scored, plan.flock.filter()),
+        steps: run.steps,
+    })
+}
+
 const MEM_BUDGET: u64 = 32 * 1024;
 
 /// Budgeted single-thread context spilling into a fresh dir under
@@ -73,9 +89,7 @@ fn run_on(
     let plan = single_param_plan(&pairs_flock(), &db).unwrap();
     let ctx = ctx_on(vfs.clone(), spill_parent);
     let result = RunJournal::open(vfs, journal_dir, plan_fingerprint(&plan), db.fingerprint())
-        .and_then(|mut journal| {
-            execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal)
-        })
+        .and_then(|mut journal| journaled(&plan, &db, &ctx, &mut journal))
         .map(|run| run.result);
     let stats = ctx.stats();
     (result, stats)
@@ -174,8 +188,7 @@ fn fsync_failure_during_journal_is_advisory() {
     )
     .unwrap();
     let ctx = ExecContext::unbounded();
-    let run =
-        execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal).unwrap();
+    let run = journaled(&plan, &db, &ctx, &mut journal).unwrap();
 
     // The run completed identically; the failure was downgraded to a
     // recorded advisory degradation rather than an error.
@@ -223,10 +236,7 @@ fn corrupt_snapshot_truncates_prefix_and_recomputes() {
 
     let ctx = ExecContext::unbounded();
     let mut journal = open(&db);
-    let reference =
-        execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal)
-            .unwrap()
-            .result;
+    let reference = journaled(&plan, &db, &ctx, &mut journal).unwrap().result;
     drop(journal);
 
     // Flip one byte in the middle of the second step's snapshot.
@@ -238,8 +248,7 @@ fn corrupt_snapshot_truncates_prefix_and_recomputes() {
 
     let ctx = ExecContext::unbounded();
     let mut journal = open(&db);
-    let run =
-        execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal).unwrap();
+    let run = journaled(&plan, &db, &ctx, &mut journal).unwrap();
     assert_eq!(run.result.tuples(), reference.tuples());
     // Step 0 replayed; the damaged step 1 and everything after it were
     // recomputed, and the recovery was recorded.
@@ -273,10 +282,7 @@ fn every_byte_flip_in_a_snapshot_is_detected_on_replay() {
         db.fingerprint(),
     )
     .unwrap();
-    let reference =
-        execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal)
-            .unwrap()
-            .result;
+    let reference = journaled(&plan, &db, &ctx, &mut journal).unwrap().result;
     drop(journal);
 
     let victim = journal_dir.join("step-0.qfr");
@@ -295,8 +301,7 @@ fn every_byte_flip_in_a_snapshot_is_detected_on_replay() {
             db.fingerprint(),
         )
         .unwrap();
-        let run = execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal)
-            .unwrap();
+        let run = journaled(&plan, &db, &ctx, &mut journal).unwrap();
         // Never a wrong answer: the flip is detected, the prefix is
         // truncated, and the step recomputes to the right result.
         assert_eq!(

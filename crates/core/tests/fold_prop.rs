@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use qf_core::{
-    best_plan, direct_plan, evaluate_direct, evaluate_naive, execute_plan_scored_on,
+    best_plan_with, direct_plan, evaluate_direct, evaluate_naive, execute_plan_scored_on,
     execute_plan_scored_with, execute_plan_with, flock_result_from_scored, merge_scored_partials,
     param_set_plan, partial_flock, partition_database, scored_schema, single_param_plan,
     vacuous_filter, DeltaLimits, ExecContext, FilterStep, FlockDelta, FlockError,
@@ -69,7 +69,7 @@ fn shape_plan(shape: u8, flock: &QueryFlock, db: &Database) -> QueryPlan {
         0 => direct_plan(flock),
         1 => single_param_plan(flock, db),
         2 => param_set_plan(flock, db, &sets),
-        _ => best_plan(flock, db).map(|(plan, _)| plan),
+        _ => best_plan_with(flock, db, &ExecContext::unbounded()).map(|(plan, _)| plan),
     }
     .expect("plan shape builds")
 }
@@ -186,7 +186,7 @@ proptest! {
                 frags: partition_database(&db, shards, &BTreeSet::new()),
                 asked: Mutex::new(Vec::new()),
             };
-            let run = execute_plan_scored_on(&plan, &db, &scatter, &ctx).unwrap();
+            let run = execute_plan_scored_on(&plan, &db, &scatter, &ctx, None).unwrap();
             prop_assert_eq!(&run.scored, &local.scored, "{} shards", shards);
             prop_assert_eq!(run.baseline, local.baseline);
             // One scatter for the representative reduction, one for the
@@ -217,7 +217,7 @@ proptest! {
             frags: partition_database(&db, 2, &BTreeSet::new()),
             asked: Mutex::new(Vec::new()),
         };
-        let run = execute_plan_scored_on(&plan, &db, &scatter, &ctx).unwrap();
+        let run = execute_plan_scored_on(&plan, &db, &scatter, &ctx, None).unwrap();
         prop_assert_eq!(run.baseline, vacuous_filter(flock.filter()));
         for t in [threshold, threshold + 3] {
             let other = flock_for("answer(A) :- baskets(A,$1)", agg, t);

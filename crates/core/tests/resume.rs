@@ -7,9 +7,10 @@
 use std::path::PathBuf;
 
 use qf_core::{
-    execute_plan, execute_plan_journaled, execute_plan_scored_with, plan_fingerprint,
-    single_param_plan, ExecContext, JoinOrderStrategy, Optimizer, OptimizerConfig, QueryFlock,
-    RunJournal, Strategy,
+    evaluate_direct, execute_plan_scored_on, execute_plan_scored_with, execute_plan_with,
+    flock_result_from_scored, plan_fingerprint, single_param_plan, ExecContext, JoinOrderStrategy,
+    LocalEvaluator, Optimizer, OptimizerConfig, PlanExecution, QueryFlock, QueryPlan, RunJournal,
+    Strategy,
 };
 use qf_storage::{real_fs, Database, Relation, Schema, Value};
 
@@ -46,23 +47,37 @@ fn open_journal(dir: &std::path::Path, plan: &qf_core::QueryPlan, db: &Database)
     RunJournal::open(real_fs(), dir, plan_fingerprint(plan), db.fingerprint()).unwrap()
 }
 
+/// The plan loop, journaled, with the local evaluator; its scored
+/// result thresholded back to the flock result.
+fn journaled(
+    plan: &QueryPlan,
+    db: &Database,
+    ctx: &ExecContext,
+    journal: &mut RunJournal,
+) -> qf_core::Result<PlanExecution> {
+    let run = execute_plan_scored_on(plan, db, &LocalEvaluator::default(), ctx, Some(journal))?;
+    Ok(PlanExecution {
+        result: flock_result_from_scored(&plan.flock, &run.scored, plan.flock.filter()),
+        steps: run.steps,
+    })
+}
+
 #[test]
 fn fully_journaled_run_replays_without_reevaluation() {
     let db = basket_db();
     let flock = pairs_flock();
     let plan = single_param_plan(&flock, &db).unwrap();
-    let reference = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
-
-    let dir = run_dir("replay");
-    let mut journal = open_journal(&dir, &plan, &db);
-    let first = execute_plan_journaled(
+    let reference = execute_plan_with(
         &plan,
         &db,
         JoinOrderStrategy::Greedy,
         &ExecContext::unbounded(),
-        &mut journal,
     )
     .unwrap();
+
+    let dir = run_dir("replay");
+    let mut journal = open_journal(&dir, &plan, &db);
+    let first = journaled(&plan, &db, &ExecContext::unbounded(), &mut journal).unwrap();
     assert_eq!(first.result.tuples(), reference.result.tuples());
     assert!(first.steps.iter().all(|s| !s.resumed));
 
@@ -86,14 +101,7 @@ fn fully_journaled_run_replays_without_reevaluation() {
 
     // A second run over the same journal replays every step — the
     // already-journaled final one included — to the same result.
-    let second = execute_plan_journaled(
-        &plan,
-        &db,
-        JoinOrderStrategy::Greedy,
-        &ExecContext::unbounded(),
-        &mut journal,
-    )
-    .unwrap();
+    let second = journaled(&plan, &db, &ExecContext::unbounded(), &mut journal).unwrap();
     assert_eq!(second.result.tuples(), reference.result.tuples());
     assert_eq!(
         second.result.schema().columns(),
@@ -108,7 +116,13 @@ fn partial_journal_resumes_remaining_steps() {
     let db = basket_db();
     let flock = pairs_flock();
     let plan = single_param_plan(&flock, &db).unwrap();
-    let reference = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+    let reference = execute_plan_with(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     assert!(plan.len() >= 3, "need a multi-step plan");
 
     // Simulate a crash after the first step: journal exactly one step
@@ -116,28 +130,14 @@ fn partial_journal_resumes_remaining_steps() {
     let dir = run_dir("partial");
     {
         let mut scratch = open_journal(&run_dir("partial-scratch"), &plan, &db);
-        execute_plan_journaled(
-            &plan,
-            &db,
-            JoinOrderStrategy::Greedy,
-            &ExecContext::unbounded(),
-            &mut scratch,
-        )
-        .unwrap();
+        journaled(&plan, &db, &ExecContext::unbounded(), &mut scratch).unwrap();
         let mut journal = open_journal(&dir, &plan, &db);
         journal
             .record_step(0, &scratch.load_step(0).unwrap(), &ExecContext::unbounded())
             .unwrap();
     }
     let mut journal = open_journal(&dir, &plan, &db);
-    let resumed = execute_plan_journaled(
-        &plan,
-        &db,
-        JoinOrderStrategy::Greedy,
-        &ExecContext::unbounded(),
-        &mut journal,
-    )
-    .unwrap();
+    let resumed = journaled(&plan, &db, &ExecContext::unbounded(), &mut journal).unwrap();
     assert_eq!(resumed.result.tuples(), reference.result.tuples());
     assert!(resumed.steps[0].resumed);
     assert!(resumed.steps[1..].iter().all(|s| !s.resumed));
@@ -145,30 +145,88 @@ fn partial_journal_resumes_remaining_steps() {
     std::fs::remove_dir_all(run_dir("partial-scratch")).ok();
 }
 
+/// Every strategy journals through the one plan loop: a fresh run, a
+/// resumed one, and one resumed after a byte of its final snapshot was
+/// flipped (recomputed, and the recovery recorded) all equal the
+/// reference, under pinned labels.
 #[test]
 fn optimizer_journal_resumes_dynamic_and_static() {
     let db = basket_db();
     let flock = pairs_flock();
-    for strategy in [Strategy::Dynamic, Strategy::BestStatic, Strategy::Direct] {
+    let reference = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
+    let optimizer = |strategy, dir: &PathBuf| Optimizer {
+        config: OptimizerConfig {
+            strategy,
+            journal_dir: Some(dir.clone()),
+            ..OptimizerConfig::default()
+        },
+    };
+    let dynamic = "dynamic (2 voluntary filters)";
+    for (strategy, fresh_label, resumed_label) in [
+        (Strategy::Direct, "direct", "direct (resumed)"),
+        (
+            Strategy::BestStatic,
+            "best-static: direct",
+            "best-static: direct",
+        ),
+        (Strategy::Dynamic, dynamic, "dynamic (resumed)"),
+        (Strategy::Auto, dynamic, "dynamic (resumed)"),
+    ] {
         let dir = run_dir(&format!("opt-{strategy:?}"));
-        let opt = Optimizer {
-            config: OptimizerConfig {
-                strategy,
-                journal_dir: Some(dir.clone()),
-                ..OptimizerConfig::default()
-            },
+        let opt = optimizer(strategy, &dir);
+        let run = || {
+            let e = opt
+                .evaluate_with(&flock, &db, &ExecContext::unbounded())
+                .unwrap();
+            assert_eq!(e.result.tuples(), reference.tuples(), "{strategy:?}");
+            e
         };
-        let first = opt.evaluate(&flock, &db).unwrap();
+        let first = run();
         assert_eq!(first.resumed_steps, 0, "{strategy:?}");
-        let second = opt.evaluate(&flock, &db).unwrap();
+        assert_eq!(first.strategy_used, fresh_label, "{strategy:?}");
+        let second = run();
         assert!(second.resumed_steps > 0, "{strategy:?}");
+        assert_eq!(second.strategy_used, resumed_label, "{strategy:?}");
+
+        // One flipped byte of the final step's snapshot costs that
+        // step's resume, never the run.
+        let last = dir.join(format!("step-{}.qfr", second.resumed_steps - 1));
+        let mut bytes = std::fs::read(&last).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x80;
+        std::fs::write(&last, bytes).unwrap();
+        let damaged = run();
         assert_eq!(
-            first.result.tuples(),
-            second.result.tuples(),
+            damaged.resumed_steps,
+            second.resumed_steps - 1,
             "{strategy:?}"
         );
+        assert_eq!(damaged.strategy_used, fresh_label, "{strategy:?}");
+        assert_eq!(damaged.stats.corruption_recoveries, 1, "{strategy:?}");
+        let stages: Vec<&str> = damaged
+            .stats
+            .degradations
+            .iter()
+            .map(|d| d.stage.as_str())
+            .collect();
+        assert_eq!(stages, ["journal-corrupt-snapshot"], "{strategy:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    // Direct and dynamic runs of one flock run the same plan, so either
+    // resumes the other's journal.
+    let dir = run_dir("opt-direct-then-dynamic");
+    let direct = optimizer(Strategy::Direct, &dir)
+        .evaluate_with(&flock, &db, &ExecContext::unbounded())
+        .unwrap();
+    let dynamic = optimizer(Strategy::Dynamic, &dir)
+        .evaluate_with(&flock, &db, &ExecContext::unbounded())
+        .unwrap();
+    assert_eq!(direct.strategy_used, "direct");
+    assert_eq!(dynamic.strategy_used, "dynamic (resumed)");
+    assert_eq!(dynamic.resumed_steps, 1);
+    assert_eq!(dynamic.result.tuples(), reference.tuples());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A run directory in the earlier text format — `journal.meta` plus a
@@ -180,10 +238,9 @@ fn text_format_journal_is_recomputed_not_resumed() {
     let db = basket_db();
     let plan = single_param_plan(&pairs_flock(), &db).unwrap();
     let fresh_dir = run_dir("text-fresh");
-    let fresh = execute_plan_journaled(
+    let fresh = journaled(
         &plan,
         &db,
-        JoinOrderStrategy::Greedy,
         &ExecContext::unbounded(),
         &mut open_journal(&fresh_dir, &plan, &db),
     )
@@ -216,14 +273,7 @@ fn text_format_journal_is_recomputed_not_resumed() {
     let mut journal = open_journal(&dir, &plan, &db);
     assert_eq!(journal.contiguous_prefix(plan.len()), 0);
     assert!(!dir.join("journal.meta").exists());
-    let run = execute_plan_journaled(
-        &plan,
-        &db,
-        JoinOrderStrategy::Greedy,
-        &ExecContext::unbounded(),
-        &mut journal,
-    )
-    .unwrap();
+    let run = journaled(&plan, &db, &ExecContext::unbounded(), &mut journal).unwrap();
     assert!(run.steps.iter().all(|s| !s.resumed), "{:?}", run.steps);
     assert_eq!(run.result.tuples(), fresh.result.tuples());
     assert_eq!(
@@ -246,14 +296,17 @@ fn changed_inputs_invalidate_the_journal() {
             ..OptimizerConfig::default()
         },
     };
-    opt.evaluate(&flock, &db).unwrap();
+    opt.evaluate_with(&flock, &db, &ExecContext::unbounded())
+        .unwrap();
     // Same journal, different data: must refuse, not resume stale work.
     let mut altered = Database::new();
     altered.insert(Relation::from_rows(
         Schema::new("baskets", &["bid", "item"]),
         vec![vec![Value::int(1), Value::str("only")]],
     ));
-    let err = opt.evaluate(&flock, &altered).unwrap_err();
+    let err = opt
+        .evaluate_with(&flock, &altered, &ExecContext::unbounded())
+        .unwrap_err();
     assert!(
         err.to_string().contains("catalog fingerprint"),
         "expected catalog mismatch, got: {err}"
@@ -274,20 +327,20 @@ fn killed_run_resumes_identically_at_every_fault_point() {
     let db = basket_db();
     let flock = pairs_flock();
     let plan = single_param_plan(&flock, &db).unwrap();
-    let reference = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+    let reference = execute_plan_with(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
 
     let mut swept_any_fault = false;
     for n in 1u64..10_000 {
         let dir = run_dir(&format!("chaos-{n}"));
         let mut journal = open_journal(&dir, &plan, &db);
         let crashed = ExecContext::unbounded().with_fault_point(n);
-        match execute_plan_journaled(
-            &plan,
-            &db,
-            JoinOrderStrategy::Greedy,
-            &crashed,
-            &mut journal,
-        ) {
+        match journaled(&plan, &db, &crashed, &mut journal) {
             Err(FlockError::Engine(EngineError::FaultInjected { .. })) => {
                 swept_any_fault = true;
                 drop(journal);
@@ -295,14 +348,8 @@ fn killed_run_resumes_identically_at_every_fault_point() {
                 // would after `kill -9`.
                 let mut journal = open_journal(&dir, &plan, &db);
                 let completed = journal.contiguous_prefix(plan.len());
-                let resumed = execute_plan_journaled(
-                    &plan,
-                    &db,
-                    JoinOrderStrategy::Greedy,
-                    &ExecContext::unbounded(),
-                    &mut journal,
-                )
-                .unwrap();
+                let resumed =
+                    journaled(&plan, &db, &ExecContext::unbounded(), &mut journal).unwrap();
                 assert_eq!(
                     resumed.result.tuples(),
                     reference.result.tuples(),

@@ -636,7 +636,7 @@ impl FlockService {
             }
         };
 
-        let scored = execute_plan_scored_on(&plan, &extended, run.evaluator, &ctx)?;
+        let scored = execute_plan_scored_on(&plan, &extended, run.evaluator, &ctx, None)?;
         let baseline = FilterCondition {
             agg: canonical_filter.agg,
             ..scored.baseline

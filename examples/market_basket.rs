@@ -7,7 +7,8 @@
 //! ```
 
 use query_flocks::core::{
-    evaluate_direct, execute_plan, single_param_plan, JoinOrderStrategy, QueryFlock,
+    evaluate_direct, execute_plan_with, single_param_plan, ExecContext, JoinOrderStrategy,
+    QueryFlock,
 };
 use query_flocks::datagen::baskets::{self, BasketConfig};
 use query_flocks::mine::{generate_rules, mine_apriori, mine_flockwise};
@@ -45,7 +46,13 @@ fn main() {
 
     let plan = single_param_plan(&flock, &db).unwrap();
     let start = std::time::Instant::now();
-    let planned = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+    let planned = execute_plan_with(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     let plan_t = start.elapsed();
     assert_eq!(direct.tuples(), planned.result.tuples());
 

@@ -12,7 +12,9 @@
 //! cargo run --example multi_disease
 //! ```
 
-use query_flocks::core::{evaluate_direct, FlockProgram, JoinOrderStrategy, QueryFlock};
+use query_flocks::core::{
+    evaluate_direct, ExecContext, FlockProgram, JoinOrderStrategy, Optimizer, QueryFlock,
+};
 use query_flocks::storage::{Database, Relation, Schema, Value};
 
 fn main() {
@@ -77,7 +79,9 @@ fn main() {
          COUNT(answer.P) >= 20",
     )
     .unwrap();
-    let evaluation = program.evaluate(&db).unwrap();
+    let evaluation = program
+        .evaluate_with(&db, &Optimizer::new(), &ExecContext::unbounded())
+        .unwrap();
     println!(
         "\nWith the `explained` view (strategy: {}):",
         evaluation.strategy_used

@@ -7,7 +7,7 @@
 //! ```
 
 use query_flocks::core::{
-    chain_plan, evaluate_direct, execute_plan, JoinOrderStrategy, QueryFlock,
+    chain_plan, evaluate_direct, execute_plan_with, ExecContext, JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::datagen::graph::{self, GraphConfig};
 use query_flocks::storage::Database;
@@ -44,7 +44,13 @@ fn main() {
 
         let plan = chain_plan(&flock).unwrap();
         let start = std::time::Instant::now();
-        let chained = execute_plan(&plan, &db, JoinOrderStrategy::AsWritten).unwrap();
+        let chained = execute_plan_with(
+            &plan,
+            &db,
+            JoinOrderStrategy::AsWritten,
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
         let chain_t = start.elapsed();
         assert_eq!(direct.tuples(), chained.result.tuples());
 

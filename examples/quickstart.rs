@@ -6,7 +6,8 @@
 //! ```
 
 use query_flocks::core::{
-    evaluate_direct, single_param_plan, to_sql, JoinOrderStrategy, Optimizer, QueryFlock,
+    evaluate_direct, single_param_plan, to_sql, ExecContext, JoinOrderStrategy, Optimizer,
+    QueryFlock,
 };
 use query_flocks::storage::{Database, Relation, Schema, Value};
 
@@ -58,7 +59,9 @@ fn main() {
     println!("\nThe a-priori query plan (Fig. 5 notation):\n{plan}");
 
     // Or let the optimizer choose a strategy end to end.
-    let evaluation = Optimizer::new().evaluate(&flock, &db).unwrap();
+    let evaluation = Optimizer::new()
+        .evaluate_with(&flock, &db, &ExecContext::unbounded())
+        .unwrap();
     println!(
         "\nOptimizer used `{}` and found {} pair(s).",
         evaluation.strategy_used,

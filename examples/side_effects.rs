@@ -7,7 +7,8 @@
 //! ```
 
 use query_flocks::core::{
-    best_plan, evaluate_dynamic, execute_plan, DynamicConfig, JoinOrderStrategy, QueryFlock,
+    best_plan_with, evaluate_dynamic_with, execute_plan_with, DynamicConfig, ExecContext,
+    JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::datagen::medical::{self, MedicalConfig};
 use query_flocks::datalog::subquery::safe_subqueries;
@@ -40,13 +41,19 @@ fn main() {
     }
 
     // Cost-based plan search over the legal plan space.
-    let (plan, est_cost) = best_plan(&flock, &data.db).unwrap();
+    let (plan, est_cost) = best_plan_with(&flock, &data.db, &ExecContext::unbounded()).unwrap();
     println!(
         "\nCost-based search chose ({} steps, estimated cost {:.0} tuples):\n{plan}\n",
         plan.len(),
         est_cost
     );
-    let run = execute_plan(&plan, &data.db, JoinOrderStrategy::Greedy).unwrap();
+    let run = execute_plan_with(
+        &plan,
+        &data.db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     println!("Unexplained (medicine, symptom) pairs with support >= 20:");
     for t in run.result.iter() {
         println!("  medicine={}  symptom={}", t.get(0), t.get(1));
@@ -54,7 +61,13 @@ fn main() {
     println!("(planted ground truth: {:?})", data.planted);
 
     // §4.4: the dynamic evaluator decides filters from observed sizes.
-    let report = evaluate_dynamic(&flock, &data.db, &DynamicConfig::default()).unwrap();
+    let report = evaluate_dynamic_with(
+        &flock,
+        &data.db,
+        &DynamicConfig::default(),
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     assert_eq!(report.result.tuples(), run.result.tuples());
     println!("\nDynamic evaluation decisions (Ex. 4.4):");
     for d in &report.decisions {

@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use query_flocks::core::{
-    evaluate_direct, execute_plan, param_set_plan, JoinOrderStrategy, QueryFlock,
+    evaluate_direct, execute_plan_with, param_set_plan, ExecContext, JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::datagen::web::{self, WebConfig};
 use query_flocks::storage::Symbol;
@@ -46,7 +46,13 @@ fn main() {
     println!("Union-prefilter plan:\n{plan}\n");
 
     let start = std::time::Instant::now();
-    let planned = execute_plan(&plan, &data.db, JoinOrderStrategy::Greedy).unwrap();
+    let planned = execute_plan_with(
+        &plan,
+        &data.db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     let plan_t = start.elapsed();
     assert_eq!(direct.tuples(), planned.result.tuples());
 

@@ -18,7 +18,7 @@
 //! ## Example
 //!
 //! ```
-//! use query_flocks::core::{Optimizer, QueryFlock};
+//! use query_flocks::core::{ExecContext, Optimizer, QueryFlock};
 //! use query_flocks::storage::{Database, Relation, Schema, Value};
 //!
 //! let mut db = Database::new();
@@ -40,8 +40,10 @@
 //!      COUNT(answer.B) >= 2",
 //! )?;
 //!
-//! // The optimizer picks a strategy (here: §4.4 dynamic evaluation).
-//! let evaluation = Optimizer::new().evaluate(&flock, &db)?;
+//! // The optimizer picks a strategy (here: §4.4 dynamic evaluation)
+//! // and runs it under the context's budgets (here: none).
+//! let ctx = ExecContext::unbounded();
+//! let evaluation = Optimizer::new().evaluate_with(&flock, &db, &ctx)?;
 //! assert_eq!(evaluation.result.len(), 1); // {beer, diapers}
 //! # Ok::<(), query_flocks::core::FlockError>(())
 //! ```

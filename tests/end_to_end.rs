@@ -4,8 +4,8 @@
 //! round-tripping.
 
 use query_flocks::core::{
-    best_plan, evaluate_direct, execute_plan, plan_to_sql, single_param_plan, to_sql,
-    JoinOrderStrategy, QueryFlock,
+    best_plan_with, evaluate_direct, execute_plan_with, plan_to_sql, single_param_plan, to_sql,
+    ExecContext, JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::datagen::{baskets, medical, words};
 use query_flocks::mine::{mine_apriori, mine_flockwise};
@@ -39,8 +39,14 @@ fn words_pipeline_finds_frequent_pairs() {
         .any(|t| t.get(0) == w0.min(w1) && t.get(1) == w0.max(w1)));
 
     // The best cost-searched plan agrees.
-    let (plan, _) = best_plan(&flock, &db).unwrap();
-    let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+    let (plan, _) = best_plan_with(&flock, &db, &ExecContext::unbounded()).unwrap();
+    let run = execute_plan_with(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     assert_eq!(run.result.tuples(), direct.tuples());
 }
 
@@ -59,7 +65,13 @@ fn medical_pipeline_recovers_planted_side_effects() {
     )
     .unwrap();
     let plan = single_param_plan(&flock, &data.db).unwrap();
-    let run = execute_plan(&plan, &data.db, JoinOrderStrategy::Greedy).unwrap();
+    let run = execute_plan_with(
+        &plan,
+        &data.db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     for (med, sym) in &data.planted {
         assert!(
             run.result

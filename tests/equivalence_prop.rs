@@ -7,8 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use query_flocks::core::{
-    enumerate_plans, evaluate_direct, evaluate_dynamic, evaluate_dynamic_with, evaluate_naive,
-    execute_plan, DynamicConfig, JoinOrderStrategy, QueryFlock,
+    enumerate_plans, evaluate_direct, evaluate_dynamic_with, evaluate_naive, execute_plan_with,
+    DynamicConfig, JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::engine::{row_cost, ExecContext};
 use query_flocks::storage::{Database, Relation, Schema, SpillDir, Value};
@@ -62,7 +62,7 @@ fn assert_dynamic_routes(
     naive: &Relation,
 ) -> Result<(), TestCaseError> {
     let config = DynamicConfig::default();
-    let unbounded = evaluate_dynamic(flock, db, &config).unwrap();
+    let unbounded = evaluate_dynamic_with(flock, db, &config, &ExecContext::unbounded()).unwrap();
     prop_assert_eq!(unbounded.result.tuples(), naive.tuples());
     for threads in [1, 4] {
         let ctx = ExecContext::unbounded().with_threads(threads);
@@ -117,7 +117,7 @@ proptest! {
             prop_assert_eq!(direct.tuples(), naive.tuples());
         }
         for plan in enumerate_plans(&flock, &db).unwrap() {
-            let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+            let run = execute_plan_with(&plan, &db, JoinOrderStrategy::Greedy, &ExecContext::unbounded()).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples());
         }
         assert_dynamic_routes(&flock, &db, &naive)?;
@@ -156,7 +156,7 @@ proptest! {
         let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         prop_assert_eq!(direct.tuples(), naive.tuples());
         for plan in enumerate_plans(&flock, &db).unwrap() {
-            let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+            let run = execute_plan_with(&plan, &db, JoinOrderStrategy::Greedy, &ExecContext::unbounded()).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples(), "plan: {}", plan);
         }
         assert_dynamic_routes(&flock, &db, &naive)?;
@@ -186,7 +186,7 @@ proptest! {
         let direct = evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         prop_assert_eq!(direct.tuples(), naive.tuples());
         for plan in enumerate_plans(&flock, &db).unwrap() {
-            let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+            let run = execute_plan_with(&plan, &db, JoinOrderStrategy::Greedy, &ExecContext::unbounded()).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples(), "plan: {}", plan);
         }
     }
@@ -230,7 +230,7 @@ proptest! {
             improvement_factor: improve,
             strategy: JoinOrderStrategy::Greedy,
         };
-        let report = evaluate_dynamic(&flock, &db, &config).unwrap();
+        let report = evaluate_dynamic_with(&flock, &db, &config, &ExecContext::unbounded()).unwrap();
         prop_assert_eq!(report.result.tuples(), reference.tuples());
     }
 }

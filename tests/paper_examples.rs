@@ -3,8 +3,8 @@
 //! and the semantics agree across evaluators.
 
 use query_flocks::core::{
-    chain_plan, direct_plan, evaluate_direct, evaluate_naive, execute_plan, JoinOrderStrategy,
-    QueryFlock,
+    chain_plan, direct_plan, evaluate_direct, evaluate_naive, execute_plan_with, ExecContext,
+    JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::datalog::{contained_in, parse_query, parse_rule, subquery::safe_subqueries};
 use query_flocks::storage::{Database, Relation, Schema, Value};
@@ -126,7 +126,13 @@ fn fig3_and_fig5_agree_with_reference_semantics() {
         query_flocks::datalog::UnionQuery::single(with_reductions).unwrap(),
     );
     let plan = query_flocks::core::QueryPlan::new(flock, vec![ok_s, ok_m, final_]).unwrap();
-    let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+    let run = execute_plan_with(
+        &plan,
+        &db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
     assert_eq!(run.result.tuples(), direct.tuples());
 }
 
