@@ -10,7 +10,8 @@
 //!   outperform, often significantly, DBMS-based algorithms"; the
 //!   timing columns record that expected gap rather than hiding it.
 
-use qf_mine::{generate_rules, mine_apriori, mine_flockwise};
+use qf_core::ExecContext;
+use qf_mine::{generate_rules, mine_apriori, mine_flockwise_with};
 
 use crate::table::{fmt_duration, Table};
 use crate::timing::time_median;
@@ -32,7 +33,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         Scale::Full => (40i64, 4usize),
     };
 
-    let (flock_levels, flock_t) = time_median(1, || mine_flockwise(&db, threshold, max_k).unwrap());
+    let (flock_levels, flock_t) = time_median(1, || {
+        mine_flockwise_with(&db, threshold, max_k, &ExecContext::unbounded()).unwrap()
+    });
     let (classic, classic_t) = time_median(3, || mine_apriori(&txns, threshold as u64, max_k));
 
     let mut table = Table::new(

@@ -989,6 +989,7 @@ server mode (top-level subcommands, not shell commands):
   qfsh serve --addr host:port [--threads N --queue-cap N --cache-entries K
              --max-rows N --mem-budget BYTES --timeout MS --max-conns N
              --idle-timeout MS --io-timeout MS --retry-after MS]
+             (--cache-entries: results kept, default 64; 0 disables the result cache)
   qfsh shard --addr host:port --shards host:port,host:port,…
              [--replicas R --fail-threshold K --probe-interval MS
              --hedge-after-ms MS --replicate rel1,rel2,…
@@ -1232,7 +1233,6 @@ mod tests {
             "\"spill_files_live\":",
             "\"tsv_skipped_lines\":",
             "\"cache_hit\":false",
-            "\"plan_cached\":false",
             "\"cache_hits\":0",
             "\"cache_misses\":0",
             "\"rejected\":0",

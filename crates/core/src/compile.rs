@@ -480,7 +480,7 @@ pub fn filter_answer_scored(
 mod tests {
     use super::*;
     use qf_datalog::parse_rule;
-    use qf_engine::execute;
+    use qf_engine::{execute_with, ExecContext};
     use qf_storage::{Relation, Schema, Value};
 
     fn basket_db() -> Database {
@@ -504,7 +504,7 @@ mod tests {
         let compiled = compile_rule(&rule, &basket_db(), JoinOrderStrategy::AsWritten).unwrap();
         assert_eq!(compiled.n_params, 2);
         assert_eq!(compiled.n_head, 1);
-        let rel = execute(&compiled.plan, &basket_db()).unwrap();
+        let rel = execute_with(&compiled.plan, &basket_db(), &ExecContext::unbounded()).unwrap();
         // ($1=beer, $2=diapers, B∈{1,2}) only.
         assert_eq!(rel.len(), 2);
         for t in rel.iter() {
@@ -517,7 +517,7 @@ mod tests {
     fn constants_and_repeats_become_selections() {
         let rule = parse_rule("answer(B) :- baskets(B,beer)").unwrap();
         let compiled = compile_rule(&rule, &basket_db(), JoinOrderStrategy::AsWritten).unwrap();
-        let rel = execute(&compiled.plan, &basket_db()).unwrap();
+        let rel = execute_with(&compiled.plan, &basket_db(), &ExecContext::unbounded()).unwrap();
         assert_eq!(rel.len(), 3); // baskets 1, 2, 3
 
         // Self-equality: arc(X,X) style.
@@ -531,7 +531,7 @@ mod tests {
         ));
         let rule = parse_rule("answer(X) :- arc(X,X)").unwrap();
         let compiled = compile_rule(&rule, &db, JoinOrderStrategy::AsWritten).unwrap();
-        let rel = execute(&compiled.plan, &db).unwrap();
+        let rel = execute_with(&compiled.plan, &db, &ExecContext::unbounded()).unwrap();
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.tuples()[0].get(0), Value::int(1));
     }
@@ -561,7 +561,7 @@ mod tests {
             parse_rule("answer(P) :- exhibits(P,$s) AND diagnoses(P,D) AND NOT causes(D,$s)")
                 .unwrap();
         let compiled = compile_rule(&rule, &db, JoinOrderStrategy::AsWritten).unwrap();
-        let rel = execute(&compiled.plan, &db).unwrap();
+        let rel = execute_with(&compiled.plan, &db, &ExecContext::unbounded()).unwrap();
         // Patient 1's fever is explained by flu; patient 2's rash is not.
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.tuples()[0].get(0), Value::str("rash"));
@@ -579,7 +579,7 @@ mod tests {
             JoinOrderStrategy::OptimalDp,
         ] {
             let compiled = compile_rule(&rule, &db, s).unwrap();
-            let rel = execute(&compiled.plan, &db).unwrap();
+            let rel = execute_with(&compiled.plan, &db, &ExecContext::unbounded()).unwrap();
             results.push(rel.tuples().to_vec());
         }
         assert_eq!(results[0], results[1]);
@@ -592,11 +592,11 @@ mod tests {
         let db = basket_db();
         let compiled = compile_rule(&rule, &db, JoinOrderStrategy::AsWritten).unwrap();
         let plan = filter_answer(&compiled, &rule, &FilterCondition::support(2)).unwrap();
-        let rel = execute(&plan, &db).unwrap();
+        let rel = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         // (beer, diapers) appears in baskets 1 and 2 → passes ≥2.
         assert_eq!(rel.len(), 1);
         let plan = filter_answer(&compiled, &rule, &FilterCondition::support(3)).unwrap();
-        let rel = execute(&plan, &db).unwrap();
+        let rel = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         assert!(rel.is_empty());
     }
 

@@ -82,11 +82,6 @@ pub struct PlanExecution {
 }
 
 impl PlanExecution {
-    /// Total wall-clock time across steps.
-    pub fn total_elapsed(&self) -> std::time::Duration {
-        self.steps.iter().map(|s| s.elapsed).sum()
-    }
-
     /// Total tuples materialized by step answers (a proxy for work done).
     pub fn total_answer_tuples(&self) -> usize {
         self.steps.iter().map(|s| s.answer_tuples).sum()

@@ -46,11 +46,6 @@ impl Term {
         matches!(self, Term::Var(_))
     }
 
-    /// True for `Term::Param`.
-    pub fn is_param(self) -> bool {
-        matches!(self, Term::Param(_))
-    }
-
     /// True for `Term::Const`.
     pub fn is_const(self) -> bool {
         matches!(self, Term::Const(_))

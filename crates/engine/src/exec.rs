@@ -1,17 +1,17 @@
 //! Physical plan execution.
 //!
-//! [`execute`] evaluates a [`PhysicalPlan`] against a [`Database`] and
-//! returns a set-semantics [`Relation`]. Column names are propagated
+//! [`execute_with`] evaluates a [`PhysicalPlan`] against a [`Database`]
+//! and returns a set-semantics [`Relation`]. Column names are propagated
 //! through the tree so results stay self-describing (joins concatenate
 //! names, aggregates append the aggregate's name), but all plan-level
 //! references are positional.
 //!
-//! [`execute_with`] is the governed variant: every operator loop checks
-//! the supplied [`ExecContext`] cooperatively, charging each tuple it
-//! materializes *before* storing it, so a budgeted execution fails with
+//! Execution is governed: every operator loop checks the supplied
+//! [`ExecContext`] cooperatively, charging each tuple it materializes
+//! *before* storing it, so a budgeted execution fails with
 //! [`EngineError::ResourceExhausted`] / [`EngineError::Cancelled`]
-//! instead of exhausting the machine. `execute` is simply
-//! `execute_with` under an unbounded context.
+//! instead of exhausting the machine; [`ExecContext::unbounded`] runs
+//! without limits.
 //!
 //! There is **one operator tree** (`Exec::eval`): each operator
 //! evaluates its children to an operator output — a resident
@@ -46,11 +46,6 @@ use crate::governor::{row_cost, ExecContext};
 use crate::parallel;
 use crate::plan::{AggFn, PhysicalPlan};
 use crate::spill::{release_rel, Grace, OpOut, Sink};
-
-/// Evaluate `plan` against `db` with no resource limits.
-pub fn execute(plan: &PhysicalPlan, db: &Database) -> Result<Relation> {
-    execute_with(plan, db, &ExecContext::unbounded())
-}
 
 /// Evaluate `plan` against `db` under the governance of `ctx`.
 ///
@@ -576,13 +571,23 @@ mod tests {
 
     #[test]
     fn scan_returns_relation() {
-        let r = execute(&PhysicalPlan::scan("baskets"), &db()).unwrap();
+        let r = execute_with(
+            &PhysicalPlan::scan("baskets"),
+            &db(),
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
         assert_eq!(r.len(), 5);
     }
 
     #[test]
     fn scan_unknown_relation_errors() {
-        let e = execute(&PhysicalPlan::scan("nope"), &db()).unwrap_err();
+        let e = execute_with(
+            &PhysicalPlan::scan("nope"),
+            &db(),
+            &ExecContext::unbounded(),
+        )
+        .unwrap_err();
         assert!(matches!(e, EngineError::Storage(_)));
     }
 
@@ -592,14 +597,14 @@ mod tests {
             PhysicalPlan::scan("baskets"),
             vec![Predicate::col_const(1, CmpOp::Eq, Value::str("beer"))],
         );
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 3);
     }
 
     #[test]
     fn project_dedups() {
         let p = PhysicalPlan::project(PhysicalPlan::scan("baskets"), vec![1]);
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 2); // beer, diapers
         assert_eq!(r.schema().columns(), &["item".to_string()]);
     }
@@ -613,7 +618,7 @@ mod tests {
             vec![(0, 0)],
         );
         let pairs = PhysicalPlan::select(join, vec![Predicate::col_col(1, CmpOp::Lt, 3)]);
-        let r = execute(&pairs, &db()).unwrap();
+        let r = execute_with(&pairs, &db(), &ExecContext::unbounded()).unwrap();
         // Baskets 1 and 2 contain {beer, diapers}: two (bid, beer, bid, diapers) rows.
         assert_eq!(r.len(), 2);
         assert_eq!(r.schema().arity(), 4);
@@ -623,7 +628,7 @@ mod tests {
     fn aggregate_count() {
         // COUNT baskets per item.
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("baskets"), vec![1], AggFn::Count);
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         let beer = r
             .iter()
             .find(|t| t.get(0) == Value::str("beer"))
@@ -635,17 +640,17 @@ mod tests {
     #[test]
     fn aggregate_sum_min_max() {
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("baskets"), vec![1], AggFn::Sum(0));
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         let beer = r.iter().find(|t| t.get(0) == Value::str("beer")).unwrap();
         assert_eq!(beer.get(1), Value::int(6)); // 1 + 2 + 3
 
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("baskets"), vec![1], AggFn::Min(0));
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         let beer = r.iter().find(|t| t.get(0) == Value::str("beer")).unwrap();
         assert_eq!(beer.get(1), Value::int(1));
 
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("baskets"), vec![1], AggFn::Max(0));
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         let beer = r.iter().find(|t| t.get(0) == Value::str("beer")).unwrap();
         assert_eq!(beer.get(1), Value::int(3));
     }
@@ -653,14 +658,14 @@ mod tests {
     #[test]
     fn sum_over_symbol_is_type_error() {
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("baskets"), vec![0], AggFn::Sum(1));
-        let e = execute(&p, &db()).unwrap_err();
+        let e = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap_err();
         assert!(matches!(e, EngineError::AggregateType { .. }));
     }
 
     #[test]
     fn global_aggregate_empty_group() {
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("baskets"), vec![], AggFn::Count);
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.tuples()[0].get(0), Value::int(5));
     }
@@ -675,7 +680,7 @@ mod tests {
     #[test]
     fn global_count_over_empty_input_is_zero_row() {
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("nothing"), vec![], AggFn::Count);
-        let r = execute(&p, &db_with_empty()).unwrap();
+        let r = execute_with(&p, &db_with_empty(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.tuples()[0].get(0), Value::int(0));
         assert_eq!(r.schema().columns(), &["count".to_string()]);
@@ -684,7 +689,7 @@ mod tests {
     #[test]
     fn global_sum_over_empty_input_is_zero_row() {
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("nothing"), vec![], AggFn::Sum(0));
-        let r = execute(&p, &db_with_empty()).unwrap();
+        let r = execute_with(&p, &db_with_empty(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.tuples()[0].get(0), Value::int(0));
     }
@@ -694,7 +699,7 @@ mod tests {
         // MIN/MAX have no identity element in a NULL-free domain.
         for agg in [AggFn::Min(0), AggFn::Max(0)] {
             let p = PhysicalPlan::aggregate(PhysicalPlan::scan("nothing"), vec![], agg);
-            let r = execute(&p, &db_with_empty()).unwrap();
+            let r = execute_with(&p, &db_with_empty(), &ExecContext::unbounded()).unwrap();
             assert!(r.is_empty());
             assert_eq!(r.schema().arity(), 1);
         }
@@ -704,7 +709,7 @@ mod tests {
     fn grouped_aggregate_over_empty_input_is_empty() {
         // With a non-empty group list there are no groups to report.
         let p = PhysicalPlan::aggregate(PhysicalPlan::scan("nothing"), vec![0], AggFn::Count);
-        let r = execute(&p, &db_with_empty()).unwrap();
+        let r = execute_with(&p, &db_with_empty(), &ExecContext::unbounded()).unwrap();
         assert!(r.is_empty());
     }
 
@@ -775,7 +780,12 @@ mod tests {
         );
         let ctx = armed();
         let got = execute_with(&select, &d, &ctx).unwrap();
-        assert_eq!(got.tuples(), execute(&select, &d).unwrap().tuples());
+        assert_eq!(
+            got.tuples(),
+            execute_with(&select, &d, &ExecContext::unbounded())
+                .unwrap()
+                .tuples()
+        );
         assert!(ctx.stats().workers > 1, "{:?}", ctx.stats());
         assert_eq!(ctx.stats().spills, 0);
     }
@@ -789,7 +799,7 @@ mod tests {
             PhysicalPlan::scan("causes"),
             vec![(1, 1)],
         );
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 5); // no basket item is "fever"
 
         let p = PhysicalPlan::anti_join(
@@ -797,7 +807,7 @@ mod tests {
             PhysicalPlan::scan("baskets"),
             vec![(0, 0)],
         );
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         assert!(r.is_empty()); // everything matches itself
     }
 
@@ -807,7 +817,7 @@ mod tests {
             PhysicalPlan::project(PhysicalPlan::scan("baskets"), vec![1]),
             PhysicalPlan::project(PhysicalPlan::scan("causes"), vec![1]),
         ]);
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 3); // beer, diapers, fever
 
         let bad = PhysicalPlan::union(vec![
@@ -815,14 +825,19 @@ mod tests {
             PhysicalPlan::project(PhysicalPlan::scan("causes"), vec![1]),
         ]);
         assert!(matches!(
-            execute(&bad, &db()).unwrap_err(),
+            execute_with(&bad, &db(), &ExecContext::unbounded()).unwrap_err(),
             EngineError::UnionArityMismatch { first: 2, other: 1 }
         ));
     }
 
     #[test]
     fn empty_union_is_empty() {
-        let r = execute(&PhysicalPlan::union(vec![]), &db()).unwrap();
+        let r = execute_with(
+            &PhysicalPlan::union(vec![]),
+            &db(),
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
         assert!(r.is_empty());
     }
 
@@ -830,7 +845,7 @@ mod tests {
     fn column_bounds_checked() {
         let p = PhysicalPlan::project(PhysicalPlan::scan("baskets"), vec![7]);
         assert!(matches!(
-            execute(&p, &db()).unwrap_err(),
+            execute_with(&p, &db(), &ExecContext::unbounded()).unwrap_err(),
             EngineError::ColumnOutOfRange { column: 7, .. }
         ));
     }
@@ -843,7 +858,7 @@ mod tests {
             vec![(0, 9)],
         );
         assert!(matches!(
-            execute(&p, &db()).unwrap_err(),
+            execute_with(&p, &db(), &ExecContext::unbounded()).unwrap_err(),
             EngineError::ColumnOutOfRange { column: 9, .. }
         ));
     }
@@ -855,7 +870,7 @@ mod tests {
             PhysicalPlan::scan("causes"),
             vec![],
         );
-        let r = execute(&p, &db()).unwrap();
+        let r = execute_with(&p, &db(), &ExecContext::unbounded()).unwrap();
         assert_eq!(r.len(), 5); // 5 baskets rows × 1 causes row
     }
 

@@ -29,7 +29,7 @@
 //!   "start\[s\] by choosing a join order", and this is the chooser.
 //!
 //! ```
-//! use qf_engine::{execute, PhysicalPlan};
+//! use qf_engine::{execute_with, ExecContext, PhysicalPlan};
 //! use qf_storage::{Database, Relation, Schema, Value};
 //!
 //! let mut db = Database::new();
@@ -46,7 +46,7 @@
 //!     PhysicalPlan::scan("arc"),
 //!     vec![(1, 0)],
 //! );
-//! let paths = execute(&plan, &db).unwrap();
+//! let paths = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
 //! assert_eq!(paths.len(), 1); // 1 → 2 → 3
 //! ```
 
@@ -70,7 +70,7 @@ pub use cost::{cost, cost_with};
 pub use delta::{GroupAggView, RECHECK_BOUND};
 pub use error::{EngineError, Result};
 pub use estimate::{estimate, estimate_with, Estimate, MapStats, StatsSource};
-pub use exec::{execute, execute_with};
+pub use exec::execute_with;
 pub use expr::{CmpOp, Operand, Predicate};
 pub use governor::{
     env_mem_budget, row_cost, CancelToken, Degradation, ExecContext, ExecStats, Resource,

@@ -252,7 +252,11 @@ mod tests {
         db.insert(l.clone());
         db.insert(r.clone());
         let (ls, rs) = (PhysicalPlan::scan(l.name()), PhysicalPlan::scan(r.name()));
-        crate::execute(&PhysicalPlan::hash_join(ls, rs, keys), &db)
+        crate::execute_with(
+            &PhysicalPlan::hash_join(ls, rs, keys),
+            &db,
+            &ExecContext::unbounded(),
+        )
     }
 
     /// Merge ≡ hash ≡ `join_pair`'s choice ≡ the executor ≡ a

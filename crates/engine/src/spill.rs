@@ -535,7 +535,7 @@ impl Grace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, execute_with};
+    use crate::exec::execute_with;
     use crate::expr::{CmpOp, Predicate};
     use crate::plan::{AggFn, PhysicalPlan};
     use qf_storage::{Database, Value};
@@ -584,7 +584,7 @@ mod tests {
     #[test]
     fn spilled_run_matches_in_memory() {
         let db = big_db(4000);
-        let expected = execute(&explosive_plan(), &db).unwrap();
+        let expected = execute_with(&explosive_plan(), &db, &ExecContext::unbounded()).unwrap();
         for threads in [1usize, 4] {
             // Budget above the scans (~4000+2000 rows * 48B ≈ 290 KB)
             // but far below the join output.
@@ -647,7 +647,7 @@ mod tests {
             vec![],
             AggFn::Count,
         );
-        let expected = execute(&plan, &db).unwrap();
+        let expected = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         let ctx = spill_ctx(12 << 10, 1);
         let got = execute_with(&plan, &db, &ctx).unwrap();
         assert_eq!(got.tuples(), expected.tuples());
@@ -677,7 +677,7 @@ mod tests {
             PhysicalPlan::union(vec![PhysicalPlan::scan("a"), PhysicalPlan::scan("b")]),
             vec![1],
         );
-        let expected = execute(&plan, &db).unwrap();
+        let expected = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         let ctx = spill_ctx(150 << 10, 2);
         let got = execute_with(&plan, &db, &ctx).unwrap();
         assert_eq!(got.tuples(), expected.tuples());
@@ -689,7 +689,7 @@ mod tests {
         // A spill dir with a huge budget (or none) must not change
         // results or spill anything.
         let db = big_db(1000);
-        let expected = execute(&explosive_plan(), &db).unwrap();
+        let expected = execute_with(&explosive_plan(), &db, &ExecContext::unbounded()).unwrap();
         let ctx = ExecContext::unbounded()
             .with_spill(Arc::new(qf_storage::SpillDir::create_temp().unwrap()));
         let got = execute_with(&explosive_plan(), &db, &ctx).unwrap();
@@ -710,7 +710,7 @@ mod tests {
     fn enospc_during_spill_reabsorbs_and_degrades() {
         use qf_storage::{ChaosFs, Fault, OpClass};
         let db = big_db(4000);
-        let expected = execute(&explosive_plan(), &db).unwrap();
+        let expected = execute_with(&explosive_plan(), &db, &ExecContext::unbounded()).unwrap();
         // Create #1 is the spill dir itself; a later create is some
         // sink run. The documented policy: free completed runs, waive
         // the budget, finish in memory with the degradation recorded.
@@ -732,7 +732,7 @@ mod tests {
     fn transient_write_errors_absorbed_by_whole_run_retry() {
         use qf_storage::{ChaosFs, Fault, OpClass};
         let db = big_db(4000);
-        let expected = execute(&explosive_plan(), &db).unwrap();
+        let expected = execute_with(&explosive_plan(), &db, &ExecContext::unbounded()).unwrap();
         let ctx = chaos_ctx(
             ChaosFs::quiet().with_fault(OpClass::Write, 3, Fault::Transient),
             400 << 10,
@@ -748,7 +748,7 @@ mod tests {
     fn corrupt_spill_run_recovered_by_recompute() {
         use qf_storage::{ChaosFs, Fault, OpClass};
         let db = big_db(4000);
-        let expected = execute(&explosive_plan(), &db).unwrap();
+        let expected = execute_with(&explosive_plan(), &db, &ExecContext::unbounded()).unwrap();
         // One scheduled bit flip lands in some run's payload; the
         // writer believes it succeeded, the reader's frame checksum
         // catches it, and the plan is recomputed (fault is one-shot).
@@ -792,7 +792,7 @@ mod tests {
             AggFn::Count,
         );
         for plan in [anti, cross] {
-            let expected = execute(&plan, &db).unwrap();
+            let expected = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
             // Budget above the resident scans (~66 KB) but below the
             // 80k-row cross-product output.
             let ctx = spill_ctx(96 << 10, 1);

@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 
 use qf_engine::{
-    execute, execute_with, AggFn, CmpOp, EngineError, ExecContext, PhysicalPlan, Predicate,
-    Resource,
+    execute_with, AggFn, CmpOp, EngineError, ExecContext, PhysicalPlan, Predicate, Resource,
 };
 use qf_storage::{Database, Relation, Schema, Tuple, Value};
 
@@ -46,7 +45,7 @@ proptest! {
             PhysicalPlan::scan("r"),
             vec![(1, 0)], // l.b = r.c
         );
-        let got = execute(&plan, &db).unwrap();
+        let got = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
 
         let l_rel = db.get("l").unwrap();
         let r_rel = db.get("r").unwrap();
@@ -71,7 +70,7 @@ proptest! {
             PhysicalPlan::scan("r"),
             vec![(0, 0), (1, 1)],
         );
-        let got = execute(&plan, &db).unwrap();
+        let got = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         let r_rel = db.get("r").unwrap();
         let want: Vec<Tuple> = db
             .get("l").unwrap()
@@ -93,7 +92,7 @@ proptest! {
             ),
             vec![1],
         );
-        let got = execute(&plan, &db).unwrap();
+        let got = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         let want: Vec<Tuple> = dedup_sorted(
             db.get("l").unwrap()
                 .iter()
@@ -109,7 +108,7 @@ proptest! {
     fn aggregate_count_reference(l in rows2()) {
         let db = db2(&l, &[]);
         let plan = PhysicalPlan::aggregate(PhysicalPlan::scan("l"), vec![0], AggFn::Count);
-        let got = execute(&plan, &db).unwrap();
+        let got = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         let mut counts = std::collections::BTreeMap::new();
         for t in db.get("l").unwrap().iter() {
             *counts.entry(t.get(0)).or_insert(0i64) += 1;
@@ -136,7 +135,7 @@ proptest! {
             (AggFn::Max(1), 2),
         ] {
             let plan = PhysicalPlan::aggregate(PhysicalPlan::scan("l"), vec![0], agg);
-            let got = execute(&plan, &db).unwrap();
+            let got = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
             let want: Vec<Tuple> = by_key
                 .iter()
                 .map(|(&k, vs)| {
@@ -157,7 +156,7 @@ proptest! {
     fn union_reference(l in rows2(), r in rows2()) {
         let db = db2(&l, &r);
         let plan = PhysicalPlan::union(vec![PhysicalPlan::scan("l"), PhysicalPlan::scan("r")]);
-        let got = execute(&plan, &db).unwrap();
+        let got = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
         let mut want: Vec<Tuple> = db.get("l").unwrap().iter().cloned().collect();
         want.extend(db.get("r").unwrap().iter().cloned());
         let want = dedup_sorted(want);
@@ -212,7 +211,7 @@ proptest! {
                 prop_assert!(ctx.stats().rows <= budget,
                     "materialized {} rows under a budget of {budget}", ctx.stats().rows);
                 prop_assert!(rel.len() as u64 <= budget);
-                let free = execute(&plan, &db).unwrap();
+                let free = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
                 prop_assert_eq!(rel.tuples(), free.tuples());
             }
             Err(EngineError::ResourceExhausted { resource: Resource::Rows, limit, observed }) => {

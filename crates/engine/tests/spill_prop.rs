@@ -9,8 +9,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use qf_engine::{
-    env_mem_budget, execute, execute_with, row_cost, AggFn, CmpOp, ExecContext, PhysicalPlan,
-    Predicate,
+    env_mem_budget, execute_with, row_cost, AggFn, CmpOp, ExecContext, PhysicalPlan, Predicate,
 };
 use qf_storage::{Database, Relation, Schema, SpillDir, Value};
 
@@ -93,7 +92,7 @@ fn budget() -> u64 {
 /// directory, asserting it equals the ungoverned in-memory result and
 /// leaves no spill file behind. Returns the least bytes spilled.
 fn check_governed(plan: &PhysicalPlan, db: &Database, budget: u64) -> Result<u64, TestCaseError> {
-    let expected = execute(plan, db).unwrap();
+    let expected = execute_with(plan, db, &ExecContext::unbounded()).unwrap();
     let mut least_spilled = u64::MAX;
     for threads in [1usize, 4] {
         let ctx = ExecContext::unbounded()
@@ -153,7 +152,7 @@ fn grace_releases_a_resident_input_once_partitioned() {
         vec![],
         AggFn::Count,
     );
-    let expected = execute(&plan, &db).unwrap();
+    let expected = execute_with(&plan, &db, &ExecContext::unbounded()).unwrap();
     for headroom in [2u64 << 10, 20 << 10] {
         let ctx = ExecContext::unbounded()
             .with_mem_budget(rows.len() as u64 * row_cost(2) + headroom)

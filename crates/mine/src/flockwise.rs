@@ -43,14 +43,12 @@ pub fn level_relation_name(k: usize) -> String {
 /// `baskets(BID, Item)` in `db`. Returns one relation per level `k`
 /// (columns `a..`, one per item of the set), stopping early when a
 /// level is empty. `max_k` is capped at 9.
-pub fn mine_flockwise(db: &Database, threshold: i64, max_k: usize) -> Result<Vec<Relation>> {
-    mine_flockwise_with(db, threshold, max_k, &ExecContext::unbounded())
-}
-
-/// [`mine_flockwise`] under an execution governor: every level's flock
-/// shares `ctx`'s budgets, so the whole levelwise sequence — not each
-/// level separately — is bounded. A tripped budget aborts with the
-/// levels computed so far discarded; `db` itself is never mutated.
+///
+/// Runs under an execution governor: every level's flock shares `ctx`'s
+/// budgets ([`ExecContext::unbounded`] for none), so the whole
+/// levelwise sequence — not each level separately — is bounded. A
+/// tripped budget aborts with the levels computed so far discarded;
+/// `db` itself is never mutated.
 pub fn mine_flockwise_with(
     db: &Database,
     threshold: i64,
@@ -161,7 +159,7 @@ mod tests {
     fn flockwise_matches_classic_apriori() {
         let txns = txns();
         let db = db_from_transactions(&txns);
-        let flock_levels = mine_flockwise(&db, 3, 3).unwrap();
+        let flock_levels = mine_flockwise_with(&db, 3, 3, &ExecContext::unbounded()).unwrap();
         let classic = mine_apriori(&txns, 3, 3);
         for (k, rel) in flock_levels.iter().enumerate() {
             let k = k + 1;
@@ -197,7 +195,8 @@ mod tests {
             db
         };
         let threshold = 20;
-        let flock_levels = mine_flockwise(&db, threshold, 3).unwrap();
+        let flock_levels =
+            mine_flockwise_with(&db, threshold, 3, &ExecContext::unbounded()).unwrap();
         let classic = mine_apriori(&txns, threshold as u64, 3);
         for (k, rel) in flock_levels.iter().enumerate() {
             let k = k + 1;
@@ -212,7 +211,7 @@ mod tests {
     #[test]
     fn stops_at_empty_level() {
         let db = db_from_transactions(&txns());
-        let levels = mine_flockwise(&db, 4, 5).unwrap();
+        let levels = mine_flockwise_with(&db, 4, 5, &ExecContext::unbounded()).unwrap();
         // At threshold 4 only {1},{2},{3} and {1,2} are frequent.
         assert_eq!(levels.len(), 2);
         assert_eq!(levels[0].len(), 3);
@@ -222,7 +221,7 @@ mod tests {
     #[test]
     fn max_k_capped() {
         let db = db_from_transactions(&txns());
-        assert!(mine_flockwise(&db, 1, 10).is_err());
+        assert!(mine_flockwise_with(&db, 1, 10, &ExecContext::unbounded()).is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod measures;
 pub mod rules;
 
 pub use apriori::{mine_apriori, AprioriResult, ItemSet};
-pub use flockwise::{mine_flockwise, mine_flockwise_with};
+pub use flockwise::mine_flockwise_with;
 pub use maximal::maximal_itemsets;
 pub use measures::{confidence, interest, support_fraction};
 pub use rules::{generate_rules, AssociationRule};

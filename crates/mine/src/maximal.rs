@@ -5,9 +5,9 @@
 //! (regardless of the cardinality of the set of items), is more awkward
 //! and would be expressed as a sequence of query flocks for increasing
 //! cardinalities, with each flock depending on the result of the
-//! previous flock." [`mine_flockwise`](crate::mine_flockwise) is that
-//! sequence; this module derives the maximal sets from its levels (or
-//! from a classic [`AprioriResult`]).
+//! previous flock." [`mine_flockwise_with`](crate::mine_flockwise_with)
+//! is that sequence; this module derives the maximal sets from its
+//! levels (or from a classic [`AprioriResult`]).
 
 use crate::apriori::{AprioriResult, ItemSet};
 

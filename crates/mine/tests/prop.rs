@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 
-use qf_mine::{generate_rules, maximal_itemsets, mine_apriori, mine_flockwise};
+use qf_core::ExecContext;
+use qf_mine::{generate_rules, maximal_itemsets, mine_apriori, mine_flockwise_with};
 use qf_storage::{Database, Relation, Schema, Value};
 
 fn txns_strategy() -> impl Strategy<Value = Vec<Vec<u32>>> {
@@ -72,7 +73,7 @@ proptest! {
     #[test]
     fn flockwise_equals_classic(txns in txns_strategy(), threshold in 1i64..5) {
         let db = db_of(&txns);
-        let levels = mine_flockwise(&db, threshold, 3).unwrap();
+        let levels = mine_flockwise_with(&db, threshold, 3, &ExecContext::unbounded()).unwrap();
         let classic = mine_apriori(&txns, threshold as u64, 3);
         for (k, rel) in levels.iter().enumerate() {
             let k = k + 1;

@@ -1,21 +1,19 @@
-//! The flock result cache and the plan cache.
+//! The flock result cache — the server's one keyed store.
 //!
-//! Both caches key on the **canonical** program text (normalized
-//! variable names, sorted subgoals/rules — see
+//! It keys on the **canonical** program text (normalized variable
+//! names, sorted subgoals/rules — see
 //! [`qf_core::FlockProgram::canonical_text`]) plus the **catalog
 //! fingerprint**, so a hit is impossible against stale data: any
 //! `load`/`gen` changes the fingerprint and old entries simply never
-//! match again (the service additionally clears both caches on
-//! mutation to reclaim the memory immediately).
+//! match again (the service additionally clears the cache on mutation
+//! to reclaim the memory immediately).
 //!
 //! The result cache stores *scored* results — `(params…, aggregate)`
 //! rows at the baseline filter they were computed under — which makes
 //! reuse **monotone**: a cached run at support `s` answers any request
 //! whose filter the baseline [subsumes](FilterCondition::subsumes)
 //! (e.g. any `s' ≥ s`) by re-filtering rows, bitwise identically to a
-//! cold evaluation. The plan cache remembers the searched `FILTER`
-//! steps so a repeat flock at a *non*-subsumed threshold still skips
-//! the exponential §4.3 plan search.
+//! cold evaluation.
 
 use std::sync::{Arc, Mutex};
 
@@ -78,42 +76,65 @@ pub struct CachedResult {
     pub delta: Option<Arc<Mutex<FlockDelta>>>,
 }
 
-/// A tiny exact-key LRU: most-recently-used at the front. Entry counts
-/// are small (tens), so linear scans beat hash-map bookkeeping.
-struct Lru<V> {
+/// LRU cache of scored flock results with monotone reuse:
+/// most-recently-used at the front. Entry counts are small (tens), so
+/// linear scans beat hash-map bookkeeping. A [`CacheKey`] names the
+/// aggregate's head position but not its kind, so one key holds one
+/// entry **per aggregate** (`SUM(answer.W)` and `MIN(answer.W)` over
+/// one body live side by side); the baseline's aggregate tells them
+/// apart. A capacity of 0 caches nothing.
+pub struct ResultCache {
     cap: usize,
-    entries: Vec<(CacheKey, V)>,
+    entries: Vec<(CacheKey, CachedResult)>,
 }
 
-impl<V> Lru<V> {
-    fn new(cap: usize) -> Lru<V> {
-        Lru {
-            cap: cap.max(1),
+impl ResultCache {
+    /// Cache holding up to `cap` scored results.
+    pub fn new(cap: usize) -> ResultCache {
+        ResultCache {
+            cap,
             entries: Vec::new(),
         }
     }
 
-    /// The first entry under `key` that `wanted` accepts (a key may
-    /// hold several — see [`ResultCache`]), moved to the front.
-    fn get(&mut self, key: &CacheKey, wanted: impl Fn(&V) -> bool) -> Option<&V> {
+    /// Look up an entry able to answer `filter` exactly: same key and
+    /// a baseline that subsumes the requested condition. `filter` must
+    /// be the request flock's *canonical* filter (see
+    /// [`CachedResult::baseline`]). Refreshes LRU order on hit.
+    pub fn lookup(&mut self, key: &CacheKey, filter: &FilterCondition) -> Option<CachedResult> {
         let pos = self
             .entries
             .iter()
-            .position(|(k, v)| k == key && wanted(v))?;
+            .position(|(k, v)| k == key && v.baseline.subsumes(filter))?;
         let hit = self.entries.remove(pos);
         self.entries.insert(0, hit);
-        Some(&self.entries[0].1)
+        Some(self.entries[0].1.clone())
     }
 
-    /// Store `value` at the front, replacing the entries under `key`
-    /// that `replaced` accepts.
-    fn insert(&mut self, key: CacheKey, value: V, replaced: impl Fn(&V) -> bool) {
-        self.entries.retain(|(k, v)| !(*k == key && replaced(v)));
-        self.entries.insert(0, (key, value));
+    /// Store a scored result. When an entry for the same aggregate
+    /// already exists under the key, keep whichever baseline
+    /// **subsumes** the other: a run at a loose threshold answers every
+    /// tighter one, so replacing it with a tight-threshold run would
+    /// silently narrow cache coverage (the old bug: "most recent
+    /// baseline wins"). The survivor still moves to the front —
+    /// coverage and recency are separate concerns.
+    pub fn insert(&mut self, key: CacheKey, entry: CachedResult) {
+        let agg = entry.baseline.agg;
+        let old = self
+            .entries
+            .iter()
+            .position(|(k, v)| *k == key && v.baseline.agg == agg)
+            .map(|pos| self.entries.remove(pos).1);
+        let keep = match old {
+            Some(old) if old.baseline.subsumes(&entry.baseline) => old,
+            _ => entry,
+        };
+        self.entries.insert(0, (key, keep));
         self.entries.truncate(self.cap);
     }
 
-    fn clear(&mut self) {
+    /// Drop everything (catalog mutation).
+    pub fn clear(&mut self) {
         self.entries.clear();
     }
 
@@ -121,17 +142,17 @@ impl<V> Lru<V> {
     /// relation. Entries keyed at a fingerprint other than `old_fp` are
     /// already unreachable — reclaim the memory. An entry the delta
     /// could change (`touches` its query) gets a chance to *maintain
-    /// itself*: `maintain` mutates the value in place (e.g. applies a
-    /// delta join) and returns whether the entry is still valid.
-    /// Survivors are re-keyed from `old_fp` to `new_fp`, since a query
-    /// that never reads the mutated relation evaluates identically
-    /// against the new catalog.
-    fn maintain_rekey(
+    /// itself*: `maintain` updates it in place (e.g. applies a delta
+    /// join) and returns whether it is still valid, instead of being
+    /// dropped unconditionally. Survivors are re-keyed from `old_fp` to
+    /// `new_fp`, since a query that never reads the mutated relation
+    /// evaluates identically against the new catalog.
+    pub fn maintain_rekey(
         &mut self,
         old_fp: u64,
         new_fp: u64,
         touches: &dyn Fn(&CacheKey) -> bool,
-        maintain: &mut dyn FnMut(&mut V) -> bool,
+        maintain: &mut dyn FnMut(&mut CachedResult) -> bool,
     ) {
         self.entries.retain_mut(|(k, v)| {
             if k.catalog_fp != old_fp {
@@ -145,119 +166,14 @@ impl<V> Lru<V> {
         });
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// LRU cache of scored flock results with monotone reuse. A
-/// [`CacheKey`] names the aggregate's head position but not its kind,
-/// so one key holds one entry **per aggregate** (`SUM(answer.W)` and
-/// `MIN(answer.W)` over one body live side by side); the baseline's
-/// aggregate tells them apart.
-pub struct ResultCache {
-    lru: Lru<CachedResult>,
-}
-
-impl ResultCache {
-    /// Cache holding up to `cap` scored results.
-    pub fn new(cap: usize) -> ResultCache {
-        ResultCache { lru: Lru::new(cap) }
-    }
-
-    /// Look up an entry able to answer `filter` exactly: same key and
-    /// a baseline that subsumes the requested condition. `filter` must
-    /// be the request flock's *canonical* filter (see
-    /// [`CachedResult::baseline`]). Refreshes LRU order on hit.
-    pub fn lookup(&mut self, key: &CacheKey, filter: &FilterCondition) -> Option<CachedResult> {
-        self.lru
-            .get(key, |entry| entry.baseline.subsumes(filter))
-            .cloned()
-    }
-
-    /// Store a scored result. When an entry for the same aggregate
-    /// already exists under the key, keep whichever baseline
-    /// **subsumes** the other: a run at a loose threshold answers every
-    /// tighter one, so replacing it with a tight-threshold run would
-    /// silently narrow cache coverage (the old bug: "most recent
-    /// baseline wins"). The survivor still moves to the front —
-    /// coverage and recency are separate concerns.
-    pub fn insert(&mut self, key: CacheKey, entry: CachedResult) {
-        let agg = entry.baseline.agg;
-        let same_agg = |old: &CachedResult| old.baseline.agg == agg;
-        let keep = match self.lru.get(&key, same_agg) {
-            Some(old) if old.baseline.subsumes(&entry.baseline) => old.clone(),
-            _ => entry,
-        };
-        self.lru.insert(key, keep, same_agg);
-    }
-
-    /// Drop everything (catalog mutation).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-
-    /// Delta-aware invalidation for an `append`/`retract`: touched
-    /// entries are offered to `maintain` (which updates them in place
-    /// and says whether they survive) instead of being dropped
-    /// unconditionally. See [`Lru::maintain_rekey`].
-    pub fn maintain_rekey(
-        &mut self,
-        old_fp: u64,
-        new_fp: u64,
-        touches: &dyn Fn(&CacheKey) -> bool,
-        maintain: &mut dyn FnMut(&mut CachedResult) -> bool,
-    ) {
-        self.lru.maintain_rekey(old_fp, new_fp, touches, maintain);
-    }
-
     /// Number of cached results.
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.entries.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.lru.len() == 0
-    }
-}
-
-/// LRU cache of searched plan shapes (`FILTER` steps). The steps carry
-/// no threshold — the filter is applied from the flock at execution
-/// time — so one searched shape serves every threshold of the query.
-pub struct PlanCache {
-    lru: Lru<Vec<qf_core::FilterStep>>,
-}
-
-impl PlanCache {
-    /// Cache holding up to `cap` plan shapes.
-    pub fn new(cap: usize) -> PlanCache {
-        PlanCache { lru: Lru::new(cap) }
-    }
-
-    /// Fetch the cached steps for a key, refreshing LRU order.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<Vec<qf_core::FilterStep>> {
-        self.lru.get(key, |_| true).cloned()
-    }
-
-    /// Store a searched plan shape.
-    pub fn insert(&mut self, key: CacheKey, steps: Vec<qf_core::FilterStep>) {
-        self.lru.insert(key, steps, |_| true);
-    }
-
-    /// Drop everything (catalog mutation — plan choice depends on
-    /// catalog statistics).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-
-    /// Precise invalidation for an `append`/`retract`: see
-    /// [`Lru::maintain_rekey`]. Plan shapes of queries reading the
-    /// mutated relation are dropped, never maintained — plan choice
-    /// depends on its statistics.
-    pub fn retain_rekey(&mut self, old_fp: u64, new_fp: u64, touches: &dyn Fn(&CacheKey) -> bool) {
-        self.lru
-            .maintain_rekey(old_fp, new_fp, touches, &mut |_| false);
+        self.entries.is_empty()
     }
 }
 

@@ -17,9 +17,8 @@
 //!   text + catalog fingerprint; a cached run at support `s` answers
 //!   any request at `s' ≥ s` (any filter the baseline
 //!   [subsumes](qf_core::FilterCondition::subsumes)) by re-filtering,
-//!   bitwise identically to a cold evaluation. Searched plan shapes
-//!   are cached separately, so even non-subsumed thresholds skip the
-//!   plan search.
+//!   bitwise identically to a cold evaluation. It is the service's
+//!   one keyed store.
 //!
 //! The transport is a deliberately small length-framed request/response
 //! protocol over TCP ([`frame`], [`protocol`]) built on `std::net` —
@@ -38,7 +37,7 @@ pub mod service;
 pub mod shard;
 pub mod transport;
 
-pub use cache::{CacheKey, CachedResult, PlanCache, ResultCache};
+pub use cache::{CacheKey, CachedResult, ResultCache};
 pub use client::{Client, ClientConfig, ClientStats, TransportFactory};
 pub use error::{Result, ServerError};
 pub use net::Server;

@@ -15,8 +15,6 @@ use qf_storage::WalStats;
 pub struct CacheReport {
     /// This request was answered from the result cache.
     pub cache_hit: bool,
-    /// This request skipped plan search (cached plan or cached result).
-    pub plan_cached: bool,
     /// Server-wide result-cache hits so far.
     pub cache_hits: u64,
     /// Server-wide result-cache misses so far.
@@ -77,7 +75,7 @@ pub fn json_report(
         "{{\"strategy\":\"{}\",\"results\":{},\"elapsed_ms\":{},\"rows\":{},\"bytes\":{},\
          \"workers\":{},\"spilled_bytes\":{},\"spills\":{},\"resumed_steps\":{},\
          \"io_retries\":{},\"corruption_recoveries\":{},\"spill_files_live\":{},\
-         \"tsv_skipped_lines\":{},\"cache_hit\":{},\"plan_cached\":{},\"cache_hits\":{},\
+         \"tsv_skipped_lines\":{},\"cache_hit\":{},\"cache_hits\":{},\
          \"cache_misses\":{},\"rejected\":{},\"timeouts\":{},\"cancelled\":{},\
          \"conn_rejected\":{},\"retries\":{},\"queue_depth_max\":{},\"delta_applied\":{},\
          \"delta_maintained\":{},\"delta_rebuilds\":{},\"recheck_tuples\":{},\"wal_records\":{},\
@@ -97,7 +95,6 @@ pub fn json_report(
         stats.spill_files_live,
         tsv_skipped,
         cache.cache_hit,
-        cache.plan_cached,
         cache.cache_hits,
         cache.cache_misses,
         cache.rejected,
@@ -180,7 +177,6 @@ mod tests {
             0,
             &CacheReport {
                 cache_hit: true,
-                plan_cached: true,
                 cache_hits: 2,
                 cache_misses: 1,
                 rejected: 0,
@@ -209,7 +205,6 @@ mod tests {
             "\"strategy\":\"cache\"",
             "\"results\":3",
             "\"cache_hit\":true",
-            "\"plan_cached\":true",
             "\"cache_hits\":2",
             "\"cache_misses\":1",
             "\"rejected\":0",

@@ -2,7 +2,7 @@
 //! the monotone result cache.
 //!
 //! [`FlockService`] is the transport-free heart of `qf serve` — it owns
-//! the catalog behind a `RwLock`, the result/plan caches, and the
+//! the catalog behind a `RwLock`, the result cache, and the
 //! server-wide counters, and turns parsed [`Request`]s into
 //! [`Response`]s. The TCP layer ([`crate::net`]) only frames bytes and
 //! decides *where* a request runs (worker pool vs. connection thread);
@@ -17,13 +17,13 @@ use std::time::{Duration, Instant};
 use qf_core::{
     best_plan_with, direct_plan, execute_plan_scored_on, flock_result_from_scored, vacuous_filter,
     CancelToken, DeltaLimits, ExecContext, ExecStats, FilterCondition, FlockDelta, FlockProgram,
-    JoinOrderStrategy, LocalEvaluator, QueryFlock, QueryPlan, StepEvaluator,
+    JoinOrderStrategy, LocalEvaluator, QueryFlock, StepEvaluator,
 };
 use qf_storage::{
     spill::content_hash, tsv, Database, Fnv1a, Relation, StorageError, Wal, WalCounters, WalRecord,
 };
 
-use crate::cache::{CacheKey, CachedResult, PlanCache, ResultCache};
+use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::error::{Result, ServerError};
 use crate::pool::{Job, JobPayload};
 use crate::protocol::{Request, RequestLimits, Response};
@@ -135,10 +135,9 @@ pub struct Counters {
 
 impl Counters {
     /// Snapshot the cache/admission numbers for a response meta object.
-    pub fn cache_report(&self, cache_hit: bool, plan_cached: bool) -> CacheReport {
+    pub fn cache_report(&self, cache_hit: bool) -> CacheReport {
         CacheReport {
             cache_hit,
-            plan_cached,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -233,8 +232,6 @@ impl RequestHandler for LocalHandler {
 pub(crate) struct Labels {
     /// Served from the result cache.
     pub hit: &'static str,
-    /// Evaluated with a plan shape from the plan cache.
-    pub plan_cached: &'static str,
     /// Evaluated with a freshly searched plan.
     pub searched: &'static str,
     /// Evaluated with the direct (single-step) plan.
@@ -243,14 +240,12 @@ pub(crate) struct Labels {
 
 pub(crate) const LOCAL_LABELS: Labels = Labels {
     hit: "cache",
-    plan_cached: "static(plan-cache)",
     searched: "static",
     direct: "direct",
 };
 
 const PARTIAL_LABELS: Labels = Labels {
     hit: "partial-cache",
-    plan_cached: "partial",
     searched: "partial",
     direct: "partial",
 };
@@ -311,7 +306,6 @@ pub struct FlockService {
     /// `COUNT`/`SUM` partials would double-count the overlap.
     frags: RwLock<BTreeMap<usize, (u64, Database)>>,
     result_cache: Mutex<ResultCache>,
-    plan_cache: Mutex<PlanCache>,
     /// Counters, public for the pool/net layers and tests.
     pub counters: Counters,
     /// Immutable configuration.
@@ -357,7 +351,6 @@ impl FlockService {
             db: RwLock::new(db),
             frags: RwLock::new(BTreeMap::new()),
             result_cache: Mutex::new(ResultCache::new(config.cache_entries)),
-            plan_cache: Mutex::new(PlanCache::new(config.cache_entries)),
             counters: Counters::default(),
             config,
             shutting_down: AtomicBool::new(false),
@@ -368,10 +361,10 @@ impl FlockService {
 
     /// Per-request cache/admission report with the durability counters
     /// merged in (zeros when no WAL is configured).
-    pub fn cache_report(&self, cache_hit: bool, plan_cached: bool) -> CacheReport {
+    pub fn cache_report(&self, cache_hit: bool) -> CacheReport {
         CacheReport {
             wal: self.wal_counters.stats(),
-            ..self.counters.cache_report(cache_hit, plan_cached)
+            ..self.counters.cache_report(cache_hit)
         }
     }
 
@@ -574,20 +567,19 @@ impl FlockService {
                 refilter_scored(scored, &filter)
             }
         };
-        let outcome =
-            |label: &str, answer: &Relation, stats: &ExecStats, hit, plan_cached| FlockOutcome {
-                meta: json_report(
-                    label,
-                    answer.len(),
-                    start.elapsed().as_millis(),
-                    stats,
-                    0,
-                    0,
-                    &self.cache_report(hit, plan_cached),
-                ),
-                body: render_tsv(answer),
-                cache_hit: hit,
-            };
+        let outcome = |label: &str, answer: &Relation, stats: &ExecStats, hit| FlockOutcome {
+            meta: json_report(
+                label,
+                answer.len(),
+                start.elapsed().as_millis(),
+                stats,
+                0,
+                0,
+                &self.cache_report(hit),
+            ),
+            body: render_tsv(answer),
+            cache_hit: hit,
+        };
 
         // Monotone cache reuse: an entry whose baseline subsumes the
         // requested filter answers it exactly by re-filtering.
@@ -598,7 +590,6 @@ impl FlockService {
                 run.labels.hit,
                 &answer,
                 &ExecStats::default(),
-                true,
                 true,
             ));
         }
@@ -611,29 +602,16 @@ impl FlockService {
                 .materialize_views_with(run.db, JoinOrderStrategy::Greedy, &ctx)?;
 
         // Plan: a `partial` *is* one step of a plan its coordinator
-        // already searched, so it runs direct. Otherwise the cached
-        // shape if the same query was searched before (any threshold —
-        // shapes are threshold-free), else search (full-catalog
-        // statistics, also on the coordinator), else direct.
-        let cached_plan = (!run.partial)
-            .then(|| unpoison(self.plan_cache.lock()).lookup(&key))
-            .flatten()
-            .and_then(|steps| QueryPlan::new(flock.clone(), steps).ok());
-        let plan_cached = cached_plan.is_some();
-        let (plan, strategy) = match cached_plan {
-            Some(plan) => (plan, run.labels.plan_cached),
-            None => {
-                let searched = (!run.partial && filter.is_monotone())
-                    .then(|| best_plan_with(flock, &extended, &ctx).ok())
-                    .flatten();
-                match searched {
-                    Some((plan, _)) => {
-                        unpoison(self.plan_cache.lock()).insert(key.clone(), plan.steps.clone());
-                        (plan, run.labels.searched)
-                    }
-                    None => (direct_plan(flock)?, run.labels.direct),
-                }
-            }
+        // already searched, so it runs direct. Otherwise a monotone
+        // flock searches (full-catalog statistics, also on the
+        // coordinator), and everything else — or a failed search —
+        // runs direct.
+        let searched = (!run.partial && filter.is_monotone())
+            .then(|| best_plan_with(flock, &extended, &ctx).ok())
+            .flatten();
+        let (plan, strategy) = match searched {
+            Some((plan, _)) => (plan, run.labels.searched),
+            None => (direct_plan(flock)?, run.labels.direct),
         };
 
         let scored = execute_plan_scored_on(&plan, &extended, run.evaluator, &ctx, None)?;
@@ -663,7 +641,7 @@ impl FlockService {
                 delta,
             },
         );
-        Ok(outcome(strategy, &answer, &ctx.stats(), false, plan_cached))
+        Ok(outcome(strategy, &answer, &ctx.stats(), false))
     }
 
     /// Finish an admitted or light request: count it, and turn its
@@ -1073,7 +1051,7 @@ impl FlockService {
     /// entries carrying maintenance state update themselves in place
     /// (the delta path), other entries whose query reads that relation
     /// are dropped, and the rest are re-keyed to the new fingerprint
-    /// and keep serving. `None` (bulk mutations) clears both caches.
+    /// and keep serving. `None` (bulk mutations) clears the cache.
     pub(crate) fn commit_record(
         &self,
         record: &WalRecord,
@@ -1118,14 +1096,8 @@ impl FlockService {
                     &touches,
                     &mut maintain,
                 );
-                // Plan shapes stay dropped: plan choice depends on the
-                // touched relation's statistics, which just changed.
-                unpoison(self.plan_cache.lock()).retain_rekey(old_fp, fp, &touches);
             }
-            None => {
-                unpoison(self.result_cache.lock()).clear();
-                unpoison(self.plan_cache.lock()).clear();
-            }
+            None => unpoison(self.result_cache.lock()).clear(),
         }
         Ok(commit)
     }

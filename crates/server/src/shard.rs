@@ -96,7 +96,6 @@ use crate::service::{
 
 const SCATTER_LABELS: Labels = Labels {
     hit: "shard-cache",
-    plan_cached: "scatter-gather(plan-cache)",
     searched: "scatter-gather",
     direct: "scatter-gather(direct)",
 };
@@ -817,11 +816,6 @@ impl Coordinator {
             .write()
             .unwrap_or_else(|e| e.into_inner()) = connector;
         self
-    }
-
-    /// Number of shards (= fragments) in the fleet.
-    pub fn num_shards(&self) -> usize {
-        self.core.slots.len()
     }
 
     /// Coordinator-tier counters (distinct from the service's).

@@ -89,14 +89,36 @@ fn loosened_threshold_misses_and_reevaluates() {
     let text = flock_text(3);
     ok_parts(svc.handle_flock(&text, None, &limits, 1));
     // support 2 is looser than the cached baseline 3: must re-evaluate
-    // (a hit would silently drop answers), but the plan shape is
-    // reused so the plan search is still skipped.
+    // (a hit would silently drop answers) through a fresh plan search.
     let (meta, body) = ok_parts(svc.handle_flock(&text, Some(2), &limits, 1));
     assert!(meta.contains("\"cache_hit\":false"), "{meta}");
-    assert!(meta.contains("\"plan_cached\":true"), "{meta}");
+    assert!(meta.contains("\"strategy\":\"static\""), "{meta}");
     let flock = QueryFlock::parse(&flock_text(2)).unwrap();
     let cold = render_tsv(&evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap());
     assert_eq!(body, cold);
+}
+
+/// `cache_entries: 0` disables the result cache: a repeat evaluates
+/// again, and nothing is kept.
+#[test]
+fn zero_cache_entries_caches_nothing() {
+    let db = small_db(&[(1, 1), (2, 1), (3, 1), (1, 2)]);
+    let config = ServerConfig {
+        cache_entries: 0,
+        ..Default::default()
+    };
+    let svc = FlockService::new(config, db.clone());
+    let limits = RequestLimits::default();
+    let text = flock_text(2);
+    let flock = QueryFlock::parse(&text).unwrap();
+    let cold = render_tsv(&evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap());
+    for _ in 0..2 {
+        let (meta, body) = ok_parts(svc.handle_flock(&text, None, &limits, 1));
+        assert!(meta.contains("\"cache_hit\":false"), "{meta}");
+        assert_eq!(body, cold);
+    }
+    let (stats, _) = ok_parts(svc.handle_light(&Request::Stats));
+    assert!(stats.contains("\"cached_results\":0"), "{stats}");
 }
 
 #[test]

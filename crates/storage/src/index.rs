@@ -46,11 +46,6 @@ impl HashIndex {
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Probe with a key built by projecting `t` onto `cols`.
-    pub fn probe_tuple(&self, t: &Tuple, cols: &[usize]) -> &[u32] {
-        self.probe(&t.project(cols))
-    }
-
     /// True if any tuple has this key (semi/antijoin probes).
     pub fn contains_key(&self, key: &Tuple) -> bool {
         self.map.contains_key(key)

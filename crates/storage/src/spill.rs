@@ -441,17 +441,7 @@ impl SpillWriter {
 
     /// Flush and close, returning the file handle.
     pub fn finish(self) -> Result<SpillFile> {
-        self.finish_inner(false)
-    }
-
-    /// Flush, `fsync`, and close — for snapshots that must survive a
-    /// process kill.
-    pub fn finish_synced(self) -> Result<SpillFile> {
-        self.finish_inner(true)
-    }
-
-    fn finish_inner(self, sync: bool) -> Result<SpillFile> {
-        let bytes = self.w.finish(sync)?;
+        let bytes = self.w.finish(false)?;
         Ok(SpillFile {
             path: self.path,
             rows: self.rows,

@@ -11,7 +11,7 @@ use query_flocks::core::{
     QueryFlock,
 };
 use query_flocks::datagen::baskets::{self, BasketConfig};
-use query_flocks::mine::{generate_rules, mine_apriori, mine_flockwise};
+use query_flocks::mine::{generate_rules, mine_apriori, mine_flockwise_with};
 use query_flocks::storage::Database;
 
 fn main() {
@@ -74,7 +74,7 @@ fn main() {
     }
 
     // 2. Levelwise itemsets via flocks, checked against the classic miner.
-    let levels = mine_flockwise(&db, threshold, 3).unwrap();
+    let levels = mine_flockwise_with(&db, threshold, 3, &ExecContext::unbounded()).unwrap();
     let txns: Vec<Vec<u32>> = data
         .transactions
         .iter()

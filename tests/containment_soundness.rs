@@ -9,7 +9,7 @@ use query_flocks::core::{compile_rule, JoinOrderStrategy};
 use query_flocks::datalog::{
     canonicalize, contained_in, equivalent, is_isomorphic, minimize, parse_rule, ConjunctiveQuery,
 };
-use query_flocks::engine::execute;
+use query_flocks::engine::{execute_with, ExecContext};
 use query_flocks::storage::{Database, Relation, Schema, Tuple, Value};
 
 /// A pool of pure CQs over binary predicates r/s sharing a head shape.
@@ -33,7 +33,10 @@ fn query_pool() -> Vec<ConjunctiveQuery> {
 
 fn eval(q: &ConjunctiveQuery, db: &Database) -> Vec<Tuple> {
     let compiled = compile_rule(q, db, JoinOrderStrategy::AsWritten).unwrap();
-    execute(&compiled.plan, db).unwrap().tuples().to_vec()
+    execute_with(&compiled.plan, db, &ExecContext::unbounded())
+        .unwrap()
+        .tuples()
+        .to_vec()
 }
 
 fn db_from(r: &[(i64, i64)], s: &[(i64, i64)]) -> Database {

@@ -8,7 +8,7 @@ use query_flocks::core::{
     ExecContext, JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::datagen::{baskets, medical, words};
-use query_flocks::mine::{mine_apriori, mine_flockwise};
+use query_flocks::mine::{mine_apriori, mine_flockwise_with};
 use query_flocks::storage::{tsv, Database, Value};
 
 #[test]
@@ -96,7 +96,7 @@ fn basket_pipeline_three_way_agreement() {
     let threshold = 15i64;
 
     // Flock levelwise ≡ classic a-priori at every level.
-    let levels = mine_flockwise(&db, threshold, 3).unwrap();
+    let levels = mine_flockwise_with(&db, threshold, 3, &ExecContext::unbounded()).unwrap();
     let txns: Vec<Vec<u32>> = data
         .transactions
         .iter()
