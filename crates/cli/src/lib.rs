@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! qf> gen baskets
-//! generated baskets: 1000 baskets
+//! generated baskets: baskets [9920 tuples], importance [1000 tuples]
 //! qf> flock QUERY: answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2 FILTER: COUNT(answer.B) >= 20
 //! flock set (2 parameters)
 //! qf> run auto
@@ -25,72 +25,8 @@ use qf_core::{
     best_plan_with, evaluate_dynamic_with, to_sql, DynamicConfig, ExecContext, FlockProgram,
     JoinOrderStrategy, Optimizer, QueryFlock, Strategy,
 };
+use qf_server::{parse_count, parse_millis, RequestLimits, ServerConfig};
 use qf_storage::{tsv, Database, Relation};
-
-/// Resource limits applied to every governed evaluation (`run`,
-/// `plan`, `explain`).
-/// Settable from the command line (`--timeout`, `--max-rows`,
-/// `--mem-budget`, `--threads`) or the `limits` shell command.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Limits {
-    /// Cap on tuples materialized per evaluation.
-    pub max_rows: Option<u64>,
-    /// Cap on estimated materialized bytes per evaluation.
-    pub mem_budget: Option<u64>,
-    /// Wall-clock deadline per evaluation, in milliseconds.
-    pub timeout_ms: Option<u64>,
-    /// Worker threads per evaluation (default: available parallelism,
-    /// or the `QF_THREADS` environment variable).
-    pub threads: Option<usize>,
-}
-
-impl Limits {
-    /// Build a fresh execution context enforcing these limits. Each
-    /// evaluation gets its own context so the deadline restarts.
-    pub fn context(&self) -> ExecContext {
-        let mut ctx = ExecContext::unbounded();
-        if let Some(rows) = self.max_rows {
-            ctx = ctx.with_max_rows(rows);
-        }
-        if let Some(bytes) = self.mem_budget {
-            ctx = ctx.with_mem_budget(bytes);
-        }
-        if let Some(ms) = self.timeout_ms {
-            ctx = ctx.with_timeout(std::time::Duration::from_millis(ms));
-        }
-        if let Some(n) = self.threads {
-            ctx = ctx.with_threads(n);
-        }
-        ctx
-    }
-
-    /// True when no limit is set.
-    pub fn is_unbounded(&self) -> bool {
-        *self == Limits::default()
-    }
-}
-
-impl std::fmt::Display for Limits {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_unbounded() {
-            return f.write_str("no limits");
-        }
-        let mut parts = Vec::new();
-        if let Some(r) = self.max_rows {
-            parts.push(format!("max-rows={r}"));
-        }
-        if let Some(b) = self.mem_budget {
-            parts.push(format!("mem-budget={b}"));
-        }
-        if let Some(t) = self.timeout_ms {
-            parts.push(format!("timeout={t}ms"));
-        }
-        if let Some(n) = self.threads {
-            parts.push(format!("threads={n}"));
-        }
-        f.write_str(&parts.join(" "))
-    }
-}
 
 /// Interactive session state: the working database and current program
 /// (views + flock; a plain flock is a program with no views).
@@ -100,8 +36,10 @@ pub struct Session {
     pub db: Database,
     /// The current flock program, if one was defined.
     pub program: Option<FlockProgram>,
-    /// Resource limits applied to `run`, `plan` and `explain`.
-    pub limits: Limits,
+    /// Resource limits applied to `run`, `plan` and `explain`: the
+    /// `limits` command, or the leading `--timeout`, `--max-rows`,
+    /// `--mem-budget` and `--threads` flags.
+    pub limits: RequestLimits,
     /// Spill directory for out-of-core execution: when set, a governed
     /// `run` that would trip its memory budget spills intermediate
     /// state to disk and continues instead of aborting.
@@ -124,6 +62,28 @@ impl Session {
     /// Fresh session with an empty database.
     pub fn new() -> Session {
         Session::default()
+    }
+
+    /// Apply `qfsh`'s leading flags (`--flag value` or `--flag=value`):
+    /// `--timeout`, `--max-rows`, `--mem-budget` and `--threads` set
+    /// limits; `--spill-dir`, `--resume`, `--report` and `--io-faults`
+    /// run the `spill`, `resume`, `report` and `faults` commands.
+    /// Returns the index of the first argument that is not a flag.
+    pub fn apply_flags(&mut self, args: &[String]) -> Result<usize, String> {
+        let mut i = 0;
+        while i < args.len() && args[i].starts_with("--") {
+            let (key, value) = flag_value(args, &mut i)?;
+            let command = match key.as_str() {
+                "spill-dir" => "spill",
+                "resume" => "resume",
+                "report" => "report",
+                "io-faults" => "faults",
+                limit if self.limits.set(limit, &value)? => continue,
+                other => return Err(format!("unknown flag `--{other}`")),
+            };
+            self.execute_line(&format!("{command} {value}"))?;
+        }
+        Ok(i)
     }
 
     /// Execute one command line, returning the text to print.
@@ -211,73 +171,12 @@ impl Session {
     }
 
     fn generate(&mut self, rest: &str) -> Result<String, String> {
-        let mut parts = rest.split_whitespace();
-        let what = parts.next().unwrap_or("");
-        let seed: u64 = parts
-            .next()
-            .map(|s| s.parse().map_err(|_| "bad seed".to_string()))
-            .transpose()?
-            .unwrap_or(1);
-        match what {
-            "baskets" => {
-                let config = qf_datagen::BasketConfig {
-                    seed,
-                    ..Default::default()
-                };
-                let data = qf_datagen::baskets::generate(&config);
-                let n = data.baskets.distinct(0);
-                self.db.insert(data.baskets);
-                self.db.insert(qf_datagen::baskets::importance(&config, 50));
-                Ok(format!(
-                    "generated baskets ({n} baskets) and importance weights"
-                ))
-            }
-            "words" => {
-                let rel = qf_datagen::words::generate(&qf_datagen::WordsConfig {
-                    seed,
-                    ..Default::default()
-                });
-                let msg = format!("generated baskets (word occurrences, {} tuples)", rel.len());
-                self.db.insert(rel);
-                Ok(msg)
-            }
-            "medical" => {
-                let data = qf_datagen::medical::generate(&qf_datagen::MedicalConfig {
-                    seed,
-                    ..Default::default()
-                });
-                for rel in data.db.iter() {
-                    self.db.insert(rel.clone());
-                }
-                Ok(format!(
-                    "generated medical db (planted side-effects: {:?})",
-                    data.planted
-                ))
-            }
-            "web" => {
-                let data = qf_datagen::web::generate(&qf_datagen::WebConfig {
-                    seed,
-                    ..Default::default()
-                });
-                for rel in data.db.iter() {
-                    self.db.insert(rel.clone());
-                }
-                Ok(format!(
-                    "generated web corpus (planted pairs: {:?})",
-                    data.planted
-                ))
-            }
-            "graph" => {
-                let rel = qf_datagen::graph::generate(&qf_datagen::GraphConfig {
-                    seed,
-                    ..Default::default()
-                });
-                let msg = format!("generated arc ({} arcs)", rel.len());
-                self.db.insert(rel);
-                Ok(msg)
-            }
-            _ => Err("usage: gen <baskets|words|medical|web|graph> [seed]".to_string()),
+        let (kind, seed) = gen_args(rest)?;
+        let (relations, note) = qf_datagen::demo(kind, seed)?;
+        for rel in relations {
+            self.db.insert(rel);
         }
+        Ok(note)
     }
 
     fn set_flock(&mut self, text: &str) -> Result<String, String> {
@@ -309,11 +208,8 @@ impl Session {
     }
 
     fn set_limits(&mut self, rest: &str) -> Result<String, String> {
-        if rest.is_empty() {
-            return Ok(self.limits.to_string());
-        }
         if rest == "none" {
-            self.limits = Limits::default();
+            self.limits = RequestLimits::default();
             return Ok("limits cleared".to_string());
         }
         let mut limits = self.limits;
@@ -321,22 +217,16 @@ impl Session {
             let (key, value) = part
                 .split_once('=')
                 .ok_or("usage: limits [none | max-rows=N mem-budget=BYTES timeout=MS threads=N]")?;
-            match key {
-                "max-rows" => limits.max_rows = Some(parse_count(value)?),
-                "mem-budget" => limits.mem_budget = Some(parse_count(value)?),
-                "timeout" => limits.timeout_ms = Some(parse_millis(value)?),
-                "threads" => {
-                    let n = parse_count(value)?;
-                    if n == 0 {
-                        return Err("threads must be at least 1".to_string());
-                    }
-                    limits.threads = Some(n as usize);
-                }
-                other => return Err(format!("unknown limit `{other}`")),
+            if !limits.set(key, value)? {
+                return Err(format!("unknown limit `{key}`"));
             }
         }
         self.limits = limits;
-        Ok(self.limits.to_string())
+        Ok(if limits.is_unbounded() {
+            "no limits".to_string()
+        } else {
+            limits.to_string()
+        })
     }
 
     fn set_spill(&mut self, rest: &str) -> Result<String, String> {
@@ -632,7 +522,7 @@ fn json_report(
 /// exactly the acknowledged catalog (snapshot + log replay,
 /// checksum-verified, torn tail truncated).
 pub fn serve_main(args: &[String]) -> Result<String, String> {
-    let mut config = qf_server::ServerConfig::default();
+    let mut config = ServerConfig::default();
     let mut addr = "127.0.0.1:7447".to_string();
     let mut data_dir: Option<String> = None;
     let mut i = 0;
@@ -641,16 +531,7 @@ pub fn serve_main(args: &[String]) -> Result<String, String> {
         match key.as_str() {
             "addr" => addr = value,
             "data-dir" => data_dir = Some(value),
-            "threads" => config.threads = parse_count(&value)? as usize,
-            "queue-cap" => config.queue_cap = parse_count(&value)? as usize,
-            "cache-entries" => config.cache_entries = parse_count(&value)? as usize,
-            "max-rows" => config.max_rows = Some(parse_count(&value)?),
-            "mem-budget" => config.mem_budget = Some(parse_count(&value)?),
-            "timeout" => config.timeout_ms = Some(parse_millis(&value)?),
-            "max-conns" => config.max_conns = parse_count(&value)? as usize,
-            "idle-timeout" => config.idle_timeout_ms = parse_millis(&value)?,
-            "io-timeout" => config.io_timeout_ms = parse_millis(&value)?,
-            "retry-after" => config.retry_after_ms = parse_millis(&value)?,
+            k if server_flag(&mut config, k, &value)? => {}
             other => return Err(format!("unknown serve flag `--{other}`")),
         }
     }
@@ -668,6 +549,25 @@ pub fn serve_main(args: &[String]) -> Result<String, String> {
     println!("qf-server listening on {}", server.addr());
     server.join();
     Ok("qf-server drained and shut down".to_string())
+}
+
+/// Apply one of the [`ServerConfig`] flags `serve` and `shard` share.
+/// Returns `Ok(false)` when `key` is not one of them.
+fn server_flag(config: &mut ServerConfig, key: &str, value: &str) -> Result<bool, String> {
+    match key {
+        "threads" => config.threads = parse_count(value)? as usize,
+        "queue-cap" => config.queue_cap = parse_count(value)? as usize,
+        "cache-entries" => config.cache_entries = parse_count(value)? as usize,
+        "max-rows" => config.max_rows = Some(parse_count(value)?),
+        "mem-budget" => config.mem_budget = Some(parse_count(value)?),
+        "timeout" => config.timeout_ms = Some(parse_millis(value)?),
+        "max-conns" => config.max_conns = parse_count(value)? as usize,
+        "idle-timeout" => config.idle_timeout_ms = parse_millis(value)?,
+        "io-timeout" => config.io_timeout_ms = parse_millis(value)?,
+        "retry-after" => config.retry_after_ms = parse_millis(value)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 /// Open the write-ahead log in `dir` and build a durable service over
@@ -711,32 +611,26 @@ fn open_durable_service(
 /// coordinator restart recovers, re-partitions, and re-pushes the
 /// acknowledged catalog to the fleet.
 pub fn shard_main(args: &[String]) -> Result<String, String> {
-    let mut config = qf_server::ServerConfig::default();
+    let mut config = ServerConfig::default();
     let mut shard = qf_server::ShardConfig::default();
     let mut addr = "127.0.0.1:7448".to_string();
     let mut data_dir: Option<String> = None;
+    fn list<C: FromIterator<String>>(value: &str) -> C {
+        value
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(String::from)
+            .collect()
+    }
     let mut i = 0;
     while i < args.len() {
         let (key, value) = flag_value(args, &mut i)?;
         match key.as_str() {
             "addr" => addr = value,
             "data-dir" => data_dir = Some(value),
-            "shards" => {
-                shard.addrs = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect()
-            }
-            "replicate" => {
-                shard.replicated = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect()
-            }
+            "shards" => shard.addrs = list(&value),
+            "replicate" => shard.replicated = list(&value),
             "replicas" => shard.replicas = parse_count(&value)? as usize,
             "fail-threshold" => shard.fail_threshold = parse_count(&value)? as u32,
             "probe-interval" => shard.probe_interval_ms = parse_millis(&value)?,
@@ -746,16 +640,7 @@ pub fn shard_main(args: &[String]) -> Result<String, String> {
                 shard.client.io_timeout =
                     Some(std::time::Duration::from_millis(parse_millis(&value)?))
             }
-            "threads" => config.threads = parse_count(&value)? as usize,
-            "queue-cap" => config.queue_cap = parse_count(&value)? as usize,
-            "cache-entries" => config.cache_entries = parse_count(&value)? as usize,
-            "max-rows" => config.max_rows = Some(parse_count(&value)?),
-            "mem-budget" => config.mem_budget = Some(parse_count(&value)?),
-            "timeout" => config.timeout_ms = Some(parse_millis(&value)?),
-            "max-conns" => config.max_conns = parse_count(&value)? as usize,
-            "idle-timeout" => config.idle_timeout_ms = parse_millis(&value)?,
-            "io-timeout" => config.io_timeout_ms = parse_millis(&value)?,
-            "retry-after" => config.retry_after_ms = parse_millis(&value)?,
+            k if server_flag(&mut config, k, &value)? => {}
             other => return Err(format!("unknown shard flag `--{other}`")),
         }
     }
@@ -821,10 +706,6 @@ pub fn client_main(args: &[String]) -> Result<String, String> {
                         .map_err(|_| format!("bad support `{value}`"))?,
                 )
             }
-            "max-rows" => limits.max_rows = Some(parse_count(&value)?),
-            "mem-budget" => limits.mem_budget = Some(parse_count(&value)?),
-            "timeout" => limits.timeout_ms = Some(parse_millis(&value)?),
-            "threads" => limits.threads = Some(parse_count(&value)? as usize),
             "retries" => client_config.retries = parse_count(&value)? as u32,
             "connect-timeout" => {
                 client_config.connect_timeout =
@@ -834,6 +715,7 @@ pub fn client_main(args: &[String]) -> Result<String, String> {
                 client_config.io_timeout =
                     Some(std::time::Duration::from_millis(parse_millis(&value)?))
             }
+            k if limits.set(k, &value)? => {}
             other => return Err(format!("unknown client flag `--{other}`")),
         }
     }
@@ -849,13 +731,7 @@ pub fn client_main(args: &[String]) -> Result<String, String> {
         "fingerprint" => client.fingerprint(&rest),
         "flock" => client.flock(&rest, support, limits),
         "gen" => {
-            let mut parts = rest.split_whitespace();
-            let kind = parts.next().ok_or("usage: gen <kind> [seed]")?;
-            let seed = parts
-                .next()
-                .map(|s| s.parse().map_err(|_| "bad seed".to_string()))
-                .transpose()?
-                .unwrap_or(1);
+            let (kind, seed) = gen_args(&rest)?;
             client.gen(kind, seed)
         }
         "load" => {
@@ -866,21 +742,17 @@ pub fn client_main(args: &[String]) -> Result<String, String> {
             let tsv = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             client.load(&tsv)
         }
-        "append" => {
+        verb @ ("append" | "retract") => {
             let mut parts = rest.split_whitespace();
-            let usage = "usage: append <relation> <file.tsv>";
-            let rel = parts.next().ok_or(usage)?;
-            let path = parts.next().ok_or(usage)?;
+            let (Some(rel), Some(path)) = (parts.next(), parts.next()) else {
+                return Err(format!("usage: {verb} <relation> <file.tsv>"));
+            };
             let tsv = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            client.append(rel, &tsv)
-        }
-        "retract" => {
-            let mut parts = rest.split_whitespace();
-            let usage = "usage: retract <relation> <file.tsv>";
-            let rel = parts.next().ok_or(usage)?;
-            let path = parts.next().ok_or(usage)?;
-            let tsv = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            client.retract(rel, &tsv)
+            if verb == "append" {
+                client.append(rel, &tsv)
+            } else {
+                client.retract(rel, &tsv)
+            }
         }
         other => return Err(format!("unknown client command `{other}`")),
     }
@@ -933,35 +805,19 @@ fn flag_value(args: &[String], i: &mut usize) -> Result<(String, String), String
     }
 }
 
-/// Parse a non-negative count, accepting decimal `k`/`m`/`g` suffixes
-/// (`64k` = 64 000).
-fn parse_count(value: &str) -> Result<u64, String> {
-    let (digits, mult) = match value.to_ascii_lowercase() {
-        v if v.ends_with('k') => (v.len() - 1, 1_000u64),
-        v if v.ends_with('m') => (v.len() - 1, 1_000_000),
-        v if v.ends_with('g') => (v.len() - 1, 1_000_000_000),
-        v => (v.len(), 1),
-    };
-    value[..digits]
-        .parse::<u64>()
-        .map_err(|_| format!("bad number `{value}`"))?
-        .checked_mul(mult)
-        .ok_or_else(|| format!("number `{value}` too large"))
-}
-
-/// Parse a duration in milliseconds, accepting `ms` or `s` suffixes.
-fn parse_millis(value: &str) -> Result<u64, String> {
-    let lower = value.to_ascii_lowercase();
-    if let Some(v) = lower.strip_suffix("ms") {
-        v.parse().map_err(|_| format!("bad duration `{value}`"))
-    } else if let Some(v) = lower.strip_suffix('s') {
-        v.parse::<u64>()
-            .map_err(|_| format!("bad duration `{value}`"))?
-            .checked_mul(1000)
-            .ok_or_else(|| format!("duration `{value}` too large"))
-    } else {
-        lower.parse().map_err(|_| format!("bad duration `{value}`"))
-    }
+/// Split `gen`'s arguments into the workload kind and its seed
+/// (default 1).
+fn gen_args(rest: &str) -> Result<(&str, u64), String> {
+    let mut parts = rest.split_whitespace();
+    let kind = parts
+        .next()
+        .ok_or("usage: gen <baskets|words|medical|web|graph> [seed]")?;
+    let seed = parts
+        .next()
+        .map(|s| s.parse().map_err(|_| "bad seed".to_string()))
+        .transpose()?
+        .unwrap_or(1);
+    Ok((kind, seed))
 }
 
 /// Help text for the shell.
@@ -1097,13 +953,155 @@ mod tests {
         let mut s = Session::new();
         assert_eq!(s.execute_line("limits").unwrap(), "no limits");
         let out = s.execute_line("limits max-rows=64k timeout=2s").unwrap();
-        assert_eq!(out, "max-rows=64000 timeout=2000ms");
+        assert_eq!(out, "max-rows=64000 timeout=2000");
         assert_eq!(s.limits.max_rows, Some(64_000));
         assert_eq!(s.limits.timeout_ms, Some(2_000));
         assert!(s.execute_line("limits rows=5").is_err());
         assert!(s.execute_line("limits max-rows=abc").is_err());
         assert_eq!(s.execute_line("limits none").unwrap(), "limits cleared");
         assert!(s.limits.is_unbounded());
+    }
+
+    #[test]
+    fn leading_flags_parse_in_both_spellings() {
+        let spaced = [
+            "--timeout",
+            "2s",
+            "--max-rows",
+            "64k",
+            "--mem-budget",
+            "1m",
+            "--threads",
+            "4",
+            "--report",
+            "json",
+            "rels",
+        ];
+        let joined = [
+            "--timeout=2s",
+            "--max-rows=64k",
+            "--mem-budget=1m",
+            "--threads=4",
+            "--report=json",
+            "rels",
+        ];
+        for args in [&spaced[..], &joined[..]] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let mut s = Session::new();
+            let first = s.apply_flags(&args).unwrap();
+            assert_eq!(&args[first..], ["rels"]);
+            assert_eq!(
+                s.execute_line("limits").unwrap(),
+                "max-rows=64000 mem-budget=1000000 timeout=2000 threads=4"
+            );
+            assert!(s.report_json);
+        }
+        for bad in [&["--bogus=1"][..], &["--threads=0"], &["--timeout"]] {
+            let args: Vec<String> = bad.iter().map(|a| a.to_string()).collect();
+            assert!(Session::new().apply_flags(&args).is_err(), "{bad:?}");
+        }
+    }
+
+    /// Every `serve`, `shard` and `client` flag parses in both the
+    /// `--flag v` and `--flag=v` spellings, with the shell's suffixes.
+    #[test]
+    fn server_mode_flags_parse_in_both_spellings() {
+        let server = [
+            ("threads", "2"),
+            ("queue-cap", "8"),
+            ("cache-entries", "64"),
+            ("max-rows", "10m"),
+            ("mem-budget", "8m"),
+            ("timeout", "5s"),
+            ("max-conns", "8"),
+            ("idle-timeout", "10000"),
+            ("io-timeout", "5000ms"),
+            ("retry-after", "200"),
+        ];
+        // `--shards` is left empty so `shard` stops at its fleet check,
+        // after every flag has parsed and before anything binds.
+        let shard = [
+            ("addr", "127.0.0.1:0"),
+            ("data-dir", "unused"),
+            ("shards", ""),
+            ("replicas", "2"),
+            ("replicate", "causes"),
+            ("fail-threshold", "1"),
+            ("probe-interval", "200"),
+            ("hedge-after-ms", "5000"),
+            ("shard-retries", "2"),
+            ("shard-io-timeout", "1s"),
+        ];
+        let client = [
+            ("support", "30"),
+            ("max-rows", "100m"),
+            ("threads", "2"),
+            ("timeout", "1s"),
+            ("retries", "3"),
+            ("connect-timeout", "500ms"),
+            ("io-timeout", "5000"),
+        ];
+        let spell = |flags: &[(&str, &str)], joined: bool| -> Vec<String> {
+            flags
+                .iter()
+                .flat_map(|(k, v)| match joined {
+                    true => vec![format!("--{k}={v}")],
+                    false => vec![format!("--{k}"), v.to_string()],
+                })
+                .collect()
+        };
+        for joined in [false, true] {
+            let args = spell(&server, joined);
+            let mut config = ServerConfig::default();
+            let mut i = 0;
+            while i < args.len() {
+                let (key, value) = flag_value(&args, &mut i).unwrap();
+                assert!(server_flag(&mut config, &key, &value).unwrap(), "{key}");
+            }
+            let c = &config;
+            assert_eq!((c.threads, c.queue_cap, c.cache_entries), (2, 8, 64));
+            assert_eq!(
+                (c.max_rows, c.mem_budget, c.timeout_ms),
+                (Some(10_000_000), Some(8_000_000), Some(5_000))
+            );
+            assert_eq!(
+                (c.max_conns, c.idle_timeout_ms, c.io_timeout_ms),
+                (8, 10_000, 5_000)
+            );
+            assert_eq!(c.retry_after_ms, 200);
+
+            let mut args = spell(&shard, joined);
+            args.extend(spell(&server, joined));
+            let err = shard_main(&args).unwrap_err();
+            assert!(err.starts_with("shard needs --shards"), "{err}");
+
+            // No `--addr`: `client` stops after its flags parse.
+            let err = client_main(&spell(&client, joined)).unwrap_err();
+            assert_eq!(err, "client needs --addr host:port");
+        }
+        assert!(server_flag(&mut ServerConfig::default(), "threads", "x").is_err());
+        let err = client_main(&spell(&[("threads", "0")], true)).unwrap_err();
+        assert!(err.contains("threads must be at least 1"), "{err}");
+    }
+
+    /// `gen` through the shell and through the server build the same
+    /// catalog from the one demo catalog, and say the same thing.
+    #[test]
+    fn gen_matches_the_server_catalog_for_every_kind() {
+        for kind in ["baskets", "words", "medical", "web", "graph"] {
+            let mut s = Session::new();
+            let note = s.execute_line(&format!("gen {kind} 7")).unwrap();
+            let svc = qf_server::FlockService::new(ServerConfig::default(), Database::new());
+            let gen = qf_server::Request::Gen {
+                kind: kind.to_string(),
+                seed: 7,
+            };
+            match svc.handle_light(&gen) {
+                qf_server::Response::Ok { body, .. } => assert_eq!(body, note, "{kind}"),
+                other => panic!("{kind}: {other:?}"),
+            }
+            assert_eq!(svc.snapshot().1, s.db.fingerprint(), "{kind}");
+        }
     }
 
     #[test]

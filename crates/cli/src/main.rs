@@ -4,71 +4,48 @@ use std::io::{BufRead, Write};
 
 use qf_cli::Session;
 
+/// Print a command's output, or its error and exit with `code`.
+fn finish(outcome: Result<String, String>, code: i32) {
+    match outcome {
+        Ok(out) => println!("{out}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(code);
+        }
+    }
+}
+
 fn main() {
-    let mut session = Session::new();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+
+    // Server modes are top-level subcommands with flags of their own. A
+    // server that cannot start exits 2; a failed client request exits 1.
+    type Mode = fn(&[String]) -> Result<String, String>;
+    let mode: Option<(Mode, i32)> = match args.first().map(String::as_str) {
+        Some("serve") => Some((qf_cli::serve_main, 2)),
+        Some("shard") => Some((qf_cli::shard_main, 2)),
+        Some("client") => Some((qf_cli::client_main, 1)),
+        _ => None,
+    };
+    if let Some((run, code)) = mode {
+        return finish(run(&args[1..]), code);
+    }
 
     // Leading flags set resource limits and run modes for every
     // evaluation:
     //   qfsh --timeout 5s --max-rows 1m --mem-budget 256m --threads 4 \
     //        --spill-dir /tmp/qf --resume run1 --report json \
     //        --io-faults seed=7 [command…]
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Server modes are top-level subcommands, dispatched before the
-    // local-run flag parsing (their flags mean different things).
-    match args.first().map(String::as_str) {
-        Some("serve") => {
-            match qf_cli::serve_main(&args[1..]) {
-                Ok(out) => println!("{out}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-            return;
-        }
-        Some("shard") => {
-            match qf_cli::shard_main(&args[1..]) {
-                Ok(out) => println!("{out}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-            return;
-        }
-        Some("client") => {
-            match qf_cli::client_main(&args[1..]) {
-                Ok(out) => println!("{out}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        _ => {}
-    }
-
-    match apply_limit_flags(&mut session, &mut args) {
-        Ok(()) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+    let mut session = Session::new();
+    let first = match session.apply_flags(&args) {
+        Ok(first) => first,
+        Err(e) => return finish(Err(e), 2),
+    };
 
     // Non-interactive: execute arguments joined as one command, then exit
     // (`qfsh gen baskets` etc. for scripting).
-    if !args.is_empty() {
-        match session.execute_line(&args.join(" ")) {
-            Ok(out) => println!("{out}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
+    if first < args.len() {
+        return finish(session.execute_line(&args[first..].join(" ")), 1);
     }
 
     println!("qfsh — query flocks shell (type `help`)");
@@ -96,64 +73,4 @@ fn main() {
             Err(e) => println!("error: {e}"),
         }
     }
-}
-
-/// Which session command a leading `--flag` maps to: limit flags batch
-/// into one `limits` command; mode flags each map to their own command.
-fn flag_route(key: &str) -> Option<&'static str> {
-    match key {
-        "timeout" | "max-rows" | "mem-budget" | "threads" => Some("limits"),
-        "spill-dir" => Some("spill"),
-        "resume" => Some("resume"),
-        "report" => Some("report"),
-        "io-faults" => Some("faults"),
-        _ => None,
-    }
-}
-
-/// Strip `--timeout`/`--max-rows`/`--mem-budget`/`--threads` and the
-/// run-mode flags `--spill-dir`/`--resume`/`--report` (with
-/// `--flag value` or `--flag=value` spelling) off the front of `args`,
-/// applying them to the session via the matching shell commands.
-fn apply_limit_flags(session: &mut Session, args: &mut Vec<String>) -> Result<(), String> {
-    let mut limit_parts: Vec<String> = Vec::new();
-    while let Some(first) = args.first().cloned() {
-        let Some(flag) = first.strip_prefix("--") else {
-            break;
-        };
-        let (key, value) = match flag.split_once('=') {
-            Some((k, v)) => {
-                if flag_route(k).is_none() {
-                    return Err(format!("unknown flag `--{k}`"));
-                }
-                args.remove(0);
-                (k.to_string(), v.to_string())
-            }
-            None => {
-                if flag_route(flag).is_none() {
-                    return Err(format!("unknown flag `--{flag}`"));
-                }
-                if args.len() < 2 {
-                    return Err(format!("flag `--{flag}` needs a value"));
-                }
-                args.remove(0);
-                (flag.to_string(), args.remove(0))
-            }
-        };
-        match flag_route(&key) {
-            Some("limits") => limit_parts.push(format!("{key}={value}")),
-            Some(command) => {
-                session
-                    .execute_line(&format!("{command} {value}"))
-                    .map(|_| ())?;
-            }
-            None => unreachable!("route checked above"),
-        }
-    }
-    if !limit_parts.is_empty() {
-        session
-            .execute_line(&format!("limits {}", limit_parts.join(" ")))
-            .map(|_| ())?;
-    }
-    Ok(())
 }

@@ -85,17 +85,6 @@ impl FilterCondition {
         }
     }
 
-    /// Weighted support (Fig. 10): `SUM(answer.w) >= threshold`. Only
-    /// monotone when all weights are non-negative — checked during
-    /// evaluation, not here.
-    pub fn weighted_support(weight_var: &str, threshold: i64) -> FilterCondition {
-        FilterCondition {
-            agg: FilterAgg::Sum(Symbol::intern(weight_var)),
-            op: CmpOp::Ge,
-            threshold,
-        }
-    }
-
     /// Is this condition monotone (true of a set ⇒ true of supersets)?
     ///
     /// Pruning with subquery upper bounds is only sound for monotone
@@ -246,10 +235,19 @@ impl std::fmt::Display for FilterCondition {
 mod tests {
     use super::*;
 
+    /// Weighted support (Fig. 10): `SUM(answer.w) >= threshold`.
+    fn weighted_support(weight_var: &str, threshold: i64) -> FilterCondition {
+        FilterCondition {
+            agg: FilterAgg::Sum(Symbol::intern(weight_var)),
+            op: CmpOp::Ge,
+            threshold,
+        }
+    }
+
     #[test]
     fn support_is_monotone() {
         assert!(FilterCondition::support(20).is_monotone());
-        assert!(FilterCondition::weighted_support("W", 20).is_monotone());
+        assert!(weighted_support("W", 20).is_monotone());
     }
 
     #[test]
@@ -293,7 +291,7 @@ mod tests {
         assert_eq!(c, FilterCondition::support(20));
 
         let c = FilterCondition::parse("SUM(answer.W) >= 20").unwrap();
-        assert_eq!(c, FilterCondition::weighted_support("W", 20));
+        assert_eq!(c, weighted_support("W", 20));
 
         let c = FilterCondition::parse("MIN(answer.W) <= 3").unwrap();
         assert!(c.is_monotone());
@@ -323,7 +321,7 @@ mod tests {
         assert!(base.subsumes(&gt9));
         assert!(gt9.subsumes(&base));
         // Different aggregates never subsume.
-        assert!(!base.subsumes(&FilterCondition::weighted_support("W", 25)));
+        assert!(!base.subsumes(&weighted_support("W", 25)));
         // MIN upper bounds are the dual: smaller threshold tightens.
         let min = |t| FilterCondition {
             agg: FilterAgg::Min(Symbol::intern("W")),

@@ -87,7 +87,7 @@ pub use plangen::{
 };
 pub use program::FlockProgram;
 pub use shard::{
-    evaluate_scored_partial, is_vacuous, merge_scored_partials, partial_flock, partition_database,
+    evaluate_scored_partial, merge_scored_partials, partial_flock, partition_database,
     partition_relation, replica_workers, scored_schema, shard_key_pos, shard_of, shardable_program,
     stable_value_hash, vacuous_filter, worker_fragments,
 };

@@ -26,12 +26,11 @@
 
 use std::collections::BTreeSet;
 
-use qf_datalog::{check_safety, ConjunctiveQuery, UnionQuery};
+use qf_datalog::{check_safety, ConjunctiveQuery};
 use qf_storage::{Database, Relation, Schema, Symbol};
 
 use crate::compile::{compile_rule, JoinOrderStrategy};
 use crate::error::{FlockError, Result};
-use crate::filter::FilterCondition;
 use crate::flock::QueryFlock;
 
 /// A flock plus the intermediate predicates it reads.
@@ -281,24 +280,24 @@ fn parse_view_rules(text: &str) -> Result<Vec<ConjunctiveQuery>> {
     Ok(rules)
 }
 
-/// Convenience: build the multi-disease side-effects program of the
-/// module docs (used by examples and tests).
-pub fn multi_disease_side_effects(threshold: i64) -> Result<FlockProgram> {
-    let views = vec![qf_datalog::parse_rule(
-        "explained(P,S) :- diagnoses(P,D) AND causes(D,S)",
-    )?];
-    let flock = QueryFlock::new(
-        UnionQuery::new(vec![qf_datalog::parse_rule(
-            "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND NOT explained(P,$s)",
-        )?])?,
-        FilterCondition::support(threshold),
-    )?;
-    FlockProgram::new(views, flock)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The multi-disease side-effects program of the module docs, built
+    /// from its parts.
+    fn multi_disease_side_effects(threshold: i64) -> Result<FlockProgram> {
+        let views = vec![qf_datalog::parse_rule(
+            "explained(P,S) :- diagnoses(P,D) AND causes(D,S)",
+        )?];
+        let flock = QueryFlock::new(
+            qf_datalog::UnionQuery::new(vec![qf_datalog::parse_rule(
+                "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND NOT explained(P,$s)",
+            )?])?,
+            crate::filter::FilterCondition::support(threshold),
+        )?;
+        FlockProgram::new(views, flock)
+    }
     use crate::Optimizer;
     use qf_engine::ExecContext;
     use qf_storage::Value;

@@ -144,14 +144,6 @@ pub fn vacuous_filter(filter: &FilterCondition) -> FilterCondition {
     }
 }
 
-/// True if `filter` is one of the two forms [`vacuous_filter`] emits.
-pub fn is_vacuous(filter: &FilterCondition) -> bool {
-    matches!(
-        (filter.op, filter.threshold),
-        (CmpOp::Ge, i64::MIN) | (CmpOp::Le, i64::MAX)
-    )
-}
-
 /// How partials of this aggregate combine: `COUNT`/`SUM` add, `MIN`/
 /// `MAX` take the extremum.
 pub fn merge_op(agg: &FilterAgg) -> MergeOp {
@@ -377,7 +369,13 @@ mod tests {
         ] {
             let f = FilterCondition::parse(text).unwrap();
             let v = vacuous_filter(&f);
-            assert!(is_vacuous(&v), "{text}");
+            assert!(
+                matches!(
+                    (v.op, v.threshold),
+                    (CmpOp::Ge, i64::MIN) | (CmpOp::Le, i64::MAX)
+                ),
+                "{text}"
+            );
             if matches!(f.op, CmpOp::Ge | CmpOp::Gt | CmpOp::Le | CmpOp::Lt) {
                 assert!(v.subsumes(&f), "vacuous must subsume {text}");
             }

@@ -1,6 +1,6 @@
 //! Governor acceptance tests: a deliberately explosive flock terminates
 //! under every kind of budget, governed failures leave the catalog
-//! untouched, and (under `fault-injection`) a fault at any operator
+//! untouched, and a fault at any operator
 //! invocation propagates cleanly out of the pipeline.
 
 use std::time::Duration;
@@ -221,7 +221,6 @@ fn plan_search_timeout_degrades_to_static_heuristic() {
 /// every N the pipeline reaches, proving each operator propagates a
 /// mid-pipeline error without panicking and without touching the
 /// catalog.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn every_operator_invocation_propagates_injected_faults() {
     let db = basket_db();

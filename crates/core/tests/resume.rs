@@ -1,8 +1,7 @@
 //! Crash-safe resume acceptance tests: a journaled plan execution that
-//! dies mid-plan — at *any* operator invocation, under the
-//! `fault-injection` feature — resumes from its run directory to a
-//! bitwise-identical final result without re-executing completed
-//! `FILTER` steps.
+//! dies mid-plan — at *any* operator invocation — resumes from its run
+//! directory to a bitwise-identical final result without re-executing
+//! completed `FILTER` steps.
 
 use std::path::PathBuf;
 
@@ -319,7 +318,6 @@ fn changed_inputs_invalidate_the_journal() {
 /// journal with a clean context. The resumed run must (a) produce the
 /// reference result bitwise, and (b) replay exactly the journaled
 /// prefix without re-executing it.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn killed_run_resumes_identically_at_every_fault_point() {
     use qf_core::{EngineError, FlockError};

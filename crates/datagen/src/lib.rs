@@ -17,8 +17,14 @@
 //! * [`zipf`] — the shared Zipf sampler.
 //!
 //! All generators take an explicit seed and are deterministic.
+//! [`demo`] is the one catalog of demo workloads that `qfsh`'s `gen`
+//! and the server's `gen` both serve.
 
 #![warn(missing_docs)]
+
+use std::fmt::Write as _;
+
+use qf_storage::Relation;
 
 pub mod baskets;
 pub mod graph;
@@ -33,3 +39,80 @@ pub use medical::{MedicalConfig, MedicalData};
 pub use web::{WebConfig, WebData};
 pub use words::WordsConfig;
 pub use zipf::Zipf;
+
+/// Generate the demo workload `kind` (`baskets|words|medical|web|graph`)
+/// at `seed`, with default sizes: the relations to insert, and a
+/// one-line note naming each of them (plus the planted ground truth of
+/// `medical` and `web`).
+pub fn demo(kind: &str, seed: u64) -> Result<(Vec<Relation>, String), String> {
+    let (relations, planted): (Vec<Relation>, _) = match kind {
+        "baskets" => {
+            let config = BasketConfig {
+                seed,
+                ..Default::default()
+            };
+            let weights = baskets::importance(&config, 50);
+            (vec![baskets::generate(&config).baskets, weights], None)
+        }
+        "words" => {
+            let config = WordsConfig {
+                seed,
+                ..Default::default()
+            };
+            (vec![words::generate(&config)], None)
+        }
+        "medical" => {
+            let data = medical::generate(&MedicalConfig {
+                seed,
+                ..Default::default()
+            });
+            (data.db.iter().cloned().collect(), Some(data.planted))
+        }
+        "web" => {
+            let data = web::generate(&WebConfig {
+                seed,
+                ..Default::default()
+            });
+            (data.db.iter().cloned().collect(), Some(data.planted))
+        }
+        "graph" => {
+            let config = GraphConfig {
+                seed,
+                ..Default::default()
+            };
+            (vec![graph::generate(&config)], None)
+        }
+        other => {
+            return Err(format!(
+                "unknown workload `{other}` (baskets|words|medical|web|graph)"
+            ))
+        }
+    };
+    let mut note = format!("generated {kind}:");
+    for (i, rel) in relations.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(note, "{sep} {} [{} tuples]", rel.schema().name(), rel.len());
+    }
+    if let Some(planted) = planted {
+        let _ = write!(note, "; planted: {planted:?}");
+    }
+    Ok((relations, note))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn demo_note_names_every_relation() {
+        for kind in ["baskets", "words", "medical", "web", "graph"] {
+            let (relations, note) = demo(kind, 7).unwrap();
+            assert!(!relations.is_empty(), "{kind}");
+            for rel in &relations {
+                let named = format!(" {} [{} tuples]", rel.schema().name(), rel.len());
+                assert!(note.contains(&named), "{kind}: {note}");
+            }
+        }
+        assert!(demo("nothing", 1).is_err());
+    }
+}

@@ -50,12 +50,6 @@ impl Zipf {
         // First index with cdf >= u.
         self.cdf.partition_point(|&c| c < u)
     }
-
-    /// Probability of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        let lo = if k == 0 { 0.0 } else { self.cdf[k - 1] };
-        self.cdf[k] - lo
-    }
 }
 
 #[cfg(test)]
@@ -86,18 +80,17 @@ mod tests {
     }
 
     #[test]
-    fn pmf_sums_to_one() {
+    fn cdf_ends_at_one() {
         let z = Zipf::new(50, 1.2);
-        let total: f64 = (0..50).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert!(z.pmf(0) > z.pmf(1));
+        assert_eq!(z.cdf.last(), Some(&1.0));
+        assert!(z.cdf[0] > z.cdf[1] - z.cdf[0], "rank 0 outweighs rank 1");
     }
 
     #[test]
     fn uniform_when_s_zero() {
         let z = Zipf::new(10, 0.0);
-        for k in 0..10 {
-            assert!((z.pmf(k) - 0.1).abs() < 1e-9);
+        for (k, c) in z.cdf.iter().enumerate() {
+            assert!((c - (k + 1) as f64 / 10.0).abs() < 1e-9);
         }
     }
 

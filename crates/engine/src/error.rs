@@ -58,9 +58,8 @@ pub enum EngineError {
         /// The panic payload's message, when it was a string.
         detail: String,
     },
-    /// Test-only: an armed fault point fired (see
+    /// An armed fault point fired (see
     /// [`crate::governor::ExecContext::with_fault_point`]).
-    #[cfg(feature = "fault-injection")]
     FaultInjected {
         /// Operator whose invocation was failed.
         operator: &'static str,
@@ -109,7 +108,6 @@ impl std::fmt::Display for EngineError {
             EngineError::WorkerPanic { detail } => {
                 write!(f, "parallel worker panicked: {detail}")
             }
-            #[cfg(feature = "fault-injection")]
             EngineError::FaultInjected {
                 operator,
                 invocation,

@@ -44,17 +44,6 @@ impl Estimate {
         self
     }
 
-    /// Estimated tuples per distinct value of the given columns jointly
-    /// (independence-capped) — the §4.4 decision quantity.
-    pub fn tuples_per_group(&self, cols: &[usize]) -> f64 {
-        let groups = self.group_count(cols);
-        if groups <= 0.0 {
-            0.0
-        } else {
-            self.rows / groups
-        }
-    }
-
     /// Estimated number of distinct groups over `cols` (product of
     /// per-column distincts, capped by rows).
     pub fn group_count(&self, cols: &[usize]) -> f64 {
@@ -350,12 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn tuples_per_group_matches_reality() {
+    fn group_count_matches_reality() {
         let e = estimate(&PhysicalPlan::scan("r"), &db()).unwrap();
-        // 100 rows / 10 groups on column 0.
-        assert!((e.tuples_per_group(&[0]) - 10.0).abs() < 1e-9);
+        // 100 rows in 10 groups on column 0.
+        assert!((e.group_count(&[0]) - 10.0).abs() < 1e-9);
         // Grouping by both columns: capped at rows → 1 per group.
-        assert!((e.tuples_per_group(&[0, 1]) - 1.0).abs() < 1e-9);
+        assert!((e.group_count(&[0, 1]) - e.rows).abs() < 1e-9);
     }
 
     #[test]

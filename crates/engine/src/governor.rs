@@ -49,9 +49,9 @@
 //! the parent's deadline and cancellation (dynamic evaluation uses this
 //! to bound voluntary FILTER probes without charging the main query).
 //!
-//! Under the `fault-injection` feature a context can be armed to fail
-//! the Nth operator invocation ([`ExecContext::with_fault_point`]), so
-//! tests can prove every operator propagates a mid-pipeline error.
+//! A context can be armed to fail the Nth operator invocation
+//! ([`ExecContext::with_fault_point`]), so tests can prove every
+//! operator propagates a mid-pipeline error.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -167,7 +167,6 @@ pub struct ExecStats {
     pub degradations: Vec<Degradation>,
 }
 
-#[cfg(feature = "fault-injection")]
 #[derive(Debug)]
 struct FaultPoint {
     /// 1-based operator invocation to fail on.
@@ -207,7 +206,6 @@ pub struct ExecContext {
     counters: Arc<Counters>,
     degradations: Arc<Mutex<Vec<Degradation>>>,
     spill: Option<Arc<SpillDir>>,
-    #[cfg(feature = "fault-injection")]
     fault: Option<Arc<FaultPoint>>,
 }
 
@@ -240,7 +238,6 @@ impl ExecContext {
             counters: Arc::new(Counters::default()),
             degradations: Arc::new(Mutex::new(Vec::new())),
             spill: None,
-            #[cfg(feature = "fault-injection")]
             fault: None,
         }
     }
@@ -390,7 +387,6 @@ impl ExecContext {
     /// Arm the fault injector: the `fail_on`-th operator invocation
     /// (1-based, counted across the whole context tree) fails with
     /// [`EngineError::FaultInjected`].
-    #[cfg(feature = "fault-injection")]
     pub fn with_fault_point(mut self, fail_on: u64) -> ExecContext {
         self.fault = Some(Arc::new(FaultPoint {
             fail_on,
@@ -422,7 +418,6 @@ impl ExecContext {
             counters: Arc::new(Counters::default()),
             degradations: Arc::clone(&self.degradations),
             spill: self.spill.clone(),
-            #[cfg(feature = "fault-injection")]
             fault: self.fault.clone(),
         }
     }
@@ -430,7 +425,6 @@ impl ExecContext {
     /// Operator-entry check: fault point, cancellation, deadline.
     /// Called once per operator invocation before any work.
     pub fn enter(&self, operator: &'static str) -> Result<()> {
-        #[cfg(feature = "fault-injection")]
         if let Some(fault) = &self.fault {
             let hit = fault.hits.fetch_add(1, Ordering::Relaxed) + 1;
             if hit == fault.fail_on {
@@ -767,7 +761,6 @@ mod tests {
         assert!(ctx.subcontext(None, None).spill_enabled());
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn fault_point_fails_nth_entry() {
         let ctx = ExecContext::unbounded().with_fault_point(3);

@@ -249,24 +249,24 @@ pub fn order_optimal_dp(graph: &JoinGraph) -> Vec<usize> {
     order
 }
 
-/// Estimated total intermediate size (`C_out` over the join prefix) of
-/// executing `order` — exposed so callers can compare orders.
-pub fn order_cost(graph: &JoinGraph, order: &[usize]) -> f64 {
-    if order.is_empty() {
-        return 0.0;
-    }
-    let mut composite = Composite::from_node(&graph.nodes[order[0]]);
-    let mut cost = 0.0;
-    for &i in &order[1..] {
-        composite = composite.join(&graph.nodes[i]);
-        cost += composite.rows;
-    }
-    cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Estimated total intermediate size (`C_out` over the join prefix)
+    /// of executing `order`.
+    fn order_cost(graph: &JoinGraph, order: &[usize]) -> f64 {
+        if order.is_empty() {
+            return 0.0;
+        }
+        let mut composite = Composite::from_node(&graph.nodes[order[0]]);
+        let mut cost = 0.0;
+        for &i in &order[1..] {
+            composite = composite.join(&graph.nodes[i]);
+            cost += composite.rows;
+        }
+        cost
+    }
 
     /// Three relations: tiny `t(a)`, huge `h(a,b)`, medium `m(b)`.
     fn chain_graph() -> JoinGraph {

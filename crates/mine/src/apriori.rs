@@ -39,11 +39,6 @@ impl AprioriResult {
         v.sort();
         v
     }
-
-    /// Total number of frequent itemsets across levels.
-    pub fn total_frequent(&self) -> usize {
-        self.levels.iter().map(FastMap::len).sum()
-    }
 }
 
 /// Mine frequent itemsets up to size `max_k` at the given absolute
@@ -282,7 +277,7 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let r = mine_apriori(&[], 1, 3);
-        assert_eq!(r.total_frequent(), 0);
+        assert!(r.levels.iter().all(|l| l.is_empty()));
         let r = mine_apriori(&txns(), 2, 0);
         assert_eq!(r.levels.len(), 0);
     }

@@ -6,10 +6,18 @@
 //! one-line JSON meta object on the second, a blank line, and the body
 //! (result TSV, message text, or error detail).
 
+use std::fmt;
+use std::time::Duration;
+
+use qf_core::ExecContext;
+
 use crate::error::{Result, ServerError};
 
-/// Per-request resource asks, mapped onto the execution governor by the
-/// admission controller (and clamped to the server's per-request caps).
+/// Resource limits for one evaluation: the asks a request carries on
+/// the wire (clamped by the admission controller to the server's
+/// per-request caps), and the limits `qfsh` applies to its own runs.
+/// [`RequestLimits::set`] is the one `key=value` grammar for both; the
+/// [`Display`](fmt::Display) form is the wire form.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestLimits {
     /// Cap on tuples materialized.
@@ -20,6 +28,75 @@ pub struct RequestLimits {
     pub timeout_ms: Option<u64>,
     /// Worker threads (clamped to the fair share the server grants).
     pub threads: Option<usize>,
+}
+
+impl RequestLimits {
+    /// Set the limit `key` from `value`: `max-rows` and `mem-budget`
+    /// take counts ([`parse_count`]), `timeout` a duration
+    /// ([`parse_millis`]), `threads` a count of at least 1. Returns
+    /// `Ok(false)` when `key` names no limit.
+    pub fn set(&mut self, key: &str, value: &str) -> std::result::Result<bool, String> {
+        match key {
+            "max-rows" => self.max_rows = Some(parse_count(value)?),
+            "mem-budget" => self.mem_budget = Some(parse_count(value)?),
+            "timeout" => self.timeout_ms = Some(parse_millis(value)?),
+            "threads" => {
+                let n = usize::try_from(parse_count(value)?)
+                    .map_err(|_| format!("thread count `{value}` too large"))?;
+                if n == 0 {
+                    return Err("threads must be at least 1".to_string());
+                }
+                self.threads = Some(n);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// True when no limit is set.
+    pub fn is_unbounded(&self) -> bool {
+        *self == RequestLimits::default()
+    }
+
+    /// A fresh execution context enforcing these limits; its deadline
+    /// starts now.
+    pub fn context(&self) -> ExecContext {
+        let mut ctx = ExecContext::unbounded();
+        if let Some(rows) = self.max_rows {
+            ctx = ctx.with_max_rows(rows);
+        }
+        if let Some(bytes) = self.mem_budget {
+            ctx = ctx.with_mem_budget(bytes);
+        }
+        if let Some(ms) = self.timeout_ms {
+            ctx = ctx.with_timeout(Duration::from_millis(ms));
+        }
+        if let Some(n) = self.threads {
+            ctx = ctx.with_threads(n);
+        }
+        ctx
+    }
+}
+
+/// The set limits as space-separated `key=value` pairs, in the order
+/// `max-rows mem-budget timeout threads`; empty when none is set.
+impl fmt::Display for RequestLimits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pairs = [
+            ("max-rows", self.max_rows),
+            ("mem-budget", self.mem_budget),
+            ("timeout", self.timeout_ms),
+            ("threads", self.threads.map(|n| n as u64)),
+        ];
+        let mut sep = "";
+        for (key, value) in pairs {
+            if let Some(v) = value {
+                write!(f, "{sep}{key}={v}")?;
+                sep = " ";
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A parsed client request.
@@ -180,18 +257,7 @@ impl Request {
                 if let Some(s) = support {
                     header.push_str(&format!(" support={s}"));
                 }
-                if let Some(r) = limits.max_rows {
-                    header.push_str(&format!(" max-rows={r}"));
-                }
-                if let Some(b) = limits.mem_budget {
-                    header.push_str(&format!(" mem-budget={b}"));
-                }
-                if let Some(t) = limits.timeout_ms {
-                    header.push_str(&format!(" timeout={t}"));
-                }
-                if let Some(n) = limits.threads {
-                    header.push_str(&format!(" threads={n}"));
-                }
+                push_limits(&mut header, limits);
                 format!("{header}\n\n{text}")
             }
             Request::Partial {
@@ -211,18 +277,7 @@ impl Request {
                 if let Some((frag, fp)) = frag {
                     header.push_str(&format!(" frag={frag} frag-fp={fp}"));
                 }
-                if let Some(r) = limits.max_rows {
-                    header.push_str(&format!(" max-rows={r}"));
-                }
-                if let Some(b) = limits.mem_budget {
-                    header.push_str(&format!(" mem-budget={b}"));
-                }
-                if let Some(t) = limits.timeout_ms {
-                    header.push_str(&format!(" timeout={t}"));
-                }
-                if let Some(n) = limits.threads {
-                    header.push_str(&format!(" threads={n}"));
-                }
+                push_limits(&mut header, limits);
                 let mut body = text.clone();
                 for s in scratch {
                     body.push_str(s);
@@ -339,10 +394,7 @@ impl Request {
                                     ServerError::Proto(format!("bad support `{v}`"))
                                 })?)
                         }
-                        "max-rows" => limits.max_rows = Some(parse_u64(&v)?),
-                        "mem-budget" => limits.mem_budget = Some(parse_u64(&v)?),
-                        "timeout" => limits.timeout_ms = Some(parse_u64(&v)?),
-                        "threads" => limits.threads = Some(parse_u64(&v)? as usize),
+                        other if limits.set(other, &v).map_err(ServerError::Proto)? => {}
                         other => {
                             return Err(ServerError::Proto(format!("unknown flock key `{other}`")))
                         }
@@ -364,10 +416,7 @@ impl Request {
                         "parts" => lens = Some(parse_lens(&v)?),
                         "frag" => frag_id = Some(parse_u64(&v)? as usize),
                         "frag-fp" => frag_fp = Some(parse_u64(&v)?),
-                        "max-rows" => limits.max_rows = Some(parse_u64(&v)?),
-                        "mem-budget" => limits.mem_budget = Some(parse_u64(&v)?),
-                        "timeout" => limits.timeout_ms = Some(parse_u64(&v)?),
-                        "threads" => limits.threads = Some(parse_u64(&v)? as usize),
+                        other if limits.set(other, &v).map_err(ServerError::Proto)? => {}
                         other => {
                             return Err(ServerError::Proto(format!(
                                 "unknown partial key `{other}`"
@@ -495,6 +544,44 @@ fn parse_u64(v: &str) -> Result<u64> {
         .map_err(|_| ServerError::Proto(format!("bad number `{v}`")))
 }
 
+/// Append ` key=value` for each set limit to a request header.
+fn push_limits(header: &mut String, limits: &RequestLimits) {
+    if !limits.is_unbounded() {
+        header.push_str(&format!(" {limits}"));
+    }
+}
+
+/// Parse a non-negative count, accepting decimal `k`/`m`/`g` suffixes
+/// (`64k` = 64 000).
+pub fn parse_count(value: &str) -> std::result::Result<u64, String> {
+    let (digits, mult) = match value.to_ascii_lowercase() {
+        v if v.ends_with('k') => (v.len() - 1, 1_000u64),
+        v if v.ends_with('m') => (v.len() - 1, 1_000_000),
+        v if v.ends_with('g') => (v.len() - 1, 1_000_000_000),
+        v => (v.len(), 1),
+    };
+    value[..digits]
+        .parse::<u64>()
+        .map_err(|_| format!("bad number `{value}`"))?
+        .checked_mul(mult)
+        .ok_or_else(|| format!("number `{value}` too large"))
+}
+
+/// Parse a duration in milliseconds, accepting `ms` or `s` suffixes.
+pub fn parse_millis(value: &str) -> std::result::Result<u64, String> {
+    let lower = value.to_ascii_lowercase();
+    if let Some(v) = lower.strip_suffix("ms") {
+        v.parse().map_err(|_| format!("bad duration `{value}`"))
+    } else if let Some(v) = lower.strip_suffix('s') {
+        v.parse::<u64>()
+            .map_err(|_| format!("bad duration `{value}`"))?
+            .checked_mul(1000)
+            .ok_or_else(|| format!("duration `{value}` too large"))
+    } else {
+        lower.parse().map_err(|_| format!("bad duration `{value}`"))
+    }
+}
+
 /// Fold the optional `frag=`/`frag-fp=` pair into a fragment scope —
 /// both keys or neither, so a half-specified scope fails typed instead
 /// of silently mutating the wrong store.
@@ -604,6 +691,79 @@ mod tests {
             let parsed = Request::parse(&req.render()).unwrap();
             assert_eq!(parsed, req);
         }
+        // Every combination of set and unset limits, on both verbs that
+        // carry them.
+        for mask in 0..16u8 {
+            let limits = RequestLimits {
+                max_rows: (mask & 1 != 0).then_some(64_000),
+                mem_budget: (mask & 2 != 0).then_some(1 << 20),
+                timeout_ms: (mask & 4 != 0).then_some(2_000),
+                threads: (mask & 8 != 0).then_some(3),
+            };
+            let flock = Request::Flock {
+                text: "QUERY: …".into(),
+                support: None,
+                limits,
+            };
+            let partial = Request::Partial {
+                text: "QUERY: …".into(),
+                scratch: vec![],
+                limits,
+                frag: None,
+            };
+            for req in [flock, partial] {
+                assert_eq!(Request::parse(&req.render()).unwrap(), req, "{mask}");
+            }
+        }
+    }
+
+    /// Headers take the shell's suffixes and its `threads` floor.
+    #[test]
+    fn limit_values_share_the_shell_grammar() {
+        let Request::Flock { limits, .. } =
+            Request::parse("flock max-rows=64k mem-budget=1m timeout=2s threads=4\n\nQ").unwrap()
+        else {
+            panic!("not a flock");
+        };
+        assert_eq!(
+            limits.to_string(),
+            "max-rows=64000 mem-budget=1000000 timeout=2000 threads=4"
+        );
+        assert!(Request::parse("flock threads=0\n\nQ").is_err());
+        assert!(Request::parse("partial parts=1 threads=0\n\nQ").is_err());
+        assert!(Request::parse("flock timeout=soon\n\nQ").is_err());
+    }
+
+    /// The request headers a client sends with every limit set: these
+    /// bytes are the wire format and must not drift.
+    #[test]
+    fn limit_headers_are_pinned() {
+        let limits = RequestLimits {
+            max_rows: Some(1000),
+            mem_budget: Some(2048),
+            timeout_ms: Some(250),
+            threads: Some(2),
+        };
+        let flock = Request::Flock {
+            text: "QUERY: q".into(),
+            support: Some(5),
+            limits,
+        };
+        assert_eq!(
+            flock.render(),
+            "flock support=5 max-rows=1000 mem-budget=2048 timeout=250 threads=2\n\nQUERY: q"
+        );
+        let partial = Request::Partial {
+            text: "QUERY: q".into(),
+            scratch: vec!["aux\tq\n".into()],
+            limits,
+            frag: Some((3, 9)),
+        };
+        assert_eq!(
+            partial.render(),
+            "partial parts=8,6 frag=3 frag-fp=9 max-rows=1000 mem-budget=2048 timeout=250 \
+             threads=2\n\nQUERY: qaux\tq\n"
+        );
     }
 
     #[test]

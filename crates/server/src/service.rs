@@ -677,17 +677,14 @@ impl FlockService {
             .threads
             .map_or(granted_threads, |n| n.min(granted_threads))
             .max(1);
-        let mut ctx = ExecContext::unbounded().with_threads(threads);
-        if let Some(r) = effective.max_rows {
-            ctx = ctx.with_max_rows(r);
-        }
-        if let Some(b) = effective.mem_budget {
-            ctx = ctx.with_mem_budget(b);
-        }
-        match (deadline, effective.timeout_ms) {
-            (Some(d), _) => ctx = ctx.with_deadline(d),
-            (None, Some(ms)) => ctx = ctx.with_timeout(Duration::from_millis(ms)),
-            (None, None) => {}
+        let limits = RequestLimits {
+            threads: Some(threads),
+            ..*effective
+        };
+        let mut ctx = limits.context();
+        if let Some(d) = deadline {
+            // Replaces the relative timeout `context` started.
+            ctx = ctx.with_deadline(d);
         }
         if let Some(tok) = cancel {
             ctx = ctx.with_cancel_token(tok.clone());
@@ -752,57 +749,7 @@ impl FlockService {
     }
 
     fn generate(&self, kind: &str, seed: u64) -> Result<(String, String)> {
-        let mut rels: Vec<Relation> = Vec::new();
-        let note: String;
-        match kind {
-            "baskets" => {
-                let config = qf_datagen::BasketConfig {
-                    seed,
-                    ..Default::default()
-                };
-                let data = qf_datagen::baskets::generate(&config);
-                note = format!("generated baskets ({} baskets)", data.baskets.distinct(0));
-                rels.push(data.baskets);
-                rels.push(qf_datagen::baskets::importance(&config, 50));
-            }
-            "words" => {
-                let rel = qf_datagen::words::generate(&qf_datagen::WordsConfig {
-                    seed,
-                    ..Default::default()
-                });
-                note = format!("generated words (word occurrences, {} tuples)", rel.len());
-                rels.push(rel);
-            }
-            "medical" => {
-                let data = qf_datagen::medical::generate(&qf_datagen::MedicalConfig {
-                    seed,
-                    ..Default::default()
-                });
-                note = format!("generated medical db (planted: {:?})", data.planted);
-                rels.extend(data.db.iter().cloned());
-            }
-            "web" => {
-                let data = qf_datagen::web::generate(&qf_datagen::WebConfig {
-                    seed,
-                    ..Default::default()
-                });
-                note = format!("generated web corpus (planted: {:?})", data.planted);
-                rels.extend(data.db.iter().cloned());
-            }
-            "graph" => {
-                let rel = qf_datagen::graph::generate(&qf_datagen::GraphConfig {
-                    seed,
-                    ..Default::default()
-                });
-                note = format!("generated arc ({} arcs)", rel.len());
-                rels.push(rel);
-            }
-            other => {
-                return Err(ServerError::Proto(format!(
-                    "unknown workload `{other}` (baskets|words|medical|web|graph)"
-                )))
-            }
-        }
+        let (rels, note) = qf_datagen::demo(kind, seed).map_err(ServerError::Proto)?;
         let record = WalRecord::Put {
             relations: rels.iter().map(render_tsv).collect(),
         };

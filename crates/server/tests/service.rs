@@ -170,6 +170,20 @@ fn catalog_mutation_invalidates_the_cache() {
     assert!(body.contains('1'), "result reflects the reloaded catalog");
 }
 
+/// `gen`'s note names every relation it wrote: `words` writes (and
+/// replaces) `baskets`.
+#[test]
+fn gen_words_names_the_baskets_relation_it_writes() {
+    let svc = FlockService::new(ServerConfig::default(), Database::new());
+    let gen = Request::Gen {
+        kind: "words".to_string(),
+        seed: 7,
+    };
+    let (_, note) = ok_parts(svc.handle_light(&gen));
+    assert!(note.contains("baskets"), "{note}");
+    assert!(svc.snapshot().0.get("baskets").is_ok());
+}
+
 #[test]
 fn sum_over_different_head_columns_does_not_cross_hit() {
     // Both programs canonicalize to the same query text — they differ

@@ -8,13 +8,6 @@ pub enum StorageError {
         /// The missing relation's name.
         name: String,
     },
-    /// A column name is not in a relation's schema.
-    UnknownColumn {
-        /// Relation whose schema was searched.
-        relation: String,
-        /// The missing column.
-        column: String,
-    },
     /// A row's arity does not match the schema it was inserted under.
     ArityMismatch {
         /// Relation name.
@@ -93,9 +86,6 @@ impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageError::UnknownRelation { name } => write!(f, "unknown relation `{name}`"),
-            StorageError::UnknownColumn { relation, column } => {
-                write!(f, "relation `{relation}` has no column `{column}`")
-            }
             StorageError::ArityMismatch {
                 relation,
                 expected,

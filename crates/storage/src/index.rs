@@ -51,11 +51,6 @@ impl HashIndex {
         self.map.contains_key(key)
     }
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
     /// Iterate `(key, row-ids)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &[u32])> {
         self.map.iter().map(|(k, v)| (k, v.as_slice()))
@@ -95,7 +90,7 @@ mod tests {
     fn composite_key() {
         let r = sample();
         let idx = HashIndex::build(&r, &[0, 1]);
-        assert_eq!(idx.distinct_keys(), 3);
+        assert_eq!(idx.map.len(), 3);
         assert!(idx.contains_key(&Tuple::from([Value::int(2), Value::str("x")])));
         assert!(!idx.contains_key(&Tuple::from([Value::int(2), Value::str("y")])));
     }
@@ -104,7 +99,7 @@ mod tests {
     fn empty_key_groups_everything() {
         let r = sample();
         let idx = HashIndex::build(&r, &[]);
-        assert_eq!(idx.distinct_keys(), 1);
+        assert_eq!(idx.map.len(), 1);
         assert_eq!(idx.probe(&Tuple::from([])).len(), 3);
     }
 

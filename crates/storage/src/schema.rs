@@ -1,7 +1,5 @@
 //! Relation schemas: a name plus named columns.
 
-use crate::error::{Result, StorageError};
-
 /// The schema of a relation: relation name and ordered column names.
 ///
 /// Column *types* are dynamic (any column may hold any [`Value`]); the
@@ -47,17 +45,6 @@ impl Schema {
         &self.columns
     }
 
-    /// Index of column `name`.
-    pub fn column_index(&self, name: &str) -> Result<usize> {
-        self.columns
-            .iter()
-            .position(|c| c == name)
-            .ok_or_else(|| StorageError::UnknownColumn {
-                relation: self.name.clone(),
-                column: name.to_string(),
-            })
-    }
-
     /// A copy of this schema under a different relation name.
     pub fn renamed(&self, name: impl Into<String>) -> Schema {
         Schema {
@@ -86,8 +73,7 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         let s = Schema::new("baskets", &["bid", "item"]);
-        assert_eq!(s.column_index("item").unwrap(), 1);
-        assert!(s.column_index("nope").is_err());
+        assert_eq!(s.columns(), ["bid", "item"]);
         assert_eq!(s.arity(), 2);
     }
 

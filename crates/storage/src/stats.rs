@@ -71,20 +71,6 @@ impl RelationStats {
     pub fn arity(&self) -> usize {
         self.columns.len()
     }
-
-    /// Average number of tuples per distinct value of column `i` — the
-    /// quantity the paper's dynamic filtering decision (§4.4) compares
-    /// against the support threshold ("whether the number of tuples per
-    /// value-assignment for the parameters is low or high compared with
-    /// the support threshold").
-    pub fn tuples_per_value(&self, i: usize) -> f64 {
-        let d = self.columns[i].distinct;
-        if d == 0 {
-            0.0
-        } else {
-            self.cardinality as f64 / d as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +91,6 @@ mod tests {
         assert_eq!(s.column(0).min, Some(Value::int(1)));
         assert_eq!(s.column(0).max, Some(Value::int(3)));
         assert_eq!(s.column(1).distinct, 2);
-        assert!((s.tuples_per_value(0) - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -115,6 +100,5 @@ mod tests {
         assert_eq!(s.cardinality, 0);
         assert_eq!(s.column(0).distinct, 0);
         assert_eq!(s.column(0).min, None);
-        assert_eq!(s.tuples_per_value(0), 0.0);
     }
 }

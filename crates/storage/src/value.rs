@@ -40,14 +40,6 @@ impl Value {
         }
     }
 
-    /// The symbol inside, if this is a `Sym`.
-    pub fn as_sym(self) -> Option<Symbol> {
-        match self {
-            Value::Sym(s) => Some(s),
-            Value::Int(_) => None,
-        }
-    }
-
     /// Render the value the way it appears in query text: integers bare,
     /// strings unquoted (Datalog constants in this system are lowercase
     /// identifiers or quoted strings; display uses the raw string).
@@ -99,8 +91,7 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::int(7).as_int(), Some(7));
-        assert_eq!(Value::int(7).as_sym(), None);
-        assert_eq!(Value::str("x").as_sym(), Some(Symbol::intern("x")));
+        assert_eq!(Value::str("x"), Value::Sym(Symbol::intern("x")));
         assert_eq!(Value::str("x").as_int(), None);
     }
 

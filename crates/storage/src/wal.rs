@@ -52,8 +52,7 @@
 //!
 //! * A torn or checksum-failed **tail** record is expected (a crash
 //!   mid-append): recovery truncates the log to the trusted prefix and
-//!   continues. The strict reader ([`Wal::verify_log`]) reports it as
-//!   typed [`StorageError::Corruption`] instead, for audits.
+//!   continues.
 //! * A corrupt **snapshot**, **manifest**, or **meta** is a hard typed
 //!   error: those files were published atomically and read-back
 //!   verified, so damage means the directory can no longer prove what
@@ -212,7 +211,7 @@ impl RecordLog {
         let bytes = retried(|| read_file_bytes(log.vfs(), &log.path))?;
         let mut trusted_len = 0;
         let mut accepted = 0;
-        for (seq, fp, payload) in scan_log(&bytes, start_seq).records {
+        for (seq, fp, payload) in scan_log(&bytes, start_seq) {
             if !accept(seq, fp, payload)? {
                 break;
             }
@@ -697,38 +696,6 @@ impl Wal {
         sweep_generations(self.log.vfs(), self.log.dir(), |g| g == old);
         Ok(())
     }
-
-    /// Strictly verify the live log: every byte must parse, checksum,
-    /// chain and decode — any damage (even a torn tail that recovery
-    /// would tolerate) is a typed [`StorageError::Corruption`]. Returns
-    /// the number of records verified.
-    pub fn verify_log(vfs: &dyn Vfs, dir: &Path, start_seq: u64) -> Result<u64> {
-        let log_path = dir.join(format!("log-{}.wal", read_generation(vfs, dir)?));
-        if !vfs.exists(&log_path) {
-            return Ok(0);
-        }
-        let bytes = read_file_bytes(vfs, &log_path)?;
-        let scan = scan_log(&bytes, start_seq);
-        let decoded = scan
-            .records
-            .iter()
-            .take_while(|(_, _, payload)| decode_payload(payload).is_some())
-            .count();
-        if decoded < scan.records.len() || scan.trusted_len < bytes.len() {
-            let detail = if decoded < scan.records.len() {
-                "undecodable record payload".to_string()
-            } else {
-                scan.issue
-                    .unwrap_or_else(|| "trailing bytes after final record".to_string())
-            };
-            return Err(StorageError::Corruption {
-                path: log_path.display().to_string(),
-                frame: decoded as u64,
-                detail,
-            });
-        }
-        Ok(decoded as u64)
-    }
 }
 
 /// Merge `delta` into the catalog under set semantics (tuples union;
@@ -964,16 +931,6 @@ fn parse_meta(text: &str) -> Option<u64> {
     lines.next()?.strip_prefix("gen ")?.trim().parse().ok()
 }
 
-/// Read the live generation from `wal.meta` (0 when absent).
-fn read_generation(vfs: &dyn Vfs, dir: &Path) -> Result<u64> {
-    let meta_path = dir.join(META_FILE);
-    if !vfs.exists(&meta_path) {
-        return Ok(0);
-    }
-    let text = vfs.read_to_string(&meta_path)?;
-    parse_meta(&text).ok_or_else(|| corruption(&meta_path, "unparsable wal.meta"))
-}
-
 struct Manifest {
     catalog_fp: u64,
     seq: u64,
@@ -1130,54 +1087,35 @@ fn decode_payload(bytes: &[u8]) -> Option<WalRecord> {
     Some(record)
 }
 
-/// Result of a tolerant log scan: the `(seq, fp, payload)` records of
-/// the checksummed prefix, how many bytes it spans, and why the scan
-/// stopped early (if it did).
-struct LogScan<'a> {
-    records: Vec<(u64, u64, &'a [u8])>,
-    trusted_len: usize,
-    issue: Option<String>,
-}
-
-/// Scan a log tolerantly: any framing violation — a truncated frame, a
-/// checksum mismatch, a sequence discontinuity — ends the trusted
-/// prefix there. Sequence numbers must continue from `start_seq`
-/// contiguously. Payloads are returned raw; decoding is the client's.
-fn scan_log(bytes: &[u8], start_seq: u64) -> LogScan<'_> {
+/// Scan a log tolerantly, returning the `(seq, fp, payload)` records
+/// of the checksummed prefix: any framing violation — a truncated
+/// frame, a checksum mismatch, a sequence discontinuity — ends the
+/// trusted prefix there. Sequence numbers must continue from
+/// `start_seq` contiguously. Payloads are returned raw; decoding is the
+/// client's.
+fn scan_log(bytes: &[u8], start_seq: u64) -> Vec<(u64, u64, &[u8])> {
     let mut records = Vec::new();
     let mut off = 0usize;
     let mut seq = start_seq;
     loop {
         let remaining = bytes.len() - off;
-        if remaining == 0 {
-            return LogScan {
-                records,
-                trusted_len: off,
-                issue: None,
-            };
-        }
-        let stop = |records, issue: &str| LogScan {
-            records,
-            trusted_len: off,
-            issue: Some(issue.to_string()),
-        };
         if remaining < RECORD_OVERHEAD {
-            return stop(records, "truncated record frame");
+            return records;
         }
         let payload_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
         if payload_len > remaining - RECORD_OVERHEAD {
-            return stop(records, "record length exceeds the file");
+            return records;
         }
         let body_end = off + RECORD_HEADER + payload_len;
         let mut h = Fnv1a::new();
         h.write(&bytes[off..body_end]);
         let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().unwrap());
         if h.finish() != stored {
-            return stop(records, "record checksum mismatch");
+            return records;
         }
         let rec_seq = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap());
         if rec_seq != seq + 1 {
-            return stop(records, "sequence discontinuity");
+            return records;
         }
         let fp = u64::from_le_bytes(bytes[off + 12..off + 20].try_into().unwrap());
         records.push((rec_seq, fp, &bytes[off + RECORD_HEADER..body_end]));
@@ -1680,11 +1618,8 @@ mod tests {
             let mut corrupted = pristine.clone();
             corrupted[bit_byte] ^= 0x40;
             std::fs::write(&log, &corrupted).unwrap();
-            // The strict verifier must refuse the whole log…
-            let err = Wal::verify_log(&crate::vfs::RealFs, &dir, 0).unwrap_err();
-            assert!(err.is_corruption(), "byte {bit_byte}: {err}");
-            // …and tolerant recovery must land on an *acknowledged
-            // prefix* — never wrong data.
+            // Tolerant recovery must land on an *acknowledged prefix* —
+            // never wrong data.
             let (w, recovered) = Wal::open(real_fs(), &dir, WalOptions::default())
                 .unwrap_or_else(|e| panic!("byte {bit_byte}: open failed: {e}"));
             assert!(
