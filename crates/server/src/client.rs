@@ -261,46 +261,14 @@ impl Client {
     /// policy: only typed responses certifying non-execution are
     /// replayed, never ambiguous transport failures.
     pub fn append(&mut self, rel: &str, tsv: &str) -> Result<Response> {
-        self.request(&Request::Append {
-            rel: rel.to_string(),
-            tsv: tsv.to_string(),
-            frag: None,
-        })
-    }
-
-    /// Stream a TSV delta into relation `rel` inside a worker-held
-    /// fragment (coordinator use). `fp` is the expected post-delta
-    /// fragment fingerprint; the worker answers a typed `no-frag` on
-    /// mismatch so the coordinator falls back to a full re-sync.
-    pub fn append_frag(&mut self, rel: &str, tsv: &str, frag: usize, fp: u64) -> Result<Response> {
-        self.request(&Request::Append {
-            rel: rel.to_string(),
-            tsv: tsv.to_string(),
-            frag: Some((frag, fp)),
-        })
+        self.request(&Request::delta(rel, tsv, false, None))
     }
 
     /// Retract a TSV delta from relation `rel` (set-semantics
     /// difference; absent tuples are ignored). Like `append` this is
-    /// **not** idempotent under the retry policy: only typed responses
-    /// certifying non-execution are replayed, never ambiguous transport
-    /// failures.
+    /// **not** idempotent under the retry policy.
     pub fn retract(&mut self, rel: &str, tsv: &str) -> Result<Response> {
-        self.request(&Request::Retract {
-            rel: rel.to_string(),
-            tsv: tsv.to_string(),
-            frag: None,
-        })
-    }
-
-    /// Retract a TSV delta from relation `rel` inside a worker-held
-    /// fragment (coordinator use), mirroring [`Client::append_frag`].
-    pub fn retract_frag(&mut self, rel: &str, tsv: &str, frag: usize, fp: u64) -> Result<Response> {
-        self.request(&Request::Retract {
-            rel: rel.to_string(),
-            tsv: tsv.to_string(),
-            frag: Some((frag, fp)),
-        })
+        self.request(&Request::delta(rel, tsv, true, None))
     }
 
     /// Evaluate a flock program.
@@ -317,15 +285,13 @@ impl Client {
         })
     }
 
-    /// Evaluate one scatter-gather step against this shard's fragment
-    /// (coordinator use). `frag` scopes the evaluation to a synced
-    /// replica fragment `(id, expected fingerprint)`; `None` evaluates
-    /// against the worker's whole catalog.
+    /// Evaluate one scatter-gather step against a synced replica
+    /// fragment `frag` = `(id, expected fingerprint)` (coordinator use).
     pub fn partial(
         &mut self,
         text: &str,
         scratch: Vec<String>,
-        frag: Option<(usize, u64)>,
+        frag: (usize, u64),
         limits: RequestLimits,
     ) -> Result<Response> {
         self.request(&Request::Partial {

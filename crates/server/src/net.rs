@@ -340,7 +340,7 @@ fn dispatch(
             JobPayload::Partial {
                 text,
                 scratch,
-                frag,
+                frag: Some(frag),
             },
             limits,
         ),

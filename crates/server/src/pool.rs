@@ -49,8 +49,9 @@ pub enum JobPayload {
         text: String,
         /// Scratch relations (TSV) to overlay on the catalog snapshot.
         scratch: Vec<String>,
-        /// Fragment scope: `(fragment id, expected fingerprint)` for a
-        /// replica-hosted fragment, `None` for whole-catalog partials.
+        /// Fragment scope: `(fragment id, expected fingerprint)` of a
+        /// replica-hosted fragment. The wire always carries one; a job
+        /// without it is refused typed `proto`.
         frag: Option<(usize, u64)>,
     },
     /// A streaming catalog delta (`append`): union the TSV tuples into

@@ -173,14 +173,14 @@ pub enum Request {
         /// Per-request budgets (the coordinator forwards its remaining
         /// deadline and per-shard row/memory budgets here).
         limits: RequestLimits,
-        /// Evaluate against a synced catalog **fragment** instead of
-        /// the master catalog: `(fragment id, expected fragment
-        /// fingerprint)`. A worker holding no such fragment — or a
-        /// *stale* copy whose fingerprint disagrees — answers a typed
-        /// `no-frag` error so the coordinator fails over to a replica
-        /// rather than merging wrong bytes. `None` keeps the PR-7
-        /// behavior (the worker's whole catalog is the fragment).
-        frag: Option<(usize, u64)>,
+        /// The synced catalog **fragment** to evaluate against:
+        /// `(fragment id, expected fragment fingerprint)`. Required — a
+        /// `partial` without it is refused typed `proto`. A worker
+        /// holding no such fragment — or a *stale* copy whose
+        /// fingerprint disagrees — answers a typed `no-frag` error so
+        /// the coordinator fails over to a replica rather than merging
+        /// wrong bytes.
+        frag: (usize, u64),
     },
     /// Replace one catalog fragment on a replica worker: the body is
     /// the fragment's relations as byte-framed TSV sections (the same
@@ -208,6 +208,18 @@ pub enum Request {
 }
 
 impl Request {
+    /// An `append` of `tsv` to relation `rel` — a `retract` when
+    /// `retract` — on the master catalog, or on the worker-held fragment
+    /// `frag` names.
+    pub fn delta(rel: &str, tsv: &str, retract: bool, frag: Option<(usize, u64)>) -> Request {
+        let (rel, tsv) = (rel.to_string(), tsv.to_string());
+        if retract {
+            Request::Retract { rel, tsv, frag }
+        } else {
+            Request::Append { rel, tsv, frag }
+        }
+    }
+
     /// Is this request safe to retry transparently after a failure that
     /// may or may not have reached the server? Reads (`ping`, `stats`,
     /// `fingerprint`, `flock`) and the idempotent `shutdown` flag are;
@@ -234,17 +246,15 @@ impl Request {
             Request::Ping => "ping\n\n".to_string(),
             Request::Gen { kind, seed } => format!("gen kind={kind} seed={seed}\n\n"),
             Request::Load { tsv } => format!("load\n\n{tsv}"),
-            Request::Append { rel, tsv, frag } => {
-                let mut header = format!("append rel={rel}");
-                if let Some((frag, fp)) = frag {
-                    header.push_str(&format!(" frag={frag} frag-fp={fp}"));
-                }
-                format!("{header}\n\n{tsv}")
-            }
-            Request::Retract { rel, tsv, frag } => {
-                let mut header = format!("retract rel={rel}");
-                if let Some((frag, fp)) = frag {
-                    header.push_str(&format!(" frag={frag} frag-fp={fp}"));
+            Request::Append { rel, tsv, frag } | Request::Retract { rel, tsv, frag } => {
+                let verb = if matches!(self, Request::Append { .. }) {
+                    "append"
+                } else {
+                    "retract"
+                };
+                let mut header = format!("{verb} rel={rel}");
+                if let Some(scope) = frag {
+                    push_frag(&mut header, *scope);
                 }
                 format!("{header}\n\n{tsv}")
             }
@@ -274,9 +284,7 @@ impl Request {
                 let mut parts: Vec<String> = vec![text.len().to_string()];
                 parts.extend(scratch.iter().map(|s| s.len().to_string()));
                 header.push_str(&format!(" parts={}", parts.join(",")));
-                if let Some((frag, fp)) = frag {
-                    header.push_str(&format!(" frag={frag} frag-fp={fp}"));
-                }
+                push_frag(&mut header, *frag);
                 push_limits(&mut header, limits);
                 let mut body = text.clone();
                 for s in scratch {
@@ -321,47 +329,20 @@ impl Request {
             "load" => Ok(Request::Load {
                 tsv: body.to_string(),
             }),
-            "append" => {
+            "append" | "retract" => {
+                let mut keys = kv(parts)?;
+                let frag = take_frag(&mut keys, cmd)?;
                 let mut rel = None;
-                let mut frag_id: Option<usize> = None;
-                let mut frag_fp: Option<u64> = None;
-                for (k, v) in kv(parts)? {
+                for (k, v) in keys {
                     match k.as_str() {
                         "rel" => rel = Some(v),
-                        "frag" => frag_id = Some(parse_u64(&v)? as usize),
-                        "frag-fp" => frag_fp = Some(parse_u64(&v)?),
                         other => {
-                            return Err(ServerError::Proto(format!("unknown append key `{other}`")))
+                            return Err(ServerError::Proto(format!("unknown {cmd} key `{other}`")))
                         }
                     }
                 }
-                Ok(Request::Append {
-                    rel: rel.ok_or_else(|| ServerError::Proto("append needs rel=…".into()))?,
-                    tsv: body.to_string(),
-                    frag: frag_scope(frag_id, frag_fp, "append")?,
-                })
-            }
-            "retract" => {
-                let mut rel = None;
-                let mut frag_id: Option<usize> = None;
-                let mut frag_fp: Option<u64> = None;
-                for (k, v) in kv(parts)? {
-                    match k.as_str() {
-                        "rel" => rel = Some(v),
-                        "frag" => frag_id = Some(parse_u64(&v)? as usize),
-                        "frag-fp" => frag_fp = Some(parse_u64(&v)?),
-                        other => {
-                            return Err(ServerError::Proto(format!(
-                                "unknown retract key `{other}`"
-                            )))
-                        }
-                    }
-                }
-                Ok(Request::Retract {
-                    rel: rel.ok_or_else(|| ServerError::Proto("retract needs rel=…".into()))?,
-                    tsv: body.to_string(),
-                    frag: frag_scope(frag_id, frag_fp, "retract")?,
-                })
+                let rel = rel.ok_or_else(|| ServerError::Proto(format!("{cmd} needs rel=…")))?;
+                Ok(Request::delta(&rel, body, cmd == "retract", frag))
             }
             "fingerprint" => Ok(Request::Fingerprint {
                 text: body.to_string(),
@@ -407,15 +388,15 @@ impl Request {
                 })
             }
             "partial" => {
+                let mut keys = kv(parts)?;
+                let frag = take_frag(&mut keys, cmd)?.ok_or_else(|| {
+                    ServerError::Proto("partial needs frag=… and frag-fp=…".into())
+                })?;
                 let mut lens: Option<Vec<usize>> = None;
                 let mut limits = RequestLimits::default();
-                let mut frag_id: Option<usize> = None;
-                let mut frag_fp: Option<u64> = None;
-                for (k, v) in kv(parts)? {
+                for (k, v) in keys {
                     match k.as_str() {
                         "parts" => lens = Some(parse_lens(&v)?),
-                        "frag" => frag_id = Some(parse_u64(&v)? as usize),
-                        "frag-fp" => frag_fp = Some(parse_u64(&v)?),
                         other if limits.set(other, &v).map_err(ServerError::Proto)? => {}
                         other => {
                             return Err(ServerError::Proto(format!(
@@ -424,7 +405,6 @@ impl Request {
                         }
                     }
                 }
-                let frag = frag_scope(frag_id, frag_fp, "partial")?;
                 let lens =
                     lens.ok_or_else(|| ServerError::Proto("partial needs parts=…".into()))?;
                 if lens.is_empty() {
@@ -582,16 +562,21 @@ pub fn parse_millis(value: &str) -> std::result::Result<u64, String> {
     }
 }
 
-/// Fold the optional `frag=`/`frag-fp=` pair into a fragment scope —
-/// both keys or neither, so a half-specified scope fails typed instead
-/// of silently mutating the wrong store.
-fn frag_scope(
-    frag_id: Option<usize>,
-    frag_fp: Option<u64>,
-    verb: &str,
-) -> Result<Option<(usize, u64)>> {
-    match (frag_id, frag_fp) {
-        (Some(i), Some(fp)) => Ok(Some((i, fp))),
+/// Append a fragment scope's ` frag=… frag-fp=…` to a request header.
+fn push_frag(header: &mut String, (frag, fp): (usize, u64)) {
+    header.push_str(&format!(" frag={frag} frag-fp={fp}"));
+}
+
+/// Take the `frag=`/`frag-fp=` pair out of a header's keys — both keys
+/// or neither, so a half-specified scope fails typed instead of
+/// silently addressing the wrong store.
+fn take_frag(keys: &mut Vec<(String, String)>, verb: &str) -> Result<Option<(usize, u64)>> {
+    let mut take = |key: &str| {
+        let at = keys.iter().position(|(k, _)| k == key)?;
+        Some(keys.remove(at).1)
+    };
+    match (take("frag"), take("frag-fp")) {
+        (Some(id), Some(fp)) => Ok(Some((parse_u64(&id)? as usize, parse_u64(&fp)?))),
         (None, None) => Ok(None),
         _ => Err(ServerError::Proto(format!(
             "{verb} frag= and frag-fp= must appear together"
@@ -709,7 +694,7 @@ mod tests {
                 text: "QUERY: …".into(),
                 scratch: vec![],
                 limits,
-                frag: None,
+                frag: (1, 2),
             };
             for req in [flock, partial] {
                 assert_eq!(Request::parse(&req.render()).unwrap(), req, "{mask}");
@@ -730,7 +715,7 @@ mod tests {
             "max-rows=64000 mem-budget=1000000 timeout=2000 threads=4"
         );
         assert!(Request::parse("flock threads=0\n\nQ").is_err());
-        assert!(Request::parse("partial parts=1 threads=0\n\nQ").is_err());
+        assert!(Request::parse("partial parts=1 frag=0 frag-fp=1 threads=0\n\nQ").is_err());
         assert!(Request::parse("flock timeout=soon\n\nQ").is_err());
     }
 
@@ -757,7 +742,7 @@ mod tests {
             text: "QUERY: q".into(),
             scratch: vec!["aux\tq\n".into()],
             limits,
-            frag: Some((3, 9)),
+            frag: (3, 9),
         };
         assert_eq!(
             partial.render(),
@@ -796,26 +781,19 @@ mod tests {
                 timeout_ms: Some(500),
                 threads: None,
             },
-            frag: None,
+            frag: (0, 7),
         };
         assert_eq!(Request::parse(&req.render()).unwrap(), req);
         assert!(req.is_idempotent());
-        // No scratch at all is fine too.
+        // No scratch at all is fine too, and the fragment scope carries
+        // (id, expected fingerprint) at full width.
         let bare = Request::Partial {
             text: "QUERY: …".into(),
             scratch: vec![],
             limits: RequestLimits::default(),
-            frag: None,
+            frag: (3, 0xdead_beef_u64),
         };
         assert_eq!(Request::parse(&bare.render()).unwrap(), bare);
-        // Fragment-scoped partial carries (id, expected fingerprint).
-        let scoped = Request::Partial {
-            text: "QUERY: …".into(),
-            scratch: vec!["aux\tq\n".into()],
-            limits: RequestLimits::default(),
-            frag: Some((3, 0xdead_beef_u64)),
-        };
-        assert_eq!(Request::parse(&scoped.render()).unwrap(), scoped);
     }
 
     #[test]
@@ -851,10 +829,11 @@ mod tests {
         assert!(Request::parse("retract rel=r bogus=1\n\nr\ta\n").is_err());
         assert!(Request::parse("flock support=abc\n\nQUERY: …").is_err());
         assert!(Request::parse("flock rows\n\n").is_err()); // not key=value
-        assert!(Request::parse("partial\n\nbody").is_err()); // missing parts
-        assert!(Request::parse("partial parts=99\n\nshort").is_err()); // overrun
-        assert!(Request::parse("partial parts=2\n\nlonger body").is_err()); // leftover bytes
-        assert!(Request::parse("partial parts=x\n\nbody").is_err()); // bad length
+        assert!(Request::parse("partial frag=0 frag-fp=1\n\nbody").is_err()); // missing parts
+        assert!(Request::parse("partial parts=99 frag=0 frag-fp=1\n\nshort").is_err()); // overrun
+        assert!(Request::parse("partial parts=2 frag=0 frag-fp=1\n\nlonger body").is_err()); // leftover bytes
+        assert!(Request::parse("partial parts=x frag=0 frag-fp=1\n\nbody").is_err()); // bad length
+        assert!(Request::parse("partial parts=4\n\nbody").is_err()); // no fragment scope
         assert!(Request::parse("partial parts=4 frag=0\n\nbody").is_err()); // frag sans fp
         assert!(Request::parse("partial parts=4 frag-fp=9\n\nbody").is_err()); // fp sans frag
         assert!(Request::parse("append rel=r frag=0\n\nr\ta\n").is_err()); // frag sans fp

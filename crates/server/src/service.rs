@@ -278,12 +278,25 @@ pub(crate) struct FlockRun<'a, E> {
 
 /// What [`FlockService::commit_record`] installed.
 pub(crate) struct Commit {
-    /// Post-mutation catalog fingerprint.
+    /// Catalog fingerprint before the mutation…
+    pub old_fp: u64,
+    /// …and after it.
     pub fp: u64,
     /// Tuples in the touched relation before the mutation…
     pub before: usize,
     /// …and after it (both 0 for bulk mutations, which name none).
     pub after: usize,
+}
+
+/// An `append`/`retract` committed to the master catalog, as the shard
+/// coordinator forwards it to its workers.
+pub(crate) struct DeltaCommit {
+    /// The delta as parsed (its name matched the request's `rel=`).
+    pub delta: Relation,
+    /// A set difference rather than a union.
+    pub retract: bool,
+    /// The commit that applied it, with its own pre/post fingerprints.
+    pub commit: Commit,
 }
 
 /// A successful [`FlockService::run_flock`].
@@ -300,11 +313,12 @@ pub(crate) struct FlockOutcome {
 pub struct FlockService {
     db: RwLock<Database>,
     /// Replicated catalog fragments installed by the coordinator's
-    /// `sync` verb: fragment id → (fingerprint, catalog). Kept apart
-    /// from the master catalog — a worker hosting several replicas
-    /// must evaluate each `partial` against exactly one fragment, or
-    /// `COUNT`/`SUM` partials would double-count the overlap.
-    frags: RwLock<BTreeMap<usize, (u64, Database)>>,
+    /// `sync` verb, by fragment id (each verified by its memoized
+    /// fingerprint). Kept apart from the master catalog — a worker
+    /// hosting several replicas must evaluate each `partial` against
+    /// exactly one fragment, or `COUNT`/`SUM` partials would
+    /// double-count the overlap.
+    frags: RwLock<BTreeMap<usize, Database>>,
     result_cache: Mutex<ResultCache>,
     /// Counters, public for the pool/net layers and tests.
     pub counters: Counters,
@@ -460,9 +474,10 @@ impl FlockService {
     }
 
     /// Evaluate an admitted `partial` request: one scatter-gather step
-    /// against this shard's catalog fragment, answered with the
+    /// against the synced fragment `frag` names, answered with the
     /// **scored** relation so the coordinator can merge it
-    /// algebraically. Called on a pool worker.
+    /// algebraically. A `partial` without a fragment scope is refused
+    /// typed `proto`. Called on a pool worker.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_partial_admitted(
         &self,
@@ -499,16 +514,13 @@ impl FlockService {
         scratch: &[String],
         frag: Option<(usize, u64)>,
     ) -> Result<(FlockProgram, Database, u64)> {
+        let (id, fp) = frag.ok_or_else(|| {
+            ServerError::Proto("partial needs a fragment scope (frag= and frag-fp=)".to_string())
+        })?;
         let parse = |e: qf_core::FlockError| ServerError::Parse(e.to_string());
         let flock = QueryFlock::parse(text).map_err(parse)?;
         let program = FlockProgram::new(Vec::new(), flock).map_err(parse)?;
-        // Fragment-scoped partials evaluate against the synced replica
-        // fragment (fingerprint-checked); frag-less partials keep the
-        // single-copy behavior where the whole catalog IS the fragment.
-        let (mut db, fp) = match frag {
-            Some((id, want)) => (self.fragment_snapshot(id, want)?, want),
-            None => self.snapshot(),
-        };
+        let mut db = self.fragment_snapshot(id, fp)?;
         // The cache key folds the scratch overlays into the catalog
         // fingerprint by content, so a step re-scattered with the same
         // upstream outputs hits, and any change to either misses.
@@ -786,7 +798,7 @@ impl FlockService {
         self.frags
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(frag, (fp, db));
+            .insert(frag, db);
         Ok((
             format!("{{\"frag\":{frag},\"relations\":{n}}}"),
             format!("synced fragment {frag} [{n} relation(s)]"),
@@ -800,17 +812,15 @@ impl FlockService {
     /// coordinator treats as "fail over and re-sync", never "retry me".
     fn fragment_snapshot(&self, frag: usize, fp: u64) -> Result<Database> {
         let frags = self.frags.read().unwrap_or_else(|e| e.into_inner());
-        match frags.get(&frag) {
-            Some((have, db)) if *have == fp => Ok(db.clone()),
-            Some((have, _)) => Err(ServerError::FragMissing {
+        let db = frags.get(&frag).ok_or_else(|| no_such_fragment(frag))?;
+        let have = db.fingerprint();
+        if have != fp {
+            return Err(ServerError::FragMissing {
                 frag,
                 detail: format!("stale copy {have:016x}, coordinator expects {fp:016x}"),
-            }),
-            None => Err(ServerError::FragMissing {
-                frag,
-                detail: "no such fragment synced to this worker".to_string(),
-            }),
+            });
         }
+        Ok(db.clone())
     }
 
     /// Number of synced fragments this worker holds.
@@ -830,42 +840,15 @@ impl FlockService {
     fn frag_mutate(
         &self,
         rel: &str,
-        tsv_text: &str,
-        frag: usize,
-        expect_fp: u64,
-        retract: bool,
+        record: &WalRecord,
+        (frag, expect_fp): (usize, u64),
     ) -> Result<(String, String)> {
-        let delta = tsv::read_tsv(std::io::Cursor::new(tsv_text.as_bytes()))
-            .map_err(|e| ServerError::Parse(e.to_string()))?;
-        if delta.name() != rel {
-            return Err(ServerError::Proto(format!(
-                "header names relation `{rel}` but TSV is for `{}`",
-                delta.name()
-            )));
-        }
-        let verb = if retract {
-            "retracted from"
-        } else {
-            "appended to"
-        };
-        let record = if retract {
-            WalRecord::Retract {
-                tsv: tsv_text.to_string(),
-            }
-        } else {
-            WalRecord::Append {
-                tsv: tsv_text.to_string(),
-            }
-        };
         let mut frags = self.frags.write().unwrap_or_else(|e| e.into_inner());
-        let Some((_, db)) = frags.get(&frag) else {
-            return Err(ServerError::FragMissing {
-                frag,
-                detail: "no such fragment synced to this worker".to_string(),
-            });
-        };
-        let mut next = db.clone();
-        Wal::apply(&mut next, &record).map_err(storage_error)?;
+        let mut next = frags
+            .get(&frag)
+            .ok_or_else(|| no_such_fragment(frag))?
+            .clone();
+        Wal::apply(&mut next, record).map_err(storage_error)?;
         let fp = next.fingerprint();
         if fp != expect_fp {
             return Err(ServerError::FragMissing {
@@ -875,7 +858,11 @@ impl FlockService {
                 ),
             });
         }
-        frags.insert(frag, (fp, next));
+        frags.insert(frag, next);
+        let verb = match record {
+            WalRecord::Retract { .. } => "retracted from",
+            _ => "appended to",
+        };
         Ok((
             format!("{{\"frag\":{frag},\"relation\":\"{rel}\",\"fp\":\"{fp:016x}\"}}"),
             format!("delta {verb} `{rel}` in fragment {frag}"),
@@ -910,7 +897,7 @@ impl FlockService {
         tsv: &str,
         frag: Option<(usize, u64)>,
     ) -> Response {
-        self.respond(self.mutate(rel, tsv, frag, false))
+        self.respond(self.mutate(rel, tsv, frag, false).map(|(reply, _)| reply))
     }
 
     /// Handle an admitted `retract`: subtract a TSV delta from one
@@ -923,22 +910,20 @@ impl FlockService {
         tsv: &str,
         frag: Option<(usize, u64)>,
     ) -> Response {
-        self.respond(self.mutate(rel, tsv, frag, true))
+        self.respond(self.mutate(rel, tsv, frag, true).map(|(reply, _)| reply))
     }
 
     /// One streaming delta (`append`, or `retract` when `retract`) on
     /// the master catalog, or on a synced fragment when `frag` names
-    /// one.
-    fn mutate(
+    /// one. A master commit also hands back the parsed delta and its
+    /// commit, for the shard coordinator to forward.
+    pub(crate) fn mutate(
         &self,
         rel: &str,
         tsv_text: &str,
         frag: Option<(usize, u64)>,
         retract: bool,
-    ) -> Result<(String, String)> {
-        if let Some((frag, fp)) = frag {
-            return self.frag_mutate(rel, tsv_text, frag, fp, retract);
-        }
+    ) -> Result<((String, String), Option<DeltaCommit>)> {
         let verb = if retract { "retract" } else { "append" };
         // Parse before touching the WAL so a malformed delta fails
         // typed without a durability round trip, and cross-check the
@@ -952,15 +937,14 @@ impl FlockService {
                 delta.name()
             )));
         }
-        let tsv = tsv_text.to_string();
-        let record = if retract {
-            WalRecord::Retract { tsv }
-        } else {
-            WalRecord::Append { tsv }
-        };
-        let Commit { fp, before, after } = self.commit_record(&record, Some(rel))?;
+        let record = delta_record(tsv_text.to_string(), retract);
+        if let Some(scope) = frag {
+            return Ok((self.frag_mutate(rel, &record, scope)?, None));
+        }
+        let commit = self.commit_record(&record, Some(rel))?;
+        let (fp, after) = (commit.fp, commit.after);
         // A union only grows the relation, a difference only shrinks it.
-        let changed = before.abs_diff(after);
+        let changed = commit.before.abs_diff(after);
         let (key, note) = if retract {
             (
                 "removed",
@@ -972,14 +956,16 @@ impl FlockService {
                 format!("appended {changed} new tuple(s) to {rel} [{after} total]"),
             )
         };
-        Ok((
-            format!(
-                "{{\"relation\":\"{}\",\"tuples\":{after},\"{key}\":{changed},\
-                 \"fp\":\"{fp:016x}\"}}",
-                json_escape(rel)
-            ),
-            note,
-        ))
+        let meta = format!(
+            "{{\"relation\":\"{}\",\"tuples\":{after},\"{key}\":{changed},\"fp\":\"{fp:016x}\"}}",
+            json_escape(rel)
+        );
+        let committed = DeltaCommit {
+            delta,
+            retract,
+            commit,
+        };
+        Ok(((meta, note), Some(committed)))
     }
 
     /// Apply one catalog mutation: apply the record to a copy of the
@@ -987,12 +973,12 @@ impl FlockService {
     /// install the copy and fix up the caches. Nothing is installed —
     /// let alone acknowledged — unless the record is already durable,
     /// so a crash at any point recovers a prefix of the acknowledged
-    /// mutations, never a half-applied one. Returns the post-mutation
-    /// catalog fingerprint — the value clients and the shard
-    /// coordinator verify installs against — and the touched
-    /// relation's size on either side of the mutation, both read inside
-    /// the critical section so concurrent mutations of one relation
-    /// each report their own effect.
+    /// mutations, never a half-applied one. Returns the catalog
+    /// fingerprint on either side of the mutation — the values clients
+    /// and the shard coordinator verify installs against — and the
+    /// touched relation's size on either side, all read inside the
+    /// critical section so concurrent mutations each report their own
+    /// effect.
     ///
     /// `touched` narrows cache invalidation for single-relation deltas:
     /// entries carrying maintenance state update themselves in place
@@ -1023,6 +1009,7 @@ impl FlockService {
         }
         let new_rel = touched.and_then(|rel| next.get(rel).ok().cloned());
         let commit = Commit {
+            old_fp,
             fp,
             before: old_rel.as_ref().map_or(0, Relation::len),
             after: new_rel.as_ref().map_or(0, Relation::len),
@@ -1173,6 +1160,24 @@ fn storage_error(e: StorageError) -> ServerError {
             ServerError::Parse(e.to_string())
         }
         _ => ServerError::Io(e.to_string()),
+    }
+}
+
+/// The WAL record of an `append` (or, when `retract`, a `retract`) of
+/// `tsv`.
+pub(crate) fn delta_record(tsv: String, retract: bool) -> WalRecord {
+    if retract {
+        WalRecord::Retract { tsv }
+    } else {
+        WalRecord::Append { tsv }
+    }
+}
+
+/// The typed refusal for a fragment this worker was never synced.
+fn no_such_fragment(frag: usize) -> ServerError {
+    ServerError::FragMissing {
+        frag,
+        detail: "no such fragment synced to this worker".to_string(),
     }
 }
 

@@ -9,14 +9,16 @@
 //! `qf-core` plan loop, delta state, cache insert) — with one thing
 //! substituted, the **step evaluator**:
 //!
-//! 1. The master catalog lives at the coordinator. Every mutation
-//!    (`load`/`gen`) applies there first, then the catalog is
-//!    hash-partitioned ([`qf_core::partition_database`], content-stable
-//!    hashing) and every fragment is `sync`ed to each of its replica
-//!    hosts ([`qf_core::replica_workers`]: fragment *i* lands on
-//!    workers *i*, *i+1 mod n*, … up to `--replicas R`). Workers verify
-//!    the fragment fingerprint before installing, so a torn push can
-//!    never be served.
+//! 1. The master catalog lives at the coordinator, and every mutation
+//!    applies there first. A bulk one (`load`/`gen`) re-partitions the
+//!    catalog ([`qf_core::partition_database`], content-stable
+//!    hashing) and `sync`s every fragment to each of its replica hosts
+//!    ([`qf_core::replica_workers`]: fragment *i* lands on workers *i*,
+//!    *i+1 mod n*, … up to `--replicas R`). An `append`/`retract` is
+//!    forwarded by the **delta push** instead: only its tuples, split
+//!    by the same shard key, travel as fragment-scoped deltas. Workers
+//!    verify the fragment fingerprint before installing either, so a
+//!    torn push can never be served.
 //! 2. A flock that passes the shardability check
 //!    ([`qf_core::shard_key_pos`]) is planned at the coordinator (plan
 //!    search sees full-catalog statistics), and the plan loop asks the
@@ -36,18 +38,24 @@
 //!
 //! # Failure model
 //!
-//! Every worker has a health entry (`up`/`suspect`/`down`) driven by
-//! consecutive failures: a circuit breaker opens (`down`) after
-//! `fail_threshold` in a row and the coordinator stops scattering to —
-//! or even dialing — that worker. A fragment's RPC tries its replicas
-//! in placement order (primary first, skipping open breakers), fails
-//! over on transport errors / draining workers / stale fragments, and
-//! only when **every** replica is unavailable re-derives the fragment
-//! from the master catalog and evaluates it locally (`rescatters` — the
-//! PR-7 last resort, now behind R−1 replicas). The partition used for
-//! re-derivation is cached across requests keyed by the master catalog
-//! fingerprint, so repeated hits on a degraded fleet do not re-shard
-//! the catalog every time.
+//! A worker's health is one number, its run of consecutive failures:
+//! `up` at zero, `suspect` below `fail_threshold`, and `down` — circuit
+//! breaker open — from there on; the coordinator then stops scattering
+//! to, or even dialing, that worker. A fragment's RPC tries its
+//! replicas in placement order (primary first, skipping open breakers),
+//! fails over on transport errors / draining workers / stale fragments,
+//! and only when **every** replica is unavailable re-derives the
+//! fragment from the master catalog and evaluates it locally
+//! (`rescatters` — the last resort, behind R−1 replicas).
+//!
+//! The partition behind re-derivation and behind every fingerprint a
+//! worker verifies is cached across requests, keyed by the master
+//! catalog fingerprint. The delta push advances it from its commit's
+//! own pre-mutation fingerprint to its post-mutation one by
+//! compare-and-swap; when concurrent mutations race (another push moved
+//! the cache first), the swap fails and the mutation falls back to the
+//! full push — so the cache never holds a partition under a fingerprint
+//! that does not describe it.
 //!
 //! Tail latency is clamped by **hedging**: when a fragment's primary
 //! has not answered within `hedge_after`, a duplicate request is
@@ -58,11 +66,12 @@
 //! pings workers whose breaker is open over a fresh, strictly
 //! I/O-timed connection (closed after the cycle — probes never pin a
 //! worker's `--max-conns` budget), re-`sync`s every fragment the
-//! worker hosts, and only then marks it `up` (`probes`/`rejoins`).
-//! A worker that rejoined with a stale fragment is caught by the
-//! fingerprint carried on every fragment-scoped `partial`: the worker
-//! answers typed `no-frag`, the coordinator fails over and re-opens
-//! the breaker so the probe re-syncs it.
+//! worker hosts through the same shipping routine as the catalog push,
+//! and only then marks it `up` (`probes`/`rejoins`). A worker that
+//! rejoined with a stale fragment is caught by the fingerprint carried
+//! on every `partial`: the worker answers typed `no-frag`, the
+//! coordinator fails over and re-opens the breaker so the probe
+//! re-syncs it.
 //!
 //! The monotone scored-result cache stays at the coordinator tier:
 //! single-step runs are cached under the **vacuous** baseline (the
@@ -72,7 +81,7 @@
 //! threshold, exactly like the standalone server.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,7 +91,7 @@ use qf_core::{
     replica_workers, scored_schema, shard_of, shardable_program, vacuous_filter, worker_fragments,
     CancelToken, ExecContext, FilterStep, JoinOrderStrategy, QueryPlan, ScoredStep, StepEvaluator,
 };
-use qf_storage::{tsv, Database, Relation, Tuple};
+use qf_storage::{tsv, Database, Relation, Tuple, Wal};
 
 use crate::client::{Client, ClientConfig};
 use crate::error::{Result, ServerError};
@@ -90,8 +99,8 @@ use crate::pool::{Job, JobPayload};
 use crate::protocol::{Request, RequestLimits, Response};
 use crate::report::{extend_json, json_escape, json_u64};
 use crate::service::{
-    parse_program, render_tsv, FlockRun, FlockService, Labels, RequestHandler, ServerConfig,
-    LOCAL_EVALUATOR, LOCAL_LABELS,
+    delta_record, parse_program, render_tsv, DeltaCommit, FlockRun, FlockService, Labels,
+    RequestHandler, ServerConfig, LOCAL_EVALUATOR, LOCAL_LABELS,
 };
 
 const SCATTER_LABELS: Labels = Labels {
@@ -193,17 +202,12 @@ impl WorkerState {
     }
 }
 
-#[derive(Default)]
-struct Health {
-    /// Consecutive failures since the last success.
-    fails: u32,
-    /// `true` once the breaker is open (reset only by a probe re-sync).
-    down: bool,
-}
-
 /// Coordinator-side counters, surfaced as distinct fields in `stats` —
 /// never folded into the per-request counters of [`FlockService`] (a
-/// shard's timeout is not this coordinator's timeout).
+/// shard's timeout is not this coordinator's timeout). A flock request
+/// tallies its own rescatters, failovers and hedges in a
+/// `ShardCounters` of its own, reports them in its response meta, and
+/// adds them to the process totals once, when it ends.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     /// Partial RPCs attempted (including failovers and hedges).
@@ -233,17 +237,32 @@ pub struct ShardCounters {
     pub delta_pushes: AtomicU64,
 }
 
+impl ShardCounters {
+    /// Add one request's tally of rescatters, failovers and hedges to
+    /// these totals.
+    fn absorb(&self, tally: &ShardCounters) {
+        for (total, n) in [
+            (&self.rescatters, &tally.rescatters),
+            (&self.failovers, &tally.failovers),
+            (&self.hedges_launched, &tally.hedges_launched),
+            (&self.hedges_won, &tally.hedges_won),
+        ] {
+            total.fetch_add(n.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+}
+
 /// The cached fragment partition of the master catalog, keyed by the
 /// master fingerprint so any mutation invalidates it wholesale.
 /// Fragments are stored **TSV-round-tripped** — exactly the bytes a
 /// worker reassembles from a `sync` — so local re-derivation, the
-/// fragment fingerprints pushed to workers, and worker-side evaluation
-/// all agree even for values the wire canonicalizes (digit-like
-/// symbols parse back as integers).
+/// fragment fingerprints pushed to workers (each fragment's memoized
+/// [`Database::fingerprint`]), and worker-side evaluation all agree
+/// even for values the wire canonicalizes (digit-like symbols parse
+/// back as integers).
 struct FragCache {
     master_fp: u64,
     frags: Arc<Vec<Database>>,
-    fps: Arc<Vec<u64>>,
 }
 
 /// State shared between request threads, detached RPC threads, and the
@@ -251,7 +270,11 @@ struct FragCache {
 struct ShardCore {
     service: Arc<FlockService>,
     slots: Vec<ShardSlot>,
-    health: Vec<Mutex<Health>>,
+    /// Per worker, its run of consecutive failures: the whole health
+    /// registry (see [`ShardCore::worker_state`]). Accessed `Relaxed`:
+    /// each count is read and updated alone and publishes no other
+    /// data.
+    fails: Vec<AtomicU32>,
     replicated: BTreeSet<String>,
     client_config: ClientConfig,
     connector: RwLock<ShardConnector>,
@@ -263,39 +286,36 @@ struct ShardCore {
     stop_probe: AtomicBool,
 }
 
-/// What one replica's fragment RPC produced, as seen by the gather
-/// loop.
-enum RpcReply {
+/// What a fragment RPC produced: from one replica as the gather loop
+/// sees it, and for the fragment as a whole once failover and hedging
+/// are done.
+enum Reply {
     /// A scored partial, parsed and ready to merge.
     Scored(Relation),
-    /// The worker could not serve this fragment (transport failure,
-    /// draining, or a stale/missing fragment): fail over to the next
-    /// replica.
+    /// Not served (transport failure, draining, or a stale/missing
+    /// fragment). From one replica: fail over to the next. For the
+    /// fragment: every replica failed or was down, and the caller
+    /// re-derives it locally.
     Failed(String),
-    /// The worker answered with a typed error that failover cannot
-    /// cure (timeout/budget/cancelled/eval): propagate its class.
+    /// A typed error failover cannot cure (timeout/budget/cancelled/
+    /// eval): propagate its class.
     Refused { kind: String, detail: String },
 }
 
-/// What one *fragment* resolved to after failover and hedging.
-enum FragOutcome {
-    Scored(Relation),
-    /// Every replica failed or was down: the caller re-derives locally.
-    AllDead(String),
-    Refused {
-        kind: String,
-        detail: String,
+/// What travels to a worker for one fragment it hosts.
+enum Shipment<'a> {
+    /// The whole fragment (`sync`); the worker verifies its fingerprint
+    /// before installing it.
+    Full(&'a Database),
+    /// A delta to one relation of the fragment (fragment-scoped
+    /// `append`/`retract`) and the fingerprint it must leave the
+    /// fragment at.
+    Delta {
+        rel: &'a str,
+        tsv: &'a str,
+        retract: bool,
+        fp: u64,
     },
-}
-
-/// Per-request failure-handling tallies, reported in the response meta
-/// (the [`ShardCounters`] equivalents are process-lifetime totals).
-#[derive(Default)]
-struct ReqTally {
-    rescatters: AtomicU64,
-    failovers: AtomicU64,
-    hedges_launched: AtomicU64,
-    hedges_won: AtomicU64,
 }
 
 impl ShardCore {
@@ -305,18 +325,19 @@ impl ShardCore {
     fn with_client<T>(&self, k: usize, f: impl FnOnce(&mut Client) -> Result<T>) -> Result<T> {
         let slot = &self.slots[k];
         let mut guard = slot.client.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.is_none() {
-            let connector = Arc::clone(&self.connector.read().unwrap_or_else(|e| e.into_inner()));
-            *guard = Some(connector(&slot.addr, &self.client_config)?);
-        }
-        let client = guard.as_mut().expect("session just ensured");
-        match f(client) {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                *guard = None;
-                Err(e)
+        let client = match guard.take() {
+            Some(client) => client,
+            None => {
+                let connector =
+                    Arc::clone(&self.connector.read().unwrap_or_else(|e| e.into_inner()));
+                connector(&slot.addr, &self.client_config)?
             }
+        };
+        let out = f(guard.insert(client));
+        if out.is_err() {
+            *guard = None;
         }
+        out
     }
 
     /// Drop worker `k`'s pooled session so the next RPC redials.
@@ -328,38 +349,27 @@ impl ShardCore {
     }
 
     fn worker_state(&self, k: usize) -> WorkerState {
-        let h = self.health[k].lock().unwrap_or_else(|e| e.into_inner());
-        if h.down {
-            WorkerState::Down
-        } else if h.fails > 0 {
-            WorkerState::Suspect
-        } else {
-            WorkerState::Up
+        match self.fails[k].load(Ordering::Relaxed) {
+            0 => WorkerState::Up,
+            f if f < self.fail_threshold => WorkerState::Suspect,
+            _ => WorkerState::Down,
         }
     }
 
     fn is_down(&self, k: usize) -> bool {
-        self.health[k]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .down
+        self.worker_state(k) == WorkerState::Down
     }
 
     /// A successful RPC closes the breaker and clears the failure run.
     fn note_success(&self, k: usize) {
-        let mut h = self.health[k].lock().unwrap_or_else(|e| e.into_inner());
-        h.fails = 0;
-        h.down = false;
+        self.fails[k].store(0, Ordering::Relaxed);
     }
 
     /// A failed RPC extends the failure run; at `fail_threshold` in a
     /// row the breaker opens and only the probe can close it again.
     fn note_failure(&self, k: usize) {
-        let mut h = self.health[k].lock().unwrap_or_else(|e| e.into_inner());
-        h.fails = h.fails.saturating_add(1);
-        if h.fails >= self.fail_threshold {
-            h.down = true;
-        }
+        let _ =
+            self.fails[k].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| f.checked_add(1));
     }
 
     /// Open the breaker immediately — for *definitive* evidence like a
@@ -367,37 +377,30 @@ impl ShardCore {
     /// probe re-syncs it; counting up to the threshold would just burn
     /// scatters on an answer that cannot change).
     fn force_down(&self, k: usize) {
-        let mut h = self.health[k].lock().unwrap_or_else(|e| e.into_inner());
-        h.fails = h.fails.max(self.fail_threshold);
-        h.down = true;
+        self.fails[k].fetch_max(self.fail_threshold, Ordering::Relaxed);
     }
 
     /// The fragment partition of the master catalog, cached across
     /// requests and invalidated by any mutation (the key is the master
-    /// fingerprint). Returns the TSV-round-tripped fragments and their
-    /// content fingerprints — the same values workers verify on `sync`
-    /// and `partial`.
-    fn fragments(&self, master: &Database, master_fp: u64) -> (Arc<Vec<Database>>, Arc<Vec<u64>>) {
+    /// fingerprint): the TSV-round-tripped fragments whose fingerprints
+    /// workers verify on `sync` and `partial`.
+    fn fragments(&self, master: &Database, master_fp: u64) -> Arc<Vec<Database>> {
         let mut guard = self.frag_cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(c) = guard.as_ref() {
-            if c.master_fp == master_fp {
-                return (Arc::clone(&c.frags), Arc::clone(&c.fps));
-            }
+        if let Some(c) = guard.as_ref().filter(|c| c.master_fp == master_fp) {
+            return Arc::clone(&c.frags);
         }
         let n = self.slots.len().max(1);
-        let frags: Vec<Database> = partition_database(master, n, &self.replicated)
-            .iter()
-            .map(roundtrip_database)
-            .collect();
-        let fps: Vec<u64> = frags.iter().map(Database::fingerprint).collect();
-        let frags = Arc::new(frags);
-        let fps = Arc::new(fps);
+        let frags: Arc<Vec<Database>> = Arc::new(
+            partition_database(master, n, &self.replicated)
+                .iter()
+                .map(roundtrip_database)
+                .collect(),
+        );
         *guard = Some(FragCache {
             master_fp,
             frags: Arc::clone(&frags),
-            fps: Arc::clone(&fps),
         });
-        (frags, fps)
+        frags
     }
 
     /// The client config probes dial with: fail fast (no transparent
@@ -420,6 +423,58 @@ impl ShardCore {
         }
     }
 
+    /// Ship fragments to worker `w` in order — over its pooled session,
+    /// or over a probe's fresh connection — stopping at the first
+    /// refusal or transport error, and account the worker's health: a
+    /// complete shipment closes its breaker, a failed one extends its
+    /// failure run. Returns how many shipments the worker acknowledged,
+    /// and the failure if there was one.
+    fn ship<'a>(
+        &self,
+        w: usize,
+        items: impl IntoIterator<Item = (usize, Shipment<'a>)>,
+        probe: Option<&mut Client>,
+    ) -> (usize, std::result::Result<(), String>) {
+        let mut acked = 0usize;
+        // `Ok(Some(refusal))`: the worker answered, but refused one.
+        let send = |c: &mut Client| -> Result<Option<String>> {
+            for (f, item) in items {
+                let resp = match item {
+                    Shipment::Full(frag) => {
+                        c.sync(f, frag.fingerprint(), frag.iter().map(render_tsv).collect())?
+                    }
+                    Shipment::Delta {
+                        rel,
+                        tsv,
+                        retract,
+                        fp,
+                    } => c.request(&Request::delta(rel, tsv, retract, Some((f, fp))))?,
+                };
+                if let Response::Err { kind, detail } = resp {
+                    return Ok(Some(format!(
+                        "worker {w} refused its shipment of fragment {f} ({kind}): {detail}"
+                    )));
+                }
+                acked += 1;
+            }
+            Ok(None)
+        };
+        let sent = match probe {
+            Some(client) => send(client),
+            None => self.with_client(w, send),
+        };
+        let outcome = match sent {
+            Ok(None) => Ok(()),
+            Ok(Some(refusal)) => Err(refusal),
+            Err(e) => Err(format!("worker {w}: {e}")),
+        };
+        match outcome {
+            Ok(()) => self.note_success(w),
+            Err(_) => self.note_failure(w),
+        }
+        (acked, outcome)
+    }
+
     /// One replica's fragment RPC, classified for the gather loop.
     fn rpc_partial(
         &self,
@@ -428,30 +483,30 @@ impl ShardCore {
         scratch: Vec<String>,
         frag: (usize, u64),
         limits: RequestLimits,
-    ) -> RpcReply {
+    ) -> Reply {
         self.counters.scatters.fetch_add(1, Ordering::Relaxed);
-        let sent = self.with_client(k, |c| c.partial(text, scratch, Some(frag), limits));
+        let sent = self.with_client(k, |c| c.partial(text, scratch, frag, limits));
         match sent {
-            Err(e) => RpcReply::Failed(e.to_string()),
+            Err(e) => Reply::Failed(e.to_string()),
             // A draining shard answers typed `shutting-down` on a still
             // -open session but will not serve this scatter or any
             // later one: drop the session and fail over like a death.
             Ok(Response::Err { kind, detail }) if kind == "shutting-down" => {
                 self.drop_session(k);
-                RpcReply::Failed(format!("shard draining: {detail}"))
+                Reply::Failed(format!("shard draining: {detail}"))
             }
             // `no-frag` is definitive: the worker is missing this
             // fragment or holds a stale copy. Open its breaker right
             // away so the probe re-syncs it, and fail over.
             Ok(Response::Err { kind, detail }) if kind == "no-frag" => {
                 self.force_down(k);
-                RpcReply::Failed(format!("fragment not served: {detail}"))
+                Reply::Failed(format!("fragment not served: {detail}"))
             }
-            Ok(Response::Err { kind, detail }) => RpcReply::Refused { kind, detail },
+            Ok(Response::Err { kind, detail }) => Reply::Refused { kind, detail },
             Ok(Response::Ok { body, .. }) => {
                 match tsv::read_tsv(std::io::Cursor::new(body.as_bytes())) {
-                    Ok(rel) => RpcReply::Scored(rel),
-                    Err(e) => RpcReply::Refused {
+                    Ok(rel) => Reply::Scored(rel),
+                    Err(e) => Reply::Refused {
                         kind: "proto".to_string(),
                         detail: format!("unparseable scored partial: {e}"),
                     },
@@ -473,7 +528,7 @@ impl ShardCore {
         frag: (usize, u64),
         limits: RequestLimits,
         was_hedge: bool,
-        tx: &mpsc::Sender<(usize, RpcReply, bool)>,
+        tx: &mpsc::Sender<(usize, Reply, bool)>,
     ) -> bool {
         let core = Arc::clone(self);
         let text = text.to_string();
@@ -492,7 +547,8 @@ impl ShardCore {
 
     /// Resolve one fragment: primary first, fail over through live
     /// replicas, hedge when the in-flight RPC exceeds the hedge budget,
-    /// first scored partial wins.
+    /// first scored partial wins. Failovers and hedges are tallied in
+    /// the request's `tally`.
     #[allow(clippy::too_many_arguments)]
     fn fragment_partial(
         self: &Arc<Self>,
@@ -502,8 +558,8 @@ impl ShardCore {
         scratch: &[String],
         limits: RequestLimits,
         deadline: Option<Instant>,
-        tally: &ReqTally,
-    ) -> FragOutcome {
+        tally: &ShardCounters,
+    ) -> Reply {
         let n = self.slots.len();
         let primary = frag % n.max(1);
         let cands: Vec<usize> = replica_workers(frag, n, self.replicas)
@@ -511,7 +567,7 @@ impl ShardCore {
             .filter(|&w| !self.is_down(w))
             .collect();
         if cands.is_empty() {
-            return FragOutcome::AllDead(format!(
+            return Reply::Failed(format!(
                 "all {} replica(s) of fragment {frag} have open breakers",
                 self.replicas
             ));
@@ -519,58 +575,47 @@ impl ShardCore {
         let (tx, rx) = mpsc::channel();
         let mut fails: Vec<String> = Vec::new();
         let mut next = 0usize;
-        let mut pending = 0usize;
-        let mut hedged = false;
-        let launch = |k: usize, was_hedge: bool, fails: &mut Vec<String>| -> usize {
-            if self.launch_rpc(k, text, scratch, (frag, fp), limits, was_hedge, &tx) {
-                1
-            } else {
+        // Launch the next candidate whose RPC thread spawns: returns the
+        // RPCs now in flight, 0 once the candidates ran out.
+        let launch = |was_hedge: bool, next: &mut usize, fails: &mut Vec<String>| -> usize {
+            while let Some(&k) = cands.get(*next) {
+                *next += 1;
+                if self.launch_rpc(k, text, scratch, (frag, fp), limits, was_hedge, &tx) {
+                    return 1;
+                }
                 fails.push(format!("worker {k}: could not spawn rpc thread"));
-                0
             }
+            0
         };
-        pending += launch(cands[next], false, &mut fails);
-        next += 1;
+        let mut pending = launch(false, &mut next, &mut fails);
+        let mut hedged = false;
         loop {
             if pending == 0 {
-                // Spawn failures exhausted the candidate list without a
-                // single RPC in flight.
-                if next < cands.len() {
-                    pending += launch(cands[next], false, &mut fails);
-                    next += 1;
-                    continue;
-                }
-                return FragOutcome::AllDead(fails.join("; "));
+                // Every candidate failed or could not be spawned.
+                return Reply::Failed(fails.join("; "));
             }
             // While a hedge is still possible, wait only up to the
             // hedge budget; afterwards poll at a coarse period, bounded
             // by the request deadline plus grace.
             let hedge_wait = self.hedge_after.filter(|_| !hedged && next < cands.len());
             match rx.recv_timeout(hedge_wait.unwrap_or(GATHER_POLL)) {
-                Ok((w, RpcReply::Scored(rel), was_hedge)) => {
+                Ok((w, Reply::Scored(rel), was_hedge)) => {
                     self.note_success(w);
                     if was_hedge {
-                        self.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
                         tally.hedges_won.fetch_add(1, Ordering::Relaxed);
                     } else if w != primary {
-                        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
                         tally.failovers.fetch_add(1, Ordering::Relaxed);
                     }
-                    return FragOutcome::Scored(rel);
+                    return Reply::Scored(rel);
                 }
-                Ok((w, RpcReply::Failed(detail), _)) => {
+                Ok((w, Reply::Failed(detail), _)) => {
                     self.note_failure(w);
                     pending -= 1;
                     fails.push(format!("worker {w} ({}): {detail}", self.slots[w].addr));
-                    if next < cands.len() {
-                        pending += launch(cands[next], false, &mut fails);
-                        next += 1;
-                    } else if pending == 0 {
-                        return FragOutcome::AllDead(fails.join("; "));
-                    }
+                    pending += launch(false, &mut next, &mut fails);
                 }
-                Ok((w, RpcReply::Refused { kind, detail }, _)) => {
-                    return FragOutcome::Refused {
+                Ok((w, Reply::Refused { kind, detail }, _)) => {
+                    return Reply::Refused {
                         kind,
                         detail: format!("worker {w}: {detail}"),
                     };
@@ -580,17 +625,13 @@ impl ShardCore {
                         // The in-flight RPC blew the hedge budget:
                         // duplicate it at the next live replica and let
                         // the two race.
-                        self.counters
-                            .hedges_launched
-                            .fetch_add(1, Ordering::Relaxed);
                         tally.hedges_launched.fetch_add(1, Ordering::Relaxed);
                         hedged = true;
-                        pending += launch(cands[next], true, &mut fails);
-                        next += 1;
+                        pending += launch(true, &mut next, &mut fails);
                     } else if deadline.is_some_and(|d| Instant::now() >= d + GATHER_GRACE) {
                         // The workers' own governors should have tripped
                         // long ago; give up on the replies, typed.
-                        return FragOutcome::Refused {
+                        return Reply::Refused {
                             kind: "timeout".to_string(),
                             detail: format!("fragment {frag}: no replica replied by the deadline"),
                         };
@@ -598,7 +639,7 @@ impl ShardCore {
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     // Unreachable (we hold a sender), but never hang.
-                    return FragOutcome::AllDead("rpc channel closed".to_string());
+                    return Reply::Failed("rpc channel closed".to_string());
                 }
             }
         }
@@ -635,7 +676,8 @@ struct ScatterEvaluator<'a> {
     /// the fingerprints workers verify) derive from it.
     master: &'a Database,
     master_fp: u64,
-    tally: ReqTally,
+    /// This request's rescatters, failovers and hedges.
+    tally: ShardCounters,
 }
 
 impl StepEvaluator for ScatterEvaluator<'_> {
@@ -676,12 +718,12 @@ impl StepEvaluator for ScatterEvaluator<'_> {
         let deadline = remaining.map(|d| Instant::now() + d);
         // The fragment partition: cached across requests, keyed by the
         // master fingerprint.
-        let (frags, fps) = core.fragments(self.master, self.master_fp);
+        let frags = core.fragments(self.master, self.master_fp);
         let (text, scratch, tally) = (&text, &scratch, &self.tally);
-        let outcomes: Vec<FragOutcome> = std::thread::scope(|s| {
+        let outcomes: Vec<Reply> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|f| {
-                    let fp = fps[f];
+                    let fp = frags[f].fingerprint();
                     s.spawn(move || {
                         core.fragment_partial(f, fp, text, scratch, limits, deadline, tally)
                     })
@@ -690,7 +732,7 @@ impl StepEvaluator for ScatterEvaluator<'_> {
             handles
                 .into_iter()
                 .map(|h| {
-                    h.join().unwrap_or_else(|_| FragOutcome::Refused {
+                    h.join().unwrap_or_else(|_| Reply::Refused {
                         kind: "eval".to_string(),
                         detail: "scatter thread panicked".to_string(),
                     })
@@ -700,8 +742,8 @@ impl StepEvaluator for ScatterEvaluator<'_> {
         let mut parts = Vec::with_capacity(n);
         for (f, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                FragOutcome::Scored(rel) => parts.push(rel),
-                FragOutcome::Refused { kind, detail } => {
+                Reply::Scored(rel) => parts.push(rel),
+                Reply::Refused { kind, detail } => {
                     return Err(match kind.as_str() {
                         "timeout" => ServerError::Timeout {
                             stage: "shard",
@@ -712,7 +754,7 @@ impl StepEvaluator for ScatterEvaluator<'_> {
                         _ => ServerError::Eval(format!("fragment {f} ({kind}): {detail}")),
                     })
                 }
-                FragOutcome::AllDead(detail) => {
+                Reply::Failed(detail) => {
                     // Last resort: the master catalog reproduces any
                     // fragment deterministically; the partition is
                     // cached across requests, so this costs one local
@@ -728,7 +770,6 @@ impl StepEvaluator for ScatterEvaluator<'_> {
                                 shard: f,
                                 detail: format!("{detail}; local re-derivation also failed: {e}"),
                             })?;
-                    core.counters.rescatters.fetch_add(1, Ordering::Relaxed);
                     tally.rescatters.fetch_add(1, Ordering::Relaxed);
                     parts.push(scored);
                 }
@@ -777,7 +818,7 @@ impl Coordinator {
                     client: Mutex::new(None),
                 })
                 .collect(),
-            health: (0..n).map(|_| Mutex::new(Health::default())).collect(),
+            fails: (0..n).map(|_| AtomicU32::new(0)).collect(),
             replicated: shard.replicated,
             client_config: shard.client,
             connector: RwLock::new(Arc::new(|addr: &str, cfg: &ClientConfig| {
@@ -838,7 +879,8 @@ impl Coordinator {
 
     /// Partition the master catalog (cached by fingerprint) and `sync`
     /// every fragment to each of its live replica hosts. Called after
-    /// every mutation; also available for initial seeding.
+    /// every bulk mutation, and after an `append`/`retract` whose delta
+    /// push failed; also available for initial seeding.
     ///
     /// Succeeds when every fragment with at least one **live** host was
     /// installed somewhere; fragments whose hosts are all down are
@@ -853,59 +895,37 @@ impl Coordinator {
             return Ok(());
         }
         let (db, fp) = core.service.snapshot();
-        let (frags, fps) = core.fragments(&db, fp);
+        let frags = core.fragments(&db, fp);
         let mut synced = vec![false; n];
         let mut had_live_host = vec![false; n];
         let mut errors: Vec<String> = Vec::new();
-        for w in 0..n {
-            if core.is_down(w) {
-                continue;
-            }
-            let mut worker_ok = true;
-            for f in worker_fragments(w, n, core.replicas) {
+        for w in (0..n).filter(|&w| !core.is_down(w)) {
+            let hosted = worker_fragments(w, n, core.replicas);
+            let items = hosted.iter().map(|&f| (f, Shipment::Full(&frags[f])));
+            let (acked, sent) = core.ship(w, items, None);
+            // The worker installed the fragments it acknowledged and
+            // refused the next one; it never saw the rest.
+            for (i, &f) in hosted.iter().enumerate().take(acked + 1) {
                 had_live_host[f] = true;
-                let rels: Vec<String> = frags[f].iter().map(render_tsv).collect();
-                match core.with_client(w, |c| c.sync(f, fps[f], rels)) {
-                    Ok(Response::Ok { .. }) => synced[f] = true,
-                    Ok(Response::Err { kind, detail }) => {
-                        errors.push(format!("worker {w} rejected sync ({kind}): {detail}"));
-                        worker_ok = false;
-                        break;
-                    }
-                    Err(e) => {
-                        errors.push(format!("worker {w}: {e}"));
-                        worker_ok = false;
-                        break;
-                    }
-                }
+                synced[f] |= i < acked;
             }
-            if worker_ok {
-                core.note_success(w);
-            } else {
-                core.note_failure(w);
-            }
+            errors.extend(sent.err());
         }
-        for f in 0..n {
-            if had_live_host[f] && !synced[f] {
-                return Err(ServerError::ShardLost {
-                    shard: f,
-                    detail: errors.join("; "),
-                });
-            }
+        match (0..n).find(|&f| had_live_host[f] && !synced[f]) {
+            Some(shard) => Err(ServerError::ShardLost {
+                shard,
+                detail: errors.join("; "),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Admitted `append`/`retract` at the coordinator: mutate the
     /// master durably first (which also delta-maintains the
-    /// coordinator's own result cache), then ship **only the delta
-    /// tuples** to the affected fragments' replica workers —
-    /// partitioned by the same shard key as the catalog itself — via
-    /// [`Coordinator::push_delta`]. Any hiccup on the delta path
-    /// (cold/stale partition cache, a live worker refusing its
-    /// fragment delta) falls back to the full [`Coordinator::push_catalog`].
-    /// The mutation itself already committed, so the client's retry
-    /// policy only replays it on responses certifying non-execution.
+    /// coordinator's own result cache), then forward the commit to the
+    /// fleet ([`Coordinator::push_committed`]). The mutation itself
+    /// already committed, so the client's retry policy only replays it
+    /// on responses certifying non-execution.
     ///
     /// A frag-scoped mutation addresses *this* node's own fragment
     /// store (nested topologies); no fleet push.
@@ -917,145 +937,110 @@ impl Coordinator {
         retract: bool,
     ) -> Response {
         let service = &self.core.service;
-        let local = |frag| {
-            if retract {
-                service.handle_retract_admitted(rel, tsv, frag)
-            } else {
-                service.handle_append_admitted(rel, tsv, frag)
-            }
-        };
-        if frag.is_some() {
-            return local(frag);
-        }
-        let (_, old_fp) = service.snapshot();
-        let resp = local(None);
-        if resp.is_ok() && self.push_delta(rel, tsv, retract, old_fp).is_err() {
-            if let Err(e) = self.push_catalog() {
-                return Response::from_error(&e);
-            }
-        }
-        resp
+        let outcome = service
+            .mutate(rel, tsv, frag, retract)
+            .and_then(|(reply, committed)| {
+                if let Some(m) = committed {
+                    self.push_committed(&m)?;
+                }
+                Ok(reply)
+            });
+        service.respond(outcome)
     }
 
-    /// Route a just-committed delta to the worker fleet without
-    /// re-shipping whole fragments: partition the delta's tuples by
-    /// the catalog's own shard key (first column; replicated relations
-    /// land on every fragment), apply each part to the cached
-    /// fragment through the same WAL routine workers use, and ship the
-    /// part to each live replica host as a fragment-scoped
-    /// `append`/`retract` carrying the expected post-delta fragment
-    /// fingerprint. The cached partition is updated in place on full
-    /// success, so the next scatter sees fingerprints consistent with
-    /// what workers now hold.
+    /// Forward a committed `append`/`retract` to the fleet: the delta
+    /// push, or — when it cannot prove the fleet converged (cold or
+    /// moved partition cache, a live worker refusing its fragment
+    /// delta) — the full [`Coordinator::push_catalog`].
+    fn push_committed(&self, m: &DeltaCommit) -> Result<()> {
+        self.push_delta(m).or_else(|_| self.push_catalog())
+    }
+
+    /// Route a committed delta to the worker fleet without re-shipping
+    /// whole fragments: partition the delta's tuples by the catalog's
+    /// own shard key (first column; replicated relations land on every
+    /// fragment), apply each part to the cached fragment through the
+    /// same WAL routine workers use, and ship the part to each live
+    /// replica host as a fragment-scoped `append`/`retract` carrying
+    /// the expected post-delta fragment fingerprint.
     ///
-    /// Any error means "the cheap path could not prove the fleet
-    /// converged" — the caller falls back to a full catalog push.
-    /// Down workers are skipped (the probe's rejoin re-sync ships the
-    /// current partition anyway).
-    fn push_delta(&self, rel: &str, tsv: &str, retract: bool, old_fp: u64) -> Result<()> {
+    /// The cached partition must describe exactly the catalog the
+    /// commit was applied to, and is swapped for the advanced one only
+    /// if it still does: both ends of the swap are the commit's own
+    /// fingerprints, read inside its critical section, so a concurrent
+    /// mutation can never leave a partition cached under a fingerprint
+    /// that does not describe it. Any error means "the cheap path could
+    /// not prove the fleet converged" — the caller falls back to a full
+    /// catalog push. Down workers are skipped (the probe's rejoin
+    /// re-sync ships the current partition anyway).
+    fn push_delta(&self, m: &DeltaCommit) -> Result<()> {
         let core = &self.core;
         let n = core.slots.len();
         if n == 0 {
             return Ok(());
         }
-        let delta = tsv::read_tsv(std::io::Cursor::new(tsv.as_bytes()))
-            .map_err(|e| ServerError::Parse(e.to_string()))?;
-        let (_, new_fp) = core.service.snapshot();
-        // The cached partition must describe exactly what workers hold
-        // — the pre-mutation catalog. Cold or stale (a concurrent
-        // mutation won the race) means the delta's base is unknown.
-        let (mut frags, mut fps) = {
+        let moved = || ServerError::Eval("fragment cache cold or moved; full push required".into());
+        let mut frags: Vec<Database> = {
             let guard = core.frag_cache.lock().unwrap_or_else(|e| e.into_inner());
             match guard.as_ref() {
-                Some(c) if c.master_fp == old_fp => ((*c.frags).clone(), (*c.fps).clone()),
-                _ => {
-                    return Err(ServerError::Eval(
-                        "fragment cache cold or stale; full push required".to_string(),
-                    ))
-                }
+                Some(c) if c.master_fp == m.commit.old_fp => (*c.frags).clone(),
+                _ => return Err(moved()),
             }
         };
         // Partition the delta exactly like the catalog itself.
         let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-        if core.replicated.contains(rel) {
+        if core.replicated.contains(m.delta.name()) {
             for part in &mut parts {
-                *part = delta.tuples().to_vec();
+                *part = m.delta.tuples().to_vec();
             }
         } else {
-            for t in delta.iter() {
+            for t in m.delta.iter() {
                 parts[shard_of(t.get(0), n)].push(t.clone());
             }
         }
         // Advance each affected cached fragment through the same WAL
         // apply routine the workers run, yielding the fingerprints
         // they must land on.
-        let mut shipments: Vec<(usize, String)> = Vec::new();
+        let mut part_tsv: Vec<Option<String>> = vec![None; n];
         for (f, part) in parts.into_iter().enumerate() {
             if part.is_empty() {
                 continue;
             }
-            let part_rel = Relation::from_tuples(delta.schema().clone(), part);
-            let part_tsv = render_tsv(&part_rel);
-            let record = if retract {
-                qf_storage::WalRecord::Retract {
-                    tsv: part_tsv.clone(),
-                }
-            } else {
-                qf_storage::WalRecord::Append {
-                    tsv: part_tsv.clone(),
-                }
-            };
-            qf_storage::Wal::apply(&mut frags[f], &record)
+            let tsv = render_tsv(&Relation::from_tuples(m.delta.schema().clone(), part));
+            Wal::apply(&mut frags[f], &delta_record(tsv.clone(), m.retract))
                 .map_err(|e| ServerError::Eval(e.to_string()))?;
-            fps[f] = frags[f].fingerprint();
-            shipments.push((f, part_tsv));
+            part_tsv[f] = Some(tsv);
         }
-        for (f, part_tsv) in &shipments {
-            for w in replica_workers(*f, n, core.replicas) {
-                if core.is_down(w) {
-                    continue;
-                }
-                let sent = core.with_client(w, |c| {
-                    if retract {
-                        c.retract_frag(rel, part_tsv, *f, fps[*f])
-                    } else {
-                        c.append_frag(rel, part_tsv, *f, fps[*f])
-                    }
-                });
-                match sent {
-                    Ok(Response::Ok { .. }) => core.note_success(w),
-                    Ok(Response::Err { kind, detail }) => {
-                        core.note_failure(w);
-                        return Err(ServerError::Eval(format!(
-                            "worker {w} refused fragment {f} delta ({kind}): {detail}"
-                        )));
-                    }
-                    Err(e) => {
-                        core.note_failure(w);
-                        return Err(ServerError::Eval(format!(
-                            "worker {w}: fragment {f} delta failed: {e}"
-                        )));
-                    }
-                }
+        for w in (0..n).filter(|&w| !core.is_down(w)) {
+            let items: Vec<(usize, Shipment)> = worker_fragments(w, n, core.replicas)
+                .into_iter()
+                .filter_map(|f| {
+                    let delta = Shipment::Delta {
+                        rel: m.delta.name(),
+                        tsv: part_tsv[f].as_deref()?,
+                        retract: m.retract,
+                        fp: frags[f].fingerprint(),
+                    };
+                    Some((f, delta))
+                })
+                .collect();
+            // A worker the delta does not touch is neither dialed nor
+            // credited with a success.
+            if !items.is_empty() {
+                core.ship(w, items, None).1.map_err(ServerError::Eval)?;
             }
         }
-        // Install the advanced partition — but only if no concurrent
-        // mutation moved the cache underneath us (then *its* push is
-        // authoritative and ours must fall back to a full sync).
         let mut guard = core.frag_cache.lock().unwrap_or_else(|e| e.into_inner());
         match guard.as_ref() {
-            Some(c) if c.master_fp == old_fp => {
+            Some(c) if c.master_fp == m.commit.old_fp => {
                 *guard = Some(FragCache {
-                    master_fp: new_fp,
+                    master_fp: m.commit.fp,
                     frags: Arc::new(frags),
-                    fps: Arc::new(fps),
                 });
                 core.counters.delta_pushes.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
-            _ => Err(ServerError::Eval(
-                "fragment cache moved during delta push".to_string(),
-            )),
+            _ => Err(moved()),
         }
     }
 
@@ -1096,7 +1081,7 @@ impl Coordinator {
                 core,
                 master: &db,
                 master_fp: fp,
-                tally: ReqTally::default(),
+                tally: ShardCounters::default(),
             };
             let run = FlockRun {
                 program: &program,
@@ -1106,12 +1091,15 @@ impl Coordinator {
                 labels: &SCATTER_LABELS,
                 partial: false,
             };
-            let o = service.run_flock(run, limits, granted_threads, deadline, cancel)?;
+            let ran = service.run_flock(run, limits, granted_threads, deadline, cancel);
+            // Failed requests fail over, hedge and rescatter too.
+            let tally = &evaluator.tally;
+            core.counters.absorb(tally);
+            let o = ran?;
             if !o.cache_hit {
                 core.counters.sharded.fetch_add(1, Ordering::Relaxed);
             }
             // A cache hit scattered nothing: its tallies are all zero.
-            let tally = &evaluator.tally;
             let sharded = format!(
                 "\"sharded\":true,\"shards\":{},\"rescatters\":{},\"failovers\":{},\
                  \"hedges_launched\":{},\"hedges_won\":{}",
@@ -1136,87 +1124,75 @@ impl Coordinator {
     /// dashboard can tell "zero" from "unknown"; down workers are not
     /// even dialed (the probe owns talking to them).
     fn stats_with_shards(&self) -> Response {
+        /// The worker counters rolled up, each as `shard_<key>`.
+        const ROLLUP: [&str; 10] = [
+            "requests",
+            "cache_hits",
+            "cache_misses",
+            "timeouts",
+            "cancelled",
+            "rejected",
+            "delta_applied",
+            "delta_maintained",
+            "delta_rebuilds",
+            "recheck_tuples",
+        ];
         let core = &self.core;
-        let base = core.service.stats_json();
+        let n = core.slots.len();
         let mut live = 0u64;
-        // requests, hits, misses, timeouts, cancelled, rejected, plus
-        // the four delta-maintenance counters.
-        let mut rollup = [0u64; 10];
-        let mut missing: Vec<&str> = Vec::new();
-        for k in 0..core.slots.len() {
-            if core.is_down(k) {
-                missing.push(&core.slots[k].addr);
-                continue;
-            }
-            let Ok(Response::Ok { meta, .. }) = core.with_client(k, |c| c.stats()) else {
-                core.note_failure(k);
-                missing.push(&core.slots[k].addr);
-                continue;
-            };
-            live += 1;
-            for (slot, key) in [
-                "requests",
-                "cache_hits",
-                "cache_misses",
-                "timeouts",
-                "cancelled",
-                "rejected",
-                "delta_applied",
-                "delta_maintained",
-                "delta_rebuilds",
-                "recheck_tuples",
-            ]
-            .iter()
-            .enumerate()
-            {
-                rollup[slot] += json_u64(&meta, key).unwrap_or(0);
+        let mut rollup = [0u64; ROLLUP.len()];
+        let mut missing: Vec<String> = Vec::new();
+        for k in 0..n {
+            // Down workers are not even dialed.
+            let reply = (!core.is_down(k)).then(|| core.with_client(k, |c| c.stats()));
+            match reply {
+                Some(Ok(Response::Ok { meta, .. })) => {
+                    live += 1;
+                    for (sum, key) in rollup.iter_mut().zip(ROLLUP) {
+                        *sum += json_u64(&meta, key).unwrap_or(0);
+                    }
+                }
+                failed => {
+                    if failed.is_some() {
+                        core.note_failure(k);
+                    }
+                    missing.push(format!("\"{}\"", json_escape(&core.slots[k].addr)));
+                }
             }
         }
         let sc = &core.counters;
-        let worker_state: Vec<String> = (0..core.slots.len())
+        let states: Vec<String> = (0..n)
             .map(|k| format!("\"{}\"", core.worker_state(k).as_str()))
             .collect();
-        let missing_json: Vec<String> = missing
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        let extra = format!(
-            "\"shards\":{},\"shards_live\":{live},\"replicas\":{},\"scatters\":{},\
-             \"rescatters\":{},\"sharded_runs\":{},\"local_fallbacks\":{},\"failovers\":{},\
-             \"hedges_launched\":{},\"hedges_won\":{},\"probes\":{},\"rejoins\":{},\
-             \"worker_state\":[{}],\"shard_stats_partial\":{},\"shard_stats_missing\":[{}],\
-             \"shard_requests\":{},\"shard_cache_hits\":{},\"shard_cache_misses\":{},\
-             \"shard_timeouts\":{},\"shard_cancelled\":{},\"shard_rejected\":{},\
-             \"shard_delta_applied\":{},\"shard_delta_maintained\":{},\
-             \"shard_delta_rebuilds\":{},\"shard_recheck_tuples\":{},\"delta_pushes\":{}",
-            core.slots.len(),
-            core.replicas,
-            sc.scatters.load(Ordering::Relaxed),
-            sc.rescatters.load(Ordering::Relaxed),
-            sc.sharded.load(Ordering::Relaxed),
-            sc.local_fallbacks.load(Ordering::Relaxed),
-            sc.failovers.load(Ordering::Relaxed),
-            sc.hedges_launched.load(Ordering::Relaxed),
-            sc.hedges_won.load(Ordering::Relaxed),
-            sc.probes.load(Ordering::Relaxed),
-            sc.rejoins.load(Ordering::Relaxed),
-            worker_state.join(","),
-            !missing.is_empty(),
-            missing_json.join(","),
-            rollup[0],
-            rollup[1],
-            rollup[2],
-            rollup[3],
-            rollup[4],
-            rollup[5],
-            rollup[6],
-            rollup[7],
-            rollup[8],
-            rollup[9],
-            sc.delta_pushes.load(Ordering::Relaxed),
-        );
+        let mut fields: Vec<String> = Vec::new();
+        let mut put = |key: &str, value: &dyn std::fmt::Display| {
+            fields.push(format!("\"{key}\":{value}"));
+        };
+        put("shards", &n);
+        put("shards_live", &live);
+        put("replicas", &core.replicas);
+        for (key, count) in [
+            ("scatters", &sc.scatters),
+            ("rescatters", &sc.rescatters),
+            ("sharded_runs", &sc.sharded),
+            ("local_fallbacks", &sc.local_fallbacks),
+            ("failovers", &sc.failovers),
+            ("hedges_launched", &sc.hedges_launched),
+            ("hedges_won", &sc.hedges_won),
+            ("probes", &sc.probes),
+            ("rejoins", &sc.rejoins),
+        ] {
+            put(key, &count.load(Ordering::Relaxed));
+        }
+        put("worker_state", &format!("[{}]", states.join(",")));
+        put("shard_stats_partial", &!missing.is_empty());
+        put("shard_stats_missing", &format!("[{}]", missing.join(",")));
+        for (key, sum) in ROLLUP.iter().zip(rollup) {
+            put(&format!("shard_{key}"), &sum);
+        }
+        put("delta_pushes", &sc.delta_pushes.load(Ordering::Relaxed));
         Response::Ok {
-            meta: extend_json(&base, &extra),
+            meta: extend_json(&core.service.stats_json(), &fields.join(",")),
             body: String::new(),
         }
     }
@@ -1239,7 +1215,7 @@ impl Drop for Coordinator {
 /// The background health loop: sleep the interval (observing the stop
 /// flag at [`GATHER_POLL`] granularity so shutdown is prompt), then
 /// probe every down worker.
-fn probe_loop(core: &Arc<ShardCore>, interval: Duration) {
+fn probe_loop(core: &ShardCore, interval: Duration) {
     let stopped = || core.stop_probe.load(Ordering::SeqCst) || core.service.is_shutting_down();
     loop {
         let mut slept = Duration::ZERO;
@@ -1258,60 +1234,42 @@ fn probe_loop(core: &Arc<ShardCore>, interval: Duration) {
     }
 }
 
-/// One probe pass: for every worker with an open breaker, dial a fresh
-/// strictly-timed connection, ping, re-`sync` every fragment the worker
-/// hosts (fingerprint-verified), and only on full success close the
-/// breaker. The probe connection is dropped at the end of the attempt —
-/// probes never accumulate against the worker's connection cap.
-fn probe_cycle(core: &Arc<ShardCore>) {
-    let n = core.slots.len();
-    for w in 0..n {
-        if !core.is_down(w) {
-            continue;
-        }
+/// One probe pass over every worker with an open breaker.
+fn probe_cycle(core: &ShardCore) {
+    for w in (0..core.slots.len()).filter(|&w| core.is_down(w)) {
         core.counters.probes.fetch_add(1, Ordering::Relaxed);
         if probe_worker(core, w).is_ok() {
-            // Drop any stale pooled session so the next scatter dials
-            // the recovered process fresh.
-            core.drop_session(w);
-            core.note_success(w);
             core.counters.rejoins.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Probe one down worker: alive check + full fragment re-sync. Any
-/// failure leaves the breaker open for the next cycle.
-fn probe_worker(core: &Arc<ShardCore>, w: usize) -> Result<()> {
-    let n = core.slots.len();
-    let config = core.probe_config();
+/// Probe one down worker over a fresh, strictly-timed connection —
+/// dropped when the attempt ends, so probes never accumulate against
+/// the worker's connection cap: an alive check, then a re-`sync` of
+/// every fragment it hosts (fingerprint-verified), whose success closes
+/// the breaker. Any failure leaves it open for the next cycle.
+fn probe_worker(core: &ShardCore, w: usize) -> Result<()> {
     let connector = Arc::clone(&core.connector.read().unwrap_or_else(|e| e.into_inner()));
-    let mut client = connector(&core.slots[w].addr, &config)?;
+    let mut client = connector(&core.slots[w].addr, &core.probe_config())?;
     // Any *typed* response proves the process is alive and parsing —
     // but only an ok ping is worth re-syncing through (an overloaded
     // worker sheds this connection right after answering).
-    match client.ping()? {
-        Response::Ok { .. } => {}
-        Response::Err { kind, detail } => {
-            return Err(ServerError::Eval(format!(
-                "probe ping refused ({kind}): {detail}"
-            )))
-        }
+    if let Response::Err { kind, detail } = client.ping()? {
+        return Err(ServerError::Eval(format!(
+            "probe ping refused ({kind}): {detail}"
+        )));
     }
+    // Drop any stale pooled session so the first scatter after the
+    // rejoin dials the recovered process fresh.
+    core.drop_session(w);
     let (db, fp) = core.service.snapshot();
-    let (frags, fps) = core.fragments(&db, fp);
-    for f in worker_fragments(w, n, core.replicas) {
-        let rels: Vec<String> = frags[f].iter().map(render_tsv).collect();
-        match client.sync(f, fps[f], rels)? {
-            Response::Ok { .. } => {}
-            Response::Err { kind, detail } => {
-                return Err(ServerError::Eval(format!(
-                    "rejoin sync of fragment {f} refused ({kind}): {detail}"
-                )))
-            }
-        }
-    }
-    Ok(())
+    let frags = core.fragments(&db, fp);
+    let hosted = worker_fragments(w, core.slots.len(), core.replicas);
+    let items = hosted.into_iter().map(|f| (f, Shipment::Full(&frags[f])));
+    core.ship(w, items, Some(&mut client))
+        .1
+        .map_err(ServerError::Eval)
 }
 
 impl RequestHandler for Coordinator {
@@ -1347,10 +1305,7 @@ impl RequestHandler for Coordinator {
                 // The workers exist to serve this coordinator: drain
                 // them too (best effort — a down worker is already
                 // out, and dialing it would just stall the drain).
-                for k in 0..self.core.slots.len() {
-                    if self.core.is_down(k) {
-                        continue;
-                    }
+                for k in (0..self.core.slots.len()).filter(|&k| !self.core.is_down(k)) {
                     let _ = self.core.with_client(k, |c| c.shutdown());
                 }
                 self.core.service.handle_light(req)
@@ -1369,10 +1324,8 @@ impl RequestHandler for Coordinator {
                 job.deadline,
                 Some(&job.cancel),
             ),
-            // A coordinator can serve frag-less `partial` itself (it
-            // holds the full catalog — a superset of any fragment),
-            // which keeps the protocol uniform for nested topologies
-            // and tests.
+            // A `partial` addresses this node's own fragment store
+            // (nested topologies), like a frag-scoped mutation.
             JobPayload::Partial {
                 text,
                 scratch,
@@ -1395,6 +1348,7 @@ impl RequestHandler for Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Server;
 
     /// Probes dial fail-fast with a *strict* I/O timeout: even when the
     /// scatter client is configured with no I/O timeout at all, a probe
@@ -1452,5 +1406,58 @@ mod tests {
         assert_eq!(coord.worker_state(0), WorkerState::Up);
         coord.core.force_down(1);
         assert_eq!(coord.worker_state(1), WorkerState::Down);
+    }
+
+    /// Two mutations commit before either is pushed — commit M1, commit
+    /// M2, push M1, push M2. Each push must move the cached partition
+    /// along its own commit's fingerprints, so the scatter sees both
+    /// deltas: a partition cached under a fingerprint that does not
+    /// describe it would be re-synced stale by the full push and serve
+    /// the flock without M2's tuple.
+    #[test]
+    fn delta_pushes_after_racing_commits_keep_the_partition_exact() {
+        let workers: Vec<Server> = (0..2)
+            .map(|_| {
+                Server::serve(ServerConfig::default(), Database::new(), "127.0.0.1:0").unwrap()
+            })
+            .collect();
+        let coord = Coordinator::new(
+            ServerConfig::default(),
+            ShardConfig {
+                addrs: workers.iter().map(|w| w.addr().to_string()).collect(),
+                probe_interval_ms: 0,
+                ..ShardConfig::default()
+            },
+            Database::new(),
+        );
+        let load = Request::Load {
+            tsv: "r\ta\tp\n1\t7\n2\t7\n3\t7\n".to_string(),
+        };
+        assert!(coord.handle_light(&load).is_ok());
+        let service = &coord.core.service;
+        let commit = |tsv: &str| service.mutate("r", tsv, None, false).unwrap().1.unwrap();
+        let m1 = commit("r\ta\tp\n4\t7\n");
+        let m2 = commit("r\ta\tp\n5\t7\n");
+        coord.push_committed(&m1).unwrap();
+        coord.push_committed(&m2).unwrap();
+        // Both took the delta path: neither commit's swap was refused.
+        assert_eq!(coord.core.counters.delta_pushes.load(Ordering::Relaxed), 2);
+
+        let text = "QUERY: answer(A) :- r(A,$1) FILTER: COUNT(answer.A) >= 5";
+        let flock = qf_core::QueryFlock::parse(text).unwrap();
+        let (db, _) = service.snapshot();
+        let direct = qf_core::evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
+        assert_eq!(direct.len(), 1, "the master catalog answers one row");
+        let resp = coord.eval_flock_request(text, None, &RequestLimits::default(), 1, None, None);
+        let Response::Ok { meta, body } = resp else {
+            panic!("flock failed: {resp:?}");
+        };
+        assert!(meta.contains("\"strategy\":\"scatter-gather"), "{meta}");
+        assert_eq!(body, render_tsv(&direct), "{meta}");
+        drop(coord);
+        for w in workers {
+            w.shutdown();
+            w.join();
+        }
     }
 }

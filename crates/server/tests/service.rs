@@ -258,3 +258,66 @@ fn stats_surface_cache_and_admission_counters() {
         assert!(stats.contains(key), "missing {key} in {stats}");
     }
 }
+
+/// The worker's fragment store refuses what it cannot certify, and no
+/// refusal touches the stored fragment: a `sync` whose content misses
+/// its declared fingerprint is `proto`; a frag-scoped `append`/
+/// `retract` that would leave the fragment at another fingerprint, and
+/// a `partial` naming a missing or stale fragment, are `no-frag`; a
+/// `partial` without a fragment scope is `proto`.
+#[test]
+fn fragment_store_refusals_leave_the_fragment_unchanged() {
+    let svc = FlockService::new(ServerConfig::default(), Database::new());
+    let frag = small_db(&[(1, 1), (2, 1), (3, 2)]);
+    let fp = frag.fingerprint();
+    let sync = |db: &Database, fp| Request::Sync {
+        frag: 0,
+        fp,
+        relations: db.iter().map(render_tsv).collect(),
+    };
+    ok_parts(svc.handle_light(&sync(&frag, fp)));
+    let limits = RequestLimits::default();
+    let text = flock_text(1);
+    let partial = |scope| svc.handle_partial_admitted(&text, &[], scope, &limits, 1, None, None);
+    let (_, stored) = ok_parts(partial(Some((0, fp))));
+
+    let other = small_db(&[(9, 9)]);
+    let cases: [(&str, &dyn Fn() -> Response, &str); 6] = [
+        (
+            "sync of other content under the stored fingerprint",
+            &|| svc.handle_light(&sync(&other, fp)),
+            "proto",
+        ),
+        (
+            "append leaving the fragment at another fingerprint",
+            &|| svc.handle_append_admitted("r", "r\ta\tb\n9\t1\n", Some((0, fp))),
+            "no-frag",
+        ),
+        (
+            "retract leaving the fragment at another fingerprint",
+            &|| svc.handle_retract_admitted("r", "r\ta\tb\n1\t1\n", Some((0, fp))),
+            "no-frag",
+        ),
+        (
+            "partial against a missing fragment",
+            &|| partial(Some((1, fp))),
+            "no-frag",
+        ),
+        (
+            "partial against a stale fragment",
+            &|| partial(Some((0, fp ^ 1))),
+            "no-frag",
+        ),
+        (
+            "partial without a fragment scope",
+            &|| partial(None),
+            "proto",
+        ),
+    ];
+    for (case, refused, kind) in cases {
+        assert_eq!(err_kind(refused()), kind, "{case}");
+        // The fragment still answers at its fingerprint, byte for byte.
+        let (_, body) = ok_parts(partial(Some((0, fp))));
+        assert_eq!(body, stored, "{case} changed the stored fragment");
+    }
+}
