@@ -25,7 +25,7 @@ use qf_core::{
     best_plan_with, evaluate_dynamic_with, to_sql, DynamicConfig, ExecContext, FlockProgram,
     JoinOrderStrategy, Optimizer, QueryFlock, Strategy,
 };
-use qf_server::{parse_count, parse_millis, RequestLimits, ServerConfig};
+use qf_server::{parse_count, parse_millis, JsonObject, RequestLimits, ServerConfig};
 use qf_storage::{tsv, Database, Relation};
 
 /// Interactive session state: the working database and current program
@@ -375,7 +375,18 @@ impl Session {
             .map_err(|e| e.to_string())?;
         let elapsed = start.elapsed();
         if self.report_json {
-            return Ok(json_report(&evaluation, elapsed, self.tsv_skipped));
+            // The server's report builder: one shape for local runs and
+            // server responses. A local run has no cache in play.
+            let report = qf_server::json_report(
+                &evaluation.strategy_used,
+                evaluation.result.len(),
+                elapsed.as_millis(),
+                &evaluation.stats,
+                evaluation.resumed_steps,
+                self.tsv_skipped,
+                false,
+            );
+            return Ok(report.finish());
         }
         let mut out = format!(
             "strategy: {} ({elapsed:?})\n{} result(s)",
@@ -488,26 +499,6 @@ impl Session {
     pub fn relation(&self, name: &str) -> Option<&Relation> {
         self.db.get(name).ok()
     }
-}
-
-/// Render an evaluation as one JSON object. Delegates to the server's
-/// shared report builder so local runs and server responses emit the
-/// same shape; local runs have no cache in play, so the cache keys are
-/// all zero/false.
-fn json_report(
-    evaluation: &qf_core::Evaluation,
-    elapsed: std::time::Duration,
-    tsv_skipped: u64,
-) -> String {
-    qf_server::json_report(
-        &evaluation.strategy_used,
-        evaluation.result.len(),
-        elapsed.as_millis(),
-        &evaluation.stats,
-        evaluation.resumed_steps,
-        tsv_skipped,
-        &qf_server::CacheReport::default(),
-    )
 }
 
 /// `qfsh serve --addr host:port [--data-dir DIR --threads N
@@ -759,14 +750,12 @@ pub fn client_main(args: &[String]) -> Result<String, String> {
     .map_err(|e| e.to_string())?;
     match response {
         qf_server::Response::Ok { meta, body } => {
-            // Fold this session's retry count into the report: the
-            // server fills `"retries":0` (it cannot know about client
-            // attempts), so the client owns that field.
+            // Only this client knows how often it retried: it adds that
+            // to the server's report itself.
             let retries = client.session_stats().retries;
-            let meta = if retries > 0 {
-                meta.replacen("\"retries\":0", &format!("\"retries\":{retries}"), 1)
-            } else {
-                meta
+            let meta = match JsonObject::reopen(&meta) {
+                Some(o) if retries > 0 && meta != "{}" => o.value("retries", retries).finish(),
+                _ => meta,
             };
             let body = body.trim_end();
             if body.is_empty() || meta == "{}" {
@@ -1231,13 +1220,19 @@ mod tests {
             "\"spill_files_live\":",
             "\"tsv_skipped_lines\":",
             "\"cache_hit\":false",
-            "\"cache_hits\":0",
-            "\"cache_misses\":0",
-            "\"rejected\":0",
-            "\"queue_depth_max\":0",
             "\"degradations\":[",
         ] {
             assert!(out.contains(key), "missing {key} in {out}");
+        }
+        // Server-wide counters are `stats`' alone; a local run has none.
+        for key in [
+            "cache_hits",
+            "cache_misses",
+            "rejected",
+            "queue_depth_max",
+            "retries",
+        ] {
+            assert!(!out.contains(&format!("\"{key}\":")), "{key} in {out}");
         }
     }
 

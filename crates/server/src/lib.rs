@@ -43,7 +43,7 @@ pub use error::{Result, ServerError};
 pub use net::Server;
 pub use pool::{Job, JobPayload, WorkerPool};
 pub use protocol::{parse_count, parse_millis, Request, RequestLimits, Response};
-pub use report::{json_escape, json_report, CacheReport};
+pub use report::{json_report, JsonObject};
 pub use service::{Counters, FlockService, LocalHandler, RequestHandler, ServerConfig};
 pub use shard::{Coordinator, ShardConfig, ShardConnector, ShardCounters, WorkerState};
 pub use transport::{ChaosNet, NetChaos, Transport};

@@ -16,7 +16,8 @@
 //!   backoff — a refused handshake must not take the whole server down.
 //! * Connections beyond [`crate::service::ServerConfig::max_conns`] are
 //!   shed immediately with a typed `overloaded` response carrying a
-//!   retry-after hint, before they consume a thread.
+//!   retry-after hint, written on the accept thread itself: a shed
+//!   connection never costs a thread.
 //! * Reads run under two timeouts: a generous *idle* timeout while
 //!   waiting for the first byte of a frame (keep-alive grace) and a
 //!   strict *I/O* timeout for the rest (slow-loris reaping). A peer
@@ -27,6 +28,11 @@
 //!   `recv`) and probes the socket for hangup; an abandoned request
 //!   trips the job's cancellation token so the governor stops it
 //!   mid-plan.
+//!
+//! Every request a connection reads — a complete frame, or one whose
+//! checksum caught corruption — is counted once in `requests`, here and
+//! nowhere else, whatever answers it: a handler, an admission refusal,
+//! the worker's queue triage or a parse error.
 //!
 //! The accept loop polls a nonblocking listener so it can observe the
 //! shutdown flag; once `shutdown` is accepted it stops listening and
@@ -57,6 +63,12 @@ const REPLY_POLL: Duration = Duration::from_millis(25);
 /// governor to trip and deliver the typed timeout. Only after deadline
 /// + grace does the connection thread give up on the reply itself.
 const REPLY_GRACE: Duration = Duration::from_secs(5);
+
+/// How long the accept thread may spend writing the `overloaded` frame
+/// to a shed connection. A freshly accepted socket's send buffer is
+/// empty and takes the ~100-byte frame at once; the bound only keeps a
+/// pathological socket from stalling the listener.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// A running server: bound listener, accept thread, worker pool.
 pub struct Server {
@@ -199,24 +211,22 @@ fn accept_loop(listener: &TcpListener, handler: &Arc<dyn RequestHandler>, pool: 
 }
 
 /// Refuse a connection over the cap: count it, send the typed
-/// `overloaded` response with a retry-after hint (best effort, off the
-/// accept thread so a slow peer cannot stall the listener), and close.
+/// `overloaded` response with a retry-after hint (best effort, on the
+/// accept thread under [`SHED_WRITE_TIMEOUT`]), and close.
 fn shed_connection(stream: TcpStream, service: &Arc<FlockService>, live: usize, cap: usize) {
-    service.note_conn_rejected();
-    let retry_after_ms = service.config.retry_after_ms;
-    let _ = std::thread::Builder::new()
-        .name("qf-shed".to_string())
-        .spawn(move || {
-            let mut t: Box<dyn Transport> = Box::new(stream);
-            let _ = t.set_write_timeout(Some(Duration::from_millis(1000)));
-            let resp = Response::from_error(&ServerError::ConnRejected {
-                live,
-                cap,
-                retry_after_ms,
-            });
-            let _ = write_frame(&mut t, resp.render().as_bytes());
-            let _ = t.shutdown();
-        });
+    service
+        .counters
+        .conn_rejected
+        .fetch_add(1, Ordering::Relaxed);
+    let mut t: Box<dyn Transport> = Box::new(stream);
+    let _ = t.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
+    let resp = Response::from_error(&ServerError::ConnRejected {
+        live,
+        cap,
+        retry_after_ms: service.config.retry_after_ms,
+    });
+    let _ = write_frame(&mut t, resp.render().as_bytes());
+    let _ = t.shutdown();
 }
 
 fn millis_opt(ms: u64) -> Option<Duration> {
@@ -228,7 +238,8 @@ fn handle_connection(
     handler: &Arc<dyn RequestHandler>,
     pool: &WorkerPool,
 ) {
-    let config = &handler.service().config;
+    let service = handler.service();
+    let config = &service.config;
     let idle = millis_opt(config.idle_timeout_ms);
     let strict = millis_opt(config.io_timeout_ms);
     loop {
@@ -251,9 +262,15 @@ fn handle_connection(
         if conn.set_read_timeout(strict).is_err() {
             return;
         }
-        let payload = match read_frame_rest(&mut conn, first) {
+        let frame = read_frame_rest(&mut conn, first);
+        if frame.as_ref().is_err_and(|e| !is_corruption(e)) {
+            return; // truncated / timed out / reset: reap
+        }
+        // A request was read, and is answered below.
+        service.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let payload = match frame {
             Ok(p) => p,
-            Err(e) if is_corruption(&e) => {
+            Err(e) => {
                 // Detected wire corruption: tell the client (typed, so
                 // its retry policy can resend safely — the request was
                 // never parsed, let alone executed), then drop the
@@ -268,7 +285,6 @@ fn handle_connection(
                 let _ = conn.shutdown();
                 return;
             }
-            Err(_) => return, // truncated / timed out / reset: reap
         };
         let response = dispatch(&payload, handler, pool, conn.as_mut());
         // A rendered response past the frame cap would make write_frame
@@ -359,7 +375,7 @@ fn dispatch(
     let effective = match service.admission_limits(&limits) {
         Ok(eff) => eff,
         Err(e) => {
-            service.note_rejection();
+            service.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Response::from_error(&e);
         }
     };

@@ -104,26 +104,6 @@ pub struct Job {
     pub reply: mpsc::Sender<Response>,
 }
 
-impl Job {
-    /// A flock job with no deadline and a fresh token (direct/test
-    /// callers).
-    pub fn new(
-        text: String,
-        support: Option<i64>,
-        limits: RequestLimits,
-        reply: mpsc::Sender<Response>,
-    ) -> Job {
-        Job {
-            payload: JobPayload::Flock { text, support },
-            limits,
-            deadline: None,
-            budget_ms: 0,
-            cancel: CancelToken::new(),
-            reply,
-        }
-    }
-}
-
 struct QueueState {
     jobs: VecDeque<Job>,
     open: bool,
@@ -211,16 +191,6 @@ impl WorkerPool {
         state.open = false;
         drop(state);
         self.inner.cond.notify_all();
-    }
-
-    /// Current queued-job count (tests and `stats`).
-    pub fn queue_depth(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .jobs
-            .len()
     }
 }
 

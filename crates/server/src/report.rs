@@ -1,56 +1,105 @@
-//! The one-line JSON run report, shared between local `qfsh` runs and
-//! server responses so tooling parses one shape everywhere.
+//! The one JSON object writer, and the per-request run report built on
+//! it.
+//!
+//! Every one-line object this crate renders — a flock's meta, the
+//! server's `stats`, a coordinator's fleet rollup, the acknowledgement
+//! of a `load`/`gen`/`sync`/`append`/`retract`/`fingerprint` — is
+//! written key by key through [`JsonObject`], so a key lives in exactly
+//! one place and every string is escaped on the way.
+//!
+//! The two reports keep to their own facts: a request's meta
+//! ([`json_report`]) says how *that* request was answered — the plan
+//! strategy, rows, spills, whether the cache answered — and is the same
+//! shape for a local `qfsh --report json` run and a server response;
+//! server-wide counters are reported by `stats` alone. The retrying
+//! client is the only party that knows its retry count, and appends
+//! `"retries"` itself.
 //!
 //! Hand-rolled: the offline build carries no serialization dependency.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 use qf_core::ExecStats;
-use qf_storage::WalStats;
 
-/// Cache/admission accounting attached to every report. Local runs use
-/// [`CacheReport::default`] (all zeros, no cache in play); server
-/// responses fill in the per-request flags and server-wide counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheReport {
-    /// This request was answered from the result cache.
-    pub cache_hit: bool,
-    /// Server-wide result-cache hits so far.
-    pub cache_hits: u64,
-    /// Server-wide result-cache misses so far.
-    pub cache_misses: u64,
-    /// Server-wide admission rejections (overload + over-budget).
-    pub rejected: u64,
-    /// Server-wide deadline expiries (queue, eval, or reply stage).
-    pub timeouts: u64,
-    /// Server-wide jobs stopped early by client disconnect.
-    pub cancelled: u64,
-    /// Server-wide connections shed at the connection cap.
-    pub conn_rejected: u64,
-    /// Client-side retry attempts for this session (0 in server-side
-    /// reports; filled in by the retrying client's own report).
-    pub retries: u64,
-    /// High-water mark of the admission queue depth.
-    pub queue_depth_max: u64,
-    /// Server-wide `append`/`retract` batches applied through the
-    /// delta path (each batch counts once, whatever it touched).
-    pub delta_applied: u64,
-    /// Server-wide cached results incrementally maintained in place by
-    /// a delta batch (no recompute, no cache drop).
-    pub delta_maintained: u64,
-    /// Server-wide cached results dropped by a delta batch — not
-    /// maintainable, or maintenance failed and fell back to recompute.
-    pub delta_rebuilds: u64,
-    /// Server-wide tuples rescanned by the bounded MIN/MAX re-check
-    /// during delta maintenance.
-    pub recheck_tuples: u64,
-    /// Durability counters (all zeros when the server runs without a
-    /// `--data-dir`: no WAL in play).
-    pub wal: WalStats,
+/// A one-line JSON object under construction. Keys are written in call
+/// order; [`JsonObject::finish`] closes the object.
+#[derive(Debug, Default)]
+pub struct JsonObject {
+    /// The members written so far, without the braces.
+    out: String,
 }
 
-/// Render one evaluation as a single-line JSON object.
-#[allow(clippy::too_many_arguments)]
+impl JsonObject {
+    /// An empty object.
+    pub fn new() -> JsonObject {
+        JsonObject::default()
+    }
+
+    /// Continue a rendered one-line object: keys added land before its
+    /// closing brace. `None` when `rendered` is not an object.
+    pub fn reopen(rendered: &str) -> Option<JsonObject> {
+        let members = rendered.trim().strip_prefix('{')?.strip_suffix('}')?;
+        Some(JsonObject {
+            out: members.trim().to_string(),
+        })
+    }
+
+    fn key(mut self, key: &str) -> JsonObject {
+        if !self.out.is_empty() {
+            self.out.push(',');
+        }
+        escape_into(&mut self.out, key);
+        self.out.push(':');
+        self
+    }
+
+    /// A bare value: a number or a boolean.
+    pub fn value(self, key: &str, value: impl Display) -> JsonObject {
+        let mut o = self.key(key);
+        let _ = write!(o.out, "{value}");
+        o
+    }
+
+    /// A string, escaped.
+    pub fn string(self, key: &str, value: &str) -> JsonObject {
+        let mut o = self.key(key);
+        escape_into(&mut o.out, value);
+        o
+    }
+
+    /// A 64-bit fingerprint, as a 16-digit hex string.
+    pub fn hex(self, key: &str, value: u64) -> JsonObject {
+        self.string(key, &format!("{value:016x}"))
+    }
+
+    /// An array of strings, each escaped.
+    pub fn strings<'a>(self, key: &str, values: impl IntoIterator<Item = &'a str>) -> JsonObject {
+        let mut o = self.key(key);
+        o.out.push('[');
+        for (i, v) in values.into_iter().enumerate() {
+            if i > 0 {
+                o.out.push(',');
+            }
+            escape_into(&mut o.out, v);
+        }
+        o.out.push(']');
+        o
+    }
+
+    /// An array of objects.
+    pub fn objects(self, key: &str, values: impl IntoIterator<Item = JsonObject>) -> JsonObject {
+        let rendered: Vec<String> = values.into_iter().map(JsonObject::finish).collect();
+        self.value(key, format_args!("[{}]", rendered.join(",")))
+    }
+
+    /// Close the object.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.out)
+    }
+}
+
+/// One evaluation's own facts as an open [`JsonObject`]: a coordinator
+/// adds how it sharded the request before finishing it.
 pub fn json_report(
     strategy: &str,
     results: usize,
@@ -58,75 +107,29 @@ pub fn json_report(
     stats: &ExecStats,
     resumed_steps: usize,
     tsv_skipped: u64,
-    cache: &CacheReport,
-) -> String {
-    let degradations: Vec<String> = stats
-        .degradations
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"stage\":\"{}\",\"detail\":\"{}\"}}",
-                json_escape(&d.stage),
-                json_escape(&d.detail)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"strategy\":\"{}\",\"results\":{},\"elapsed_ms\":{},\"rows\":{},\"bytes\":{},\
-         \"workers\":{},\"spilled_bytes\":{},\"spills\":{},\"resumed_steps\":{},\
-         \"io_retries\":{},\"corruption_recoveries\":{},\"spill_files_live\":{},\
-         \"tsv_skipped_lines\":{},\"cache_hit\":{},\"cache_hits\":{},\
-         \"cache_misses\":{},\"rejected\":{},\"timeouts\":{},\"cancelled\":{},\
-         \"conn_rejected\":{},\"retries\":{},\"queue_depth_max\":{},\"delta_applied\":{},\
-         \"delta_maintained\":{},\"delta_rebuilds\":{},\"recheck_tuples\":{},\"wal_records\":{},\
-         \"wal_bytes\":{},\"snapshots\":{},\"compactions\":{},\"recovered_records\":{},\
-         \"recovery_ms\":{},\"degradations\":[{}]}}",
-        json_escape(strategy),
-        results,
-        elapsed_ms,
-        stats.rows,
-        stats.bytes,
-        stats.workers,
-        stats.spilled_bytes,
-        stats.spills,
-        resumed_steps,
-        stats.io_retries,
-        stats.corruption_recoveries,
-        stats.spill_files_live,
-        tsv_skipped,
-        cache.cache_hit,
-        cache.cache_hits,
-        cache.cache_misses,
-        cache.rejected,
-        cache.timeouts,
-        cache.cancelled,
-        cache.conn_rejected,
-        cache.retries,
-        cache.queue_depth_max,
-        cache.delta_applied,
-        cache.delta_maintained,
-        cache.delta_rebuilds,
-        cache.recheck_tuples,
-        cache.wal.wal_records,
-        cache.wal.wal_bytes,
-        cache.wal.snapshots,
-        cache.wal.compactions,
-        cache.wal.recovered_records,
-        cache.wal.recovery_ms,
-        degradations.join(",")
-    )
-}
-
-/// Append extra `"key":value,…` fields to a one-line JSON object
-/// (shard coordinators extend base reports with `shard_*` rollups
-/// without reparsing them).
-pub fn extend_json(obj: &str, extra: &str) -> String {
-    let trimmed = obj.trim_end();
-    match trimmed.strip_suffix('}') {
-        Some(head) if head.trim_end().ends_with('{') => format!("{}{extra}}}", head.trim_end()),
-        Some(head) => format!("{head},{extra}}}"),
-        None => format!("{{{extra}}}"),
-    }
+    cache_hit: bool,
+) -> JsonObject {
+    let degradations = stats.degradations.iter().map(|d| {
+        JsonObject::new()
+            .string("stage", &d.stage)
+            .string("detail", &d.detail)
+    });
+    JsonObject::new()
+        .string("strategy", strategy)
+        .value("results", results)
+        .value("elapsed_ms", elapsed_ms)
+        .value("rows", stats.rows)
+        .value("bytes", stats.bytes)
+        .value("workers", stats.workers)
+        .value("spilled_bytes", stats.spilled_bytes)
+        .value("spills", stats.spills)
+        .value("resumed_steps", resumed_steps)
+        .value("io_retries", stats.io_retries)
+        .value("corruption_recoveries", stats.corruption_recoveries)
+        .value("spill_files_live", stats.spill_files_live)
+        .value("tsv_skipped_lines", tsv_skipped)
+        .value("cache_hit", cache_hit)
+        .objects("degradations", degradations)
 }
 
 /// Scan a one-line JSON object for a non-negative integer field. Only
@@ -143,9 +146,9 @@ pub fn json_u64(obj: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Minimal JSON string escaping.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` to `out` as a quoted, minimally escaped JSON string.
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -159,79 +162,77 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The meta reports the request alone: none of the server-wide
+    /// counters `stats` reports, and no client retry placeholder.
     #[test]
     fn report_is_one_json_line_with_cache_keys() {
-        let out = json_report(
-            "cache",
-            3,
-            12,
-            &ExecStats::default(),
-            0,
-            0,
-            &CacheReport {
-                cache_hit: true,
-                cache_hits: 2,
-                cache_misses: 1,
-                rejected: 0,
-                timeouts: 5,
-                cancelled: 6,
-                conn_rejected: 7,
-                retries: 8,
-                queue_depth_max: 4,
-                delta_applied: 13,
-                delta_maintained: 14,
-                delta_rebuilds: 15,
-                recheck_tuples: 16,
-                wal: WalStats {
-                    wal_records: 9,
-                    wal_bytes: 640,
-                    snapshots: 2,
-                    compactions: 1,
-                    recovered_records: 3,
-                    recovery_ms: 11,
-                },
-            },
-        );
+        let out = json_report("cache", 3, 12, &ExecStats::default(), 0, 0, true).finish();
         assert!(out.starts_with('{') && out.ends_with('}'));
         assert!(!out.contains('\n'));
         for key in [
             "\"strategy\":\"cache\"",
             "\"results\":3",
             "\"cache_hit\":true",
-            "\"cache_hits\":2",
-            "\"cache_misses\":1",
-            "\"rejected\":0",
-            "\"timeouts\":5",
-            "\"cancelled\":6",
-            "\"conn_rejected\":7",
-            "\"retries\":8",
-            "\"queue_depth_max\":4",
-            "\"delta_applied\":13",
-            "\"delta_maintained\":14",
-            "\"delta_rebuilds\":15",
-            "\"recheck_tuples\":16",
-            "\"wal_records\":9",
-            "\"wal_bytes\":640",
-            "\"snapshots\":2",
-            "\"compactions\":1",
-            "\"recovered_records\":3",
-            "\"recovery_ms\":11",
         ] {
             assert!(out.contains(key), "missing {key} in {out}");
+        }
+        for key in [
+            "cache_hits",
+            "cache_misses",
+            "rejected",
+            "timeouts",
+            "cancelled",
+            "conn_rejected",
+            "retries",
+            "queue_depth_max",
+            "delta_applied",
+            "delta_maintained",
+            "delta_rebuilds",
+            "recheck_tuples",
+            "wal_records",
+            "wal_bytes",
+            "snapshots",
+            "compactions",
+            "recovered_records",
+            "recovery_ms",
+        ] {
+            assert!(!out.contains(&format!("\"{key}\":")), "{key} in {out}");
         }
     }
 
     #[test]
+    fn writer_escapes_every_string() {
+        let obj = JsonObject::new()
+            .value("hits", 12)
+            .string("nested", "a\"b\\c\n")
+            .hex("fp", 0xab)
+            .strings("addrs", ["x", "y\"z"])
+            .objects("d", [JsonObject::new().value("k", true)])
+            .finish();
+        assert_eq!(
+            obj,
+            "{\"hits\":12,\"nested\":\"a\\\"b\\\\c\\n\",\"fp\":\"00000000000000ab\",\
+             \"addrs\":[\"x\",\"y\\\"z\"],\"d\":[{\"k\":true}]}"
+        );
+        assert_eq!(JsonObject::new().finish(), "{}");
+    }
+
+    #[test]
     fn extend_and_scan_json() {
-        assert_eq!(extend_json("{\"a\":1}", "\"b\":2"), "{\"a\":1,\"b\":2}");
-        assert_eq!(extend_json("{}", "\"b\":2"), "{\"b\":2}");
+        let grow = |s: &str| JsonObject::reopen(s).map(|o| o.value("retries", 2).finish());
+        assert_eq!(
+            grow("{\"a\":1}").as_deref(),
+            Some("{\"a\":1,\"retries\":2}")
+        );
+        assert_eq!(grow("{}").as_deref(), Some("{\"retries\":2}"));
+        assert_eq!(grow("not json"), None);
         let obj = "{\"cache_hits\":12,\"timeouts\":0,\"nested\":\"x\"}";
         assert_eq!(json_u64(obj, "cache_hits"), Some(12));
         assert_eq!(json_u64(obj, "timeouts"), Some(0));

@@ -4,10 +4,16 @@
 //! [`FlockService`] is the transport-free heart of `qf serve` — it owns
 //! the catalog behind a `RwLock`, the result cache, and the
 //! server-wide counters, and turns parsed [`Request`]s into
-//! [`Response`]s. The TCP layer ([`crate::net`]) only frames bytes and
-//! decides *where* a request runs (worker pool vs. connection thread);
-//! everything observable lives here, which is what makes the service
-//! unit-testable without sockets.
+//! [`Response`]s. The TCP layer ([`crate::net`]) only frames bytes,
+//! counts each request it answers, and decides *where* a request runs
+//! (worker pool vs. connection thread); everything else observable
+//! lives here, which is what makes the service unit-testable without
+//! sockets.
+//!
+//! Two reports, each number in one of them: a request's meta carries
+//! only that request's own facts ([`json_report`]), and `stats`
+//! ([`FlockService::stats_json`]) alone carries the server-wide
+//! counters. Both are written through the one [`JsonObject`] writer.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -27,7 +33,7 @@ use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::error::{Result, ServerError};
 use crate::pool::{Job, JobPayload};
 use crate::protocol::{Request, RequestLimits, Response};
-use crate::report::{json_escape, json_report, CacheReport};
+use crate::report::{json_report, JsonObject};
 
 /// Server-side configuration: worker pool size, admission queue bound,
 /// cache capacity, and per-request budget caps.
@@ -89,7 +95,8 @@ impl Default for ServerConfig {
 /// Server-wide counters, all lock-free.
 #[derive(Debug, Default)]
 pub struct Counters {
-    /// Requests handled (all kinds).
+    /// Requests answered, every kind and outcome — refusals included —
+    /// counted once by the connection that read them.
     pub requests: AtomicU64,
     /// Result-cache hits.
     pub cache_hits: AtomicU64,
@@ -131,28 +138,6 @@ pub struct Counters {
     /// Tuples rescanned by the bounded MIN/MAX re-check during delta
     /// maintenance (see [`qf_engine::RECHECK_BOUND`]).
     pub recheck_tuples: AtomicU64,
-}
-
-impl Counters {
-    /// Snapshot the cache/admission numbers for a response meta object.
-    pub fn cache_report(&self, cache_hit: bool) -> CacheReport {
-        CacheReport {
-            cache_hit,
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            conn_rejected: self.conn_rejected.load(Ordering::Relaxed),
-            retries: 0,
-            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
-            delta_applied: self.delta_applied.load(Ordering::Relaxed),
-            delta_maintained: self.delta_maintained.load(Ordering::Relaxed),
-            delta_rebuilds: self.delta_rebuilds.load(Ordering::Relaxed),
-            recheck_tuples: self.recheck_tuples.load(Ordering::Relaxed),
-            wal: qf_storage::WalStats::default(),
-        }
-    }
 }
 
 /// How a deployment executes requests. The net/pool layers are generic
@@ -301,8 +286,8 @@ pub(crate) struct DeltaCommit {
 
 /// A successful [`FlockService::run_flock`].
 pub(crate) struct FlockOutcome {
-    /// One-line JSON report.
-    pub meta: String,
+    /// The request's report, open for the caller's own keys.
+    pub meta: JsonObject,
     /// The answer as TSV.
     pub body: String,
     /// Whether the result cache answered (nothing was evaluated).
@@ -373,15 +358,6 @@ impl FlockService {
         }
     }
 
-    /// Per-request cache/admission report with the durability counters
-    /// merged in (zeros when no WAL is configured).
-    pub fn cache_report(&self, cache_hit: bool) -> CacheReport {
-        CacheReport {
-            wal: self.wal_counters.stats(),
-            ..self.counters.cache_report(cache_hit)
-        }
-    }
-
     /// True once a shutdown request has been accepted.
     pub fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::SeqCst)
@@ -396,7 +372,6 @@ impl FlockService {
     /// except `Flock` (which goes through admission). Called on the
     /// connection thread.
     pub fn handle_light(&self, req: &Request) -> Response {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let result = match req {
             Request::Ping => Ok((String::from("{}"), String::from("pong"))),
             Request::Stats => Ok((self.stats_json(), String::new())),
@@ -470,7 +445,7 @@ impl FlockService {
             };
             self.run_flock(run, limits, granted_threads, deadline, cancel)
         });
-        self.respond(outcome.map(|o| (o.meta, o.body)))
+        self.respond(outcome.map(|o| (o.meta.finish(), o.body)))
     }
 
     /// Evaluate an admitted `partial` request: one scatter-gather step
@@ -502,7 +477,7 @@ impl FlockService {
                 };
                 self.run_flock(run, limits, granted_threads, deadline, cancel)
             });
-        self.respond(outcome.map(|o| (o.meta, o.body)))
+        self.respond(outcome.map(|o| (o.meta.finish(), o.body)))
     }
 
     /// What a `partial` runs over: the mini-flock as a view-less
@@ -587,7 +562,7 @@ impl FlockService {
                 stats,
                 0,
                 0,
-                &self.cache_report(hit),
+                hit,
             ),
             body: render_tsv(answer),
             cache_hit: hit,
@@ -656,11 +631,10 @@ impl FlockService {
         Ok(outcome(strategy, &answer, &ctx.stats(), false))
     }
 
-    /// Finish an admitted or light request: count it, and turn its
-    /// outcome into the wire response — noting deadline expiries and
-    /// client-disconnect cancellations on the way.
+    /// Finish an admitted request: turn its outcome into the wire
+    /// response — noting deadline expiries and client-disconnect
+    /// cancellations on the way.
     pub(crate) fn respond(&self, outcome: Result<(String, String)>) -> Response {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         match outcome {
             Ok((meta, body)) => Response::Ok { meta, body },
             Err(e) => {
@@ -742,16 +716,6 @@ impl FlockService {
         self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Note a connection shed at the connection cap.
-    pub fn note_conn_rejected(&self) {
-        self.counters.conn_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Note an admission rejection (queue overflow or over-cap budget).
-    pub fn note_rejection(&self) {
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A read-only snapshot of the catalog (cheap: relations are
     /// shared) plus its memoized fingerprint.
     pub fn snapshot(&self) -> (Database, u64) {
@@ -766,7 +730,7 @@ impl FlockService {
             relations: rels.iter().map(render_tsv).collect(),
         };
         let fp = self.commit_record(&record, None)?.fp;
-        Ok((format!("{{\"fp\":\"{fp:016x}\"}}"), note))
+        Ok((JsonObject::new().hex("fp", fp).finish(), note))
     }
 
     /// Install one replicated catalog fragment (the `sync` verb): parse
@@ -800,7 +764,10 @@ impl FlockService {
             .unwrap_or_else(|e| e.into_inner())
             .insert(frag, db);
         Ok((
-            format!("{{\"frag\":{frag},\"relations\":{n}}}"),
+            JsonObject::new()
+                .value("frag", frag)
+                .value("relations", n)
+                .finish(),
             format!("synced fragment {frag} [{n} relation(s)]"),
         ))
     }
@@ -864,7 +831,11 @@ impl FlockService {
             _ => "appended to",
         };
         Ok((
-            format!("{{\"frag\":{frag},\"relation\":\"{rel}\",\"fp\":\"{fp:016x}\"}}"),
+            JsonObject::new()
+                .value("frag", frag)
+                .string("relation", rel)
+                .hex("fp", fp)
+                .finish(),
             format!("delta {verb} `{rel}` in fragment {frag}"),
         ))
     }
@@ -879,10 +850,11 @@ impl FlockService {
         };
         let fp = self.commit_record(&record, None)?.fp;
         Ok((
-            format!(
-                "{{\"relation\":\"{}\",\"tuples\":{n},\"fp\":\"{fp:016x}\"}}",
-                json_escape(&name)
-            ),
+            JsonObject::new()
+                .string("relation", &name)
+                .value("tuples", n)
+                .hex("fp", fp)
+                .finish(),
             format!("loaded {name} [{n} tuples]"),
         ))
     }
@@ -956,10 +928,12 @@ impl FlockService {
                 format!("appended {changed} new tuple(s) to {rel} [{after} total]"),
             )
         };
-        let meta = format!(
-            "{{\"relation\":\"{}\",\"tuples\":{after},\"{key}\":{changed},\"fp\":\"{fp:016x}\"}}",
-            json_escape(rel)
-        );
+        let meta = JsonObject::new()
+            .string("relation", rel)
+            .value("tuples", after)
+            .value(key, changed)
+            .hex("fp", fp)
+            .finish();
         let committed = DeltaCommit {
             delta,
             retract,
@@ -1104,48 +1078,47 @@ impl FlockService {
 
     /// Server-wide counters as a one-line JSON object (`stats`).
     pub fn stats_json(&self) -> String {
+        self.stats().finish()
+    }
+
+    /// The `stats` report, open for a coordinator's fleet rollup.
+    pub(crate) fn stats(&self) -> JsonObject {
         let c = &self.counters;
         let w = self.wal_counters.stats();
         let (relations, tuples, fp) = {
             let db = self.db.read().unwrap_or_else(|e| e.into_inner());
             (db.len(), db.total_tuples(), db.fingerprint())
         };
-        format!(
-            "{{\"requests\":{},\"cache_hits\":{},\"cache_misses\":{},\"rejected\":{},\
-             \"timeouts\":{},\"cancelled\":{},\"conn_rejected\":{},\"conns\":{},\
-             \"queue_depth\":{},\"queue_depth_max\":{},\"active\":{},\"live_workers\":{},\
-             \"cached_results\":{},\"relations\":{relations},\"tuples\":{tuples},\
-             \"fp\":\"{fp:016x}\",\"delta_applied\":{},\"delta_maintained\":{},\
-             \"delta_rebuilds\":{},\"recheck_tuples\":{},\
-             \"wal_records\":{},\"wal_bytes\":{},\"snapshots\":{},\
-             \"compactions\":{},\"recovered_records\":{},\"recovery_ms\":{},\
-             \"frags\":{},\"shutting_down\":{}}}",
-            c.requests.load(Ordering::Relaxed),
-            c.cache_hits.load(Ordering::Relaxed),
-            c.cache_misses.load(Ordering::Relaxed),
-            c.rejected.load(Ordering::Relaxed),
-            c.timeouts.load(Ordering::Relaxed),
-            c.cancelled.load(Ordering::Relaxed),
-            c.conn_rejected.load(Ordering::Relaxed),
-            c.conns.load(Ordering::Relaxed),
-            c.queue_depth.load(Ordering::Relaxed),
-            c.queue_depth_max.load(Ordering::Relaxed),
-            c.active.load(Ordering::Relaxed),
-            c.live_workers.load(Ordering::Relaxed),
-            unpoison(self.result_cache.lock()).len(),
-            c.delta_applied.load(Ordering::Relaxed),
-            c.delta_maintained.load(Ordering::Relaxed),
-            c.delta_rebuilds.load(Ordering::Relaxed),
-            c.recheck_tuples.load(Ordering::Relaxed),
-            w.wal_records,
-            w.wal_bytes,
-            w.snapshots,
-            w.compactions,
-            w.recovered_records,
-            w.recovery_ms,
-            self.fragment_count(),
-            self.is_shutting_down(),
-        )
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        JsonObject::new()
+            .value("requests", load(&c.requests))
+            .value("cache_hits", load(&c.cache_hits))
+            .value("cache_misses", load(&c.cache_misses))
+            .value("rejected", load(&c.rejected))
+            .value("timeouts", load(&c.timeouts))
+            .value("cancelled", load(&c.cancelled))
+            .value("conn_rejected", load(&c.conn_rejected))
+            .value("conns", c.conns.load(Ordering::Relaxed))
+            .value("queue_depth", load(&c.queue_depth))
+            .value("queue_depth_max", load(&c.queue_depth_max))
+            .value("active", c.active.load(Ordering::Relaxed))
+            .value("live_workers", c.live_workers.load(Ordering::Relaxed))
+            .value("cached_results", unpoison(self.result_cache.lock()).len())
+            .value("relations", relations)
+            .value("tuples", tuples)
+            .hex("fp", fp)
+            .value("delta_applied", load(&c.delta_applied))
+            .value("delta_maintained", load(&c.delta_maintained))
+            .value("delta_rebuilds", load(&c.delta_rebuilds))
+            .value("recheck_tuples", load(&c.recheck_tuples))
+            .value("wal_records", w.wal_records)
+            .value("wal_bytes", w.wal_bytes)
+            .value("snapshots", w.snapshots)
+            .value("compactions", w.compactions)
+            .value("recovered_records", w.recovered_records)
+            .value("recovery_ms", w.recovery_ms)
+            .value("frags", self.fragment_count())
+            .value("shutting_down", self.is_shutting_down())
     }
 }
 
@@ -1203,11 +1176,10 @@ pub(crate) fn parse_program(text: &str, support: Option<i64>) -> Result<FlockPro
 /// also behind the shell's `flock fingerprint` command).
 fn fingerprint(text: &str) -> Result<(String, String)> {
     let program = FlockProgram::parse(text).map_err(|e| ServerError::Parse(e.to_string()))?;
-    let meta = format!(
-        "{{\"fingerprint\":\"{:016x}\",\"params\":{}}}",
-        program.fingerprint(),
-        program.flock().params().len()
-    );
+    let meta = JsonObject::new()
+        .hex("fingerprint", program.fingerprint())
+        .value("params", program.flock().params().len())
+        .finish();
     Ok((meta, program.canonical_text()))
 }
 

@@ -97,7 +97,7 @@ use crate::client::{Client, ClientConfig};
 use crate::error::{Result, ServerError};
 use crate::pool::{Job, JobPayload};
 use crate::protocol::{Request, RequestLimits, Response};
-use crate::report::{extend_json, json_escape, json_u64};
+use crate::report::json_u64;
 use crate::service::{
     delta_record, parse_program, render_tsv, DeltaCommit, FlockRun, FlockService, Labels,
     RequestHandler, ServerConfig, LOCAL_EVALUATOR, LOCAL_LABELS,
@@ -1075,7 +1075,7 @@ impl Coordinator {
                     partial: false,
                 };
                 let o = service.run_flock(run, limits, granted_threads, deadline, cancel)?;
-                return Ok((extend_json(&o.meta, "\"sharded\":false"), o.body));
+                return Ok((o.meta.value("sharded", false).finish(), o.body));
             }
             let evaluator = ScatterEvaluator {
                 core,
@@ -1100,16 +1100,16 @@ impl Coordinator {
                 core.counters.sharded.fetch_add(1, Ordering::Relaxed);
             }
             // A cache hit scattered nothing: its tallies are all zero.
-            let sharded = format!(
-                "\"sharded\":true,\"shards\":{},\"rescatters\":{},\"failovers\":{},\
-                 \"hedges_launched\":{},\"hedges_won\":{}",
-                core.slots.len(),
-                tally.rescatters.load(Ordering::Relaxed),
-                tally.failovers.load(Ordering::Relaxed),
-                tally.hedges_launched.load(Ordering::Relaxed),
-                tally.hedges_won.load(Ordering::Relaxed),
-            );
-            Ok((extend_json(&o.meta, &sharded), o.body))
+            let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+            let meta = o
+                .meta
+                .value("sharded", true)
+                .value("shards", core.slots.len())
+                .value("rescatters", load(&tally.rescatters))
+                .value("failovers", load(&tally.failovers))
+                .value("hedges_launched", load(&tally.hedges_launched))
+                .value("hedges_won", load(&tally.hedges_won));
+            Ok((meta.finish(), o.body))
         });
         service.respond(outcome)
     }
@@ -1141,7 +1141,7 @@ impl Coordinator {
         let n = core.slots.len();
         let mut live = 0u64;
         let mut rollup = [0u64; ROLLUP.len()];
-        let mut missing: Vec<String> = Vec::new();
+        let mut missing: Vec<&str> = Vec::new();
         for k in 0..n {
             // Down workers are not even dialed.
             let reply = (!core.is_down(k)).then(|| core.with_client(k, |c| c.stats()));
@@ -1156,43 +1156,38 @@ impl Coordinator {
                     if failed.is_some() {
                         core.note_failure(k);
                     }
-                    missing.push(format!("\"{}\"", json_escape(&core.slots[k].addr)));
+                    missing.push(core.slots[k].addr.as_str());
                 }
             }
         }
         let sc = &core.counters;
-        let states: Vec<String> = (0..n)
-            .map(|k| format!("\"{}\"", core.worker_state(k).as_str()))
-            .collect();
-        let mut fields: Vec<String> = Vec::new();
-        let mut put = |key: &str, value: &dyn std::fmt::Display| {
-            fields.push(format!("\"{key}\":{value}"));
-        };
-        put("shards", &n);
-        put("shards_live", &live);
-        put("replicas", &core.replicas);
-        for (key, count) in [
-            ("scatters", &sc.scatters),
-            ("rescatters", &sc.rescatters),
-            ("sharded_runs", &sc.sharded),
-            ("local_fallbacks", &sc.local_fallbacks),
-            ("failovers", &sc.failovers),
-            ("hedges_launched", &sc.hedges_launched),
-            ("hedges_won", &sc.hedges_won),
-            ("probes", &sc.probes),
-            ("rejoins", &sc.rejoins),
-        ] {
-            put(key, &count.load(Ordering::Relaxed));
-        }
-        put("worker_state", &format!("[{}]", states.join(",")));
-        put("shard_stats_partial", &!missing.is_empty());
-        put("shard_stats_missing", &format!("[{}]", missing.join(",")));
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let mut o = core
+            .service
+            .stats()
+            .value("shards", n)
+            .value("shards_live", live)
+            .value("replicas", core.replicas)
+            .value("scatters", load(&sc.scatters))
+            .value("rescatters", load(&sc.rescatters))
+            .value("sharded_runs", load(&sc.sharded))
+            .value("local_fallbacks", load(&sc.local_fallbacks))
+            .value("failovers", load(&sc.failovers))
+            .value("hedges_launched", load(&sc.hedges_launched))
+            .value("hedges_won", load(&sc.hedges_won))
+            .value("probes", load(&sc.probes))
+            .value("rejoins", load(&sc.rejoins))
+            .strings(
+                "worker_state",
+                (0..n).map(|k| core.worker_state(k).as_str()),
+            )
+            .value("shard_stats_partial", !missing.is_empty())
+            .strings("shard_stats_missing", missing);
         for (key, sum) in ROLLUP.iter().zip(rollup) {
-            put(&format!("shard_{key}"), &sum);
+            o = o.value(&format!("shard_{key}"), sum);
         }
-        put("delta_pushes", &sc.delta_pushes.load(Ordering::Relaxed));
         Response::Ok {
-            meta: extend_json(&core.service.stats_json(), &fields.join(",")),
+            meta: o.value("delta_pushes", load(&sc.delta_pushes)).finish(),
             body: String::new(),
         }
     }
@@ -1292,14 +1287,7 @@ impl RequestHandler for Coordinator {
                 }
                 resp
             }
-            Request::Stats => {
-                self.core
-                    .service
-                    .counters
-                    .requests
-                    .fetch_add(1, Ordering::Relaxed);
-                self.stats_with_shards()
-            }
+            Request::Stats => self.stats_with_shards(),
             Request::Shutdown => {
                 self.core.stop_probe.store(true, Ordering::SeqCst);
                 // The workers exist to serve this coordinator: drain

@@ -203,6 +203,14 @@ fn await_stats(addr: &str, deadline: Duration, pred: impl Fn(&str) -> bool) -> S
     last
 }
 
+/// The server's `requests` count, read over a fresh connection. The
+/// `stats` request that reads it is itself counted, so a request in
+/// between two reads moves it by two.
+fn requests(addr: &str) -> u64 {
+    let (stats, _) = ok_parts(Client::connect(addr).unwrap().stats().unwrap());
+    qf_server::report::json_u64(&stats, "requests").unwrap()
+}
+
 /// A deadline stamped at admission keeps counting while the job waits
 /// in the queue: a request whose budget expires before a worker frees
 /// up is rejected with a typed `timeout` in the `queue` stage, without
@@ -247,6 +255,10 @@ fn queue_expired_deadline_is_a_typed_queue_timeout() {
         Response::Ok { meta, .. } => panic!("expired-in-queue request executed: {meta}"),
     }
     assert!(blocker.join().unwrap().is_ok());
+    // Every request so far was answered, the one the queue triaged
+    // too, so each was counted: the blocker, the expired request, and
+    // the `stats` reading the count.
+    assert_eq!(requests(&addr), 3);
 
     let stats = await_stats(&addr, Duration::from_secs(5), |s| {
         !s.contains("\"timeouts\":0")
@@ -417,6 +429,25 @@ fn connections_over_the_cap_are_shed_with_retry_after() {
     }
     drop(shed);
 
+    // A burst over the cap: every connection is answered `overloaded`
+    // unsolicited, from the accept thread.
+    let burst: Vec<std::net::TcpStream> = (0..16)
+        .map(|_| std::net::TcpStream::connect(&addr).unwrap())
+        .collect();
+    for mut stream in burst {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let payload = qf_server::frame::read_frame(&mut stream).unwrap().unwrap();
+        match Response::parse(std::str::from_utf8(&payload).unwrap()).unwrap() {
+            Response::Err { kind, detail } => {
+                assert_eq!(kind, "overloaded", "{detail}");
+                assert!(detail.contains("retry-after-ms="), "{detail}");
+            }
+            Response::Ok { meta, .. } => panic!("over-cap connection served: {meta}"),
+        }
+    }
+
     // Release the slot; the same address serves again and the shed
     // connection was counted.
     drop(holder);
@@ -476,6 +507,7 @@ fn over_cap_budget_is_rejected_before_queueing() {
     )
     .unwrap();
     let addr = server.addr().to_string();
+    let before = requests(&addr);
     let mut client = Client::connect(&addr).unwrap();
     let limits = RequestLimits {
         max_rows: Some(1_000_000),
@@ -487,6 +519,24 @@ fn over_cap_budget_is_rejected_before_queueing() {
     }
     let (stats, _) = ok_parts(client.stats().unwrap());
     assert!(stats.contains("\"rejected\":1"), "{stats}");
+    // Refused before queueing, and still counted: the refusal and the
+    // `stats` that read it.
+    let counted = qf_server::report::json_u64(&stats, "requests").unwrap();
+    assert_eq!(counted - before, 2, "{stats}");
+
+    // A request line that does not parse is answered typed, and counted
+    // once too.
+    let before = requests(&addr);
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut buf = Vec::new();
+    qf_server::frame::write_frame(&mut buf, b"frobnicate\n\n").unwrap();
+    stream.write_all(&buf).unwrap();
+    let payload = qf_server::frame::read_frame(&mut stream).unwrap().unwrap();
+    match Response::parse(std::str::from_utf8(&payload).unwrap()).unwrap() {
+        Response::Err { kind, detail } => assert_eq!(kind, "proto", "{detail}"),
+        Response::Ok { meta, .. } => panic!("malformed request served: {meta}"),
+    }
+    assert_eq!(requests(&addr) - before, 2);
     server.shutdown();
     server.join();
 }

@@ -321,3 +321,26 @@ fn fragment_store_refusals_leave_the_fragment_unchanged() {
         assert_eq!(body, stored, "{case} changed the stored fragment");
     }
 }
+
+/// A relation name is any non-blank token, quotes included: the
+/// acknowledgement of a frag-scoped delta escapes it like every other
+/// string in a meta, so the reply stays valid JSON.
+#[test]
+fn frag_scoped_delta_meta_escapes_the_relation_name() {
+    let svc = FlockService::new(ServerConfig::default(), Database::new());
+    let frag = |xs: &[i64]| {
+        let rows = xs.iter().map(|&x| vec![Value::int(x)]).collect();
+        let mut db = Database::new();
+        db.insert(Relation::from_rows(Schema::new("a\"b", &["x"]), rows));
+        db
+    };
+    let (before, after) = (frag(&[1]), frag(&[1, 2]));
+    ok_parts(svc.handle_light(&Request::Sync {
+        frag: 0,
+        fp: before.fingerprint(),
+        relations: before.iter().map(render_tsv).collect(),
+    }));
+    let scope = Some((0, after.fingerprint()));
+    let (meta, _) = ok_parts(svc.handle_append_admitted("a\"b", "a\"b\tx\n2\n", scope));
+    assert!(meta.contains("\"relation\":\"a\\\"b\""), "{meta}");
+}
