@@ -149,17 +149,31 @@ fn thread_scaling_table(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qf_core::evaluate_direct_with;
 
     #[test]
     fn small_scale_runs_and_speeds_up() {
         let tables = run(Scale::Small);
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows.len(), 3);
-        // At the highest threshold the rewrite must win clearly.
-        let last = tables[0].rows.last().unwrap();
-        let speedup: f64 = last[3].trim_end_matches('x').parse().unwrap();
-        assert!(speedup > 1.5, "expected a-priori win, got {speedup}x");
         // The scaling table always reports both thread columns.
         assert_eq!(tables[1].rows.len(), 2);
+        // At the highest threshold the rewrite must win clearly. Wall
+        // clock is a reported number only (it is noisy on a loaded
+        // host); the claim is checked on the governor's count of
+        // materialized tuples, which is deterministic.
+        let db = words_db(Scale::Small);
+        let flock = pair_flock(20);
+        let direct = ExecContext::unbounded();
+        evaluate_direct_with(&flock, &db, JoinOrderStrategy::AsWritten, &direct).unwrap();
+        let rewritten = ExecContext::unbounded();
+        let plan = single_param_plan(&flock, &db).unwrap();
+        execute_plan_with(&plan, &db, JoinOrderStrategy::Greedy, &rewritten).unwrap();
+        let (direct, rewritten) = (direct.stats().rows, rewritten.stats().rows);
+        assert!(
+            rewritten < direct,
+            "expected the a-priori rewrite to materialize fewer rows: \
+             {rewritten} rewritten vs {direct} direct"
+        );
     }
 }

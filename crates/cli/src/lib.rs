@@ -1365,6 +1365,8 @@ mod tests {
     /// The default strategy can use the budget it is given: before the
     /// §4.4 walk released what it had consumed, `run` and `run dynamic`
     /// died at 8 MB on a fixture whose largest stage result is ≈ 4 MB.
+    /// The weighted SUM flock (Fig. 10) runs every step fused, as the
+    /// COUNT flock does.
     #[test]
     fn every_strategy_fits_the_same_spill_budget() {
         let spill = std::env::temp_dir().join(format!("qfsh-budget-{}", std::process::id()));
@@ -1373,7 +1375,6 @@ mod tests {
 
         let mut s = Session::new();
         s.execute_line("gen baskets").unwrap();
-        s.execute_line(flock_cmd()).unwrap();
         s.execute_line(&format!("spill {}", spill.display()))
             .unwrap();
         s.execute_line("limits mem-budget=8m").unwrap();
@@ -1381,11 +1382,16 @@ mod tests {
             let shown = |l: &&str| l.starts_with("  ") || l.ends_with("result(s)");
             out.lines().filter(shown).map(String::from).collect()
         };
-        let direct = results(s.execute_line("run direct").unwrap());
-        assert_eq!(direct[0], "469 result(s)");
-        for run in ["run", "run dynamic", "run static"] {
-            let out = s.execute_line(run).unwrap_or_else(|e| panic!("{run}: {e}"));
-            assert_eq!(results(out), direct, "{run}");
+        let weighted = "flock QUERY: answer(B,W) :- baskets(B,$1) AND baskets(B,$2) \
+                        AND $1 < $2 AND importance(B,W) FILTER: SUM(answer.W) >= 500";
+        for (flock, found) in [(flock_cmd(), "469 result(s)"), (weighted, "343 result(s)")] {
+            s.execute_line(flock).unwrap();
+            let direct = results(s.execute_line("run direct").unwrap());
+            assert_eq!(direct[0], found);
+            for run in ["run", "run dynamic", "run static"] {
+                let out = s.execute_line(run).unwrap_or_else(|e| panic!("{run}: {e}"));
+                assert_eq!(results(out), direct, "{run}");
+            }
         }
         drop(s);
         assert_eq!(std::fs::read_dir(&spill).unwrap().count(), 0);

@@ -413,29 +413,6 @@ pub(crate) fn filter_agg_fn(
     Ok(make(n_params + pos))
 }
 
-/// The §5 monotonicity precondition of `SUM` filters: no negative
-/// weight reaches the aggregate. Reads the weight column's minimum off
-/// the materialized extended answer's statistics; `what` names the
-/// answer in the error.
-pub(crate) fn check_sum_weights(
-    filter: &FilterCondition,
-    rule0: &ConjunctiveQuery,
-    n_params: usize,
-    answer_rel: &qf_storage::Relation,
-    what: &str,
-) -> Result<()> {
-    if let AggFn::Sum(col) = filter_agg_fn(filter, rule0, n_params)? {
-        if let Some(min) = answer_rel.stats().column(col).min {
-            if min < qf_storage::Value::int(0) {
-                return Err(FlockError::NegativeWeight {
-                    detail: format!("{what}: minimum weight {min}"),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Wrap an answer plan with the flock's filter: group by the parameter
 /// columns, aggregate, threshold, and project the parameters — the
 /// flock's *result* (§2: "a query flock is a query about its

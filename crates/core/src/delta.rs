@@ -171,7 +171,6 @@ impl FlockDelta {
         if !self.touches(rel) {
             return Ok(DeltaApply::default());
         }
-        let agg = self.agg;
         let Some(view) = self.view.as_mut() else {
             self.seed(db, limits)?;
             return Ok(DeltaApply::default());
@@ -201,7 +200,6 @@ impl FlockDelta {
                     });
                 derivations(&self.body, term.collect(), limits, |row| {
                     if inserting {
-                        check_weight(agg, &row)?;
                         view.insert(&row)?;
                     } else {
                         view.remove(&row)?;
@@ -220,10 +218,7 @@ impl FlockDelta {
     fn seed(&mut self, db: &Database, limits: &DeltaLimits) -> Result<()> {
         let mut view = GroupAggView::new(self.n_params, self.agg, limits.max_tuples)?;
         let all = sources(&self.body, &self.preds, db);
-        derivations(&self.body, all, limits, |row| {
-            check_weight(self.agg, &row)?;
-            Ok(view.insert(&row)?)
-        })?;
+        derivations(&self.body, all, limits, |row| Ok(view.insert(&row)?))?;
         self.view = Some(view);
         Ok(())
     }
@@ -310,22 +305,6 @@ fn sources(body: &ConjunctiveQuery, preds: &[&str], db: &Database) -> Vec<Relati
                 .unwrap_or_else(|_| absent(pred, atom.arity()))
         })
         .collect()
-}
-
-/// Reject a negative weight entering a maintained SUM: a cold
-/// evaluation would refuse it (`check_sum_weights`), so the maintained
-/// answer must refuse it too rather than silently diverge.
-fn check_weight(agg: AggFn, row: &Tuple) -> Result<()> {
-    if let AggFn::Sum(c) = agg {
-        if let Some(v) = row.get(c).as_int() {
-            if v < 0 {
-                return Err(FlockError::NegativeWeight {
-                    detail: format!("weight {v} entered a maintained SUM"),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 fn delta_gate(detail: &str) -> FlockError {

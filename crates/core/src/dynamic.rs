@@ -61,8 +61,8 @@ use qf_engine::{
 use qf_storage::{Database, FastMap, Relation, Symbol, Value};
 
 use crate::compile::{
-    answer_columns, atom_order, check_sum_weights, filter_answer_scored, Binding, BodyWalk,
-    CompiledRule, JoinOrderStrategy,
+    answer_columns, atom_order, filter_answer_scored, Binding, BodyWalk, CompiledRule,
+    JoinOrderStrategy,
 };
 use crate::error::{FlockError, Result};
 use crate::eval::flock_result_from_scored;
@@ -457,12 +457,6 @@ impl Stages<'_> {
             n_params: params.len(),
             n_head: self.rule.head.arity(),
         };
-        if let FilterAgg::Sum(_) = self.filter.agg {
-            // The §5 precondition every route enforces: no negative
-            // weight may reach a SUM filter.
-            let answer_rel = self.run(&answer.plan, self.ctx)?;
-            check_sum_weights(self.filter, self.rule, params.len(), &answer_rel, "answer")?;
-        }
         let plan = filter_answer_scored(&answer, self.rule, self.filter)?;
         let rows = self.run(&plan, self.ctx)?;
         self.decisions.push(DynamicDecision::new(

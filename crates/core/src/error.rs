@@ -39,10 +39,10 @@ pub enum FlockError {
     /// An optimization requiring a monotone filter was asked of a
     /// non-monotone one (pruning would be unsound).
     NonMonotoneFilter,
-    /// A monotone `SUM` filter met a negative weight at evaluation time
-    /// (the §5 monotonicity precondition is violated by the data).
+    /// A `SUM` filter met a negative weight at evaluation time (the §5
+    /// monotonicity precondition is violated by the data).
     NegativeWeight {
-        /// The parameter assignment where it happened (best effort).
+        /// The offending weight.
         detail: String,
     },
     /// A run journal could not be created, validated, or replayed
@@ -116,9 +116,19 @@ impl From<DatalogError> for FlockError {
     }
 }
 
+/// An engine error, except the §5 refusal: every `SUM` the engine
+/// folds reads its weight through one operand rule, and its negative
+/// weight surfaces as the flock-level [`FlockError::NegativeWeight`]
+/// whichever route (direct, planned, §4.4, spilled, delta-maintained,
+/// scattered) folded it.
 impl From<EngineError> for FlockError {
     fn from(e: EngineError) -> Self {
-        FlockError::Engine(e)
+        match e {
+            EngineError::NegativeWeight { weight } => FlockError::NegativeWeight {
+                detail: format!("weight {weight}"),
+            },
+            e => FlockError::Engine(e),
+        }
     }
 }
 

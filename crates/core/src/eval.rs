@@ -18,7 +18,7 @@ use qf_storage::{Database, Relation, Schema, Tuple, Value};
 
 use crate::compile::{compile_answer, filter_answer, JoinOrderStrategy};
 use crate::error::{FlockError, Result};
-use crate::filter::FilterAgg;
+use crate::filter::{FilterAgg, FilterCondition};
 use crate::flock::QueryFlock;
 
 /// Rebuild `rel` under a schema naming the flock's parameter columns.
@@ -30,29 +30,39 @@ pub(crate) fn as_flock_result(flock: &QueryFlock, rel: &Relation) -> Relation {
     )
 }
 
+/// The one re-filter rule: keep the scored rows `(params…, agg)` whose
+/// aggregate (last column) passes `filter`, under `schema` — the
+/// scored schema itself, or one naming only its leading columns, which
+/// projects the aggregate away. The parameters key the groups, so
+/// either way the rows stay sorted and duplicate-free. Every route
+/// that answers a condition from scored rows goes through here: the
+/// plan loop committing a step, a cached or merged scored relation
+/// answering a subsumed request, and [`flock_result_from_scored`].
+pub fn refilter_scored(scored: &Relation, filter: &FilterCondition, schema: Schema) -> Relation {
+    let agg = scored.schema().arity() - 1;
+    let cols: Vec<usize> = (0..schema.arity()).collect();
+    let tuples = scored
+        .iter()
+        .filter(|t| filter.accepts(t.get(agg)))
+        .map(|t| t.project(&cols))
+        .collect();
+    Relation::from_sorted_dedup(schema, tuples)
+}
+
 /// Recover a flock result from a *scored* relation (`params…, agg`,
-/// see [`crate::execute_plan_scored_with`]): keep rows whose aggregate
-/// value passes `filter`, drop the aggregate column, and rebuild under
-/// the flock-result schema. When the scored relation's baseline filter
-/// [subsumes](crate::FilterCondition::subsumes) `filter`, the output is
-/// bitwise identical to evaluating the flock cold with `filter` — both
-/// are `from_sorted_dedup` over the same parameter tuples.
+/// see [`crate::execute_plan_scored_with`]): [`refilter_scored`] by
+/// `filter`, projected onto the flock-result schema. When the scored
+/// relation's baseline filter [subsumes](FilterCondition::subsumes)
+/// `filter`, the output is bitwise identical to evaluating the flock
+/// cold with `filter` — both are `from_sorted_dedup` over the same
+/// parameter tuples.
 pub fn flock_result_from_scored(
     flock: &QueryFlock,
     scored: &Relation,
-    filter: &crate::filter::FilterCondition,
+    filter: &FilterCondition,
 ) -> Relation {
-    let n_params = scored.schema().arity() - 1;
-    let cols: Vec<usize> = (0..n_params).collect();
-    let tuples: Vec<Tuple> = scored
-        .iter()
-        .filter(|t| filter.accepts(t.get(n_params)))
-        .map(|t| t.project(&cols))
-        .collect();
-    Relation::from_sorted_dedup(
-        Schema::from_columns("flock_result", flock.param_names()),
-        tuples,
-    )
+    let schema = Schema::from_columns("flock_result", flock.param_names());
+    refilter_scored(scored, filter, schema)
 }
 
 /// Evaluate the flock with a single monolithic plan (no a-priori
@@ -68,8 +78,7 @@ pub fn evaluate_direct(
 }
 
 /// [`evaluate_direct`] under an execution governor: the monolithic plan
-/// (and the SUM-precondition scan) run with `ctx`'s budgets, deadline
-/// and cancellation token.
+/// runs with `ctx`'s budgets, deadline and cancellation token.
 pub fn evaluate_direct_with(
     flock: &QueryFlock,
     db: &Database,
@@ -77,32 +86,9 @@ pub fn evaluate_direct_with(
     ctx: &ExecContext,
 ) -> Result<Relation> {
     let answer = compile_answer(flock.query(), db, strategy)?;
-    check_sum_weights(flock, db, &answer, ctx)?;
     let plan = filter_answer(&answer, &flock.query().rules()[0], flock.filter())?;
     let rel = execute_with(&plan, db, ctx)?;
     Ok(as_flock_result(flock, &rel))
-}
-
-/// For `SUM` filters, verify no negative weights reach the aggregate
-/// (the §5 monotonicity precondition): one extra run of the answer plan
-/// for its weight column's statistics.
-fn check_sum_weights(
-    flock: &QueryFlock,
-    db: &Database,
-    answer: &crate::compile::CompiledRule,
-    ctx: &ExecContext,
-) -> Result<()> {
-    if let FilterAgg::Sum(_) = flock.filter().agg {
-        let rel = execute_with(&answer.plan, db, ctx)?;
-        crate::compile::check_sum_weights(
-            flock.filter(),
-            &flock.query().rules()[0],
-            answer.n_params,
-            &rel,
-            "answer",
-        )?;
-    }
-    Ok(())
 }
 
 /// Cap on the number of parameter assignments [`evaluate_naive`] will
@@ -251,6 +237,8 @@ fn assignment_accepted(
                 .expect("validated head var");
             let vals = answers.iter().map(|t| t.get(pos));
             match flock.filter().agg {
+                // The oracle keeps its own §5 check rather than share the
+                // engine's SUM operand rule that the routes under test use.
                 FilterAgg::Sum(_) => {
                     let mut sum = 0i64;
                     for val in vals {

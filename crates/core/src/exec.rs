@@ -27,14 +27,12 @@ use std::time::{Duration, Instant};
 
 use qf_datalog::param_isomorphism;
 use qf_engine::{execute_with, EngineError, ExecContext, PhysicalPlan};
-use qf_storage::{Database, Relation, Schema, Symbol, Tuple};
+use qf_storage::{Database, Relation, Schema, Symbol};
 
-use crate::compile::{
-    check_sum_weights, compile_answer, filter_answer_scored, CompiledRule, JoinOrderStrategy,
-};
+use crate::compile::{compile_answer, filter_answer_scored, CompiledRule, JoinOrderStrategy};
 use crate::error::{FlockError, Result};
-use crate::eval::flock_result_from_scored;
-use crate::filter::{FilterAgg, FilterCondition};
+use crate::eval::{flock_result_from_scored, refilter_scored};
+use crate::filter::FilterCondition;
 use crate::journal::RunJournal;
 use crate::plan::{FilterStep, QueryPlan};
 use crate::shard::scored_schema;
@@ -172,12 +170,9 @@ impl StepEvaluator for LocalEvaluator {
         // extended answer: fuse the filter's group-by/aggregate directly
         // onto the answer plan so the whole step runs as one spillable
         // tree and only the (small) surviving assignments materialize.
-        // SUM filters still take the materialized path — the §5
-        // negative-weight check below needs the answer relation's
-        // column statistics — and the per-step answer/group
-        // instrumentation is forgone (reported as zero, like a
-        // symmetry-reused step).
-        if ctx.spill_enabled() && !matches!(filter.agg, FilterAgg::Sum(_)) {
+        // The per-step answer/group instrumentation is forgone
+        // (reported as zero, like a symmetry-reused step).
+        if ctx.spill_enabled() {
             let fused = filter_answer_scored(&answer, rule0, filter)?;
             return Ok(ScoredStep {
                 rows: execute_with(&fused, working, ctx)?,
@@ -187,13 +182,6 @@ impl StepEvaluator for LocalEvaluator {
             });
         }
         let answer_rel = execute_with(&answer.plan, working, ctx)?;
-        check_sum_weights(
-            filter,
-            rule0,
-            answer.n_params,
-            &answer_rel,
-            &format!("step `{}`", step.output),
-        )?;
         // Group by parameters and apply the flock's condition, reusing
         // the compiled-plan path by wrapping the materialized answer as
         // a scan under a reserved name.
@@ -466,16 +454,9 @@ fn run_plan<E: StepEvaluator + ?Sized>(
                         if last == 0 && journal.is_none() {
                             baseline = s.complete_for;
                         }
-                        Relation::from_sorted_dedup(
-                            scored_schema(step),
-                            passing(&s, &baseline).cloned().collect(),
-                        )
+                        refilter_scored(&s.rows, &baseline, scored_schema(step))
                     } else {
-                        let params: Vec<usize> = (0..step.params.len()).collect();
-                        Relation::from_sorted_dedup(
-                            step_schema(step),
-                            passing(&s, filter).map(|t| t.project(&params)).collect(),
-                        )
+                        refilter_scored(&s.rows, filter, step_schema(step))
                     };
                     (committed, Some((s.answer_tuples, s.groups, elapsed)))
                 }
@@ -542,20 +523,6 @@ fn step_schema(step: &FilterStep) -> Schema {
         step.output.clone(),
         step.params.iter().map(|p| p.to_string()).collect(),
     )
-}
-
-/// The rows of an evaluated step passing `condition`: all of them when
-/// that is what the evaluator was complete for, otherwise those whose
-/// aggregate (last column) it accepts.
-fn passing<'a>(
-    s: &'a ScoredStep,
-    condition: &'a FilterCondition,
-) -> impl Iterator<Item = &'a Tuple> {
-    let exact = s.complete_for == *condition;
-    let agg = s.rows.schema().arity() - 1;
-    s.rows
-        .iter()
-        .filter(move |t| exact || condition.accepts(t.get(agg)))
 }
 
 /// If `step`'s query is isomorphic to `prev`'s under a parameter

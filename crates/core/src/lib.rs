@@ -71,7 +71,10 @@ pub use dynamic::{
     evaluate_dynamic_with, DecisionReason, DynamicConfig, DynamicDecision, DynamicReport,
 };
 pub use error::{FlockError, Result};
-pub use eval::{evaluate_direct, evaluate_direct_with, evaluate_naive, flock_result_from_scored};
+pub use eval::{
+    evaluate_direct, evaluate_direct_with, evaluate_naive, flock_result_from_scored,
+    refilter_scored,
+};
 pub use exec::{
     execute_plan_scored_on, execute_plan_scored_with, execute_plan_with, LocalEvaluator,
     PlanExecution, ScoredExecution, ScoredStep, StepEvaluator, StepReport,

@@ -20,15 +20,16 @@
 //!   condition under which per-shard answer tuples are *disjoint*, the
 //!   precondition for `COUNT`/`SUM` addition to be exact;
 //! * **the merge wrapper** ([`merge_scored_partials`]) — maps the
-//!   flock's aggregate onto the engine's [`MergeOp`] kernel.
+//!   flock's aggregate onto the engine's [`merge_partials`] kernel,
+//!   which combines partials with the group-by's own accumulator merge.
 //!
 //! [subsuming]: crate::FilterCondition::subsumes
-//! [`MergeOp`]: qf_engine::MergeOp
+//! [`merge_partials`]: qf_engine::merge_partials
 
 use std::collections::BTreeSet;
 
 use qf_datalog::{Literal, Term};
-use qf_engine::{ExecContext, MergeOp};
+use qf_engine::{AggFn, ExecContext};
 use qf_storage::{CmpOp, Database, Fnv1a, Relation, Schema, Tuple, Value};
 
 use crate::compile::JoinOrderStrategy;
@@ -144,26 +145,24 @@ pub fn vacuous_filter(filter: &FilterCondition) -> FilterCondition {
     }
 }
 
-/// How partials of this aggregate combine: `COUNT`/`SUM` add, `MIN`/
-/// `MAX` take the extremum.
-pub fn merge_op(agg: &FilterAgg) -> MergeOp {
-    match agg {
-        FilterAgg::Count | FilterAgg::Sum(_) => MergeOp::Add,
-        FilterAgg::Min(_) => MergeOp::Min,
-        FilterAgg::Max(_) => MergeOp::Max,
-    }
-}
-
 /// Merge per-shard scored partials `(params…, agg)` into the global
-/// scored relation, using the merge algebra of `agg`. Exact whenever
-/// the shards' answer tuples are disjoint — the invariant
+/// scored relation, combining the aggregate column as `agg`'s partials
+/// combine (`COUNT`/`SUM` add, `MIN`/`MAX` take the extremum). Exact
+/// whenever the shards' answer tuples are disjoint — the invariant
 /// [`shard_key_pos`] certifies.
 pub fn merge_scored_partials(
     agg: &FilterAgg,
     schema: Schema,
     parts: &[Relation],
 ) -> Result<Relation> {
-    Ok(qf_engine::merge_partials(schema, parts, merge_op(agg))?)
+    let col = schema.arity() - 1;
+    let agg = match agg {
+        FilterAgg::Count => AggFn::Count,
+        FilterAgg::Sum(_) => AggFn::Sum(col),
+        FilterAgg::Min(_) => AggFn::Min(col),
+        FilterAgg::Max(_) => AggFn::Max(col),
+    };
+    Ok(qf_engine::merge_partials(schema, parts, agg)?)
 }
 
 /// The shardability check: find a head position `h` such that

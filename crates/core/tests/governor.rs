@@ -6,14 +6,13 @@
 use std::time::Duration;
 
 use qf_core::{
-    best_plan_with, evaluate_direct, evaluate_direct_with, EngineError, ExecContext, FlockError,
-    JoinOrderStrategy, QueryFlock, Resource,
+    best_plan_with, evaluate_direct, evaluate_direct_with, evaluate_dynamic_with, DynamicConfig,
+    EngineError, ExecContext, FlockError, JoinOrderStrategy, QueryFlock, Resource,
 };
 use qf_storage::{Database, Relation};
 
-/// A realistic basket workload from the synthetic generator.
-fn basket_db() -> Database {
-    let data = qf_datagen::baskets::generate(&qf_datagen::BasketConfig {
+fn basket_config() -> qf_datagen::BasketConfig {
+    qf_datagen::BasketConfig {
         n_baskets: 200,
         avg_basket_size: 6,
         n_items: 50,
@@ -21,7 +20,12 @@ fn basket_db() -> Database {
         avg_pattern_size: 3,
         pattern_prob: 0.8,
         seed: 7,
-    });
+    }
+}
+
+/// A realistic basket workload from the synthetic generator.
+fn basket_db() -> Database {
+    let data = qf_datagen::baskets::generate(&basket_config());
     let mut db = Database::new();
     db.insert(data.baskets);
     db
@@ -258,5 +262,50 @@ fn every_operator_invocation_propagates_injected_faults() {
     assert!(
         operators_hit.len() >= 3,
         "expected faults across several distinct operators, got {operators_hit:?}"
+    );
+}
+
+/// A SUM flock costs what the same-body COUNT flock costs: the §5
+/// weight rule is checked inside the aggregate's fold, so neither the
+/// direct plan nor the §4.4 walk runs its answer plan a second time
+/// for it. On E7's weighted body (every weight ≥ 1) `SUM ≥ 1` and
+/// `COUNT ≥ 1` keep every group, so the governor's row counts must
+/// match exactly. The §4.4 walk counts assignments and may prune only
+/// under a *monotone* COUNT filter, work a SUM walk never does; there
+/// the like-for-like COUNT flock is `COUNT ≤ 10⁶`, which keeps every
+/// group too and walks without decisions, as SUM does.
+#[test]
+fn sum_flock_costs_what_the_count_flock_costs() {
+    let mut db = basket_db();
+    db.insert(qf_datagen::baskets::importance(&basket_config(), 50));
+    let rows = |filter: &str, dynamic: bool| {
+        let flock = QueryFlock::parse(&format!(
+            "QUERY:
+             answer(B,W) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2 AND importance(B,W)
+             FILTER:
+             {filter}"
+        ))
+        .unwrap();
+        let ctx = ExecContext::unbounded();
+        let result = if dynamic {
+            evaluate_dynamic_with(&flock, &db, &DynamicConfig::default(), &ctx)
+                .unwrap()
+                .result
+        } else {
+            evaluate_direct_with(&flock, &db, JoinOrderStrategy::Greedy, &ctx).unwrap()
+        };
+        assert!(!result.is_empty(), "{filter}");
+        ctx.stats().rows
+    };
+    let sum = "SUM(answer.W) >= 1";
+    assert_eq!(
+        rows(sum, false),
+        rows("COUNT(answer.W) >= 1", false),
+        "direct"
+    );
+    assert_eq!(
+        rows(sum, true),
+        rows("COUNT(answer.W) <= 1000000", true),
+        "§4.4"
     );
 }

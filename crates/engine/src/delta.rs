@@ -12,9 +12,9 @@
 //!
 //! * `COUNT` — the number of live distinct tuples per group;
 //! * `SUM` — maintained as an exact `i128` and clamped to `i64` on
-//!   read, which equals the executor's `saturating_add` fold whenever
-//!   the true sum stays representable (and for the all-non-negative
-//!   sums flocks use, even when it does not);
+//!   read, which equals the executor's `saturating_add` fold: both
+//!   read every weight through the one operand rule (an integer, never
+//!   negative), so a sum only ever overflows upwards;
 //! * `MIN`/`MAX` — a **bounded re-check set** of the
 //!   [`RECHECK_BOUND`] best values per group. Inserts keep the set's
 //!   invariant (it holds the best `len` live values; everything
@@ -34,6 +34,7 @@ use std::collections::BTreeMap;
 use qf_storage::{Tuple, Value};
 
 use crate::error::{EngineError, Result};
+use crate::exec::sum_operand;
 use crate::governor::Resource;
 use crate::plan::AggFn;
 
@@ -130,15 +131,7 @@ impl GroupAggView {
         }
         match self.agg {
             AggFn::Count => {}
-            AggFn::Sum(c) => {
-                let v = t
-                    .get(c)
-                    .as_int()
-                    .ok_or_else(|| EngineError::AggregateType {
-                        detail: format!("SUM over non-integer value {:?}", t.get(c)),
-                    })?;
-                group.sum += v as i128;
-            }
+            AggFn::Sum(c) => group.sum += sum_operand(t.get(c))? as i128,
             AggFn::Min(c) | AggFn::Max(c) => {
                 admit_extreme(group, t.get(c), self.agg);
             }
@@ -169,15 +162,7 @@ impl GroupAggView {
         self.stored -= 1;
         match self.agg {
             AggFn::Count => {}
-            AggFn::Sum(c) => {
-                let v = t
-                    .get(c)
-                    .as_int()
-                    .ok_or_else(|| EngineError::AggregateType {
-                        detail: format!("SUM over non-integer value {:?}", t.get(c)),
-                    })?;
-                group.sum -= v as i128;
-            }
+            AggFn::Sum(c) => group.sum -= sum_operand(t.get(c))? as i128,
             AggFn::Min(c) | AggFn::Max(c) => {
                 let agg = self.agg;
                 let scanned = evict_extreme(group, t.get(c), c - self.group_cols, agg)?;
@@ -198,7 +183,9 @@ impl GroupAggView {
         for (key, group) in &self.groups {
             let value = match self.agg {
                 AggFn::Count => Value::int(group.tuples.len() as i64),
-                AggFn::Sum(_) => Value::int(clamp_sum(group.sum)),
+                // Non-negative operands: the fold only overflows upwards,
+                // where the executor's `saturating_add` clamps.
+                AggFn::Sum(_) => Value::int(i64::try_from(group.sum).unwrap_or(i64::MAX)),
                 AggFn::Min(_) | AggFn::Max(_) => {
                     *group
                         .extremes
@@ -295,18 +282,6 @@ fn evict_extreme(group: &mut GroupState, v: Value, rest_col: usize, agg: AggFn) 
         return Ok(scanned);
     }
     Ok(0)
-}
-
-/// Clamp the exact sum the way a fold of `saturating_add` over
-/// same-signed addends lands.
-fn clamp_sum(sum: i128) -> i64 {
-    if sum > i64::MAX as i128 {
-        i64::MAX
-    } else if sum < i64::MIN as i128 {
-        i64::MIN
-    } else {
-        sum as i64
-    }
 }
 
 #[cfg(test)]

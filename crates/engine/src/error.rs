@@ -29,6 +29,14 @@ pub enum EngineError {
         /// Description of the violation.
         detail: String,
     },
+    /// A `SUM` met a negative weight. The paper admits `SUM` filters
+    /// only over non-negative weights (§5): a negative one breaks the
+    /// monotonicity every a-priori prune relies on, so the aggregate
+    /// refuses it wherever it folds.
+    NegativeWeight {
+        /// The offending weight.
+        weight: i64,
+    },
     /// A delta-maintenance operation (see [`crate::delta`]) was fed an
     /// update incoherent with its recorded state — e.g. a derivation
     /// removed that was never inserted. The maintained view can no
@@ -93,6 +101,9 @@ impl std::fmt::Display for EngineError {
                 write!(f, "union inputs have arities {first} and {other}")
             }
             EngineError::AggregateType { detail } => write!(f, "aggregate type error: {detail}"),
+            EngineError::NegativeWeight { weight } => {
+                write!(f, "SUM over negative weight {weight}")
+            }
             EngineError::DeltaInvariant { detail } => {
                 write!(f, "delta maintenance invariant violated: {detail}")
             }

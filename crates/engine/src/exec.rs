@@ -391,6 +391,23 @@ fn column_names(schema: &Schema, cols: &[usize]) -> Vec<String> {
     cols.iter().map(|&c| schema.columns()[c].clone()).collect()
 }
 
+/// The one `SUM` operand rule: a weight is an integer (anything else
+/// is a type error) and non-negative. The paper admits `SUM` filters
+/// only over non-negative weights (§5) — a negative one breaks the
+/// monotonicity every a-priori prune relies on — and every `SUM` the
+/// engine folds, cold (`Acc`), maintained ([`crate::GroupAggView`]) or
+/// merged across fragments ([`crate::merge_partials`]), reads its
+/// operand here.
+pub(crate) fn sum_operand(v: Value) -> Result<i64> {
+    match v.as_int() {
+        Some(w) if w >= 0 => Ok(w),
+        Some(weight) => Err(EngineError::NegativeWeight { weight }),
+        None => Err(EngineError::AggregateType {
+            detail: format!("SUM over non-integer value {v:?}"),
+        }),
+    }
+}
+
 /// Running aggregate state for one group.
 pub(crate) enum Acc {
     Count(i64),
@@ -410,15 +427,7 @@ impl Acc {
     pub(crate) fn update(&mut self, t: &Tuple, agg: AggFn) -> Result<()> {
         match (self, agg) {
             (Acc::Count(n), AggFn::Count) => *n += 1,
-            (Acc::Sum(s), AggFn::Sum(c)) => {
-                let v = t
-                    .get(c)
-                    .as_int()
-                    .ok_or_else(|| EngineError::AggregateType {
-                        detail: format!("SUM over non-integer value {:?}", t.get(c)),
-                    })?;
-                *s = s.saturating_add(v);
-            }
+            (Acc::Sum(s), AggFn::Sum(c)) => *s = s.saturating_add(sum_operand(t.get(c))?),
             (Acc::MinMax(m), AggFn::Min(c)) => {
                 let v = t.get(c);
                 *m = Some(m.map_or(v, |old| old.min(v)));
@@ -436,12 +445,27 @@ impl Acc {
         Ok(())
     }
 
-    /// Fold another group's state (from a different partition) into
-    /// this one. All four aggregates are associative and commutative,
-    /// so merge order does not affect the result.
-    fn merge(&mut self, other: Acc, agg: AggFn) -> Result<()> {
+    /// The state of a group whose aggregate is already `v`: a partial
+    /// aggregate computed elsewhere (another fragment of the catalog),
+    /// ready to [`merge`](Acc::merge) into this node's state. A `COUNT`
+    /// must be an integer and a `SUM` a [`sum_operand`].
+    pub(crate) fn of_partial(agg: AggFn, v: Value) -> Result<Acc> {
+        Ok(match agg {
+            AggFn::Count => Acc::Count(v.as_int().ok_or_else(|| EngineError::AggregateType {
+                detail: format!("COUNT partial {v} is not an integer"),
+            })?),
+            AggFn::Sum(_) => Acc::Sum(sum_operand(v)?),
+            AggFn::Min(_) | AggFn::Max(_) => Acc::MinMax(Some(v)),
+        })
+    }
+
+    /// Fold another group's state (from a different partition or
+    /// fragment) into this one. All four aggregates are associative
+    /// and commutative, so merge order does not affect the result;
+    /// `COUNT` and `SUM` saturate like [`update`](Acc::update).
+    pub(crate) fn merge(&mut self, other: Acc, agg: AggFn) -> Result<()> {
         match (self, other) {
-            (Acc::Count(a), Acc::Count(b)) => *a += b,
+            (Acc::Count(a), Acc::Count(b)) => *a = a.saturating_add(b),
             (Acc::Sum(a), Acc::Sum(b)) => *a = a.saturating_add(b),
             (Acc::MinMax(a), Acc::MinMax(b)) => {
                 *a = match (*a, b) {
@@ -723,6 +747,24 @@ mod tests {
             .merge(Acc::new(AggFn::Min(0)), AggFn::Count)
             .unwrap_err();
         assert!(matches!(err, EngineError::AggregateType { .. }));
+    }
+
+    #[test]
+    fn sum_refuses_a_negative_weight() {
+        let mut db = Database::new();
+        db.insert(Relation::from_rows(
+            Schema::new("w", &["k", "v"]),
+            vec![
+                vec![Value::int(1), Value::int(3)],
+                vec![Value::int(1), Value::int(-2)],
+            ],
+        ));
+        let p = PhysicalPlan::aggregate(PhysicalPlan::scan("w"), vec![0], AggFn::Sum(1));
+        let err = execute_with(&p, &db, &ExecContext::unbounded()).unwrap_err();
+        assert_eq!(err, EngineError::NegativeWeight { weight: -2 });
+        // MIN/MAX take any value.
+        let p = PhysicalPlan::aggregate(PhysicalPlan::scan("w"), vec![0], AggFn::Min(1));
+        assert!(execute_with(&p, &db, &ExecContext::unbounded()).is_ok());
     }
 
     #[test]

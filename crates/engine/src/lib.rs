@@ -77,5 +77,5 @@ pub use governor::{
 };
 pub use joinorder::{order_greedy, order_optimal_dp, JoinGraph, JoinNode};
 pub use parallel::{default_threads, par_chunks, par_items, workers_for};
-pub use partial::{merge_partials, MergeOp};
+pub use partial::merge_partials;
 pub use plan::{AggFn, PhysicalPlan};

@@ -11,7 +11,8 @@ use crate::expr::Predicate;
 pub enum AggFn {
     /// Number of (distinct, because inputs are sets) rows per group.
     Count,
-    /// Sum of an integer column per group.
+    /// Sum of a non-negative integer column per group (a negative
+    /// weight is [`crate::EngineError::NegativeWeight`]).
     Sum(usize),
     /// Minimum of a column per group.
     Min(usize),

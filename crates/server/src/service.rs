@@ -21,9 +21,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use qf_core::{
-    best_plan_with, direct_plan, execute_plan_scored_on, flock_result_from_scored, vacuous_filter,
-    CancelToken, DeltaLimits, ExecContext, ExecStats, FilterCondition, FlockDelta, FlockProgram,
-    JoinOrderStrategy, LocalEvaluator, QueryFlock, StepEvaluator,
+    best_plan_with, direct_plan, execute_plan_scored_on, flock_result_from_scored, refilter_scored,
+    vacuous_filter, CancelToken, DeltaLimits, ExecContext, ExecStats, FilterCondition, FlockDelta,
+    FlockProgram, JoinOrderStrategy, LocalEvaluator, QueryFlock, StepEvaluator,
 };
 use qf_storage::{
     spill::content_hash, tsv, Database, Fnv1a, Relation, StorageError, Wal, WalCounters, WalRecord,
@@ -551,7 +551,7 @@ impl FlockService {
             } else if *baseline == canonical_filter {
                 scored.clone()
             } else {
-                refilter_scored(scored, &filter)
+                refilter_scored(scored, &filter, scored.schema().clone())
             }
         };
         let outcome = |label: &str, answer: &Relation, stats: &ExecStats, hit| FlockOutcome {
@@ -1181,19 +1181,6 @@ fn fingerprint(text: &str) -> Result<(String, String)> {
         .value("params", program.flock().params().len())
         .finish();
     Ok((meta, program.canonical_text()))
-}
-
-/// Keep only the scored rows whose aggregate (last column) passes
-/// `filter` — how a cached scored relation answers a subsumed partial
-/// request exactly.
-pub(crate) fn refilter_scored(scored: &Relation, filter: &FilterCondition) -> Relation {
-    let arity = scored.schema().arity();
-    let tuples = scored
-        .iter()
-        .filter(|t| filter.accepts(t.get(arity - 1)))
-        .cloned()
-        .collect();
-    Relation::from_sorted_dedup(scored.schema().clone(), tuples)
 }
 
 /// Render a relation as TSV text — the response body format. Stable

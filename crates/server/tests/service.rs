@@ -220,6 +220,36 @@ fn sum_over_different_head_columns_does_not_cross_hit() {
     assert!(!body_a.contains('7'), "SUM over column a is 3: {body_a}");
 }
 
+/// §5: a negative weight under a SUM filter is an `eval` error whose
+/// text names the broken precondition, and the service stays usable.
+#[test]
+fn negative_sum_weight_is_a_typed_eval_error() {
+    let mut db = Database::new();
+    db.insert(Relation::from_rows(
+        Schema::new("r", &["a", "b", "c"]),
+        vec![
+            vec![Value::int(1), Value::int(4), Value::int(7)],
+            vec![Value::int(2), Value::int(-3), Value::int(7)],
+        ],
+    ));
+    let svc = FlockService::new(ServerConfig::default(), db);
+    let limits = RequestLimits::default();
+    let text = "QUERY:\nanswer(B,W) :- r(B,W,$p)\nFILTER:\nSUM(answer.W) >= 1";
+    match svc.handle_flock(text, None, &limits, 1) {
+        Response::Err { kind, detail } => {
+            assert_eq!(kind, "eval");
+            assert!(
+                detail.contains("negative weight under a SUM filter breaks monotonicity"),
+                "{detail}"
+            );
+        }
+        Response::Ok { meta, .. } => panic!("unexpected ok: {meta}"),
+    }
+    let count = "QUERY:\nanswer(B,W) :- r(B,W,$p)\nFILTER:\nCOUNT(answer.W) >= 2";
+    let (_, body) = ok_parts(svc.handle_flock(count, None, &limits, 1));
+    assert!(body.contains('7'), "{body}");
+}
+
 #[test]
 fn fingerprint_is_syntax_insensitive() {
     let svc = FlockService::new(ServerConfig::default(), Database::new());

@@ -121,6 +121,31 @@ fn two_shard_run_matches_single_node_bitwise() {
     assert!(meta.contains("\"sharded\":false"), "{meta}");
     assert_eq!(body, expected_body(local, &db));
 
+    // §5 through the scatter: the fragment holding a negative weight
+    // refuses its partial, and the coordinator answers a typed `eval`.
+    let importance = Relation::from_rows(
+        Schema::new("importance", &["bid", "w"]),
+        (0..12)
+            .map(|b| vec![Value::int(b), Value::int(if b == 0 { -1 } else { 2 })])
+            .collect(),
+    );
+    assert!(client.load(&render_tsv(&importance)).unwrap().is_ok());
+    let weighted = "QUERY:\nanswer(B,W) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2 \
+                    AND importance(B,W)\nFILTER:\nSUM(answer.W) >= 2";
+    match client
+        .flock(weighted, None, RequestLimits::default())
+        .unwrap()
+    {
+        Response::Err { kind, detail } => {
+            assert_eq!(kind, "eval");
+            assert!(
+                detail.contains("negative weight under a SUM filter breaks monotonicity"),
+                "{detail}"
+            );
+        }
+        Response::Ok { meta, .. } => panic!("unexpected ok: {meta}"),
+    }
+
     drop(client);
     for w in workers {
         w.shutdown();

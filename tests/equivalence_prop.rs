@@ -2,13 +2,15 @@
 //! computes the same flock — the central soundness claim of the paper's
 //! optimization framework (legal plans are *equivalent* to the flock).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use query_flocks::core::{
-    enumerate_plans, evaluate_direct, evaluate_dynamic_with, evaluate_naive, execute_plan_with,
-    DynamicConfig, JoinOrderStrategy, QueryFlock,
+    best_plan_with, direct_plan, enumerate_plans, evaluate_direct, evaluate_dynamic_with,
+    evaluate_naive, evaluate_scored_partial, execute_plan_with, partial_flock, partition_database,
+    DeltaLimits, DynamicConfig, FlockDelta, FlockError, JoinOrderStrategy, QueryFlock,
 };
 use query_flocks::engine::{row_cost, ExecContext};
 use query_flocks::storage::{Database, Relation, Schema, SpillDir, Value};
@@ -95,6 +97,93 @@ fn assert_dynamic_routes(
     Ok(())
 }
 
+/// `baskets` plus `importance(bid, w)` giving basket `b` weight
+/// `weights[b]`.
+fn weighted_db(rows: &[(i64, u8)], weights: &[i64]) -> Database {
+    let mut db = basket_db(rows);
+    db.insert(Relation::from_rows(
+        Schema::new("importance", &["bid", "w"]),
+        weights
+            .iter()
+            .enumerate()
+            .map(|(b, &w)| vec![Value::int(b as i64), Value::int(w)])
+            .collect(),
+    ));
+    db
+}
+
+/// §5: a negative weight under a SUM filter is refused with
+/// `FlockError::NegativeWeight` on every route — naive, direct,
+/// best-static, dynamic, spilled (the fused step), delta-maintained
+/// (the batch that brings the weight in) and a scatter partial (the
+/// fragment holding it). `db` is the catalog before the batch that
+/// turns it into `negative`.
+fn assert_negative_weight_refused(
+    flock: &QueryFlock,
+    db: &Database,
+    negative: &Database,
+) -> Result<(), TestCaseError> {
+    let refused = |route: &str, r: Result<(), FlockError>| -> Result<(), TestCaseError> {
+        prop_assert!(
+            matches!(r, Err(FlockError::NegativeWeight { .. })),
+            "{}: {:?}",
+            route,
+            r
+        );
+        Ok(())
+    };
+    let unbounded = ExecContext::unbounded();
+    refused("naive", evaluate_naive(flock, negative).map(drop))?;
+    refused(
+        "direct",
+        evaluate_direct(flock, negative, JoinOrderStrategy::Greedy).map(drop),
+    )?;
+    let (best, _) = best_plan_with(flock, negative, &unbounded).unwrap();
+    refused(
+        "best-static",
+        execute_plan_with(&best, negative, JoinOrderStrategy::Greedy, &unbounded).map(drop),
+    )?;
+    refused(
+        "dynamic",
+        evaluate_dynamic_with(flock, negative, &DynamicConfig::default(), &unbounded).map(drop),
+    )?;
+    let spilled = ExecContext::unbounded()
+        .with_spill(Arc::new(SpillDir::create_temp().unwrap()))
+        .with_mem_budget(1 << 20);
+    for plan in [direct_plan(flock).unwrap(), best] {
+        refused(
+            "spilled",
+            execute_plan_with(&plan, negative, JoinOrderStrategy::Greedy, &spilled).map(drop),
+        )?;
+    }
+    prop_assert_eq!(spilled.stats().spill_files_live, 0);
+
+    let mut delta = FlockDelta::build(flock, db, &DeltaLimits::default()).unwrap();
+    let (old, new) = (
+        db.get("importance").unwrap(),
+        negative.get("importance").unwrap(),
+    );
+    refused(
+        "delta",
+        delta
+            .apply("importance", old, new, negative, &DeltaLimits::default())
+            .map(drop),
+    )?;
+
+    let step = &direct_plan(flock).unwrap().steps[0];
+    let partial = partial_flock(step, flock.filter()).unwrap();
+    let frags = partition_database(negative, 2, &BTreeSet::new());
+    let partials: Vec<_> = frags
+        .iter()
+        .map(|frag| evaluate_scored_partial(&partial, frag, JoinOrderStrategy::Greedy, &unbounded))
+        .collect();
+    prop_assert!(partials.iter().any(Result::is_err));
+    for p in partials.into_iter().filter(Result::is_err) {
+        refused("scatter partial", p.map(drop))?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -163,20 +252,15 @@ proptest! {
     }
 
     /// Weighted SUM flock with non-negative weights: naive ≡ direct ≡
-    /// plans (monotone pruning stays sound).
+    /// plans (monotone pruning stays sound). With one negative weight
+    /// reaching the answer, every route refuses it the same way.
     #[test]
     fn weighted_flock_equivalence(
         rows in baskets_strategy(),
         weights in prop::collection::vec(0i64..5, 12),
         threshold in 1i64..12,
     ) {
-        let mut db = basket_db(&rows);
-        db.insert(Relation::from_rows(
-            Schema::new("importance", &["bid", "w"]),
-            weights.iter().enumerate()
-                .map(|(b, &w)| vec![Value::int(b as i64), Value::int(w)])
-                .collect(),
-        ));
+        let db = weighted_db(&rows, &weights);
         let flock = QueryFlock::parse(&format!(
             "QUERY: answer(B,W) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2 \
              AND importance(B,W) FILTER: SUM(answer.W) >= {threshold}"
@@ -189,6 +273,14 @@ proptest! {
             let run = execute_plan_with(&plan, &db, JoinOrderStrategy::Greedy, &ExecContext::unbounded()).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples(), "plan: {}", plan);
         }
+
+        // Basket 0 holds items i0 and i1, so its (now negative) weight
+        // reaches the pair (i0, i1)'s SUM on every route.
+        let mut negative = weights.clone();
+        negative[0] = -1 - weights[0];
+        let mut rows = rows;
+        rows.extend([(0, 0), (0, 1)]);
+        assert_negative_weight_refused(&flock, &weighted_db(&rows, &weights), &weighted_db(&rows, &negative))?;
     }
 
     /// Non-monotone COUNT filters must not be prematurely pruned by the
