@@ -1089,7 +1089,7 @@ mod tests {
                 qf_server::Response::Ok { body, .. } => assert_eq!(body, note, "{kind}"),
                 other => panic!("{kind}: {other:?}"),
             }
-            assert_eq!(svc.snapshot().1, s.db.fingerprint(), "{kind}");
+            assert_eq!(svc.snapshot().fingerprint(), s.db.fingerprint(), "{kind}");
         }
     }
 

@@ -148,6 +148,12 @@ impl FlockDelta {
         Ok(this)
     }
 
+    /// The relations the flock reads, one entry per positive subgoal
+    /// (a maintainable flock has no negated ones).
+    pub fn predicates(&self) -> &[&'static str] {
+        &self.preds
+    }
+
     /// Does an update to `rel` affect this view?
     pub fn touches(&self, rel: &str) -> bool {
         self.preds.contains(&rel)

@@ -80,7 +80,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use qf_engine::ExecContext;
-use qf_storage::spill::{content_hash, read_relation_on, Fnv1a};
+use qf_storage::spill::{read_relation_on, Fnv1a};
 use qf_storage::{DirLock, RecordLog, Relation, StorageError, Vfs};
 
 use crate::error::{FlockError, Result};
@@ -229,7 +229,7 @@ impl RunJournal {
                 rec.name
             )));
         }
-        let got = content_hash(&rel);
+        let got = rel.content_hash();
         if got != rec.hash {
             return Err(corrupt(format!(
                 "snapshot {} content hash {got:016x} does not match journaled {:016x}",
@@ -248,7 +248,7 @@ impl RunJournal {
     /// as it was — the step is simply not recorded — so callers can
     /// treat journaling as advisory and keep running.
     pub fn record_step(&mut self, idx: usize, rel: &Relation, ctx: &ExecContext) -> Result<()> {
-        let hash = content_hash(rel);
+        let hash = rel.content_hash();
         let mut payload = (idx as u64).to_le_bytes().to_vec();
         payload.extend_from_slice(rel.name().as_bytes());
         self.log

@@ -103,25 +103,19 @@ impl FlockProgram {
     /// render identically — the program half of the server's
     /// result-cache key.
     pub fn canonical_text(&self) -> String {
-        let mut views: Vec<String> = self
-            .views
-            .iter()
-            .map(|v| qf_datalog::canonical_rule(v).to_string())
-            .collect();
-        views.sort();
-        let mut text = String::new();
-        for v in &views {
-            text.push_str(v);
-            text.push('\n');
-        }
-        text.push_str(&self.flock.canonical_text());
-        text
+        self.below_canonical_views(&self.flock.canonical_text())
     }
 
     /// Canonical query-only rendering (views + canonical query, filter
     /// excluded) — what the server's monotone result cache keys on, so
     /// one entry serves every subsumed support threshold.
     pub fn canonical_query_text(&self) -> String {
+        self.below_canonical_views(&self.flock.canonical_query_text())
+    }
+
+    /// The canonical view rules, sorted by text, one per line, followed
+    /// by `flock_text`.
+    fn below_canonical_views(&self, flock_text: &str) -> String {
         let mut views: Vec<String> = self
             .views
             .iter()
@@ -133,8 +127,23 @@ impl FlockProgram {
             text.push_str(v);
             text.push('\n');
         }
-        text.push_str(&self.flock.canonical_query_text());
+        text.push_str(flock_text);
         text
+    }
+
+    /// The relations the program reads from its catalog: every
+    /// predicate of the views and the query, negated atoms included,
+    /// minus the view heads the program derives itself. The answer is a
+    /// function of these relations alone (§3.1), which is what lets the
+    /// server's result cache key an answer by their content.
+    pub fn reads(&self) -> BTreeSet<Symbol> {
+        let heads: BTreeSet<Symbol> = self.views.iter().map(|v| v.head.pred).collect();
+        self.views
+            .iter()
+            .flat_map(ConjunctiveQuery::predicates)
+            .chain(self.flock.query().predicates())
+            .filter(|p| !heads.contains(p))
+            .collect()
     }
 
     /// Syntax-insensitive fingerprint of the program (hash of
@@ -522,6 +531,44 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.canonical_query_text(), d.canonical_query_text());
+        // Both renderings feed the result-cache key and `flock
+        // fingerprint`: their bytes are pinned.
+        let two_views = FlockProgram::parse(
+            "explained(P,S) :- diagnoses(P,D) AND causes(D,S)
+             cured(P) :- treatments(P,M) AND works(M)
+             QUERY: answer(P) :- exhibits(P,$s) AND NOT explained(P,$s) AND NOT cured(P)
+             FILTER: COUNT(answer.P) >= 20",
+        )
+        .unwrap();
+        let views = "cured(V0) :- treatments(V0,V1) AND works(V1)\n\
+                     explained(V0,V1) :- causes(V2,V1) AND diagnoses(V0,V2)\n";
+        let query = "answer(V0) :- NOT cured(V0) AND NOT explained(V0,$s) AND exhibits(V0,$s)";
+        assert_eq!(
+            two_views.canonical_text(),
+            format!("{views}QUERY:\n{query}\nFILTER:\nCOUNT(answer(*)) >= 20")
+        );
+        assert_eq!(two_views.canonical_query_text(), format!("{views}{query}"));
+        assert_eq!(two_views.fingerprint(), 0x56f4_8efa_caf0_cc6c);
+    }
+
+    #[test]
+    fn reads_names_base_relations_not_view_heads() {
+        let program = FlockProgram::parse(
+            "explained(P,S) :- diagnoses(P,D) AND causes(D,S)
+             cured(P) :- explained(P,S) AND works(S)
+             QUERY: answer(P) :- exhibits(P,$s) AND NOT explained(P,$s) AND NOT cured(P)
+             FILTER: COUNT(answer.P) >= 20",
+        )
+        .unwrap();
+        let reads: Vec<&str> = program.reads().into_iter().map(Symbol::as_str).collect();
+        assert_eq!(reads, ["causes", "diagnoses", "exhibits", "works"]);
+        // Negated atoms count: a view-less program reads them directly.
+        let negated = FlockProgram::parse(
+            "QUERY: answer(B) :- baskets(B,$1) AND NOT banned($1) FILTER: COUNT(answer.B) >= 1",
+        )
+        .unwrap();
+        let reads: Vec<&str> = negated.reads().into_iter().map(Symbol::as_str).collect();
+        assert_eq!(reads, ["banned", "baskets"]);
     }
 
     #[test]

@@ -263,7 +263,7 @@ fn text_format_journal_is_recomputed_not_resumed() {
         let snapshot = qf_storage::spill::read_relation(&dir.join(&name)).unwrap();
         text_log.push_str(&format!(
             "step\t{idx}\t{:016x}\t{}\n",
-            qf_storage::spill::content_hash(&snapshot),
+            snapshot.content_hash(),
             snapshot.name()
         ));
     }

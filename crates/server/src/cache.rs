@@ -2,11 +2,16 @@
 //!
 //! It keys on the **canonical** program text (normalized variable
 //! names, sorted subgoals/rules — see
-//! [`qf_core::FlockProgram::canonical_text`]) plus the **catalog
-//! fingerprint**, so a hit is impossible against stale data: any
-//! `load`/`gen` changes the fingerprint and old entries simply never
-//! match again (the service additionally clears the cache on mutation
-//! to reclaim the memory immediately).
+//! [`qf_core::FlockProgram::canonical_text`]) plus the **read-set
+//! fingerprint**: the content fingerprint of exactly the relations the
+//! program reads ([`qf_core::FlockProgram::reads`],
+//! [`qf_storage::Database::fingerprint_of`]). By §3.1's containment
+//! argument an answer is a function of those relations alone, so a hit
+//! is impossible against stale data, and an entry stays reachable,
+//! untouched, across every commit to a relation it does not read. A
+//! commit to one relation visits only the entries that read it
+//! ([`ResultCache::maintain`]): the service maintains each in place or
+//! drops it. Bulk `load`/`gen` clear the cache.
 //!
 //! The result cache stores *scored* results — `(params…, aggregate)`
 //! rows at the baseline filter they were computed under — which makes
@@ -22,7 +27,7 @@ use qf_storage::Relation;
 
 /// Cache key: canonical query text (threshold excluded — that is what
 /// makes one entry serve a family of thresholds) + the aggregate's head
-/// position + catalog fingerprint.
+/// position + read-set fingerprint.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Canonical views + query text, no filter.
@@ -34,8 +39,11 @@ pub struct CacheKey {
     /// columns of the same query — the position can, and keeping it in
     /// the key stops such programs evicting each other's entries.
     pub agg_pos: Option<usize>,
-    /// [`qf_storage::Database::fingerprint`] of the catalog the entry
-    /// was computed against.
+    /// The **read-set fingerprint**: [`qf_storage::Database::fingerprint_of`]
+    /// over the relations the program reads
+    /// ([`qf_core::FlockProgram::reads`]), in the catalog the entry was
+    /// computed against — not the whole-catalog fingerprint its name
+    /// suggests.
     pub catalog_fp: u64,
 }
 
@@ -133,36 +141,32 @@ impl ResultCache {
         self.entries.truncate(self.cap);
     }
 
-    /// Drop everything (catalog mutation).
+    /// Drop everything (bulk catalog mutation).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
 
-    /// Precise invalidation after an `append`/`retract` on one
-    /// relation. Entries keyed at a fingerprint other than `old_fp` are
-    /// already unreachable — reclaim the memory. An entry the delta
-    /// could change (`touches` its query) gets a chance to *maintain
-    /// itself*: `maintain` updates it in place (e.g. applies a delta
-    /// join) and returns whether it is still valid, instead of being
-    /// dropped unconditionally. Survivors are re-keyed from `old_fp` to
-    /// `new_fp`, since a query that never reads the mutated relation
-    /// evaluates identically against the new catalog.
-    pub fn maintain_rekey(
+    /// Visit the entries whose query [reads](CacheKey::reads) `rel`,
+    /// after a commit changed it; every other entry keeps its key, which
+    /// the commit did not move. `maintain` updates a visited entry in
+    /// place and returns its new read-set fingerprint, or `None` to drop
+    /// it.
+    pub fn maintain(
         &mut self,
-        old_fp: u64,
-        new_fp: u64,
-        touches: &dyn Fn(&CacheKey) -> bool,
-        maintain: &mut dyn FnMut(&mut CachedResult) -> bool,
+        rel: &str,
+        maintain: &mut dyn FnMut(&CacheKey, &mut CachedResult) -> Option<u64>,
     ) {
         self.entries.retain_mut(|(k, v)| {
-            if k.catalog_fp != old_fp {
-                return false;
+            if !k.reads(rel) {
+                return true;
             }
-            if touches(k) && !maintain(v) {
-                return false;
+            match maintain(k, v) {
+                Some(fp) => {
+                    k.catalog_fp = fp;
+                    true
+                }
+                None => false,
             }
-            k.catalog_fp = new_fp;
-            true
         });
     }
 
@@ -203,19 +207,26 @@ mod tests {
     }
 
     #[test]
-    fn maintain_rekey_lets_touched_entries_survive() {
+    fn maintain_visits_only_entries_reading_the_relation() {
         let mut c = ResultCache::new(8);
         c.insert(key("answer :- baskets(B,I)", 1), entry(2));
         c.insert(key("answer :- dict(W)", 1), entry(2));
-        c.insert(key("answer :- dict(W), aux(W)", 7), entry(2)); // stale fp
-                                                                 // The touched entry maintains itself (closure mutates + keeps).
-        let mut maintained = 0;
-        c.maintain_rekey(1, 9, &|k| k.reads("baskets"), &mut |e| {
-            e.strategy = "delta".to_string();
-            maintained += 1;
-            true
+        c.insert(key("answer :- baskets(B,I), aux(B)", 3), entry(2));
+        // The closure keeps the entry keyed at 1 (re-keyed to 9) and
+        // declines the other.
+        let mut visited = Vec::new();
+        c.maintain("baskets", &mut |k, e| {
+            visited.push(k.query.clone());
+            (k.catalog_fp == 1).then(|| {
+                e.strategy = "delta".to_string();
+                9
+            })
         });
-        assert_eq!(maintained, 1);
+        visited.sort();
+        assert_eq!(
+            visited,
+            ["answer :- baskets(B,I)", "answer :- baskets(B,I), aux(B)"]
+        );
         let hit = c
             .lookup(
                 &key("answer :- baskets(B,I)", 9),
@@ -223,29 +234,18 @@ mod tests {
             )
             .expect("maintained entry must survive re-keyed");
         assert_eq!(hit.strategy, "delta");
-        // Untouched entries re-key (old fingerprint gone) without the
-        // closure running.
-        assert!(c
-            .lookup(&key("answer :- dict(W)", 9), &FilterCondition::support(2))
-            .is_some());
-        assert!(c
-            .lookup(&key("answer :- dict(W)", 1), &FilterCondition::support(2))
-            .is_none());
-        // The already-unreachable stale-fp entry was reclaimed.
-        assert_eq!(c.len(), 2);
-        // A declining closure drops the touched entry at every
-        // fingerprint and still re-keys the rest.
-        c.maintain_rekey(9, 11, &|k| k.reads("baskets"), &mut |_| false);
         assert!(c
             .lookup(
-                &key("answer :- baskets(B,I)", 11),
+                &key("answer :- baskets(B,I)", 1),
                 &FilterCondition::support(2),
             )
             .is_none());
-        assert!(c
-            .lookup(&key("answer :- dict(W)", 11), &FilterCondition::support(2))
-            .is_some());
-        assert_eq!(c.len(), 1);
+        // The declined entry is gone; the untouched one keeps its key.
+        assert_eq!(c.len(), 2);
+        let hit = c
+            .lookup(&key("answer :- dict(W)", 1), &FilterCondition::support(2))
+            .expect("an entry not reading the relation is left alone");
+        assert_eq!(hit.strategy, "static");
     }
 
     #[test]

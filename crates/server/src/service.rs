@@ -2,7 +2,7 @@
 //! the monotone result cache.
 //!
 //! [`FlockService`] is the transport-free heart of `qf serve` — it owns
-//! the catalog behind a `RwLock`, the result cache, and the
+//! the published catalog version, the result cache, and the
 //! server-wide counters, and turns parsed [`Request`]s into
 //! [`Response`]s. The TCP layer ([`crate::net`]) only frames bytes,
 //! counts each request it answers, and decides *where* a request runs
@@ -25,9 +25,7 @@ use qf_core::{
     vacuous_filter, CancelToken, DeltaLimits, ExecContext, ExecStats, FilterCondition, FlockDelta,
     FlockProgram, JoinOrderStrategy, LocalEvaluator, QueryFlock, StepEvaluator,
 };
-use qf_storage::{
-    spill::content_hash, tsv, Database, Fnv1a, Relation, StorageError, Wal, WalCounters, WalRecord,
-};
+use qf_storage::{tsv, Database, Relation, StorageError, Wal, WalCounters, WalRecord};
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::error::{Result, ServerError};
@@ -247,10 +245,9 @@ pub(crate) struct FlockRun<'a, E> {
     /// The parsed request (a `partial`'s mini-flock as a view-less
     /// program).
     pub program: &'a FlockProgram,
-    /// The catalog view the run reads…
+    /// The catalog view the run reads; its cache entry is keyed at the
+    /// fingerprint of the relations the program reads there.
     pub db: &'a Database,
-    /// …and the fingerprint its cache entries are keyed at.
-    pub fp: u64,
     /// Who answers each `FILTER` step: this node's engine, or a scatter
     /// over the shard fleet.
     pub evaluator: &'a E,
@@ -296,9 +293,12 @@ pub(crate) struct FlockOutcome {
 
 /// The resident service state shared by every connection and worker.
 pub struct FlockService {
-    db: RwLock<Database>,
+    /// The published catalog: one immutable version, replaced whole by
+    /// each commit. The lock is held only to clone or swap the `Arc`,
+    /// so a reader never waits out a commit's WAL write.
+    db: RwLock<Arc<Database>>,
     /// Replicated catalog fragments installed by the coordinator's
-    /// `sync` verb, by fragment id (each verified by its memoized
+    /// `sync` verb, by fragment id (each verified by its
     /// fingerprint). Kept apart from the master catalog — a worker
     /// hosting several replicas must evaluate each `partial` against
     /// exactly one fragment, or `COUNT`/`SUM` partials would
@@ -310,11 +310,12 @@ pub struct FlockService {
     /// Immutable configuration.
     pub config: ServerConfig,
     shutting_down: AtomicBool,
-    /// The write-ahead log behind `--data-dir`, absent for a purely
-    /// in-memory server. Mutations hold the catalog write lock across
-    /// apply + commit, so the log's record order always matches the
-    /// installed catalog's.
-    wal: Option<Mutex<Wal>>,
+    /// The writer: each commit holds it across apply, WAL commit,
+    /// compaction, publish and cache maintenance, so the log's record
+    /// order, the published versions and the cache's maintenance all
+    /// follow one commit order. It owns the write-ahead log behind
+    /// `--data-dir`, absent for a purely in-memory server.
+    writer: Mutex<Option<Wal>>,
     /// Durability counters: shared with the WAL when one is configured,
     /// all-zero otherwise (so `stats` always carries the fields).
     wal_counters: Arc<WalCounters>,
@@ -347,13 +348,13 @@ impl FlockService {
     fn build(config: ServerConfig, db: Database, wal: Option<Wal>) -> FlockService {
         let wal_counters = wal.as_ref().map_or_else(Default::default, Wal::counters);
         FlockService {
-            db: RwLock::new(db),
+            db: RwLock::new(Arc::new(db)),
             frags: RwLock::new(BTreeMap::new()),
             result_cache: Mutex::new(ResultCache::new(config.cache_entries)),
             counters: Counters::default(),
             config,
             shutting_down: AtomicBool::new(false),
-            wal: wal.map(Mutex::new),
+            writer: Mutex::new(wal),
             wal_counters,
         }
     }
@@ -434,11 +435,10 @@ impl FlockService {
         cancel: Option<&CancelToken>,
     ) -> Response {
         let outcome = parse_program(text, support).and_then(|program| {
-            let (db, fp) = self.snapshot();
+            let db = self.snapshot();
             let run = FlockRun {
                 program: &program,
                 db: &db,
-                fp,
                 evaluator: &LOCAL_EVALUATOR,
                 labels: &LOCAL_LABELS,
                 partial: false,
@@ -466,11 +466,10 @@ impl FlockService {
     ) -> Response {
         let outcome = self
             .partial_view(text, scratch, frag)
-            .and_then(|(program, db, fp)| {
+            .and_then(|(program, db)| {
                 let run = FlockRun {
                     program: &program,
                     db: &db,
-                    fp,
                     evaluator: &LOCAL_EVALUATOR,
                     labels: &PARTIAL_LABELS,
                     partial: true,
@@ -481,14 +480,16 @@ impl FlockService {
     }
 
     /// What a `partial` runs over: the mini-flock as a view-less
-    /// program, and the fragment-plus-scratch catalog view with the
-    /// fingerprint its cache entries are keyed at.
+    /// program, and the fragment-plus-scratch catalog view. Its cache
+    /// key folds the relations it reads there — scratch overlays
+    /// included — by content, so a step re-scattered with the same
+    /// upstream outputs hits, and any change to either misses.
     fn partial_view(
         &self,
         text: &str,
         scratch: &[String],
         frag: Option<(usize, u64)>,
-    ) -> Result<(FlockProgram, Database, u64)> {
+    ) -> Result<(FlockProgram, Database)> {
         let (id, fp) = frag.ok_or_else(|| {
             ServerError::Proto("partial needs a fragment scope (frag= and frag-fp=)".to_string())
         })?;
@@ -496,19 +497,12 @@ impl FlockService {
         let flock = QueryFlock::parse(text).map_err(parse)?;
         let program = FlockProgram::new(Vec::new(), flock).map_err(parse)?;
         let mut db = self.fragment_snapshot(id, fp)?;
-        // The cache key folds the scratch overlays into the catalog
-        // fingerprint by content, so a step re-scattered with the same
-        // upstream outputs hits, and any change to either misses.
-        let mut h = Fnv1a::new();
-        h.write(&fp.to_le_bytes());
         for tsv_text in scratch {
             let rel = tsv::read_tsv(std::io::Cursor::new(tsv_text.as_bytes()))
                 .map_err(|e| ServerError::Parse(e.to_string()))?;
-            h.write(rel.name().as_bytes());
-            h.write(&content_hash(&rel).to_le_bytes());
             db.insert(rel);
         }
-        Ok((program, db, h.finish()))
+        Ok((program, db))
     }
 
     /// The one flock request pipeline: admit → key → monotone cache
@@ -537,10 +531,11 @@ impl FlockService {
         // `answer(B,W)` than in `answer(W,Z)`.
         let canonical_filter = flock.canonical_filter();
         let effective = self.admission_limits(limits)?;
+        let reads = run.program.reads();
         let key = CacheKey {
             query: run.program.canonical_query_text(),
             agg_pos: flock.agg_head_pos(),
-            catalog_fp: run.fp,
+            catalog_fp: run.db.fingerprint_of(reads.iter().map(|p| p.as_str())),
         };
         // The response body for scored rows complete for `baseline`: a
         // `partial` keeps the aggregate column, a flock projects it
@@ -612,9 +607,9 @@ impl FlockService {
         // alongside the scored rows — nothing is evaluated on the
         // request path. The first `append`/`retract` batch on a touched
         // relation seeds it and later ones update the entry in place
-        // instead of dropping it. A `partial`'s key folds in scratch
-        // overlays, which are not catalog relations the delta path
-        // could track, so those entries are never maintained.
+        // instead of dropping it. A `partial` reads a fragment and
+        // scratch overlays, which no commit to the master catalog
+        // describes, so those entries are never maintained.
         let delta = (!run.partial && run.program.views().is_empty())
             .then(|| FlockDelta::new(flock).ok())
             .flatten()
@@ -716,12 +711,12 @@ impl FlockService {
         self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A read-only snapshot of the catalog (cheap: relations are
-    /// shared) plus its memoized fingerprint.
-    pub fn snapshot(&self) -> (Database, u64) {
-        let guard = self.db.read().unwrap_or_else(|e| e.into_inner());
-        let fp = guard.fingerprint();
-        (guard.clone(), fp)
+    /// The published catalog version: an `Arc` clone, taken under a
+    /// lock no commit holds for longer than a pointer swap, so it never
+    /// waits out a WAL write. The version is immutable; a later commit
+    /// publishes a new one beside it.
+    pub fn snapshot(&self) -> Arc<Database> {
+        Arc::clone(&self.db.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     fn generate(&self, kind: &str, seed: u64) -> Result<(String, String)> {
@@ -943,36 +938,34 @@ impl FlockService {
     }
 
     /// Apply one catalog mutation: apply the record to a copy of the
-    /// catalog, commit it durably to the WAL (when configured), then
-    /// install the copy and fix up the caches. Nothing is installed —
-    /// let alone acknowledged — unless the record is already durable,
-    /// so a crash at any point recovers a prefix of the acknowledged
-    /// mutations, never a half-applied one. Returns the catalog
-    /// fingerprint on either side of the mutation — the values clients
-    /// and the shard coordinator verify installs against — and the
-    /// touched relation's size on either side, all read inside the
-    /// critical section so concurrent mutations each report their own
+    /// published catalog, commit it durably to the WAL (when
+    /// configured), then publish the copy and fix up the caches — all
+    /// under the writer mutex, so commits publish and maintain the cache
+    /// in commit order. Nothing is published — let alone acknowledged —
+    /// unless the record is already durable, so a crash at any point
+    /// recovers a prefix of the acknowledged mutations, never a
+    /// half-applied one. Returns the catalog fingerprint on either side
+    /// of the mutation — the values clients and the shard coordinator
+    /// verify installs against — and the touched relation's size on
+    /// either side, so concurrent mutations each report their own
     /// effect.
     ///
-    /// `touched` narrows cache invalidation for single-relation deltas:
-    /// entries carrying maintenance state update themselves in place
-    /// (the delta path), other entries whose query reads that relation
-    /// are dropped, and the rest are re-keyed to the new fingerprint
-    /// and keep serving. `None` (bulk mutations) clears the cache.
+    /// `touched` narrows cache maintenance for single-relation deltas:
+    /// only the entries whose query reads that relation are visited
+    /// ([`FlockService::maintain_entry`]); every other entry's read set,
+    /// and so its key, is unchanged. `None` (bulk mutations) clears the
+    /// cache.
     pub(crate) fn commit_record(
         &self,
         record: &WalRecord,
         touched: Option<&str>,
     ) -> Result<Commit> {
-        let mut guard = self.db.write().unwrap_or_else(|e| e.into_inner());
-        let old_fp = guard.fingerprint();
-        // Pre/post images of the touched relation, for the delta join.
-        let old_rel = touched.and_then(|rel| guard.get(rel).ok().cloned());
-        let mut next = guard.clone();
+        let mut wal = unpoison(self.writer.lock());
+        let old = self.snapshot();
+        let mut next = Database::clone(&old);
         Wal::apply(&mut next, record).map_err(storage_error)?;
         let fp = next.fingerprint();
-        if let Some(wal) = &self.wal {
-            let mut w = unpoison(wal.lock());
+        if let Some(w) = wal.as_mut() {
             w.commit(record, fp).map_err(storage_error)?;
             // A failed compaction is non-fatal: the record above is
             // already durable and the old snapshot generation stays
@@ -981,73 +974,79 @@ impl FlockService {
                 eprintln!("qf-serve: wal compaction failed ({e}); log keeps growing");
             }
         }
-        let new_rel = touched.and_then(|rel| next.get(rel).ok().cloned());
-        let commit = Commit {
-            old_fp,
-            fp,
-            before: old_rel.as_ref().map_or(0, Relation::len),
-            after: new_rel.as_ref().map_or(0, Relation::len),
+        let next = Arc::new(next);
+        *self.db.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&next);
+        let size = |db: &Database| {
+            touched
+                .and_then(|rel| db.get(rel).ok())
+                .map_or(0, Relation::len)
         };
-        let db_new = next.clone();
-        *guard = next;
-        drop(guard);
+        let commit = Commit {
+            old_fp: old.fingerprint(),
+            fp,
+            before: size(&old),
+            after: size(&next),
+        };
+        let mut cache = unpoison(self.result_cache.lock());
         match touched {
             Some(rel) => {
                 self.counters.delta_applied.fetch_add(1, Ordering::Relaxed);
-                let touches = move |k: &CacheKey| k.reads(rel);
-                let mut maintain = |entry: &mut CachedResult| {
-                    self.maintain_entry(entry, rel, old_rel.as_ref(), new_rel.as_ref(), &db_new)
-                };
-                unpoison(self.result_cache.lock()).maintain_rekey(
-                    old_fp,
-                    fp,
-                    &touches,
-                    &mut maintain,
-                );
+                cache.maintain(rel, &mut |key, entry| {
+                    self.maintain_entry(key, entry, rel, &old, &next)
+                });
             }
-            None => unpoison(self.result_cache.lock()).clear(),
+            None => cache.clear(),
         }
         Ok(commit)
     }
 
-    /// Try to maintain one touched cache entry through its delta state:
-    /// evaluate the delta join for the relation's pre/post images — or,
-    /// on the entry's first touch, seed its view from the post-batch
-    /// catalog — refresh the entry's scored rows from the maintained
-    /// multiset, and widen its baseline to vacuous (the maintained rows
+    /// Try to maintain one cache entry reading `rel` across a commit
+    /// from `old` to `new`, returning its new read-set fingerprint, or
+    /// `None` to drop it.
+    ///
+    /// It is a compare-and-swap on the entry's own read set: the entry
+    /// is maintained only if its key is the fingerprint of the relations
+    /// its flock reads in `old`, the version this commit changed. An
+    /// entry computed against an earlier version — by a reader that
+    /// snapshotted before an earlier commit and inserted after that
+    /// commit's maintenance — is dropped silently: this batch's delta
+    /// would not lead it to `new`'s answer.
+    ///
+    /// Maintenance evaluates the delta join for the relation's pre/post
+    /// images — or, on the entry's first touch, seeds its view from
+    /// `new` — refreshes the entry's scored rows from the maintained
+    /// multiset, and widens its baseline to vacuous (the maintained rows
     /// are the *full* unfiltered answer, so the entry now serves every
-    /// threshold). Returns whether the entry survives; on any failure
-    /// the view is untrustworthy and the entry is dropped for a cold
-    /// recompute.
+    /// threshold). An entry without maintenance state, or whose apply
+    /// fails, is dropped for a cold recompute and counted.
     fn maintain_entry(
         &self,
+        key: &CacheKey,
         entry: &mut CachedResult,
         rel: &str,
-        old: Option<&Relation>,
-        new: Option<&Relation>,
-        db: &Database,
-    ) -> bool {
+        old: &Database,
+        new: &Database,
+    ) -> Option<u64> {
         let Some(handle) = entry.delta.clone() else {
             self.counters.delta_rebuilds.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        let (old, new) = match (old, new) {
-            (Some(o), Some(n)) => (o.clone(), n.clone()),
-            (None, Some(n)) => (
-                Relation::from_rows(n.schema().clone(), Vec::new()),
-                n.clone(),
-            ),
-            (Some(o), None) => {
-                let empty = Relation::from_rows(o.schema().clone(), Vec::new());
-                (o.clone(), empty)
-            }
-            // The record named this relation but did not create or
-            // change it: the entry is still exact as-is.
-            (None, None) => return true,
+            return None;
         };
         let mut view = unpoison(handle.lock());
+        let read_set = |db: &Database| db.fingerprint_of(view.predicates().iter().copied());
+        if key.catalog_fp != read_set(old) {
+            return None;
+        }
+        let new_fp = read_set(new);
+        let (before, after) = match (old.get(rel).ok(), new.get(rel).ok()) {
+            (Some(o), Some(n)) => (o.clone(), n.clone()),
+            (None, Some(n)) => (Relation::empty(n.schema().clone()), n.clone()),
+            (Some(o), None) => (o.clone(), Relation::empty(o.schema().clone())),
+            // The record named this relation but did not create or
+            // change it: the entry is still exact as-is.
+            (None, None) => return Some(new_fp),
+        };
         let applied = view
-            .apply(rel, &old, &new, db, &DeltaLimits::default())
+            .apply(rel, &before, &after, new, &DeltaLimits::default())
             .and_then(|r| {
                 let schema = entry.scored.schema();
                 let names = schema.columns()[..schema.arity() - 1].to_vec();
@@ -1064,14 +1063,14 @@ impl FlockService {
                 self.counters
                     .recheck_tuples
                     .fetch_add(r.recheck_tuples, Ordering::Relaxed);
-                true
+                Some(new_fp)
             }
             Err(_) => {
                 // A failed apply (or seed) leaves the view undefined:
                 // drop the entry; the next request recomputes cold (and
                 // attaches a fresh unseeded handle).
                 self.counters.delta_rebuilds.fetch_add(1, Ordering::Relaxed);
-                false
+                None
             }
         }
     }
@@ -1085,10 +1084,7 @@ impl FlockService {
     pub(crate) fn stats(&self) -> JsonObject {
         let c = &self.counters;
         let w = self.wal_counters.stats();
-        let (relations, tuples, fp) = {
-            let db = self.db.read().unwrap_or_else(|e| e.into_inner());
-            (db.len(), db.total_tuples(), db.fingerprint())
-        };
+        let db = self.snapshot();
         let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
         JsonObject::new()
             .value("requests", load(&c.requests))
@@ -1104,9 +1100,9 @@ impl FlockService {
             .value("active", c.active.load(Ordering::Relaxed))
             .value("live_workers", c.live_workers.load(Ordering::Relaxed))
             .value("cached_results", unpoison(self.result_cache.lock()).len())
-            .value("relations", relations)
-            .value("tuples", tuples)
-            .hex("fp", fp)
+            .value("relations", db.len())
+            .value("tuples", db.total_tuples())
+            .hex("fp", db.fingerprint())
             .value("delta_applied", load(&c.delta_applied))
             .value("delta_maintained", load(&c.delta_maintained))
             .value("delta_rebuilds", load(&c.delta_rebuilds))
@@ -1190,4 +1186,124 @@ pub fn render_tsv(rel: &Relation) -> String {
     let mut buf = Vec::new();
     tsv::write_tsv(rel, &mut buf).expect("in-memory write cannot fail");
     String::from_utf8(buf).expect("TSV output is UTF-8")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qf_core::evaluate_direct;
+    use qf_storage::{Schema, Value};
+
+    /// A flock over `deliveries`, which no test here writes.
+    const DELIVERIES: &str = "QUERY: answer(B) :- deliveries(B,$1) AND deliveries(B,$2) \
+                              AND $1 < $2 FILTER: COUNT(answer.B) >= 5";
+    /// A delta-maintainable flock over `live`, which the tests append to.
+    const LIVE: &str = "QUERY: answer(B) :- live(A,B) AND live(A,$1) FILTER: COUNT(answer.B) >= 2";
+
+    fn service() -> FlockService {
+        let mut db = Database::new();
+        let rows: Vec<Vec<Value>> = (0..12)
+            .flat_map(|b| [(b, 1), (b, 2), (b, 10 + b)])
+            .map(|(b, i)| vec![Value::int(b), Value::int(i)])
+            .collect();
+        db.insert(Relation::from_rows(
+            Schema::new("deliveries", &["b", "i"]),
+            rows,
+        ));
+        let live = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+            .map(|(a, b)| vec![Value::int(a), Value::int(b)]);
+        db.insert(Relation::from_rows(
+            Schema::new("live", &["a", "b"]),
+            live.to_vec(),
+        ));
+        FlockService::new(ServerConfig::default(), db)
+    }
+
+    /// `text` through the request pipeline against the catalog version
+    /// `db`, which may be older than the published one.
+    fn run_at(svc: &FlockService, text: &str, db: &Database) -> FlockOutcome {
+        let program = parse_program(text, None).unwrap();
+        let run = FlockRun {
+            program: &program,
+            db,
+            evaluator: &LOCAL_EVALUATOR,
+            labels: &LOCAL_LABELS,
+            partial: false,
+        };
+        let limits = RequestLimits::default();
+        match svc.run_flock(run, &limits, 1, None, None) {
+            Ok(outcome) => outcome,
+            Err(e) => panic!("{text}: {e}"),
+        }
+    }
+
+    fn direct(text: &str, db: &Database) -> String {
+        let flock = QueryFlock::parse(text).unwrap();
+        render_tsv(&evaluate_direct(&flock, db, JoinOrderStrategy::Greedy).unwrap())
+    }
+
+    fn append(svc: &FlockService, rows: &[(i64, i64)]) {
+        let mut tsv = "live\ta\tb\n".to_string();
+        for (a, b) in rows {
+            tsv.push_str(&format!("{a}\t{b}\n"));
+        }
+        svc.mutate("live", &tsv, None, false).unwrap();
+    }
+
+    fn count(n: &AtomicU64) -> u64 {
+        n.load(Ordering::Relaxed)
+    }
+
+    /// A reader that snapshots before a commit to a relation its flock
+    /// does not read, and looks up after it, still hits: the commit
+    /// moved neither the entry's key nor the reader's.
+    #[test]
+    fn a_commit_elsewhere_leaves_an_earlier_snapshot_hitting() {
+        let svc = service();
+        let warm = run_at(&svc, DELIVERIES, &svc.snapshot());
+        assert!(!warm.cache_hit);
+        let before = svc.snapshot();
+        append(&svc, &[(9, 9)]);
+        assert_ne!(svc.snapshot().fingerprint(), before.fingerprint());
+        for db in [before, svc.snapshot()] {
+            let o = run_at(&svc, DELIVERIES, &db);
+            assert!(o.cache_hit, "{}", o.meta.finish());
+            assert_eq!(o.body, direct(DELIVERIES, &db));
+        }
+        assert_eq!(count(&svc.counters.delta_rebuilds), 0);
+    }
+
+    /// A maintainable flock evaluated against a pre-commit snapshot and
+    /// cached after that commit's maintenance describes a version the
+    /// next commit did not start from: the compare-and-swap drops it
+    /// unserved and uncounted, and every answer stays exact.
+    #[test]
+    fn an_entry_from_an_older_version_is_dropped_not_maintained() {
+        let svc = service();
+        let s0 = svc.snapshot();
+        append(&svc, &[(4, 1)]);
+        let stale = run_at(&svc, LIVE, &s0);
+        assert!(!stale.cache_hit);
+        assert_eq!(stale.body, direct(LIVE, &s0));
+        assert!(stale.body.lines().count() > 1, "some parameter passes");
+        assert_eq!(unpoison(svc.result_cache.lock()).len(), 1);
+
+        append(&svc, &[(4, 2)]);
+        assert_eq!(count(&svc.counters.delta_maintained), 0);
+        assert_eq!(count(&svc.counters.delta_rebuilds), 0, "dropped silently");
+        assert!(unpoison(svc.result_cache.lock()).is_empty());
+        let now = svc.snapshot();
+        let o = run_at(&svc, LIVE, &now);
+        assert!(!o.cache_hit, "the stale entry must not be served");
+        assert_eq!(o.body, direct(LIVE, &now));
+
+        // An entry computed against the published version is maintained
+        // by the next commit and serves its answer.
+        append(&svc, &[(5, 1), (5, 3)]);
+        assert_eq!(count(&svc.counters.delta_maintained), 1);
+        let now = svc.snapshot();
+        let o = run_at(&svc, LIVE, &now);
+        assert!(o.cache_hit, "{}", o.meta.finish());
+        assert_eq!(o.body, direct(LIVE, &now));
+    }
 }

@@ -256,7 +256,7 @@ impl ShardCounters {
 /// master fingerprint so any mutation invalidates it wholesale.
 /// Fragments are stored **TSV-round-tripped** — exactly the bytes a
 /// worker reassembles from a `sync` — so local re-derivation, the
-/// fragment fingerprints pushed to workers (each fragment's memoized
+/// fragment fingerprints pushed to workers (each fragment's
 /// [`Database::fingerprint`]), and worker-side evaluation all agree
 /// even for values the wire canonicalizes (digit-like symbols parse
 /// back as integers).
@@ -384,7 +384,8 @@ impl ShardCore {
     /// requests and invalidated by any mutation (the key is the master
     /// fingerprint): the TSV-round-tripped fragments whose fingerprints
     /// workers verify on `sync` and `partial`.
-    fn fragments(&self, master: &Database, master_fp: u64) -> Arc<Vec<Database>> {
+    fn fragments(&self, master: &Database) -> Arc<Vec<Database>> {
+        let master_fp = master.fingerprint();
         let mut guard = self.frag_cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(c) = guard.as_ref().filter(|c| c.master_fp == master_fp) {
             return Arc::clone(&c.frags);
@@ -675,7 +676,6 @@ struct ScatterEvaluator<'a> {
     /// The master catalog the request runs against; the fragments (and
     /// the fingerprints workers verify) derive from it.
     master: &'a Database,
-    master_fp: u64,
     /// This request's rescatters, failovers and hedges.
     tally: ShardCounters,
 }
@@ -718,7 +718,7 @@ impl StepEvaluator for ScatterEvaluator<'_> {
         let deadline = remaining.map(|d| Instant::now() + d);
         // The fragment partition: cached across requests, keyed by the
         // master fingerprint.
-        let frags = core.fragments(self.master, self.master_fp);
+        let frags = core.fragments(self.master);
         let (text, scratch, tally) = (&text, &scratch, &self.tally);
         let outcomes: Vec<Reply> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
@@ -894,8 +894,8 @@ impl Coordinator {
         if n == 0 {
             return Ok(());
         }
-        let (db, fp) = core.service.snapshot();
-        let frags = core.fragments(&db, fp);
+        let db = core.service.snapshot();
+        let frags = core.fragments(&db);
         let mut synced = vec![false; n];
         let mut had_live_host = vec![false; n];
         let mut errors: Vec<String> = Vec::new();
@@ -1059,7 +1059,7 @@ impl Coordinator {
         let core = &self.core;
         let service = &core.service;
         let outcome = parse_program(text, support).and_then(|program| {
-            let (db, fp) = service.snapshot();
+            let db = service.snapshot();
             let shardable =
                 !core.slots.is_empty() && shardable_program(&program, &core.replicated).is_some();
             if !shardable {
@@ -1069,7 +1069,6 @@ impl Coordinator {
                 let run = FlockRun {
                     program: &program,
                     db: &db,
-                    fp,
                     evaluator: &LOCAL_EVALUATOR,
                     labels: &LOCAL_LABELS,
                     partial: false,
@@ -1080,13 +1079,11 @@ impl Coordinator {
             let evaluator = ScatterEvaluator {
                 core,
                 master: &db,
-                master_fp: fp,
                 tally: ShardCounters::default(),
             };
             let run = FlockRun {
                 program: &program,
                 db: &db,
-                fp,
                 evaluator: &evaluator,
                 labels: &SCATTER_LABELS,
                 partial: false,
@@ -1258,8 +1255,8 @@ fn probe_worker(core: &ShardCore, w: usize) -> Result<()> {
     // Drop any stale pooled session so the first scatter after the
     // rejoin dials the recovered process fresh.
     core.drop_session(w);
-    let (db, fp) = core.service.snapshot();
-    let frags = core.fragments(&db, fp);
+    let db = core.service.snapshot();
+    let frags = core.fragments(&db);
     let hosted = worker_fragments(w, core.slots.len(), core.replicas);
     let items = hosted.into_iter().map(|f| (f, Shipment::Full(&frags[f])));
     core.ship(w, items, Some(&mut client))
@@ -1433,7 +1430,7 @@ mod tests {
 
         let text = "QUERY: answer(A) :- r(A,$1) FILTER: COUNT(answer.A) >= 5";
         let flock = qf_core::QueryFlock::parse(text).unwrap();
-        let (db, _) = service.snapshot();
+        let db = service.snapshot();
         let direct = qf_core::evaluate_direct(&flock, &db, JoinOrderStrategy::Greedy).unwrap();
         assert_eq!(direct.len(), 1, "the master catalog answers one row");
         let resp = coord.eval_flock_request(text, None, &RequestLimits::default(), 1, None, None);

@@ -200,6 +200,62 @@ fn append_leaves_entries_over_other_relations_alone() {
     assert!(meta.contains("\"strategy\":\"static\""), "{meta}");
 }
 
+/// A reader looping a warmed flock over `deliveries` beside a writer
+/// appending 200 batches to `live`: the commits never move the entry's
+/// key or the reader's, so every response is a cache hit with the cold
+/// answer's bytes, whichever side of a commit the reader snapshots on.
+#[test]
+fn reader_beside_writer_hits_on_an_untouched_relation() {
+    let mut db = Database::new();
+    let rows: Vec<Vec<Value>> = (0..12)
+        .flat_map(|b| [(b, 1), (b, 2), (b, 10 + b)])
+        .map(|(b, i)| vec![Value::int(b), Value::int(i)])
+        .collect();
+    db.insert(Relation::from_rows(
+        Schema::new("deliveries", &["b", "i"]),
+        rows,
+    ));
+    db.insert(Relation::from_rows(
+        Schema::new("live", &["a", "b"]),
+        vec![vec![Value::int(0), Value::int(0)]],
+    ));
+    let text = "QUERY:\nanswer(B) :- deliveries(B,$1) AND deliveries(B,$2) AND $1 < $2\n\
+                FILTER:\nCOUNT(answer.B) >= 5";
+    let cold = cold_body(text, &db);
+    let svc = FlockService::new(ServerConfig::default(), db);
+    let limits = RequestLimits::default();
+    let (meta, warm) = ok_parts(svc.handle_flock(text, None, &limits, 1));
+    assert!(meta.contains("\"cache_hit\":false"), "{meta}");
+    assert_eq!(warm, cold);
+
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (reads, appends) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut reads = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                reads.push(svc.handle_flock(text, None, &limits, 1));
+            }
+            reads
+        });
+        let appends: Vec<Response> = (1..=200)
+            .map(|i| svc.handle_append_admitted("live", &format!("live\ta\tb\n{i}\t{i}\n"), None))
+            .collect();
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        (reader.join().unwrap(), appends)
+    });
+    for resp in appends {
+        ok_parts(resp);
+    }
+    assert!(!reads.is_empty());
+    for resp in reads {
+        let (meta, body) = ok_parts(resp);
+        assert!(meta.contains("\"cache_hit\":true"), "{meta}");
+        assert_eq!(body, cold);
+    }
+    assert_eq!(stat(&svc, "delta_applied"), 200);
+    assert_eq!(stat(&svc, "delta_rebuilds"), 0);
+}
+
 /// A retract that removes a group's MAX witnesses beyond the bounded
 /// re-check set forces a rescan of that group only — counted by
 /// `recheck_tuples` — and the entry keeps serving exact answers.

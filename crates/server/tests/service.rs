@@ -181,7 +181,7 @@ fn gen_words_names_the_baskets_relation_it_writes() {
     };
     let (_, note) = ok_parts(svc.handle_light(&gen));
     assert!(note.contains("baskets"), "{note}");
-    assert!(svc.snapshot().0.get("baskets").is_ok());
+    assert!(svc.snapshot().get("baskets").is_ok());
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! The database catalog: named relations.
 
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
+use crate::spill::Fnv1a;
 
 /// A database: a set of named relations.
 ///
@@ -19,31 +19,14 @@ use crate::relation::Relation;
 ///
 /// A `BTreeMap` keeps iteration order deterministic for tests and dumps.
 ///
-/// The catalog [fingerprint](Database::fingerprint) — a content hash
-/// over every relation — is computed lazily and **memoized**: repeated
-/// reads (journal validation, cache keys) between mutations reuse the
-/// cached value, and any [`Database::insert`]/[`Database::remove`]
-/// invalidates it.
-#[derive(Default)]
+/// Fingerprints ([`Database::fingerprint`], [`Database::fingerprint_of`])
+/// fold each relation's [content hash](Relation::content_hash), which
+/// the relation memoizes itself: a clone of the catalog shares every
+/// relation and its hash, so after a mutation only the relations it
+/// replaced are hashed again.
+#[derive(Clone, Default)]
 pub struct Database {
     relations: BTreeMap<String, Relation>,
-    /// Memoized content fingerprint; reset on every mutation. Cloning
-    /// carries the cached value along (relations are shared, so the
-    /// clone hashes identically).
-    fingerprint: OnceLock<u64>,
-}
-
-impl Clone for Database {
-    fn clone(&self) -> Database {
-        let fingerprint = OnceLock::new();
-        if let Some(&fp) = self.fingerprint.get() {
-            let _ = fingerprint.set(fp);
-        }
-        Database {
-            relations: self.relations.clone(),
-            fingerprint,
-        }
-    }
 }
 
 impl Database {
@@ -54,7 +37,6 @@ impl Database {
 
     /// Insert (or replace) a relation under its schema name.
     pub fn insert(&mut self, relation: Relation) {
-        self.fingerprint = OnceLock::new();
         self.relations.insert(relation.name().to_string(), relation);
     }
 
@@ -74,29 +56,39 @@ impl Database {
 
     /// Remove a relation, returning it if present.
     pub fn remove(&mut self, name: &str) -> Option<Relation> {
-        self.fingerprint = OnceLock::new();
         self.relations.remove(name)
     }
 
-    /// Content fingerprint of the whole catalog: every relation's name,
-    /// column names, and tuple content, folded in sorted-name order so
-    /// iteration order cannot perturb it. Memoized until the next
-    /// mutation — journal validation and result-cache keys may read it
-    /// per request without re-hashing the data.
+    /// Content fingerprint of the whole catalog: the
+    /// [fold](Database::fingerprint_of) over every relation's name.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let mut h = crate::spill::Fnv1a::new();
-            for (name, rel) in &self.relations {
-                h.write(name.as_bytes());
-                h.write(&[0xff]);
-                for c in rel.schema().columns() {
-                    h.write(c.as_bytes());
-                    h.write(&[0xfe]);
-                }
-                h.write(&crate::spill::content_hash(rel).to_le_bytes());
+        self.fingerprint_of(self.names())
+    }
+
+    /// Content fingerprint of the relations named `names`: each name's
+    /// bytes, then its column names and content hash — or, for a name
+    /// the catalog lacks, an absence marker, so a missing relation never
+    /// folds like an empty one. Names are folded once each, in sorted
+    /// order, so neither repetition nor iteration order perturbs it.
+    /// Changes iff a named relation's presence, columns or tuples do;
+    /// relations not named never enter it.
+    pub fn fingerprint_of<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> u64 {
+        let mut h = Fnv1a::new();
+        for name in names.into_iter().collect::<BTreeSet<_>>() {
+            h.write(name.as_bytes());
+            // Neither marker byte occurs in UTF-8, so it ends the name.
+            let Some(rel) = self.relations.get(name) else {
+                h.write(&[0xfd]);
+                continue;
+            };
+            h.write(&[0xff]);
+            for c in rel.schema().columns() {
+                h.write(c.as_bytes());
+                h.write(&[0xfe]);
             }
-            h.finish()
-        })
+            h.write(&rel.content_hash().to_le_bytes());
+        }
+        h.finish()
     }
 
     /// Names of all relations, sorted.
@@ -170,12 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_memoized_and_invalidated() {
+    fn fingerprint_is_content_determined() {
         let mut db = Database::new();
         db.insert(rel("a", 3));
         let fp1 = db.fingerprint();
         assert_eq!(db.fingerprint(), fp1, "stable between mutations");
-        // A clone carries the cached value and hashes identically.
+        // A clone shares the relations and hashes identically.
         let clone = db.clone();
         assert_eq!(clone.fingerprint(), fp1);
         // Any mutation changes the fingerprint…
@@ -189,6 +181,59 @@ mod tests {
         // Replacing a relation with different content changes it too.
         db.insert(rel("a", 5));
         assert_ne!(db.fingerprint(), fp1);
+    }
+
+    /// The whole-catalog fingerprint is stamped into every WAL record
+    /// and reported to clients as `fp`: its bytes are pinned.
+    #[test]
+    fn whole_catalog_fingerprint_is_pinned() {
+        let mut db = Database::new();
+        db.insert(Relation::from_rows(
+            Schema::new("baskets", &["b", "i"]),
+            vec![
+                vec![Value::int(1), Value::str("beer")],
+                vec![Value::int(1), Value::str("diapers")],
+                vec![Value::int(2), Value::str("beer")],
+            ],
+        ));
+        db.insert(rel("dict", 4));
+        assert_eq!(db.fingerprint(), 0xce5e_30a8_070e_34ed);
+        assert_eq!(db.fingerprint(), db.fingerprint_of(["dict", "baskets"]));
+        assert_eq!(Database::new().fingerprint(), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn subset_fold_follows_only_the_named_relations() {
+        let mut db = Database::new();
+        db.insert(rel("a", 3));
+        db.insert(rel("b", 2));
+        let of_a = db.fingerprint_of(["a"]);
+        assert_eq!(db.fingerprint_of(["a", "a"]), of_a, "each name once");
+        assert_eq!(
+            db.fingerprint_of(["b", "a"]),
+            db.fingerprint_of(["a", "b"]),
+            "order-free"
+        );
+        // A change to an unnamed relation leaves the fold alone…
+        db.insert(rel("b", 7));
+        db.insert(rel("c", 1));
+        assert_eq!(db.fingerprint_of(["a"]), of_a);
+        // …a change to a named one moves it, and restoring the content
+        // restores it.
+        db.insert(rel("a", 4));
+        assert_ne!(db.fingerprint_of(["a"]), of_a);
+        db.insert(rel("a", 3));
+        assert_eq!(db.fingerprint_of(["a"]), of_a);
+        // An absent name folds unlike an empty relation of that name,
+        // and unlike not naming it at all.
+        let absent = db.fingerprint_of(["a", "z"]);
+        db.insert(rel("z", 0));
+        assert_ne!(db.fingerprint_of(["a", "z"]), absent);
+        assert_ne!(absent, of_a);
+        assert_ne!(
+            db.fingerprint_of(["z"]),
+            Database::new().fingerprint_of(["z"])
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::{Result, StorageError};
 use crate::schema::Schema;
+use crate::spill::Fnv1a;
 use crate::stats::RelationStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -18,13 +19,24 @@ use crate::value::Value;
 /// cheap ordered iteration for merge joins, and canonical equality for
 /// tests.
 ///
-/// Statistics ([`Relation::stats`]) are computed once on first use and
-/// cached; the optimizer consults them freely.
+/// Statistics ([`Relation::stats`]) and the content hash
+/// ([`Relation::content_hash`]) are computed once on first use and
+/// cached; the optimizer and the catalog fingerprint consult them
+/// freely.
 #[derive(Clone)]
 pub struct Relation {
     schema: Schema,
     tuples: Arc<[Tuple]>,
-    stats: Arc<OnceLock<RelationStats>>,
+    memo: Arc<Memo>,
+}
+
+/// What a relation computes once from its tuples. Shared by clones and
+/// [renames](Relation::renamed): neither changes the columns or tuples
+/// either value is computed from.
+#[derive(Default)]
+struct Memo {
+    stats: OnceLock<RelationStats>,
+    content_hash: OnceLock<u64>,
 }
 
 impl Relation {
@@ -33,7 +45,7 @@ impl Relation {
         Relation {
             schema,
             tuples: Arc::from(Vec::new()),
-            stats: Arc::new(OnceLock::new()),
+            memo: Arc::default(),
         }
     }
 
@@ -69,7 +81,7 @@ impl Relation {
         Relation {
             schema,
             tuples: Arc::from(tuples),
-            stats: Arc::new(OnceLock::new()),
+            memo: Arc::default(),
         }
     }
 
@@ -85,7 +97,7 @@ impl Relation {
         Relation {
             schema,
             tuples: Arc::from(tuples),
-            stats: Arc::new(OnceLock::new()),
+            memo: Arc::default(),
         }
     }
 
@@ -126,8 +138,31 @@ impl Relation {
 
     /// Cached statistics (cardinality, per-column distinct counts).
     pub fn stats(&self) -> &RelationStats {
-        self.stats
+        self.memo
+            .stats
             .get_or_init(|| RelationStats::compute(&self.schema, &self.tuples))
+    }
+
+    /// Process-stable fingerprint of the schema and full content,
+    /// computed once and cached. Two relations hash equal iff their
+    /// column names, arity, and tuple sets are equal (the relation
+    /// *name* is excluded so renames don't invalidate journals).
+    pub fn content_hash(&self) -> u64 {
+        *self.memo.content_hash.get_or_init(|| {
+            let mut h = Fnv1a::new();
+            h.write(&(self.schema.arity() as u64).to_le_bytes());
+            for col in self.schema.columns() {
+                h.write(col.as_bytes());
+                h.write(&[0xff]);
+            }
+            h.write(&(self.len() as u64).to_le_bytes());
+            for t in self.iter() {
+                for &v in t.values() {
+                    h.write_value(v);
+                }
+            }
+            h.finish()
+        })
     }
 
     /// Distinct count for one column (from cached stats).
@@ -135,15 +170,15 @@ impl Relation {
         self.stats().column(col).distinct
     }
 
-    /// A copy renamed to `name`. Tuples (and cached stats) are shared —
-    /// `Relation` clones are reference-count bumps, which is what lets
-    /// `FILTER`-step outputs be inserted into the working database
-    /// without copying data.
+    /// A copy renamed to `name`. Tuples (and cached stats and content
+    /// hash) are shared — `Relation` clones are reference-count bumps,
+    /// which is what lets `FILTER`-step outputs be inserted into the
+    /// working database without copying data.
     pub fn renamed(&self, name: &str) -> Relation {
         Relation {
             schema: self.schema.renamed(name),
             tuples: Arc::clone(&self.tuples),
-            stats: Arc::clone(&self.stats),
+            memo: Arc::clone(&self.memo),
         }
     }
 }
@@ -284,6 +319,22 @@ mod tests {
         let s = r.renamed("s");
         assert_eq!(s.name(), "s");
         assert_eq!(s.tuples(), r.tuples());
+    }
+
+    #[test]
+    fn clone_and_renamed_carry_the_hash_memo() {
+        let r = rel(&[(1, 2), (3, 4)]);
+        let hash = r.content_hash();
+        for copy in [r.clone(), r.renamed("s")] {
+            assert!(Arc::ptr_eq(&copy.memo, &r.memo));
+            assert_eq!(copy.memo.content_hash.get(), Some(&hash));
+        }
+        // A relation built afresh from the same content starts with an
+        // empty memo and hashes its own tuples to the same value.
+        let fresh = rel(&[(3, 4), (1, 2)]);
+        assert!(fresh.memo.content_hash.get().is_none());
+        assert_eq!(fresh.content_hash(), hash);
+        assert_ne!(rel(&[(1, 2)]).content_hash(), hash);
     }
 
     #[test]

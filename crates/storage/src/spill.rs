@@ -631,26 +631,6 @@ impl Fnv1a {
     }
 }
 
-/// Process-stable fingerprint of a relation's schema and full content.
-/// Two relations hash equal iff their column names, arity, and tuple
-/// sets are equal (the relation *name* is excluded so renames don't
-/// invalidate journals).
-pub fn content_hash(rel: &Relation) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(&(rel.schema().arity() as u64).to_le_bytes());
-    for col in rel.schema().columns() {
-        h.write(col.as_bytes());
-        h.write(&[0xff]);
-    }
-    h.write(&(rel.len() as u64).to_le_bytes());
-    for t in rel.iter() {
-        for &v in t.values() {
-            h.write_value(v);
-        }
-    }
-    h.finish()
-}
-
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -836,7 +816,7 @@ mod tests {
         let back = read_relation(&path).unwrap();
         assert_eq!(back, rel);
         assert_eq!(back.name(), "ok_s");
-        assert_eq!(content_hash(&back), content_hash(&rel));
+        assert_eq!(back.content_hash(), rel.content_hash());
     }
 
     #[test]
@@ -972,13 +952,16 @@ mod tests {
         let a = rel(&[(1, "x"), (2, "y")]);
         let b = rel(&[(1, "x"), (2, "z")]);
         let c = rel(&[(1, "x")]);
-        assert_ne!(content_hash(&a), content_hash(&b));
-        assert_ne!(content_hash(&a), content_hash(&c));
+        assert_ne!(a.content_hash(), b.content_hash());
+        assert_ne!(a.content_hash(), c.content_hash());
         // Renaming the relation does not change the hash; renaming a
-        // column does.
-        assert_eq!(content_hash(&a.renamed("other")), content_hash(&a));
-        let d = Relation::from_tuples(Schema::new("r", &["m", "s"]), a.tuples().to_vec());
-        assert_ne!(content_hash(&a), content_hash(&d));
+        // column does. Both sides are built fresh, so neither reads the
+        // other's memo.
+        let named = |name, cols: &[&str]| {
+            Relation::from_tuples(Schema::new(name, cols), a.tuples().to_vec())
+        };
+        assert_eq!(named("other", &["n", "s"]).content_hash(), a.content_hash());
+        assert_ne!(named("r", &["m", "s"]).content_hash(), a.content_hash());
     }
 
     #[test]

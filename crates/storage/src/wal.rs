@@ -76,7 +76,7 @@ use std::time::Instant;
 use crate::catalog::Database;
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
-use crate::spill::{content_hash, read_relation_on, write_relation_on, Fnv1a};
+use crate::spill::{read_relation_on, write_relation_on, Fnv1a};
 use crate::tsv::read_tsv;
 use crate::tuple::Tuple;
 use crate::vfs::Vfs;
@@ -332,7 +332,7 @@ impl RecordLog {
         let result = with_retries(on_retry, || {
             write_relation_on(vfs, &tmp, rel)?;
             let back = read_relation_on(vfs, &tmp)?;
-            if back.name() != rel.name() || content_hash(&back) != content_hash(rel) {
+            if back.name() != rel.name() || back.content_hash() != rel.content_hash() {
                 return Err(corruption(
                     &tmp,
                     "read-back after snapshot write does not match the relation",
@@ -513,7 +513,7 @@ impl Wal {
                         ),
                     ));
                 }
-                let got = content_hash(&rel);
+                let got = rel.content_hash();
                 if got != *hash {
                     return Err(corruption(
                         &path,
@@ -673,7 +673,7 @@ impl Wal {
             self.log.publish_relation(&path, rel, || {})?;
             manifest.push_str(&format!(
                 "rel {idx} {:016x} {}\n",
-                content_hash(rel),
+                rel.content_hash(),
                 rel.name()
             ));
         }
@@ -1127,7 +1127,7 @@ fn scan_log(bytes: &[u8], start_seq: u64) -> Vec<(u64, u64, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{real_fs, ChaosFs, Fault, OpClass};
+    use crate::vfs::{real_fs, ChaosFs, Fault, OpClass, RealFs, VfsFile};
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qf-wal-{tag}-{}", std::process::id()));
@@ -1695,6 +1695,99 @@ mod tests {
         );
         assert_eq!(recovered.fingerprint(), 0x5bf4_b869_4690_92fb);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The real filesystem, except that reading back a snapshot's temp
+    /// file reads `substitute`: a well-framed relation file whose
+    /// content differs from what was written.
+    #[derive(Debug)]
+    struct SwapReadBack {
+        substitute: PathBuf,
+    }
+
+    impl Vfs for SwapReadBack {
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            RealFs.create(path)
+        }
+        fn create_new(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            RealFs.create_new(path)
+        }
+        fn open(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if name.starts_with("snap-") && name.ends_with(".qfr.tmp") {
+                RealFs.open(&self.substitute)
+            } else {
+                RealFs.open(path)
+            }
+        }
+        fn append(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            RealFs.append(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealFs.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealFs.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealFs.create_dir_all(path)
+        }
+        fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealFs.remove_dir_all(path)
+        }
+        fn read_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+            RealFs.read_dir(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            RealFs.exists(path)
+        }
+    }
+
+    /// Relations memoize their content hash, so both snapshot checks
+    /// must hash a relation decoded from the bytes read back — never the
+    /// in-memory relation that was written. An impostor with the same
+    /// name and columns but other tuples is caught at compaction's
+    /// read-back and at recovery.
+    #[test]
+    fn snapshot_checks_hash_the_relation_read_back() {
+        let dir = tmp("readback");
+        let elsewhere = tmp("readback-impostor");
+        std::fs::create_dir_all(&elsewhere).unwrap();
+        let opts = WalOptions {
+            compact_threshold: 1,
+        };
+        let put = |rows| WalRecord::Put {
+            relations: vec![tsv("r", rows)],
+        };
+        let mut impostor_db = Database::new();
+        Wal::apply(&mut impostor_db, &put(&[(1, "a"), (2, "c")])).unwrap();
+        let impostor = elsewhere.join("impostor.qfr");
+        write_relation_on(&RealFs, &impostor, impostor_db.get("r").unwrap()).unwrap();
+
+        let (mut wal, mut db) = Wal::open(real_fs(), &dir, opts).unwrap();
+        commit(&mut wal, &mut db, put(&[(1, "a"), (2, "b")])).unwrap();
+        assert_ne!(db.fingerprint(), impostor_db.fingerprint());
+        drop(wal);
+        let swapped: Arc<dyn Vfs> = Arc::new(SwapReadBack {
+            substitute: impostor.clone(),
+        });
+        let (mut wal, recovered) = Wal::open(swapped, &dir, opts).unwrap();
+        let err = wal.compact(&recovered).unwrap_err();
+        assert!(
+            err.to_string().contains("read-back after snapshot write"),
+            "{err}"
+        );
+        drop(wal);
+
+        let (mut wal, recovered) = Wal::open(real_fs(), &dir, opts).unwrap();
+        wal.compact(&recovered).unwrap();
+        drop(wal);
+        std::fs::copy(&impostor, dir.join("snap-1-0.qfr")).unwrap();
+        let err = Wal::open(real_fs(), &dir, opts).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("does not match manifest"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&elsewhere);
     }
 
     #[test]
